@@ -18,7 +18,8 @@ def main():
         if len(sys.argv) > 1 and sys.argv[1] == "--quick":
             cfg.k_max = 5
             cfg.resolution = 2.0**-6
-        report, summary = run(cfg)
+        out = run(cfg)
+        report, summary = out["verify"], out["write"]
         for eps in cfg.eps_grid:
             v = report["eps"][f"{eps}"]["verify"]
             rows.append(

@@ -404,11 +404,12 @@ def eval_approximant(A: Approximant, X) -> float:
     return cell.value
 
 
-def total_variation(A: Approximant, boxset) -> dict:
+def total_variation(FS: FunctionalSuite, A: Approximant, boxset) -> dict:
     """TV of phi over the open interior of the box union.
 
     Jump part: facets with both sides in the set (exact areas).  Gradient
-    part: quadrature of |grad u| over member boxes whose rule is u.
+    part: the suite's quadrature of |grad u| over member boxes whose rule
+    is u.
     """
     boxset = set(boxset)
     jump = 0.0
@@ -416,35 +417,12 @@ def total_variation(A: Approximant, boxset) -> dict:
         if a in boxset and b in boxset:
             jump += mass
     grad = 0.0
-    g1 = _grad_cache(A)
+    g1, _ = FS.grad_integrals()
     for b in boxset:
         c = A.cell_of(b)
         if c is not None and c.value is None:
             grad += g1[b]
     return {"jump": jump, "grad": grad, "total": jump + grad}
-
-
-def _grad_cache(A: Approximant) -> np.ndarray:
-    if not hasattr(A, "_g1"):
-        W = A.RC.W
-        g1 = np.zeros(W.n_boxes)
-        by_size: dict = {}
-        for b in W.boxes:
-            by_size.setdefault(b.size, []).append(b.id)
-        for size, ids in by_size.items():
-            ids = np.asarray(ids)
-            los = np.array([W.boxes[i].lo for i in ids], dtype=float)
-            lo = W.base + W.unit * los
-            side = W.unit * size
-            mgrid = 8
-            t = (np.arange(mgrid) + 0.5) / mgrid
-            gx, gy = np.meshgrid(t, t, indexing="ij")
-            off = np.column_stack([gx.ravel(), gy.ravel()]) * side
-            pts = (lo[:, None, :] + off[None, :, :]).reshape(-1, 2)
-            gr = np.linalg.norm(A.u.grad(pts), axis=1).reshape(len(ids), -1)
-            g1[ids] = gr.sum(axis=1) * (side / mgrid) ** 2
-        A._g1 = g1
-    return A._g1
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ def _parser():
     common.add_argument("--config", required=True, help="run configuration JSON")
     common.add_argument("--cache-dir", default=None, help="stage cache directory")
     common.add_argument("--seed", type=int, default=None, help="override seed")
-    common.add_argument("--jobs", type=int, default=None, help="verification jobs")
     common.add_argument("--out", default=None, help="override output directory")
     for name, help_ in [
         ("run", "full pipeline: build, decompose, approximate, verify, report"),
@@ -45,11 +44,24 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg
+
+
+# subcommands that compute one stage from its cached upstream stages;
+# `run` and `verify` load or compute every stage
+STAGED = {"build-grid": "grid", "decompose": "regions", "approximate": "approximate"}
+
+
+def _stage_line(stage: str, out, cfg: RunConfig) -> str:
+    if stage == "grid":
+        return f"grid: {len(out['S'].cubes)} cubes, ADR pass={out['adr'].passed}"
+    if stage == "regions":
+        return (f"regions: {out['W'].n_boxes} boxes, "
+                f"{len(out['RC'].corona.regimes)} regimes")
+    n = sum(len(v["A"].cells) for v in out["per_eps"].values())
+    return f"approximants: {n} cells over eps grid {cfg.eps_grid}"
 
 
 def main(argv=None) -> int:
@@ -57,52 +69,16 @@ def main(argv=None) -> int:
     cache = args.cache_dir
     try:
         cfg = _load_config(args)
-        if args.command == "run":
-            report, summary = pipeline.run(cfg, cache_dir=cache)
-        elif args.command == "build-grid":
+        if args.command in STAGED:
             if not cache:
-                raise RuntimeError("build-grid requires --cache-dir")
-            grid = pipeline.stage_grid(cfg)
-            pipeline.save_stage(cache, cfg, "grid", grid)
-            print(f"grid: {grid['S'].to_json()['cubes'].__len__()} cubes, "
-                  f"ADR pass={grid['adr'].passed}")
-            return 0
-        elif args.command == "decompose":
-            if not cache:
-                raise RuntimeError("decompose requires --cache-dir")
-            grid = pipeline.load_stage(cache, cfg, "grid")
-            regions = pipeline.stage_regions(cfg, grid)
-            pipeline.save_stage(cache, cfg, "regions", regions)
-            print(f"regions: {regions['W'].n_boxes} boxes, "
-                  f"{len(regions['RC'].corona.regimes)} regimes")
-            return 0
-        elif args.command == "approximate":
-            if not cache:
-                raise RuntimeError("approximate requires --cache-dir")
-            grid = pipeline.load_stage(cache, cfg, "grid")
-            regions = pipeline.load_stage(cache, cfg, "regions")
-            approx = pipeline.stage_approximate(cfg, grid, regions)
-            pipeline.save_stage(cache, cfg, "approximate", approx)
-            n = sum(len(v["A"].cells) for v in approx["per_eps"].values())
-            print(f"approximants: {n} cells over eps grid {cfg.eps_grid}")
-            return 0
-        elif args.command == "verify":
-            if cache:
-                grid = pipeline.load_stage(cache, cfg, "grid")
-                regions = pipeline.load_stage(cache, cfg, "regions")
-                try:
-                    approx = pipeline.load_stage(cache, cfg, "approximate")
-                except RuntimeError:
-                    approx = pipeline.stage_approximate(cfg, grid, regions)
-            else:
-                grid = pipeline.stage_grid(cfg)
-                regions = pipeline.stage_regions(cfg, grid)
-                approx = pipeline.stage_approximate(cfg, grid, regions)
-            report = pipeline.stage_verify(cfg, grid, regions, approx)
-            summary = pipeline.write_outputs(
-                cfg, grid, regions, approx, report, cfg.out_dir
+                raise RuntimeError(f"{args.command} requires --cache-dir")
+            stage = STAGED[args.command]
+            outputs = pipeline.run(
+                cfg, cache_dir=cache, until=stage, build_upstream=False
             )
-        elif args.command == "report":
+            print(_stage_line(stage, outputs[stage], cfg))
+            return 0
+        if args.command == "report":
             out = Path(cfg.out_dir)
             summary = json.loads((out / "acceptance.json").read_text())
             if args.format == "json":
@@ -112,8 +88,7 @@ def main(argv=None) -> int:
                 for name, ok in summary["hard_checks"]:
                     print(f"{name},{int(ok)}")
             return 0 if summary["pass"] else 1
-        else:  # pragma: no cover
-            raise RuntimeError(args.command)
+        summary = pipeline.run(cfg, cache_dir=cache)["write"]
     except (RuntimeError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class RunConfig:
     gamma0: float = 4.0
     margin: float | None = None
     seed: int = 0
-    jobs: int = 1
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -98,23 +97,29 @@ class RunConfig:
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
         obj = dict(obj)
+        # "jobs" sized a verification thread pool that no longer exists;
+        # older configs still carry it, and it never changed a result
+        obj.pop("jobs", None)
         if "region" in obj and isinstance(obj["region"], dict):
-            obj["region"] = RegionParams(**obj["region"])
+            obj["region"] = _build(RegionParams, obj["region"], "region")
         if "budgets" in obj and isinstance(obj["budgets"], dict):
             b = dict(obj["budgets"])
             if "inclusion" in b:
                 b["inclusion"] = tuple(b["inclusion"])
-            obj["budgets"] = Budgets(**b)
+            obj["budgets"] = _build(Budgets, b, "budgets")
         for key in ("eps_grid", "alpha_grid", "p_grid"):
             if key in obj:
                 obj[key] = tuple(obj[key])
-        return RunConfig(**obj)
+        return _build(RunConfig, obj, "config")
 
     @staticmethod
     def load(path) -> "RunConfig":
         with open(path) as fh:
             return RunConfig.from_json(json.load(fh))
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
+
+def _build(cls, obj: dict, where: str):
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return cls(**obj)

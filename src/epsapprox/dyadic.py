@@ -16,7 +16,6 @@ deduplicated "relevant" cubes.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -121,32 +120,6 @@ class CubeSystem:
             c = self.cubes[q]
             out[q] = float(np.dot(f[c.sample_idx], w[c.sample_idx]) / c.measure)
         return out
-
-    def to_json(self):
-        return {
-            "scale": self.scale,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "c1": self.c1,
-            "C1": self.C1,
-            "cubes": [
-                {
-                    "id": c.id,
-                    "k": c.k,
-                    "z": list(map(float, c.z)),
-                    "side": c.side,
-                    "parent": c.rparent,
-                    "relevant": c.relevant,
-                    "n_samples": int(len(c.sample_idx)),
-                    "measure": c.measure,
-                }
-                for c in self.cubes
-            ],
-        }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

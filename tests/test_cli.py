@@ -1,11 +1,12 @@
 """CLI pipeline: subcommands, caching, determinism, exit codes."""
 
+import copy
 import json
-from pathlib import Path
+from dataclasses import fields
 
-import pytest
-
+from epsapprox import pipeline
 from epsapprox.cli import main
+from epsapprox.config import RunConfig
 
 
 def small_config(tmp_path, **overrides):
@@ -26,7 +27,6 @@ def small_config(tmp_path, **overrides):
         "alpha_grid": [1.0, 4.0],
         "p_grid": [1.5, 2.0, 4.0],
         "seed": 0,
-        "jobs": 1,
         "out_dir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
@@ -68,6 +68,16 @@ class TestRun:
     def test_missing_config_errors(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_unknown_config_key_errors(self, tmp_path, capsys):
+        cfgp = small_config(tmp_path, eps_gird=[0.2])
+        assert main(["run", "--config", str(cfgp)]) == 2
+        assert "eps_gird" in capsys.readouterr().err
+        cfgp = small_config(tmp_path, budgets={"adrr": 1.5})
+        assert main(["run", "--config", str(cfgp)]) == 2
+        assert "adrr" in capsys.readouterr().err
+        # older configs still carry the removed "jobs" setting
+        assert not hasattr(RunConfig.from_json({"jobs": 2}), "jobs")
+
 
 class TestSubcommands:
     def test_staged_pipeline_and_cache(self, tmp_path):
@@ -79,10 +89,11 @@ class TestSubcommands:
         assert main(["verify", "--config", str(cfgp), "--cache-dir", cache]) == 0
         assert (tmp_path / "out" / "report.json").exists()
 
-    def test_decompose_without_grid_errors(self, tmp_path):
+    def test_decompose_without_grid_errors(self, tmp_path, capsys):
         cfgp = small_config(tmp_path)
         cache = str(tmp_path / "cache")
         assert main(["decompose", "--config", str(cfgp), "--cache-dir", cache]) == 2
+        assert "'grid'" in capsys.readouterr().err
 
     def test_stale_cache_mismatch(self, tmp_path):
         cfgp = small_config(tmp_path)
@@ -91,6 +102,41 @@ class TestSubcommands:
         # different grid parameters invalidate the cache key
         cfgp2 = small_config(tmp_path, resolution=1.0 / 16)
         assert main(["decompose", "--config", str(cfgp2), "--cache-dir", str(cache)]) == 2
+
+    def test_resolved_k_min_keeps_cache_valid(self, tmp_path, monkeypatch):
+        cfgp = small_config(tmp_path)
+        raw = json.loads(cfgp.read_text())
+        del raw["k_min"]
+        cfgp.write_text(json.dumps(raw))
+        cache = str(tmp_path / "cache")
+        assert main(["build-grid", "--config", str(cfgp), "--cache-dir", cache]) == 0
+        assert main(["decompose", "--config", str(cfgp), "--cache-dir", cache]) == 0
+        assert main(["run", "--config", str(cfgp), "--cache-dir", cache]) == 0
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert rep["config"]["k_min"] is None and rep["grid"]["k_min"] == -2
+        monkeypatch.setattr(pipeline, "stage_grid", _must_not_run)
+        assert main(["run", "--config", str(cfgp), "--cache-dir", cache]) == 0
+
+    def test_verify_elsewhere_reuses_approximate(self, tmp_path, monkeypatch):
+        cfgp = small_config(tmp_path)
+        cache = str(tmp_path / "cache")
+        for cmd in ("build-grid", "decompose", "approximate"):
+            assert main([cmd, "--config", str(cfgp), "--cache-dir", cache]) == 0
+        monkeypatch.setattr(pipeline, "stage_approximate", _must_not_run)
+        assert main(["verify", "--config", str(cfgp), "--cache-dir", cache,
+                     "--out", str(tmp_path / "elsewhere")]) == 0
+        assert (tmp_path / "elsewhere" / "report.json").exists()
+
+    def test_budget_change_rebuilds_grid(self, tmp_path):
+        # a grid certified under adr = 4 must not certify a run with adr = 1.5
+        cache = str(tmp_path / "cache")
+        cfgp = small_config(tmp_path, budgets={"adr": 4.0})
+        assert main(["build-grid", "--config", str(cfgp), "--cache-dir", cache]) == 0
+        assert main(["decompose", "--config", str(cfgp), "--cache-dir", cache]) == 0
+        cfgp = small_config(tmp_path, budgets={"adr": 1.5})
+        assert main(["verify", "--config", str(cfgp), "--cache-dir", cache]) == 1
+        summary = json.loads((tmp_path / "out" / "acceptance.json").read_text())
+        assert summary["first_failure"] == "adr"
 
     def test_report_formats_agree(self, tmp_path):
         cfgp = small_config(tmp_path)
@@ -117,15 +163,83 @@ class TestDeterminism:
         r2 = (tmp_path / "out" / "report.json").read_bytes()
         assert r1 == r2
 
-    def test_jobs_do_not_change_report(self, tmp_path):
+    def test_out_dir_does_not_change_report(self, tmp_path):
         cfgp = small_config(tmp_path)
-        assert main(["run", "--config", str(cfgp), "--jobs", "1",
-                     "--out", str(tmp_path / "o1")]) == 0
-        assert main(["run", "--config", str(cfgp), "--jobs", "3",
-                     "--out", str(tmp_path / "o3")]) == 0
-        b1 = (tmp_path / "o1" / "report.json").read_bytes()
-        b3 = (tmp_path / "o3" / "report.json").read_bytes()
-        assert b1 == b3  # byte-identical at any parallelism level
-        csv1 = (tmp_path / "o1" / "functionals.csv").read_bytes()
-        csv3 = (tmp_path / "o3" / "functionals.csv").read_bytes()
-        assert csv1 == csv3
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o1")]) == 0
+        assert main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o2")]) == 0
+        for name in ("report.json", "functionals.csv"):
+            b1 = (tmp_path / "o1" / name).read_bytes()
+            b2 = (tmp_path / "o2" / name).read_bytes()
+            assert b1 == b2
+
+
+def _must_not_run(*args):
+    raise AssertionError("stage recomputed despite a cache hit")
+
+
+GRID_DOWN = {"grid", "regions", "approximate"}
+REGIONS_DOWN = {"regions", "approximate"}
+# config field (dotted for nested ones) -> (changed value, stage keys it moves)
+KEY_MOVES = {
+    "boundary": ({"type": "segment", "params": {"a": -1.0, "b": 1.0}}, GRID_DOWN),
+    "window": ({"lo": [-2.0, -2.0], "hi": [2.0, 2.0]}, GRID_DOWN),
+    "ambient": (None, REGIONS_DOWN),
+    "resolution": (1.0 / 16, GRID_DOWN),
+    "k_min": (-3, GRID_DOWN),
+    "k_max": (3, GRID_DOWN),
+    "scale": (2.0, GRID_DOWN),
+    "region.tau": (0.1, REGIONS_DOWN),
+    "corona_mode": ("annotated", REGIONS_DOWN),
+    "corona_file": ("corona.json", REGIONS_DOWN),
+    "eta": (0.3, GRID_DOWN),
+    "K": (8.0, REGIONS_DOWN),
+    "field_desc": ({"type": "constant", "params": {"c": 1.0}}, {"approximate"}),
+    "eps_grid": ([0.1, 0.4], {"approximate"}),
+    "alpha_grid": ([1.0, 2.0], {"approximate"}),
+    "p_grid": ([2.0], set()),
+    "budgets.adr": (1.5, GRID_DOWN),
+    "budgets.inclusion": ([1e-5, 64.0], GRID_DOWN),
+    "budgets.pointwise_c1": (8.0, set()),
+    "sample_frac": (0.25, {"approximate"}),
+    "refine": (True, set()),
+    "gamma0": (2.0, {"approximate"}),
+    "margin": (0.1, set()),
+    "seed": (7, set()),
+    "out_dir": ("elsewhere", set()),
+}
+
+
+def test_stage_keys_move_with_what_each_stage_reads(tmp_path, monkeypatch):
+    assert {k.split(".")[0] for k in KEY_MOVES} == {f.name for f in fields(RunConfig)}
+    base = RunConfig.from_json(json.loads(small_config(tmp_path).read_text())).to_json()
+    monkeypatch.chdir(tmp_path)
+    corona = tmp_path / "corona.json"
+    corona.write_text("{}")
+
+    def keys(cfg_json):
+        cfg = RunConfig.from_json(cfg_json)
+        return {s: pipeline.stage_key(cfg, s) for s in ("grid", "regions", "approximate")}
+
+    def changed(path, value):
+        out = copy.deepcopy(base)
+        *head, last = path.split(".")
+        node = out
+        for part in head:
+            node = node[part]
+        node[last] = value
+        return out
+
+    k0 = keys(base)
+    wrong = {}
+    for path, (value, expect) in KEY_MOVES.items():
+        k1 = keys(changed(path, value))
+        moved = {s for s in k0 if k0[s] != k1[s]}
+        if moved != expect:
+            wrong[path] = moved
+    assert wrong == {}
+    # the regions key also covers the bytes of the corona file it reads
+    with_file = changed("corona_file", "corona.json")
+    k1 = keys(with_file)
+    corona.write_text('{"regimes": []}')
+    k2 = keys(with_file)
+    assert {s for s in k1 if k1[s] != k2[s]} == REGIONS_DOWN
