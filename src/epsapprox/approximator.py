@@ -486,10 +486,16 @@ def nontangential_deviation(
 def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
     """Smallest aperture for which the anchor points X_P, Y_P of every
     generation cube P are inside Gamma_alpha(x) for all x in any cube Q
-    with l(Q) <= l(P) whose Carleson box meets the subregime sawtooth."""
+    with l(Q) <= l(P) whose Carleson box meets the subregime sawtooth.
+
+    The (q, box) results, each q's {generation: ancestor} map and the
+    (owner cube, ancestor) distance ratios are memoized for this call.
+    """
     S, RC = FS.S, FS.RC
-    if FS._anc is None:
-        FS.anc_scatter(np.zeros(FS.W.n_boxes))
+    box_anc = FS.box_ancestors()
+    gens: dict = {}
+    ratios: dict = {}
+    per_box: dict = {}
     needed = 1.0
     for p in sorted(GF.all_cubes):
         reg = RC.regions.get(p)
@@ -498,7 +504,7 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
         omega = RC.sawtooth(GF.members[p])
         qs: set = set()
         for b in omega:
-            qs.update(FS._anc.get(b, ()))
+            qs.update(box_anc.get(b, ()))
         anchor_boxes = []
         for sign in "+-":
             r = RC.regions[p]
@@ -510,23 +516,33 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
         for q in sorted(qs):
             if S.side(q) > S.side(p):
                 continue
+            if q not in gens:
+                # nearest ancestor wins, as in S.ancestor_at_gen
+                gens[q] = {S.cube(a).k: a for a in reversed(S.ancestors(q))}
             for b in anchor_boxes:
-                needed = max(needed, _alpha_for(FS, q, b))
+                if (q, b) not in per_box:
+                    per_box[q, b] = _alpha_for(FS, gens[q], b, ratios)
+                needed = max(needed, per_box[q, b])
     return needed
 
 
-def _alpha_for(FS: FunctionalSuite, q: int, bid: int) -> float:
-    """Smallest alpha putting box bid's owner regions into Gamma_alpha(x), x in Q."""
+def _alpha_for(FS: FunctionalSuite, gen: dict, bid: int, ratios: dict) -> float:
+    """Smallest alpha putting box bid's owner regions into Gamma_alpha(x), x in Q.
+
+    gen maps each generation to Q's ancestor there; ratios memoizes
+    min |x - z_anc| / (C1 l(anc)) over the owner's samples per (owner, anc).
+    """
     S = FS.S
     best = np.inf
     for p_own, _ in FS.RC.box_owners.get(bid, ()):
-        k = S.cube(p_own).k
-        anc = S.ancestor_at_gen(q, k)
+        anc = gen.get(S.cube(p_own).k)
         if anc is None:
             continue
-        c = S.cube(anc)
-        d = np.linalg.norm(S.E.points[S.cube(p_own).sample_idx] - c.z, axis=1)
-        best = min(best, float(np.min(d)) / (S.C1 * c.side))
+        if (p_own, anc) not in ratios:
+            c = S.cube(anc)
+            d = np.linalg.norm(S.E.points[S.cube(p_own).sample_idx] - c.z, axis=1)
+            ratios[p_own, anc] = float(np.min(d)) / (S.C1 * c.side)
+        best = min(best, ratios[p_own, anc])
     return 1.0 if best == np.inf else max(1.0, best * (1 + 1e-9))
 
 

@@ -57,6 +57,11 @@ class FunctionalSuite:
         self._grad_int = None
         self._grad2_int = None
 
+    def __getstate__(self):
+        # the point grids are rebuilt from W in milliseconds, so a pickled
+        # suite (a cached `approximate` stage) leaves them out
+        return self.__dict__ | {"_fat": {}, "_core": {}}
+
     # -- grids --------------------------------------------------------------
 
     def _offsets(self, fat: bool) -> np.ndarray:
@@ -289,8 +294,8 @@ class FunctionalSuite:
 
     # -- Carleson functionals ---------------------------------------------------
 
-    def anc_scatter(self, mass: np.ndarray) -> dict:
-        """Per cube Q: total mass of boxes inside T_Q."""
+    def box_ancestors(self) -> dict:
+        """Per box: sorted ids of the cubes Q with the box inside T_Q."""
         if self._anc is None:
             anc = {}
             for bid, owners in self.RC.box_owners.items():
@@ -299,8 +304,12 @@ class FunctionalSuite:
                     s.update(self.S.ancestors(q))
                 anc[bid] = sorted(s)
             self._anc = anc
+        return self._anc
+
+    def anc_scatter(self, mass: np.ndarray) -> dict:
+        """Per cube Q: total mass of boxes inside T_Q."""
         out = {q: 0.0 for q in self.S.relevant_ids()}
-        for bid, qs in self._anc.items():
+        for bid, qs in self.box_ancestors().items():
             m = mass[bid]
             if m:
                 for q in qs:

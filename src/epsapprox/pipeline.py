@@ -6,7 +6,9 @@ graph for `epsapprox run` and every CLI subcommand.  With a cache directory,
 the grid, regions and approximate stages are pickled under a key derived from
 their declared config fields, the bytes of any input file they name, their
 upstream keys and a fingerprint of the package source, so a key moves exactly
-when what the stage reads moves.  No stage mutates the config.  Reports are
+when what the stage reads moves.  An artifact refers to its upstream
+stages' outputs instead of storing copies, so a warm run shares them as a
+cold run does.  No stage mutates the config.  Reports are
 canonical JSON with no timestamps, so a fixed config reproduces
 byte-identical output wherever it is written and whether or not a cache is
 used.
@@ -148,7 +150,7 @@ def run(cfg: RunConfig, out_dir=None, cache_dir=None, until="write",
             path = Path(cache_dir) / f"{name}-{stage_key(cfg, name)}.pkl"
             if path.exists():
                 with open(path, "rb") as fh:
-                    outputs[name] = pickle.load(fh)
+                    outputs[name] = _StageUnpickler(fh, outputs).load()
                 continue
             if name != until and not build_upstream:
                 raise RuntimeError(
@@ -159,8 +161,39 @@ def run(cfg: RunConfig, out_dir=None, cache_dir=None, until="write",
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "wb") as fh:
-                pickle.dump(outputs[name], fh)
+                upstream = {d: outputs[d] for d in st.deps}
+                _StagePickler(fh, upstream).dump(outputs[name])
     return outputs
+
+
+class _StagePickler(pickle.Pickler):
+    """Stores the top-level objects of upstream outputs as (stage, key)
+    references, so an artifact holds no second copy of them.  Scalars such
+    as `k_min` are stored by value: small ints are shared objects."""
+
+    def __init__(self, fh, upstream: dict):
+        super().__init__(fh)
+        self._refs = {
+            id(v): (d, k)
+            for d, out in upstream.items()
+            for k, v in out.items()
+            if not isinstance(v, (int, float, str))
+        }
+
+    def persistent_id(self, obj):
+        return self._refs.get(id(obj))
+
+
+class _StageUnpickler(pickle.Unpickler):
+    """Resolves (stage, key) references against the loaded upstream outputs."""
+
+    def __init__(self, fh, outputs: dict):
+        super().__init__(fh)
+        self._outputs = outputs
+
+    def persistent_load(self, pid):
+        stage, key = pid
+        return self._outputs[stage][key]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Approximant construction: cells, values, evaluation, TV, certification."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from epsapprox import pipeline
 from epsapprox.approximator import (
     build_global_approximant,
     build_local_approximant,
@@ -14,11 +17,14 @@ from epsapprox.approximator import (
     verify_approximation,
 )
 from epsapprox.carleson import packing_constant
+from epsapprox.config import RunConfig
 from epsapprox.functionals import FunctionalSuite
 from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
 from epsapprox.stopping import generation_cubes, oscillation_cubes
 
 from conftest import certified_mask
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_state(rc, u, eps, far=None):
@@ -345,6 +351,60 @@ class TestVerification:
     def test_alpha0_reported(self, line_rc, state_t):
         fs, numbers, labels, gf = state_t
         assert find_alpha0(fs, gf) >= 1.0
+
+    def test_alpha0_matches_brute_force(self, state_t):
+        fs, numbers, labels, gf = state_t
+        assert find_alpha0(fs, gf) == _alpha0_oracle(fs, gf)
+
+    def test_alpha0_matches_brute_force_quick_t(self):
+        cfg = RunConfig.load(CONFIGS / "quick_t.json")
+        approx = pipeline.run(cfg, until="approximate")["approximate"]
+        alphas = {}
+        for eps, st in approx["per_eps"].items():
+            alphas[eps] = find_alpha0(approx["FS"], st["gf"])
+            assert alphas[eps] == _alpha0_oracle(approx["FS"], st["gf"])
+        # eps = 0.1 lands above the clamp at 1, so the ratio itself is checked
+        assert alphas[0.1] == 14.250000014250002
+
+
+def _alpha0_oracle(fs, gf):
+    """find_alpha0 by brute force: every (Q, anchor box, owner) distance
+    is recomputed and each ancestor found by walking up from Q."""
+    S, RC = fs.S, fs.RC
+    box_anc = {}
+    for bid, owners in RC.box_owners.items():
+        box_anc[bid] = sorted({a for q, _ in owners for a in S.ancestors(q)})
+    needed = 1.0
+    for p in sorted(gf.all_cubes):
+        reg = RC.regions.get(p)
+        if reg is None or not reg.good:
+            continue
+        qs = set()
+        for b in RC.sawtooth(gf.members[p]):
+            qs.update(box_anc.get(b, ()))
+        anchor_boxes = []
+        for sign in "+-":
+            anchor_boxes.append(reg.centers[reg.labels.index(sign)])
+            pr = S.cube(p).rparent
+            if pr is not None and RC.regions[pr].good:
+                rp = RC.regions[pr]
+                anchor_boxes.append(rp.centers[rp.labels.index(sign)])
+        for q in sorted(qs):
+            if S.side(q) > S.side(p):
+                continue
+            for b in anchor_boxes:
+                best = np.inf
+                for p_own, _ in RC.box_owners.get(b, ()):
+                    anc = S.ancestor_at_gen(q, S.cube(p_own).k)
+                    if anc is None:
+                        continue
+                    c = S.cube(anc)
+                    pts = S.E.points[S.cube(p_own).sample_idx]
+                    d = np.linalg.norm(pts - c.z, axis=1)
+                    best = min(best, float(np.min(d)) / (S.C1 * c.side))
+                a = 1.0 if best == np.inf else max(1.0, best * (1 + 1e-9))
+                needed = max(needed, a)
+    return needed
 
 
 class TestRemarkLocality:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 from dataclasses import fields
 
 from epsapprox import pipeline
@@ -137,6 +138,23 @@ class TestSubcommands:
         assert main(["verify", "--config", str(cfgp), "--cache-dir", cache]) == 1
         summary = json.loads((tmp_path / "out" / "acceptance.json").read_text())
         assert summary["first_failure"] == "adr"
+
+    def test_warm_run_shares_upstream_objects(self, tmp_path):
+        cfg = RunConfig.load(small_config(tmp_path))
+        cache = tmp_path / "cache"
+        pipeline.run(cfg, out_dir=tmp_path / "cold", cache_dir=cache)
+        warm = pipeline.run(cfg, out_dir=tmp_path / "warm", cache_dir=cache)
+        FS = warm["approximate"]["FS"]
+        assert FS.RC is warm["regions"]["RC"] and FS.W is warm["regions"]["W"]
+        assert FS.S is FS.RC.S is warm["grid"]["S"] and FS.E is warm["grid"]["E"]
+        size = {p.name.split("-")[0]: p.stat().st_size for p in cache.glob("*.pkl")}
+        # no copy of E, S, W or RC: the artifact undercuts a standalone
+        # pickle of the same output by at least the regions artifact
+        standalone = len(pickle.dumps(warm["approximate"]))
+        assert size["approximate"] + size["regions"] <= standalone
+        for name in ("report.json", "functionals.csv", "tv.csv"):
+            cold_bytes = (tmp_path / "cold" / name).read_bytes()
+            assert (tmp_path / "warm" / name).read_bytes() == cold_bytes
 
     def test_report_formats_agree(self, tmp_path):
         cfgp = small_config(tmp_path)
