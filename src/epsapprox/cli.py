@@ -21,7 +21,6 @@ def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="run configuration JSON")
     common.add_argument("--cache-dir", default=None, help="stage cache directory")
-    common.add_argument("--seed", type=int, default=None, help="override seed")
     common.add_argument("--out", default=None, help="override output directory")
     for name, help_ in [
         ("run", "full pipeline: build, decompose, approximate, verify, report"),
@@ -42,8 +41,6 @@ def _parser():
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg

@@ -5,6 +5,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .geometry import Window
+
+
+# top-level keys older configs still carry; none ever changed a result
+# ("jobs" sized a removed thread pool, "seed" fed no random draw)
+RETIRED_KEYS = ("jobs", "seed")
+
 
 @dataclass(frozen=True)
 class RegionParams:
@@ -40,13 +47,13 @@ class Budgets:
     inclusion: tuple = (1e-6, 64.0)
     principal_packing_factor: float = 4.0  # Lambda(P) <= factor * Lambda(I)
     eps_packing: float = 64.0  # Lambda <= eps_packing / eps^2
-    eps_ratio_slack: float = 1.5  # Lambda(0.1)/Lambda(0.4) <= 16 * slack
+    # Lambda(eps_min)/Lambda(eps_max) <= (eps_max/eps_min)^2 * slack
+    eps_ratio_slack: float = 1.5
     pointwise_c1: float = 4.0
     carleson_c2_stability: float = 2.0
     levelset_a1: float = 32.0
     levelset_a2: float = 8.0
     aperture_k4: float = 10.0
-    tv_locality: float = 64.0
 
 
 @dataclass
@@ -77,10 +84,8 @@ class RunConfig:
     p_grid: tuple = (1.5, 2.0, 4.0)
     budgets: Budgets = field(default_factory=Budgets)
     sample_frac: float = 0.125
-    refine: bool = False
     gamma0: float = 4.0
     margin: float | None = None
-    seed: int = 0
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -89,6 +94,10 @@ class RunConfig:
         for name in ("adr", "eps_packing", "pointwise_c1"):
             if getattr(self.budgets, name) <= 0:
                 raise ValueError(f"budget {name} must be positive")
+        # reject a non-planar window at load, before any stage runs
+        for box in (self.window, self.ambient):
+            if box is not None:
+                Window.from_json(box)
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -96,10 +105,7 @@ class RunConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
-        obj = dict(obj)
-        # "jobs" sized a verification thread pool that no longer exists;
-        # older configs still carry it, and it never changed a result
-        obj.pop("jobs", None)
+        obj = {k: v for k, v in obj.items() if k not in RETIRED_KEYS}
         if "region" in obj and isinstance(obj["region"], dict):
             obj["region"] = _build(RegionParams, obj["region"], "region")
         if "budgets" in obj and isinstance(obj["budgets"], dict):

@@ -3,9 +3,10 @@
 Per-box sup/quadrature grids are shared by every functional: grids cover the
 triple-fattened box (the cones see slightly past their own boxes), while
 quadratures run on the disjoint core boxes.  All sups are grid sups, hence
-certified lower bounds; a refinement pass (half the grid step) bounds the
-gap.  Inequalities consuming these sups are either tested with both sides on
-the same grids or at two resolutions.
+lower bounds; nothing bounds the gap from above yet (ROADMAP item 4).
+Inequalities consuming these sups are either tested with both sides on the
+same grids or at two resolutions.  E is a curve in the plane (n = 1), so
+the square-function weight delta^{1-n} is 1 and l(Q)^n = l(Q).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import CubeSystem
-from .geometry import _distance
 from .harmonic import HarmonicField
 from .whitney import RegionComplex
 
@@ -135,11 +135,10 @@ class FunctionalSuite:
     # -- gradient quadratures -------------------------------------------------
 
     def grad_integrals(self):
-        """Per box: (int |grad u|, int |grad u|^2 delta^{1-n}) on core grids."""
+        """Per box: (int |grad u|, int |grad u|^2) on core grids."""
         if self._grad_int is None:
             g1 = np.zeros(self.W.n_boxes)
             g2 = np.zeros(self.W.n_boxes)
-            n = self.E.n
             for size in self._by_size:
                 ids, pts, vol = self.core_midpoints(size)
                 flat = pts.reshape(-1, 2)
@@ -147,11 +146,7 @@ class FunctionalSuite:
                     pts.shape[:2]
                 )
                 g1[ids] = gr.sum(axis=1) * vol
-                if n == 1:
-                    g2[ids] = (gr**2).sum(axis=1) * vol
-                else:
-                    delta = _distance(flat, self.E).reshape(pts.shape[:2])
-                    g2[ids] = (gr**2 * delta ** (1 - n)).sum(axis=1) * vol
+                g2[ids] = (gr**2).sum(axis=1) * vol
             self._grad_int = g1
             self._grad2_int = g2
         return self._grad_int, self._grad2_int
@@ -252,7 +247,7 @@ class FunctionalSuite:
         return worst
 
     def square_function(self) -> np.ndarray:
-        """S u per sample: quadrature of |grad u|^2 delta^{1-n} over the cone."""
+        """S u per sample: quadrature of |grad u|^2 over the cone."""
         _, g2 = self.grad_integrals()
         out = np.zeros(self.E.n_samples)
         for i, chain in enumerate(self.chains):
@@ -319,19 +314,18 @@ class FunctionalSuite:
     def carleson_dyadic(
         self, mass: np.ndarray, tower: bool | None = None
     ) -> np.ndarray:
-        """C_dyadic: per sample, sup over containing cubes of T_Q-mass/l(Q)^n.
+        """C_dyadic: per sample, sup over containing cubes of T_Q-mass/l(Q).
 
         For bounded boundaries the sup also runs over the ball tower
         B(z0, 2^k diam E), k = Lambda_0 .. Lambda_0+4, with Lambda_0 chosen
         so the first ball contains T_{root}.
         """
-        n = self.E.n
         per_cube = self.anc_scatter(mass)
         out = np.zeros(self.E.n_samples)
         for i, chain in enumerate(self.chains):
             best = 0.0
             for q in chain:
-                best = max(best, per_cube[q] / self.S.side(q) ** n)
+                best = max(best, per_cube[q] / self.S.side(q))
             out[i] = best
         if tower is None:
             tower = self.E.bounded
@@ -354,7 +348,7 @@ class FunctionalSuite:
         for k in range(lam0, lam0 + 5):
             R = 2.0**k * d
             m = float(mass[dist_mid <= R].sum())
-            best = max(best, m / R**self.E.n)
+            best = max(best, m / R)
         return best
 
     def carleson_ball(
@@ -363,7 +357,7 @@ class FunctionalSuite:
         sample_ids: np.ndarray,
         radii: np.ndarray | None = None,
     ) -> np.ndarray:
-        """C: per listed sample, sup over r of r^{-n} * mass(B(x,r) \\ E).
+        """C: per listed sample, sup over r of r^{-1} * mass(B(x,r) \\ E).
 
         Box masses are binned at box centers (midpoint convention).
         """
@@ -377,14 +371,13 @@ class FunctionalSuite:
             return out
         m = mass[live]
         pos = mids[live]
-        n = self.E.n
         for j, i in enumerate(sample_ids):
             d = np.linalg.norm(pos - self.E.points[i], axis=1)
             order = np.argsort(d, kind="stable")
             csum = np.cumsum(m[order])
             idx = np.searchsorted(d[order], radii, side="left")
             vals = np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0)
-            out[j] = float(np.max(vals / radii**n))
+            out[j] = float(np.max(vals / radii))
         return out
 
     def _ball_radii(self) -> np.ndarray:

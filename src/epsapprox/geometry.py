@@ -19,24 +19,21 @@ GEOM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-aligned ambient box; `lo`/`hi` are per-axis bounds."""
+    """Axis-aligned box in the plane; `lo`/`hi` are (x, y) bounds."""
 
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
+    lo: tuple[float, float]
+    hi: tuple[float, float]
 
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
+    def __post_init__(self):
+        if len(self.lo) != 2 or len(self.hi) != 2:
+            raise ValueError(
+                f"window lo={list(self.lo)} hi={list(self.hi)} is not 2-D; "
+                "only planar windows are supported"
+            )
 
     @property
     def span(self) -> float:
         return max(h - l for l, h in zip(self.lo, self.hi))
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
 
     @staticmethod
     def from_json(obj) -> "Window":
@@ -74,7 +71,7 @@ class Descriptor:
 
 @dataclass(frozen=True)
 class Hyperplane(Descriptor):
-    """The hyperplane {x_{d} = 0} in R^{d+1}; for d=1 the x-axis in R^2."""
+    """The x-axis {y = 0} of the plane."""
 
     kind: str = field(default="hyperplane", init=False)
 
@@ -287,15 +284,6 @@ class BoundarySet:
     _polyline: np.ndarray | None = None
 
     @property
-    def ambient_dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def n(self) -> int:
-        """Boundary dimension n (codimension one)."""
-        return self.ambient_dim - 1
-
-    @property
     def n_samples(self) -> int:
         return len(self.points)
 
@@ -316,13 +304,6 @@ class BoundarySet:
             pl = self.descriptor.polyline(self.window, self.resolution / 4.0)
             object.__setattr__(self, "_polyline", pl)
         return self._polyline
-
-    def graph_side(self, pts: np.ndarray) -> np.ndarray:
-        """Sign of (last coordinate - graph height); +1 above, -1 below."""
-        g = self.descriptor.graph_value(pts[:, 0])
-        if g is None:
-            raise ValueError("boundary is not graph-like")
-        return np.sign(pts[:, -1] - g)
 
 
 def build_boundary(
@@ -427,7 +408,7 @@ def box_distance(lo, hi, E: BoundarySet) -> float:
 
 
 def box_distance_many(los: np.ndarray, his: np.ndarray, E: BoundarySet) -> np.ndarray:
-    """Vectorized box_distance for stacked boxes (m, d)."""
+    """Vectorized box_distance for stacked boxes (m, 2)."""
     desc = E.descriptor
     if isinstance(desc, Hyperplane):
         below = his[:, -1] < 0
@@ -488,11 +469,11 @@ def check_adr(
     r_min: float | None = None,
     r_max: float | None = None,
 ) -> ADRReport:
-    """Sweep sigma-hat(B(x,r))/r^n over a log-spaced radius grid.
+    """Sweep sigma-hat(B(x,r))/r over a log-spaced radius grid.
 
     Pairs whose ball leaves the sampled window are skipped (the mass there is
     truncated, not small).  pass <=> 1/budget - q <= ratio <= budget + q for
-    all pairs, where q = 2*resolution/r^n is the quadrature error of the
+    all pairs, where q = 2*resolution/r is the quadrature error of the
     weight sum against the continuum surface measure (the ball boundary cuts
     at most two sample-owned segments per sheet).
     """
@@ -500,7 +481,6 @@ def check_adr(
         raise ValueError("ADR budget must be >= 1")
     if E.n_samples == 0:
         raise ValueError("empty sample cloud")
-    n = E.n
     stride = max(1, E.n_samples // n_centers)
     centers = E.points[::stride]
     if r_min is None:
@@ -522,8 +502,8 @@ def check_adr(
                 warnings.warn("surface ball with zero mass skipped", stacklevel=2)
                 continue
             rs.append(float(r))
-            ratios.append(m / r**n)
-            q = 2 * E.resolution / r**n
+            ratios.append(m / r)
+            q = 2 * E.resolution / r
             if not (1.0 / budget - q <= ratios[-1] <= budget + q):
                 passed = False
         radii_all.append(rs)

@@ -241,13 +241,12 @@ def grad_check(u: HarmonicField, P: np.ndarray, h: float = 1e-5) -> float:
 def laplacian_residual(
     u: HarmonicField, probes: np.ndarray, h: float, E: BoundarySet | None = None
 ) -> dict:
-    """Centered 5-point (2d) / 7-point (3d) stencil residuals at the probes.
+    """Centered 5-point stencil residuals at the probes.
 
     Residuals are reported raw and normalized by the local scale
     |grad u| / delta; probes closer than 3h to E are rejected.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    dim = probes.shape[1]
     if E is not None:
         d = _distance(probes, E)
         if np.any(d < 3 * h):
@@ -256,7 +255,7 @@ def laplacian_residual(
         d = np.full(len(probes), np.inf)
     acc = np.zeros(len(probes))
     u0 = u.eval(probes)
-    for ax in range(dim):
+    for ax in (0, 1):
         dP = np.zeros_like(probes)
         dP[:, ax] = h
         acc += (u.eval(probes + dP) - u0) + (u.eval(probes - dP) - u0)

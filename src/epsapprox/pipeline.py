@@ -46,7 +46,12 @@ from .stopping import (
     verify_eps_packing,
     verify_principal_packing,
 )
-from .whitney import build_regions, corona_provider, whitney_decompose
+from .whitney import (
+    CORONA_PACKING_BUDGET,
+    build_regions,
+    corona_provider,
+    whitney_decompose,
+)
 
 
 @dataclass(frozen=True)
@@ -282,7 +287,6 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     del cfg_echo["out_dir"]  # where a report is written is not part of it
     report: dict = {
         "version": __version__,
-        "seed": cfg.seed,
         "config": cfg_echo,
         "adr": grid["adr"].to_json(),
         "grid": {
@@ -367,7 +371,7 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
 
     hard = [
         ("adr", grid["adr"].passed),
-        ("corona_packing", RC.corona.packing_measured <= 16.0),
+        ("corona_packing", RC.corona.packing_measured <= CORONA_PACKING_BUDGET),
         ("principal_packing", report["principal"]["pass"]),
         ("embedding", bool(holds)),
     ]
@@ -380,6 +384,17 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
         hard.append((f"levelsets_{e}", d["levelsets"]["pass"]))
         if d["verify"]["C2"] > 0:
             c2s.append((e, d["verify"]["C2"]))
+    # the eps^-2 packing law across the grid: Lambda(eps_min)/Lambda(eps_max)
+    # <= (eps_max/eps_min)^2 * slack; skipped when there is no ratio to take
+    e_min, e_max = min(cfg.eps_grid), max(cfg.eps_grid)
+    for fam in ("R_union_B", "Gstar"):
+        lam_min = report["eps"][f"{e_min}"][f"packing_{fam}"]["Lambda"]
+        lam_max = report["eps"][f"{e_max}"][f"packing_{fam}"]["Lambda"]
+        if e_min < e_max and lam_max > 0:
+            ratio = lam_min / lam_max
+            report[f"eps_ratio_{fam}"] = ratio
+            bound = (e_max / e_min) ** 2 * cfg.budgets.eps_ratio_slack
+            hard.append((f"eps_ratio_{fam}", ratio <= bound))
     if len(c2s) >= 2:
         # growth-direction stability: no super-eps^{-2} growth of the lhs.
         # (the smallest passing C2 may honestly DECAY when the eps^{-2}

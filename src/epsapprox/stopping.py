@@ -292,7 +292,7 @@ def generation_cubes(
 
 
 def oscillation_square_domination(FS: FunctionalSuite, signs=("+", "-")) -> float:
-    """Measured C in (osc_{U_Q^s} u)^2 <= C l(Q)^{-n} int_{U_Q^s} |grad u|^2 delta.
+    """Measured C in (osc_{U_Q^s} u)^2 <= C l(Q)^{-1} int_{U_Q^s} |grad u|^2 delta.
 
     Quadrature on both sides over the good cubes; the right side integrates
     over the component's core boxes with delta = dist(box, E).
@@ -300,9 +300,8 @@ def oscillation_square_domination(FS: FunctionalSuite, signs=("+", "-")) -> floa
     from .geometry import _distance
 
     S = FS.S
-    n = FS.E.n
     mx, mn = FS.box_extrema()
-    _, g2 = FS.grad_integrals()  # per box: int |grad u|^2 delta^{1-n}
+    _, g2 = FS.grad_integrals()  # per box: int |grad u|^2
     worst = 0.0
     for q, r in FS.RC.regions.items():
         if not r.good:
@@ -317,10 +316,10 @@ def oscillation_square_domination(FS: FunctionalSuite, signs=("+", "-")) -> floa
                 lo, hi = FS.W.geom(b)
                 mids = (lo + hi) / 2.0
                 delta = float(_distance(mids[None, :], FS.E)[0])
-                # rescale the delta^{1-n} weight to delta via the box center
-                integral += g2[b] * delta**n
+                # weight the box integral by delta at the box center
+                integral += g2[b] * delta
             if integral > 0:
-                worst = max(worst, osc**2 * S.side(q) ** n / integral)
+                worst = max(worst, osc**2 * S.side(q) / integral)
     return worst
 
 

@@ -24,6 +24,10 @@ from .geometry import (
     descriptor_from_json,
 )
 
+# packing bound of the corona's bad cubes and regime tops: checked when the
+# corona is built and again in verification, after demotions re-cohere it
+CORONA_PACKING_BUDGET = 16.0
+
 
 @dataclass
 class WhitneyBox:
@@ -72,7 +76,7 @@ class WhitneyComplex:
 
     def volume(self, bid: int) -> float:
         b = self.boxes[bid]
-        return (self.unit * b.size) ** len(b.lo)
+        return (self.unit * b.size) ** 2
 
     def sizes_present(self) -> list:
         return sorted({b.size for b in self.boxes})
@@ -100,7 +104,6 @@ def whitney_decompose(
     accepted box.  Boxes finer than min_side are dropped (a thin collar near
     E below the working resolution); boxes must meet the open window.
     """
-    dim = window.dim
     span = max(h - l for l, h in zip(window.lo, window.hi))
     n_units = 2 ** int(np.ceil(np.log2(span / min_side)))
     unit = min_side
@@ -108,12 +111,10 @@ def whitney_decompose(
     # root cells and the hyperplane {y=0} is a box boundary at every scale
     cell = unit * n_units
     base = cell * np.floor(np.asarray(window.lo, dtype=float) / cell)
-    sq2 = np.sqrt(float(dim))
+    sq2 = np.sqrt(2.0)
 
     boxes: list[WhitneyBox] = []
-    stack = [
-        (tuple(n_units * o for o in off), n_units) for off in _corner_offsets(dim)
-    ]
+    stack = [((n_units * i, n_units * j), n_units) for i, j in _CORNERS]
     while stack:
         lo, size = stack.pop()
         glo = base + unit * np.asarray(lo, dtype=float)
@@ -128,9 +129,8 @@ def whitney_decompose(
         if size == 1:
             continue
         half = size // 2
-        for off in _corner_offsets(dim):
-            child = tuple(c + half * o for c, o in zip(lo, off))
-            stack.append((child, half))
+        for i, j in _CORNERS:
+            stack.append(((lo[0] + half * i, lo[1] + half * j), half))
 
     boxes.sort(key=lambda b: (b.size, b.lo))
     for i, b in enumerate(boxes):
@@ -147,11 +147,9 @@ def whitney_decompose(
     )
 
 
-def _corner_offsets(dim):
-    out = []
-    for m in range(2**dim):
-        out.append(tuple((m >> i) & 1 for i in range(dim)))
-    return out
+# lattice offsets of the four children of a dyadic square, in units of
+# the child side
+_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def _box_dist(glo, ghi, E: BoundarySet) -> float:
@@ -165,12 +163,9 @@ def _adjacency(boxes, unit):
     (the boxes on either side tile), so a sorted two-pointer merge finds all
     contacts in linear time.
     """
-    dim = len(boxes[0].lo) if boxes else 2
-    if dim != 2:
-        raise NotImplementedError("box adjacency implemented for the plane")
     neighbors = [set() for _ in boxes]
     facets = []
-    for axis in range(dim):
+    for axis in (0, 1):
         perp = 1 - axis
         plane: dict = {}
         for b in boxes:
@@ -262,7 +257,6 @@ def corona_provider(
     eta: float = 0.25,
     K: float = 4.0,
     path=None,
-    packing_budget: float = 16.0,
 ) -> CoronaDecomposition:
     """Good/bad cube partition into coherent regimes with Lipschitz graphs.
 
@@ -305,7 +299,7 @@ def corona_provider(
     corona.packing_measured = packing_constant(
         S, list(corona.bad) + [r.max_cube for r in corona.regimes]
     )
-    if corona.packing_measured > packing_budget:
+    if corona.packing_measured > CORONA_PACKING_BUDGET:
         raise ValueError(
             f"corona packing {corona.packing_measured:.3g} exceeds budget"
         )
@@ -669,7 +663,6 @@ def _recohere(S: CubeSystem, corona: CoronaDecomposition, demoted) -> CoronaDeco
 
 def _region_stats(S, W, regions, params: RegionParams) -> dict:
     """Measured comparability constants of the region complex."""
-    dim = W.window.dim
     vol_ratio_lo, vol_ratio_hi = np.inf, 0.0
     delta_lo, delta_hi = np.inf, 0.0
     overlap_num = 0.0
@@ -680,7 +673,7 @@ def _region_stats(S, W, regions, params: RegionParams) -> dict:
             continue
         c = S.cube(q)
         vol = sum(W.volume(b) for b in r.boxes)
-        ratio = vol / c.side**dim
+        ratio = vol / c.side**2
         vol_ratio_lo = min(vol_ratio_lo, ratio)
         vol_ratio_hi = max(vol_ratio_hi, ratio)
         overlap_num += vol
@@ -691,7 +684,7 @@ def _region_stats(S, W, regions, params: RegionParams) -> dict:
             d = W.boxes[b].dist
             mid_delta = d + 0.0  # dist(I,E) ~ delta at the box within a diam
             delta_lo = min(delta_lo, mid_delta / c.side)
-            delta_hi = max(delta_hi, (d + np.sqrt(dim) * W.side(b)) / c.side)
+            delta_hi = max(delta_hi, (d + np.sqrt(2.0) * W.side(b)) / c.side)
     union_vol = sum(W.volume(b) for b in covered)
     return {
         "volume_ratio_range": (float(vol_ratio_lo), float(vol_ratio_hi)),

@@ -1,19 +1,19 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-The half-plane runs use the full generation range k_max = 8 (resolution
-2^-9, ~65k Whitney boxes); both test fields share one build per field.
+Criteria 4-8 certify what the pipeline computes: `pipeline.run` to `verify`
+on configs/halfplane_t.json and configs/halfplane_poisson.json, the full
+generation range k_max = 8 (resolution 2^-9, ~65k Whitney boxes); the second
+run loads the grid and regions from the first run's cache.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epsapprox.approximator import (
-    build_global_approximant,
-    find_alpha0,
-    verify_approximation,
-)
+from epsapprox import pipeline
+from epsapprox.approximator import build_global_approximant
 from epsapprox.carleson import (
     InfeasibleCut,
     SparseWitness,
@@ -22,7 +22,7 @@ from epsapprox.carleson import (
     packing_constant,
     sparse_witness,
 )
-from epsapprox.config import RegionParams
+from epsapprox.config import RunConfig
 from epsapprox.dyadic import build_cube_system, synthetic_system
 from epsapprox.functionals import FunctionalSuite, compare_apertures, compare_levelsets
 from epsapprox.geometry import (
@@ -32,17 +32,10 @@ from epsapprox.geometry import (
     build_boundary,
     check_adr,
 )
-from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
-from epsapprox.stopping import (
-    generation_cubes,
-    initial_chain,
-    oscillation_cubes,
-    principal_cubes,
-    verify_eps_packing,
-    verify_principal_packing,
-)
-from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
+from epsapprox.harmonic import Constant, PoissonIndicator
+from epsapprox.stopping import generation_cubes, oscillation_cubes
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EPS_GRID = (0.1, 0.2, 0.4)
 P_GRID = (1.5, 2.0, 4.0)
 
@@ -53,63 +46,23 @@ def verdict(num, ok, detail):
 
 
 # ---------------------------------------------------------------------------
-# big half-plane builds (shared by criteria 4-8)
+# big half-plane runs (shared by criteria 4-8)
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def big():
-    params = RegionParams(tau=0.05, c_w=0.25, C_w=4.0, C_d=4.0)
+def big(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("big_cache")
     t0 = time.time()
-    E = build_boundary(
-        Hyperplane(), resolution=2.0**-9, window=Window((-4, -4), (4, 4))
-    )
-    S = build_cube_system(E, k_min=-4, k_max=8)
-    W = whitney_decompose(
-        E, Window((-4.0, -13.2), (4.0, 13.2)), min_side=params.c_w * 2.0**-8
-    )
-    RC = build_regions(S, W, corona_provider(E, S, "trivial_graph", eta=0.25), params)
-    t_build = time.time() - t0
-    lo = np.asarray(E.window.lo)
-    hi = np.asarray(E.window.hi)
-    m = E.window.span / 8.0
-    cert = np.all((E.points >= lo + m) & (E.points <= hi - m), axis=1)
-    out = {"S": S, "RC": RC, "cert": cert, "t_build": t_build, "fields": {}}
-    for name, u in (("t", Coordinate(1)), ("poisson", PoissonIndicator(-1, 1))):
-        t1 = time.time()
-        FS = FunctionalSuite(RC, u)
-        numbers, _ = FS.cube_numbers(None)
-        chain = initial_chain(S)
-        fam = principal_cubes(S, numbers, chain)
-        per_eps = {}
-        packs = {"R_union_B": [], "Gstar": []}
-        for eps in EPS_GRID:
-            labels = oscillation_cubes(FS, eps, numbers)
-            gf = generation_cubes(RC, eps, numbers, u)
-            packs["R_union_B"].append(
-                verify_eps_packing(S, labels.cubes | RC.corona.bad, eps)
-            )
-            packs["Gstar"].append(verify_eps_packing(S, gf.all_cubes, eps))
-            per_eps[eps] = {"labels": labels, "gf": gf}
-        t_packing = time.time() - t1
-        for eps in EPS_GRID:
-            st = per_eps[eps]
-            st["A"] = build_global_approximant(
-                FS, st["gf"], st["labels"], eps, gamma0=4.0
-            )
-            st["alpha0"] = find_alpha0(FS, st["gf"])
-            st["verify"] = verify_approximation(
-                FS, st["A"], eps, st["alpha0"], cert, p_grid=P_GRID, c1_budget=4.0
-            )
-        out["fields"][name] = {
-            "FS": FS,
-            "numbers": numbers,
-            "principal": verify_principal_packing(S, fam, numbers),
-            "packs": packs,
-            "per_eps": per_eps,
-            "t_packing": t_packing,
-        }
-    return out
+    fields = {}
+    for name in ("t", "poisson"):
+        cfg = RunConfig.load(CONFIGS / f"halfplane_{name}.json")
+        assert cfg.eps_grid == EPS_GRID and cfg.p_grid == P_GRID
+        fields[name] = pipeline.run(cfg, cache_dir=cache, until="verify")
+    t_runs = time.time() - t0
+    grid = fields["t"]["grid"]
+    cert = pipeline.certified_mask(cfg, grid["E"])
+    return {"S": grid["S"], "cert": cert, "t_runs": t_runs, "fields": fields}
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +194,14 @@ def test_criterion_03_dyadic_grid_axioms():
 def test_criterion_04_packing_families(big):
     ok = True
     details = []
-    t_pack = big["t_build"] + sum(
-        f["t_packing"] for f in big["fields"].values()
-    )
+    t_pack = big["t_runs"]
     for name, f in big["fields"].items():
-        pr = f["principal"]
+        report = f["verify"]
+        pr = report["principal"]
         ok &= pr["pass"]
         ok &= pr["Lambda"] <= 4 * pr["Lambda_initial"]
         for fam in ("R_union_B", "Gstar"):
-            reps = f["packs"][fam]
+            reps = [report["eps"][f"{e}"][f"packing_{fam}"] for e in EPS_GRID]
             ok &= all(r["pass"] for r in reps)
             lam01, lam04 = reps[0]["Lambda"], reps[-1]["Lambda"]
             if lam04 > 0:
@@ -257,7 +209,7 @@ def test_criterion_04_packing_families(big):
                 details.append(f"{name}/{fam}: {lam01:.2f}/{lam04:.2f}")
     ok &= t_pack < 300.0
     assert verdict(
-        4, ok, f"packing ratios {details}; build+packing {t_pack:.0f}s < 300s"
+        4, ok, f"packing ratios {details}; pipeline runs {t_pack:.0f}s < 300s"
     )
 
 
@@ -266,7 +218,7 @@ def test_criterion_05_pointwise_approximation(big):
     lines = []
     for name, f in big["fields"].items():
         for eps in EPS_GRID:
-            v = f["per_eps"][eps]["verify"]
+            v = f["verify"]["eps"][f"{eps}"]["verify"]
             ok &= v["C1_pass"] and v["C1"] <= 4.0
             lines.append(
                 f"{name}@{eps}: C1={v['C1']:.2f}, "
@@ -280,18 +232,15 @@ def test_criterion_06_carleson_functional_bound(big):
     ok = True
     lines = []
     for name, f in big["fields"].items():
-        c2s = [
-            (eps, f["per_eps"][eps]["verify"]["C2"])
-            for eps in EPS_GRID
-            if f["per_eps"][eps]["verify"]["C2"] > 0
-        ]
+        ver = {eps: f["verify"]["eps"][f"{eps}"]["verify"] for eps in EPS_GRID}
+        c2s = [(eps, ver[eps]["C2"]) for eps in EPS_GRID if ver[eps]["C2"] > 0]
         growth = max(
             (cb / ca for (eb, cb) in c2s for (ea, ca) in c2s if eb < ea),
             default=1.0,
         )
         ok &= growth <= 2.0
         for eps in EPS_GRID:
-            v = f["per_eps"][eps]["verify"]
+            v = ver[eps]
             for p in P_GRID:
                 ok &= np.isfinite(v["lp"][p]["C2p"])
         lines.append(f"{name}: C2={[round(c, 4) for _, c in c2s]}, growth {growth:.2f}")
@@ -302,14 +251,13 @@ def test_criterion_06_carleson_functional_bound(big):
 
 def test_criterion_07_levelset_domination(big):
     S = big["S"]
-    RC = big["RC"]
     cert = big["cert"]
     ok = True
     lines = []
     for name, f in big["fields"].items():
-        FS = f["FS"]
+        FS = f["approximate"]["FS"]
         for eps in EPS_GRID:
-            A = f["per_eps"][eps]["A"]
+            A = f["approximate"]["per_eps"][eps]["A"]
             ids = np.nonzero(cert)[0][:: max(1, int(cert.sum()) // 256)]
             cb = FS.carleson_ball(A.tv_box, ids)
             cd = FS.carleson_dyadic(A.tv_box)[ids]
@@ -330,7 +278,7 @@ def test_criterion_08_aperture_comparability(big, line_rc):
     ks = []
     for name, f in big["fields"].items():
         for p in P_GRID:
-            r = compare_apertures(f["FS"], 4.0, p, certified=cert)
+            r = compare_apertures(f["approximate"]["FS"], 4.0, p, certified=cert)
             ok &= 1.0 <= r <= 10.0
             ks.append(round(r, 3))
     # refinement stability on the module-scale build

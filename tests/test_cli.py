@@ -27,7 +27,6 @@ def small_config(tmp_path, **overrides):
         "eps_grid": [0.2, 0.4],
         "alpha_grid": [1.0, 4.0],
         "p_grid": [1.5, 2.0, 4.0],
-        "seed": 0,
         "out_dir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
@@ -76,8 +75,31 @@ class TestRun:
         cfgp = small_config(tmp_path, budgets={"adrr": 1.5})
         assert main(["run", "--config", str(cfgp)]) == 2
         assert "adrr" in capsys.readouterr().err
-        # older configs still carry the removed "jobs" setting
-        assert not hasattr(RunConfig.from_json({"jobs": 2}), "jobs")
+        # removed fields that no stage read are unknown keys now
+        for name, overrides in (
+            ("refine", {"refine": True}),
+            ("tv_locality", {"budgets": {"tv_locality": 64.0}}),
+        ):
+            cfgp = small_config(tmp_path, **overrides)
+            assert main(["run", "--config", str(cfgp)]) == 2
+            assert name in capsys.readouterr().err
+        # older configs still carry the retired "seed" and "jobs" settings
+        cfg = RunConfig.from_json({"seed": 3, "jobs": 2})
+        assert not hasattr(cfg, "seed") and not hasattr(cfg, "jobs")
+
+    def test_non_planar_window_errors(self, tmp_path, capsys, monkeypatch):
+        cfgp = small_config(
+            tmp_path, window={"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 1.0, 1.0]}
+        )
+        monkeypatch.setattr(pipeline, "stage_grid", _must_not_run)
+        assert main(["run", "--config", str(cfgp)]) == 2
+        assert "window" in capsys.readouterr().err
+
+    def test_eps_ratio_budget_failure_nonzero_exit(self, tmp_path):
+        cfgp = small_config(tmp_path, budgets={"eps_ratio_slack": 1e-6})
+        assert main(["run", "--config", str(cfgp)]) == 1
+        summary = json.loads((tmp_path / "out" / "acceptance.json").read_text())
+        assert summary["first_failure"].startswith("eps_ratio_")
 
 
 class TestSubcommands:
@@ -218,11 +240,10 @@ KEY_MOVES = {
     "budgets.adr": (1.5, GRID_DOWN),
     "budgets.inclusion": ([1e-5, 64.0], GRID_DOWN),
     "budgets.pointwise_c1": (8.0, set()),
+    "budgets.eps_ratio_slack": (3.0, set()),
     "sample_frac": (0.25, {"approximate"}),
-    "refine": (True, set()),
     "gamma0": (2.0, {"approximate"}),
     "margin": (0.1, set()),
-    "seed": (7, set()),
     "out_dir": ("elsewhere", set()),
 }
 
