@@ -17,6 +17,9 @@ from .dyadic import CubeSystem
 from .harmonic import HarmonicField
 from .whitney import RegionComplex
 
+# (box, point, candidate) triples per containment test in `owners`
+_OWNER_CHUNK = 1 << 20
+
 
 class FunctionalSuite:
     """Shared evaluation state for one (boundary, regions, field) triple.
@@ -58,9 +61,10 @@ class FunctionalSuite:
         self._grad2_int = None
 
     def __getstate__(self):
-        # the point grids are rebuilt from W in milliseconds, so a pickled
-        # suite (a cached `approximate` stage) leaves them out
-        return self.__dict__ | {"_fat": {}, "_core": {}}
+        # the point grids and the owner map are rebuilt from W in a fraction
+        # of a second, so a pickled suite (a cached `approximate` stage)
+        # leaves them out
+        return self.__dict__ | {"_fat": {}, "_core": {}, "_owner": None}
 
     # -- grids --------------------------------------------------------------
 
@@ -111,23 +115,38 @@ class FunctionalSuite:
         return self._comp_stats
 
     def owners(self):
-        """Per box: owner box id of each fat-grid point (-1 if uncovered)."""
+        """Per box: owner box id of each fat-grid point (-1 if uncovered).
+
+        The candidates of a box are itself, then its neighbours in id
+        order; the first whose half-open core box holds the point wins.
+        """
         if self._owner is None:
             owner = {}
             lo_all, hi_all = self.W.geom_arrays()
+            # padding candidate: an empty box, never hit
+            lo_all = np.vstack([lo_all, np.full(2, np.inf)])
+            hi_all = np.vstack([hi_all, np.full(2, -np.inf)])
             for size in self._by_size:
                 ids, pts = self.fat_points(size)
-                out = np.full(pts.shape[:2], -1, dtype=int)
-                for row, bid in enumerate(ids):
-                    cands = [bid] + list(self.W.neighbors[bid])
-                    P = pts[row]
-                    found = np.full(len(P), -1, dtype=int)
-                    for c in cands:
-                        hit = np.all(P >= lo_all[c], axis=1) & np.all(
-                            P < hi_all[c], axis=1
-                        )
-                        found = np.where((found < 0) & hit, c, found)
-                    out[row] = found
+                nbrs = [self.W.neighbors[b] for b in ids]
+                cands = np.full((len(ids), 1 + max(map(len, nbrs))), -1)
+                cands[:, 0] = ids
+                for row, nb in enumerate(nbrs):
+                    cands[row, 1 : 1 + len(nb)] = nb
+                out = np.empty(pts.shape[:2], dtype=int)
+                step = max(1, _OWNER_CHUNK // (cands.shape[1] * pts.shape[1]))
+                for r in range(0, len(ids), step):
+                    c = cands[r : r + step]
+                    x, y = (pts[r : r + step, :, None, k] for k in (0, 1))
+                    lo, hi = lo_all[c][:, None], hi_all[c][:, None]
+                    hit = (
+                        (x >= lo[..., 0])
+                        & (x < hi[..., 0])
+                        & (y >= lo[..., 1])
+                        & (y < hi[..., 1])
+                    )
+                    found = np.take_along_axis(c, hit.argmax(axis=2), axis=1)
+                    out[r : r + step] = np.where(hit.any(axis=2), found, -1)
                 owner[size] = out
             self._owner = owner
         return self._owner

@@ -393,22 +393,29 @@ def _dist_to_polyline(P: np.ndarray, pl: np.ndarray) -> np.ndarray:
 
 def box_distance(lo, hi, E: BoundarySet) -> float:
     """Distance from the axis-aligned box [lo,hi] to E (0 if they meet)."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    desc = E.descriptor
-    if isinstance(desc, Hyperplane):
-        if lo[-1] <= 0.0 <= hi[-1]:
-            return 0.0
-        return float(min(abs(lo[-1]), abs(hi[-1])))
-    targets = E.polyline()
-    if targets is None:
-        targets = E.points
-    clamped = np.clip(targets, lo[None, :], hi[None, :])
-    return float(np.min(np.linalg.norm(targets - clamped, axis=1)))
+    lo = np.asarray(lo, dtype=float)[None, :]
+    hi = np.asarray(hi, dtype=float)[None, :]
+    return float(box_distance_many(lo, hi, E)[0])
 
 
-def box_distance_many(los: np.ndarray, his: np.ndarray, E: BoundarySet) -> np.ndarray:
-    """Vectorized box_distance for stacked boxes (m, 2)."""
+# relative widening of the x-window of `box_distance_many`: a bound equal
+# to the distance must keep the nearest target through the rounding of
+# the window edges
+_WINDOW_SLACK = 1e-9
+
+
+def box_distance_many(
+    los: np.ndarray, his: np.ndarray, E: BoundarySet, bound=None
+) -> np.ndarray:
+    """Distances from stacked boxes [los[i], his[i]] (m, 2) to E.
+
+    `bound`, if given, holds for each box an upper bound on its distance.
+    A target within the bound of the box lies in the box's x-range widened by
+    the bound, so only the targets (polyline vertices or cloud points,
+    sorted by x here) in that window are scanned; the nearest target is
+    among them, and each pair distance is the same clip-and-norm as a full
+    scan, so the result is bit-identical to one.
+    """
     desc = E.descriptor
     if isinstance(desc, Hyperplane):
         below = his[:, -1] < 0
@@ -420,11 +427,20 @@ def box_distance_many(los: np.ndarray, his: np.ndarray, E: BoundarySet) -> np.nd
     targets = E.polyline()
     if targets is None:
         targets = E.points
-    out = np.empty(len(los))
-    for i in range(len(los)):
-        c = np.clip(targets, los[i], his[i])
-        out[i] = np.min(np.linalg.norm(targets - c, axis=1))
-    return out
+    targets = targets[np.argsort(targets[:, 0], kind="stable")]
+    # without a bound the window is the whole line: every target is scanned
+    bound = np.full(len(los), np.inf) if bound is None else np.asarray(bound)
+    reach = bound + _WINDOW_SLACK * (bound + np.abs(los[:, 0]) + np.abs(his[:, 0]))
+    start = np.searchsorted(targets[:, 0], los[:, 0] - reach, side="left")
+    stop = np.searchsorted(targets[:, 0], his[:, 0] + reach, side="right")
+    count = stop - start
+    offsets = np.zeros(len(los), dtype=np.intp)
+    np.cumsum(count[:-1], out=offsets[1:])
+    box = np.repeat(np.arange(len(los)), count)
+    idx = np.arange(len(box)) - offsets[box] + start[box]
+    t = targets[idx]
+    d = np.linalg.norm(t - np.clip(t, los[box], his[box]), axis=1)
+    return np.minimum.reduceat(d, offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,6 @@ def stage_approximate(cfg: RunConfig, grid, regions):
     # fill the suite's lazy caches here, so a cached artifact carries them
     FS.box_extrema()
     FS.grad_integrals()
-    FS.owners()
     numbers, m_point = FS.cube_numbers(None)
     for a in cfg.alpha_grid:
         FS.cube_numbers(a)

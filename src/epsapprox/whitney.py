@@ -103,6 +103,13 @@ def whitney_decompose(
     The parent-rejection structure then gives dist <= 4 diam for every
     accepted box.  Boxes finer than min_side are dropped (a thin collar near
     E below the working resolution); boxes must meet the open window.
+
+    The quadtree is walked one level at a time: the live candidates of one
+    size are integer-lattice arrays, measured by one `box_distance_many`
+    call and accepted or split together.  A child's distance is at most its
+    parent's distance plus the parent's diameter (the parent's nearest
+    point of E is that close to all of the child), and that bound limits
+    the part of E the call scans.
     """
     span = max(h - l for l, h in zip(window.lo, window.hi))
     n_units = 2 ** int(np.ceil(np.log2(span / min_side)))
@@ -114,23 +121,29 @@ def whitney_decompose(
     sq2 = np.sqrt(2.0)
 
     boxes: list[WhitneyBox] = []
-    stack = [((n_units * i, n_units * j), n_units) for i, j in _CORNERS]
-    while stack:
-        lo, size = stack.pop()
-        glo = base + unit * np.asarray(lo, dtype=float)
+    size = n_units
+    lo = n_units * _CORNERS
+    bound = np.full(len(lo), np.inf)
+    while True:
+        glo = base + unit * lo.astype(float)
         ghi = glo + unit * size
-        if np.any(glo >= window.hi) or np.any(ghi <= window.lo):
-            continue
-        d = _box_dist(glo, ghi, E)
+        live = ~(np.any(glo >= window.hi, axis=1) | np.any(ghi <= window.lo, axis=1))
+        if not live.any():
+            break
+        lo, glo, ghi, bound = lo[live], glo[live], ghi[live], bound[live]
+        d = box_distance_many(glo, ghi, E, bound)
         diam = sq2 * unit * size
-        if d >= diam:
-            boxes.append(WhitneyBox(id=-1, lo=lo, size=size, dist=float(d)))
-            continue
+        ok = d >= diam
+        boxes.extend(
+            WhitneyBox(id=-1, lo=tuple(ij), size=size, dist=dist)
+            for ij, dist in zip(lo[ok].tolist(), d[ok].tolist())
+        )
         if size == 1:
-            continue
+            break
         half = size // 2
-        for i, j in _CORNERS:
-            stack.append(((lo[0] + half * i, lo[1] + half * j), half))
+        lo = (lo[~ok][:, None, :] + half * _CORNERS[None]).reshape(-1, 2)
+        bound = np.repeat(d[~ok] + diam, len(_CORNERS))
+        size = half
 
     boxes.sort(key=lambda b: (b.size, b.lo))
     for i, b in enumerate(boxes):
@@ -149,11 +162,7 @@ def whitney_decompose(
 
 # lattice offsets of the four children of a dyadic square, in units of
 # the child side
-_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
-def _box_dist(glo, ghi, E: BoundarySet) -> float:
-    return box_distance_many(glo[None, :], ghi[None, :], E)[0]
+_CORNERS = np.array(((0, 0), (1, 0), (0, 1), (1, 1)), dtype=np.int64)
 
 
 def _adjacency(boxes, unit):

@@ -29,6 +29,24 @@ def rc():
     return build_regions(S, W, corona, PARAMS)
 
 
+def _per_box_owners(fs):
+    """Reference: per box and per candidate, first hit wins."""
+    lo_all, hi_all = fs.W.geom_arrays()
+    owner = {}
+    for size in fs._by_size:
+        ids, pts = fs.fat_points(size)
+        out = np.full(pts.shape[:2], -1, dtype=int)
+        for row, bid in enumerate(ids):
+            P = pts[row]
+            found = np.full(len(P), -1, dtype=int)
+            for c in [bid] + list(fs.W.neighbors[bid]):
+                hit = np.all(P >= lo_all[c], axis=1) & np.all(P < hi_all[c], axis=1)
+                found = np.where((found < 0) & hit, c, found)
+            out[row] = found
+        owner[size] = out
+    return owner
+
+
 @pytest.fixture(scope="module")
 def fs_t(rc):
     return FunctionalSuite(rc, Coordinate(1))
@@ -108,6 +126,17 @@ class TestSquareFunction:
 
         fs3 = FunctionalSuite(rc, LinearCombination((3.0,), (Coordinate(1),)))
         assert np.allclose(fs3.square_function(), 3 * fs1.square_function())
+
+
+@pytest.mark.parametrize("fixture", ["line_rc", "segment_rc"])
+def test_owners_match_per_box_loop(fixture, request):
+    fs = FunctionalSuite(request.getfixturevalue(fixture), Constant(0.0))
+    got, ref = fs.owners(), _per_box_owners(fs)
+    assert got.keys() == ref.keys()
+    for size in ref:
+        assert got[size].dtype == ref[size].dtype
+        assert np.array_equal(got[size], ref[size])
+    assert any((ref[size] < 0).any() for size in ref)  # uncovered points occur
 
 
 class TestCubeNumbers:

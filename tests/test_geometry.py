@@ -12,6 +12,7 @@ from epsapprox.geometry import (
     PointList,
     Window,
     box_distance,
+    box_distance_many,
     build_boundary,
     check_adr,
     descriptor_from_json,
@@ -206,3 +207,13 @@ class TestBoxDistance:
         assert box_distance((2.0, 2.0), (3.0, 3.0), E) == pytest.approx(
             np.hypot(2 - 0.75, 2 - 0.75)
         )
+
+    def test_bound_equal_to_distance_keeps_nearest_target(self):
+        # the only target lies exactly `bound` left of each box, so the
+        # rounded window edge lands on either side of it
+        E = build_boundary(PointList(((0.1, 0.0),), (1.0,)), 1.0, W2)
+        lo_x = 0.1 + np.linspace(0.01, 3.0, 500)
+        los = np.column_stack([lo_x, np.full_like(lo_x, -0.5)])
+        his = los + 1.0
+        exact = box_distance_many(los, his, E)
+        assert np.array_equal(box_distance_many(los, his, E, exact), exact)

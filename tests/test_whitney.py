@@ -11,11 +11,15 @@ from epsapprox.dyadic import build_cube_system
 from epsapprox.geometry import (
     Hyperplane,
     LipschitzGraph,
+    PointList,
+    Segment,
     Window,
     build_boundary,
     box_distance,
 )
 from epsapprox.whitney import (
+    WhitneyBox,
+    _adjacency,
     build_regions,
     corona_provider,
     whitney_decompose,
@@ -34,6 +38,47 @@ def line_setup():
     S = build_cube_system(E, k_min=-3, k_max=3)
     W = whitney_decompose(E, AMBIENT, min_side=PARAMS.c_w * 2.0**-3)
     return E, S, W
+
+
+def _per_box_decompose(E, window, min_side):
+    """Reference: depth-first walk, one full scan of E per candidate box."""
+    span = max(h - l for l, h in zip(window.lo, window.hi))
+    n_units = 2 ** int(np.ceil(np.log2(span / min_side)))
+    unit = min_side
+    cell = unit * n_units
+    base = cell * np.floor(np.asarray(window.lo, dtype=float) / cell)
+    targets = E.polyline()
+    if targets is None:
+        targets = E.points
+    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
+    boxes = []
+    stack = [((n_units * i, n_units * j), n_units) for i, j in corners]
+    while stack:
+        lo, size = stack.pop()
+        glo = base + unit * np.asarray(lo, dtype=float)
+        ghi = glo + unit * size
+        if np.any(glo >= window.hi) or np.any(ghi <= window.lo):
+            continue
+        if isinstance(E.descriptor, Hyperplane):
+            d = -ghi[1] if ghi[1] < 0 else glo[1] if glo[1] > 0 else 0.0
+        else:
+            c = np.clip(targets, glo, ghi)
+            d = np.min(np.linalg.norm(targets - c, axis=1))
+        if d >= np.sqrt(2.0) * unit * size:
+            boxes.append(WhitneyBox(id=-1, lo=lo, size=size, dist=float(d)))
+        elif size > 1:
+            half = size // 2
+            stack.extend(
+                ((lo[0] + half * i, lo[1] + half * j), half) for i, j in corners
+            )
+    boxes.sort(key=lambda b: (b.size, b.lo))
+    for i, b in enumerate(boxes):
+        b.id = i
+    return boxes, *_adjacency(boxes, unit)
+
+
+# a cloud whose points are not sorted by x
+_CLOUD = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 2))
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +120,19 @@ class TestWhitneyDecompose:
             assert diam <= d + 1e-12
             assert d <= 4 * diam + 1e-12
 
+    def test_distance_property_segment(self, segment_rc):
+        W = segment_rc.W
+        span = max(h - l for l, h in zip(W.window.lo, W.window.hi))
+        root = 2 ** int(np.ceil(np.log2(span / W.unit)))
+        assert W.n_boxes > 0
+        for b in W.boxes:
+            lo, hi = W.geom(b.id)
+            diam = float(np.linalg.norm(hi - lo))
+            d = box_distance(lo, hi, W.E)
+            assert diam <= d + 1e-12
+            if b.size < root:
+                assert d <= 4 * diam + 1e-12
+
     def test_fattened_boxes_stay_off_boundary(self, line_setup):
         E, S, W = line_setup
         for b in W.boxes[:: max(1, W.n_boxes // 100)]:
@@ -89,6 +147,26 @@ class TestWhitneyDecompose:
         lo, hi = W.geom(bid)
         assert W.locate((lo + hi) / 2) == bid
         assert W.locate((0.0, 1e-9)) is None  # collar near E
+
+    @pytest.mark.parametrize(
+        "desc, sample_window, ambient",
+        [
+            (Hyperplane(), W2, AMBIENT),
+            (Segment(-1, 1), Window((-1, -1), (1, 1)), Window((-4, -3.5), (4, 3.5))),
+            (LipschitzGraph("sin", 0.3), W2, Window((-2, -3), (2, 3))),
+            (PointList(tuple(map(tuple, _CLOUD)), (1 / 40,) * 40), W2, W2),
+        ],
+        ids=["hyperplane", "segment", "sin_graph", "cloud"],
+    )
+    def test_matches_per_box_walk(self, desc, sample_window, ambient):
+        E = build_boundary(desc, 1 / 64, sample_window)
+        W = whitney_decompose(E, ambient, min_side=1 / 32)
+        boxes, neighbors, facets = _per_box_decompose(E, ambient, 1 / 32)
+        assert [(b.lo, b.size, b.dist) for b in W.boxes] == [
+            (b.lo, b.size, b.dist) for b in boxes
+        ]
+        assert W.neighbors == neighbors
+        assert W.facets == facets
 
 
 class TestCoronaProvider:
