@@ -35,11 +35,6 @@ class CellPartition:
     cells: list
     cell_of_box: dict
 
-    def volumes(self, W) -> dict:
-        return {
-            c.idx: sum(W.volume(b) for b in c.boxes) for c in self.cells
-        }
-
 
 @dataclass
 class Approximant:
@@ -163,17 +158,8 @@ def build_partition(
                 x_i = (lo + hi) / 2.0
                 add_cell("blue", qm, float(values["u"].eval(x_i[None, :])[0]), boxes)
     # A cells: subregime sawtooth halves minus everything taken so far
-    for k, qk in enumerate(family):
-        sub = GF.members[qk]
-        plus: set = set()
-        minus: set = set()
-        for q in sub:
-            r = RC.regions[q]
-            for comp, lab in zip(r.components, r.labels):
-                if lab == "+":
-                    plus.update(comp)
-                elif lab == "-":
-                    minus.update(comp)
+    for qk in family:
+        plus, minus = RC.sawtooth_halves(GF.members[qk])
         add_cell(
             "A+", qk, values[(qk, "+")], [b for b in plus if b in t_boxes and b not in taken]
         )
@@ -234,18 +220,16 @@ def build_global_approximant(
     GF: GenerationForest,
     labels: OscillationLabels,
     eps: float,
-    mode: str | None = None,
     gamma0: float = 4.0,
 ) -> Approximant:
     """Glue local approximants: bounded mode patches u outside T_{root};
     unbounded mode tiles rings W_k = T_{Q_k} \\ T_{Q_{k-1}} along a
-    gamma0-spaced chain of cubes up to the root."""
+    gamma0-spaced chain of cubes up to the root; the mode follows from
+    whether E is bounded."""
     RC = FS.RC
     S = RC.S
-    if mode is None:
-        mode = "bounded" if S.E.bounded else "unbounded"
     root = S.roots[0]
-    if mode == "bounded":
+    if S.E.bounded:
         local = build_local_approximant(FS, GF, labels, root, eps)
         cells = list(local.cells)
         cell_of = dict(local.cell_of_box)
@@ -268,8 +252,6 @@ def build_global_approximant(
         )
         _assemble_jumps(FS, A)
         return A
-    if mode != "unbounded":
-        raise ValueError(f"unknown gluing mode {mode!r}")
     rings = _ring_chain(S, gamma0)
     if len(rings) < 2:
         raise ValueError(
@@ -334,7 +316,11 @@ def _ring_chain(S, gamma0: float) -> list:
     return out
 
 
-def _assemble_jumps(FS: FunctionalSuite, A: Approximant, quad_nodes: int = 9):
+# quadrature nodes per facet for the jump of u against a constant
+_FACET_NODES = 9
+
+
+def _assemble_jumps(FS: FunctionalSuite, A: Approximant):
     """Facet jump table and the per-box binned TV measure."""
     RC, W, u = A.RC, A.RC.W, A.u
     g1, _ = FS.grad_integrals()
@@ -357,7 +343,7 @@ def _assemble_jumps(FS: FunctionalSuite, A: Approximant, quad_nodes: int = 9):
             mass = abs(va - vb) * area
         else:
             const = va if va is not None else vb
-            nodes = _facet_nodes(W, a, b, axis, quad_nodes)
+            nodes = _facet_nodes(W, a, b, axis, _FACET_NODES)
             mass = float(np.mean(np.abs(u.eval(nodes) - const))) * area
         if mass > 0.0:
             jumps.append((a, b, axis, area, mass))
@@ -379,50 +365,6 @@ def _facet_nodes(W, a, b, axis, m):
     pts[:, axis] = plane
     pts[:, perp] = ts
     return pts
-
-
-# ---------------------------------------------------------------------------
-# evaluation and total variation
-# ---------------------------------------------------------------------------
-
-
-def eval_approximant(A: Approximant, X) -> float:
-    """phi(X): locate the core box, apply its cell rule; u on facets."""
-    X = np.asarray(X, dtype=float)
-    W = A.RC.W
-    bid = W.locate(X)
-    if bid is None:
-        raise ValueError(f"point {X} is outside the box complex")
-    cell = A.cell_of(bid)
-    if cell is None:
-        raise ValueError(f"point {X} is outside the approximant's cells")
-    lo, hi = W.geom(bid)
-    if np.any(X == lo) or np.any(X == hi):
-        return float(A.u.eval(X[None, :])[0])
-    if cell.value is None:
-        return float(A.u.eval(X[None, :])[0])
-    return cell.value
-
-
-def total_variation(FS: FunctionalSuite, A: Approximant, boxset) -> dict:
-    """TV of phi over the open interior of the box union.
-
-    Jump part: facets with both sides in the set (exact areas).  Gradient
-    part: the suite's quadrature of |grad u| over member boxes whose rule
-    is u.
-    """
-    boxset = set(boxset)
-    jump = 0.0
-    for a, b, _, _, mass in A.jump_facets:
-        if a in boxset and b in boxset:
-            jump += mass
-    grad = 0.0
-    g1, _ = FS.grad_integrals()
-    for b in boxset:
-        c = A.cell_of(b)
-        if c is not None and c.value is None:
-            grad += g1[b]
-    return {"jump": jump, "grad": grad, "total": jump + grad}
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +459,7 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
             if S.side(q) > S.side(p):
                 continue
             if q not in gens:
-                # nearest ancestor wins, as in S.ancestor_at_gen
+                # nearest ancestor wins: the first met walking up from q
                 gens[q] = {S.cube(a).k: a for a in reversed(S.ancestors(q))}
             for b in anchor_boxes:
                 if (q, b) not in per_box:
@@ -546,6 +488,11 @@ def _alpha_for(FS: FunctionalSuite, gen: dict, bid: int, ratios: dict) -> float:
     return 1.0 if best == np.inf else max(1.0, best * (1 + 1e-9))
 
 
+# stride over the certified samples at which the L^p roll-up takes the ball
+# Carleson functional
+_BALL_STRIDE = 8
+
+
 def verify_approximation(
     FS: FunctionalSuite,
     A: Approximant,
@@ -554,7 +501,6 @@ def verify_approximation(
     certified: np.ndarray,
     p_grid=(1.5, 2.0, 4.0),
     c1_budget: float = 4.0,
-    ball_stride: int = 8,
 ) -> dict:
     """The three certification sweeps for one approximant.
 
@@ -597,7 +543,7 @@ def verify_approximation(
     c2 = float(r2.max()) if len(r2) else 0.0
 
     # (iii) L^p roll-ups
-    ids = np.nonzero(cert)[0][::ball_stride]
+    ids = np.nonzero(cert)[0][::_BALL_STRIDE]
     cball = FS.carleson_ball(A.tv_box, ids)
     ns = FS.n_star(None)
     lp = {}

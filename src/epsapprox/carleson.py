@@ -276,40 +276,34 @@ def dyadic_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_radii(S: CubeSystem, extra: int = 8) -> np.ndarray:
-    """Log radius grid aligned with C1*l(Q) over the generation range."""
+def default_radii(S: CubeSystem) -> np.ndarray:
+    """Log radius grid aligned with C1*l(Q) over the generation range, plus
+    8 log-spaced radii from half the finest to twice the coarsest."""
     rs = [S.C1 * 2.0 ** (-k) * S.scale for k in range(S.k_min, S.k_max + 1)]
     lo, hi = min(rs), max(rs)
-    grid = np.geomspace(lo / 2, hi * 2, extra)
+    grid = np.geomspace(lo / 2, hi * 2, 8)
     return np.unique(np.concatenate([rs, grid]))
 
 
-def hl_maximal(
-    S: CubeSystem,
-    f: np.ndarray,
-    radii: np.ndarray | None = None,
-    centers_stride: int = 1,
-) -> np.ndarray:
+def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     """Hardy-Littlewood maximal function over a radius/center grid.
 
-    A lower bound of the true M f; the grid includes the surface-ball radii
-    C1*l(Q) so cube averages are always dominated up to the ball/cube mass
-    ratio.
+    Every sample is a center and `default_radii` are the radii.  A lower
+    bound of the true M f; the grid includes the surface-ball radii C1*l(Q)
+    so cube averages are always dominated up to the ball/cube mass ratio.
     """
     E = S.E
     f = np.abs(np.asarray(f, dtype=float))
-    if radii is None:
-        radii = default_radii(S)
+    radii = default_radii(S)
     pts, w = E.points, E.weights
     fw = f * w
     out = np.zeros(E.n_samples)
-    centers = pts[::centers_stride]
-    for c in centers:
+    for c in pts:
         d = np.linalg.norm(pts - c, axis=1)
         order = np.argsort(d, kind="stable")
         dw = np.cumsum(w[order])
         dfw = np.cumsum(fw[order])
-        pos = np.searchsorted(d[order], np.asarray(radii), side="left")
+        pos = np.searchsorted(d[order], radii, side="left")
         for j, r in enumerate(radii):
             k = pos[j]
             if k == 0:

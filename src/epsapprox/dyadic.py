@@ -16,7 +16,6 @@ deduplicated "relevant" cubes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,16 +76,18 @@ class CubeSystem:
             q = self.cubes[q].rparent
         return out[::-1]
 
-    def ancestors(self, qid: int, include_self: bool = True) -> list:
-        out = [qid] if include_self else []
+    def ancestors(self, qid: int) -> list:
+        """The cube and its relevant ancestors, finest first."""
+        out = [qid]
         q = self.cubes[qid].rparent
         while q is not None:
             out.append(q)
             q = self.cubes[q].rparent
         return out
 
-    def descendants(self, qid: int, include_self: bool = True) -> list:
-        out = [qid] if include_self else []
+    def descendants(self, qid: int) -> list:
+        """The cube, then its relevant descendants."""
+        out = [qid]
         stack = list(self.cubes[qid].rchildren)
         while stack:
             q = stack.pop()
@@ -102,12 +103,6 @@ class CubeSystem:
                 return True
             q = self.cubes[q].rparent
         return False
-
-    def ancestor_at_gen(self, qid: int, k: int) -> int | None:
-        q = qid
-        while q is not None and self.cubes[q].k != k:
-            q = self.cubes[q].rparent
-        return q
 
     def relevant_at_gen(self, k: int) -> list:
         return [q for q in self.generations.get(k, []) if self.cubes[q].relevant]
@@ -351,57 +346,20 @@ def _inclusion_constants(E: BoundarySet, cubes) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# queries
-# ---------------------------------------------------------------------------
-
-
-def containing_cubes(x, S: CubeSystem) -> list:
-    """Chain of relevant cubes containing x, coarsest first.
-
-    x may be a sample index or a point; non-sample points fall back to the
-    nearest sample with a warning.
-    """
-    if isinstance(x, (int, np.integer)):
-        return S.chain(int(x))
-    x = np.asarray(x, dtype=float)
-    d = np.linalg.norm(S.E.points - x, axis=1)
-    i = int(np.argmin(d))
-    if d[i] > S.E.geom_tol:
-        warnings.warn("query point is not a sample; using nearest sample", stacklevel=2)
-    return S.chain(i)
-
-
-def surface_ball(S: CubeSystem, qid: int, kappa: float = 1.0):
-    """kappa-dilate of the surface ball Delta_Q = Delta(z_Q, C1 l(Q)).
-
-    Returns (center, radius, member sample indices).
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    c = S.cube(qid)
-    r = kappa * S.C1 * c.side
-    d = np.linalg.norm(S.E.points - c.z, axis=1)
-    return c.z, float(r), np.where(d <= r)[0]
-
-
-# ---------------------------------------------------------------------------
 # synthetic systems (abstract trees with unit-weight leaf samples)
 # ---------------------------------------------------------------------------
 
 
-def synthetic_system(depth: int, branching: int = 2, weights=None) -> CubeSystem:
-    """Full `branching`-ary tree of the given depth as a CubeSystem.
+def synthetic_system(depth: int) -> CubeSystem:
+    """Full binary tree of the given depth as a CubeSystem.
 
-    Leaves are samples at positions i + 0.5 on a line with the given weights
-    (default all ones).  Useful for packing/embedding experiments where no
-    geometry is needed.
+    Leaves are unit-weight samples at positions i + 0.5 on a line.  Useful
+    for packing/embedding experiments where no geometry is needed.
     """
-    n = branching**depth
+    n = 2**depth
     xs = np.arange(n) + 0.5
     pts = np.column_stack([xs, np.zeros(n)])
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.ones(n)
     from .geometry import BoundarySet, PointList, Window
 
     E = BoundarySet(
@@ -418,9 +376,9 @@ def synthetic_system(depth: int, branching: int = 2, weights=None) -> CubeSystem
     generations: dict = {}
     prev: list = []
     for k in range(depth + 1):
-        width = n // branching**k
+        width = n // 2**k
         ids = []
-        for m in range(branching**k):
+        for m in range(2**k):
             members = np.arange(m * width, (m + 1) * width)
             c = Cube(
                 id=len(cubes),
@@ -431,7 +389,7 @@ def synthetic_system(depth: int, branching: int = 2, weights=None) -> CubeSystem
                 measure=float(weights[members].sum()),
             )
             if prev:
-                c.parent = prev[m // branching]
+                c.parent = prev[m // 2]
                 cubes[c.parent].children.append(c.id)
             cubes.append(c)
             ids.append(c.id)

@@ -242,29 +242,6 @@ class FunctionalSuite:
         sup = np.maximum(np.abs(mx), np.abs(mn))
         return float(sup[outside].max())
 
-    def cone_distance_constant(self, alpha: float, stride: int = 37) -> float:
-        """Measured gamma with Gamma_alpha(x) inside {Y: |x-Y| <= gamma*delta(Y)}.
-
-        Swept over strided samples and their cone boxes, using the certified
-        lower bound dist(I,E) for delta on each box.
-        """
-        worst = 0.0
-        lo, hi = self.W.geom_arrays()
-        for i in range(0, self.E.n_samples, stride):
-            x = self.E.points[i]
-            for q in self.chains[i]:
-                for p in self.aperture_neighbors(alpha, q):
-                    for b in self.RC.regions[p].boxes:
-                        far = max(
-                            np.linalg.norm(lo[b] - x), np.linalg.norm(hi[b] - x)
-                        )
-                        pad = 1.5 * self.tau * (hi[b][0] - lo[b][0])
-                        worst = max(
-                            worst,
-                            (far + pad) / max(self.W.boxes[b].dist, 1e-300),
-                        )
-        return worst
-
     def square_function(self) -> np.ndarray:
         """S u per sample: quadrature of |grad u|^2 over the cone."""
         _, g2 = self.grad_integrals()
@@ -330,9 +307,7 @@ class FunctionalSuite:
                     out[q] += m
         return out
 
-    def carleson_dyadic(
-        self, mass: np.ndarray, tower: bool | None = None
-    ) -> np.ndarray:
+    def carleson_dyadic(self, mass: np.ndarray) -> np.ndarray:
         """C_dyadic: per sample, sup over containing cubes of T_Q-mass/l(Q).
 
         For bounded boundaries the sup also runs over the ball tower
@@ -346,9 +321,7 @@ class FunctionalSuite:
             for q in chain:
                 best = max(best, per_cube[q] / self.S.side(q))
             out[i] = best
-        if tower is None:
-            tower = self.E.bounded
-        if tower:
+        if self.E.bounded:
             out = np.maximum(out, self._tower_sup(mass))
         return out
 
@@ -370,12 +343,7 @@ class FunctionalSuite:
             best = max(best, m / R)
         return best
 
-    def carleson_ball(
-        self,
-        mass: np.ndarray,
-        sample_ids: np.ndarray,
-        radii: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def carleson_ball(self, mass: np.ndarray, sample_ids: np.ndarray) -> np.ndarray:
         """C: per listed sample, sup over r of r^{-1} * mass(B(x,r) \\ E).
 
         Box masses are binned at box centers (midpoint convention).
@@ -383,8 +351,7 @@ class FunctionalSuite:
         lo, hi = self.W.geom_arrays()
         mids = (lo + hi) / 2
         live = np.nonzero(mass)[0]
-        if radii is None:
-            radii = self._ball_radii()
+        radii = self._ball_radii()
         out = np.zeros(len(sample_ids))
         if len(live) == 0:
             return out
@@ -425,7 +392,6 @@ def compare_levelsets(
     p_grid=(1.5, 2.0, 4.0),
     a1_budget: float = 32.0,
     a2_budget: float = 8.0,
-    n_lambda: int = 40,
 ):
     """Weak-type domination sigma{C > A1*l} <= A2*sigma{C_dyadic > l}.
 
@@ -437,7 +403,7 @@ def compare_levelsets(
         return {"A1": 1.0, "A2": 1.0, "pass": True, "lp": {p: 1.0 for p in p_grid}}
     if dmax == 0.0:
         return {"A1": np.inf, "A2": np.inf, "pass": False, "lp": {}}
-    lam_grid = np.geomspace(dmax * 1e-4, dmax, n_lambda)
+    lam_grid = np.geomspace(dmax * 1e-4, dmax, 40)
     a1 = 1.0
     while a1 <= a1_budget:
         if a1 * dmax >= cmax:

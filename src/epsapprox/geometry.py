@@ -288,10 +288,6 @@ class BoundarySet:
         return len(self.points)
 
     @property
-    def total_measure(self) -> float:
-        return float(self.weights.sum())
-
-    @property
     def diameter(self) -> float:
         return self.descriptor.diameter(self.window)
 
@@ -341,19 +337,6 @@ def build_boundary(
 # ---------------------------------------------------------------------------
 
 
-def distance_to_boundary(X, E: BoundarySet) -> float:
-    """dist(X, E): analytic when the descriptor allows, else to the cloud.
-
-    Returns exactly 0.0 (with a warning) for degenerate queries on E.
-    """
-    X = np.asarray(X, dtype=float)
-    d = _distance(X[None, :], E)[0]
-    if d <= E.geom_tol:
-        warnings.warn("query point lies on the boundary set", stacklevel=2)
-        return 0.0
-    return float(d)
-
-
 def _distance(P: np.ndarray, E: BoundarySet) -> np.ndarray:
     """Vectorized dist(P_i, E)."""
     desc = E.descriptor
@@ -389,13 +372,6 @@ def _dist_to_polyline(P: np.ndarray, pl: np.ndarray) -> np.ndarray:
         proj = a + t[:, None] * ab
         out[i] = np.min(np.linalg.norm(proj - p[None, :], axis=1))
     return out
-
-
-def box_distance(lo, hi, E: BoundarySet) -> float:
-    """Distance from the axis-aligned box [lo,hi] to E (0 if they meet)."""
-    lo = np.asarray(lo, dtype=float)[None, :]
-    hi = np.asarray(hi, dtype=float)[None, :]
-    return float(box_distance_many(lo, hi, E)[0])
 
 
 # relative widening of the x-window of `box_distance_many`: a bound equal
@@ -457,6 +433,12 @@ def surface_measure(E: BoundarySet, center, r: float) -> float:
     return float(E.weights[d < r].sum())
 
 
+# the ADR sweep: about this many strided centers, each with this many
+# log-spaced radii
+_ADR_CENTERS = 32
+_ADR_RADII = 12
+
+
 @dataclass
 class ADRReport:
     tested_centers: np.ndarray
@@ -480,8 +462,6 @@ class ADRReport:
 def check_adr(
     E: BoundarySet,
     budget: float,
-    n_centers: int = 32,
-    radii_per_center: int = 12,
     r_min: float | None = None,
     r_max: float | None = None,
 ) -> ADRReport:
@@ -497,7 +477,7 @@ def check_adr(
         raise ValueError("ADR budget must be >= 1")
     if E.n_samples == 0:
         raise ValueError("empty sample cloud")
-    stride = max(1, E.n_samples // n_centers)
+    stride = max(1, E.n_samples // _ADR_CENTERS)
     centers = E.points[::stride]
     if r_min is None:
         r_min = 8 * E.resolution
@@ -510,7 +490,7 @@ def check_adr(
     for c in centers:
         edge = float(min(np.min(c - lo), np.min(hi - c))) if not E.bounded else r_max
         rs, ratios = [], []
-        for r in np.geomspace(r_min, r_max, radii_per_center):
+        for r in np.geomspace(r_min, r_max, _ADR_RADII):
             if r > edge:
                 continue
             m = surface_measure(E, c, r)

@@ -9,7 +9,7 @@ line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,12 +78,6 @@ class HarmonicPolynomial(HarmonicField):
         if self.part == "re":
             return np.column_stack([d.real, -d.imag])
         return np.column_stack([d.imag, d.real])
-
-    def fourth_derivative_bound(self, P):
-        """sup over stencil usage of |d^4/dx^4| + |d^4/dt^4| at the points."""
-        if self.degree < 4:
-            return np.zeros(len(P))
-        return np.full(len(P), 48.0)  # |f''''| = 24, both axes
 
 
 @dataclass(frozen=True)
@@ -217,93 +211,3 @@ def make_field(desc, E: BoundarySet | None = None) -> HarmonicField:
             tuple(make_field(d, E) for d in p["fields"]),
         )
     raise ValueError(f"unknown field type {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# checks
-# ---------------------------------------------------------------------------
-
-
-def grad_check(u: HarmonicField, P: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative deviation of the analytic gradient from central differences."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    g = u.grad(P)
-    worst = 0.0
-    for ax in range(P.shape[1]):
-        dP = np.zeros_like(P)
-        dP[:, ax] = h
-        num = (u.eval(P + dP) - u.eval(P - dP)) / (2 * h)
-        scale = np.maximum(np.linalg.norm(g, axis=1), 1.0)
-        worst = max(worst, float(np.max(np.abs(num - g[:, ax]) / scale)))
-    return worst
-
-
-def laplacian_residual(
-    u: HarmonicField, probes: np.ndarray, h: float, E: BoundarySet | None = None
-) -> dict:
-    """Centered 5-point stencil residuals at the probes.
-
-    Residuals are reported raw and normalized by the local scale
-    |grad u| / delta; probes closer than 3h to E are rejected.
-    """
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if E is not None:
-        d = _distance(probes, E)
-        if np.any(d < 3 * h):
-            raise ValueError("probes must keep distance >= 3h from the boundary")
-    else:
-        d = np.full(len(probes), np.inf)
-    acc = np.zeros(len(probes))
-    u0 = u.eval(probes)
-    for ax in (0, 1):
-        dP = np.zeros_like(probes)
-        dP[:, ax] = h
-        acc += (u.eval(probes + dP) - u0) + (u.eval(probes - dP) - u0)
-    raw = np.abs(acc) / h**2
-    gn = np.linalg.norm(u.grad(probes), axis=1)
-    denom = np.where(d < np.inf, np.maximum(gn / np.maximum(d, 1e-300), 1e-300), 1.0)
-    normalized = raw / denom
-    return {
-        "max_raw": float(raw.max()),
-        "max_normalized": float(normalized.max()),
-        "raw": raw,
-        "normalized": normalized,
-    }
-
-
-def mean_value_gap(u: HarmonicField, X, r: float, n_theta: int = 512) -> float:
-    """|average of u over the circle dB(X,r) - u(X)| (2d)."""
-    X = np.asarray(X, dtype=float)
-    th = (np.arange(n_theta) + 0.5) * (2 * np.pi / n_theta)
-    ring = X[None, :] + r * np.column_stack([np.cos(th), np.sin(th)])
-    return float(abs(u.eval(ring).mean() - u.eval(X[None, :])[0]))
-
-
-def caccioppoli_ratio(u: HarmonicField, lo, hi, n_grid: int = 64) -> float:
-    """Measured C in  int_I |grad u|^2 <= C l(I)^{-2} int_{2I} |u - c|^2.
-
-    I = [lo,hi], 2I its concentric double, c the mean of u over 2I; midpoint
-    quadrature on an n_grid^2 mesh.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    side = hi - lo
-    c2 = (lo + hi) / 2
-
-    def mesh(a, b):
-        xs = [(np.arange(n_grid) + 0.5) / n_grid * (bb - aa) + aa for aa, bb in zip(a, b)]
-        g = np.meshgrid(*xs, indexing="ij")
-        pts = np.column_stack([gg.ravel() for gg in g])
-        cell = np.prod((b - a) / n_grid)
-        return pts, cell
-
-    pts_i, cell_i = mesh(lo, hi)
-    pts_2i, cell_2i = mesh(c2 - side, c2 + side)
-    grad2 = np.einsum("ij,ij->i", u.grad(pts_i), u.grad(pts_i)).sum() * cell_i
-    vals = u.eval(pts_2i)
-    c = vals.mean()
-    l2 = ((vals - c) ** 2).sum() * cell_2i
-    if l2 == 0:
-        return 0.0
-    ell = float(side.max())
-    return float(grad2 / (l2 / ell**2))

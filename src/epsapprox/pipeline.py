@@ -140,8 +140,10 @@ def run(cfg: RunConfig, out_dir=None, cache_dir=None, until="write",
 
     Outputs go to `out_dir` (default `cfg.out_dir`).  With `cache_dir`, each
     cacheable stage is loaded when its key hits and otherwise computed and
-    saved.  With `build_upstream=False` only `until` itself may be computed:
-    a cache miss on an earlier stage raises RuntimeError naming that stage.
+    saved as `<stage>-<code fingerprint>-<key>.pkl`, deleting that stage's
+    artifacts of any other code fingerprint.  With `build_upstream=False`
+    only `until` itself may be computed: a cache miss on an earlier stage
+    raises RuntimeError naming that stage.
     The cache directory is trusted input: artifacts are loaded with pickle.
     """
     if out_dir is not None:
@@ -152,7 +154,8 @@ def run(cfg: RunConfig, out_dir=None, cache_dir=None, until="write",
         st = STAGES[name]
         path = None
         if cache_dir and st.reads is not None:
-            path = Path(cache_dir) / f"{name}-{stage_key(cfg, name)}.pkl"
+            code = source_fingerprint()[:8]
+            path = Path(cache_dir) / f"{name}-{code}-{stage_key(cfg, name)}.pkl"
             if path.exists():
                 with open(path, "rb") as fh:
                     outputs[name] = _StageUnpickler(fh, outputs).load()
@@ -165,6 +168,10 @@ def run(cfg: RunConfig, out_dir=None, cache_dir=None, until="write",
         outputs[name] = globals()[st.fn](cfg, *(outputs[d] for d in st.deps))
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
+            # an artifact of other code can never hit again
+            for old in path.parent.glob(f"{name}-*.pkl"):
+                if not old.name.startswith(f"{name}-{code}-"):
+                    old.unlink(missing_ok=True)
             with open(path, "wb") as fh:
                 upstream = {d: outputs[d] for d in st.deps}
                 _StagePickler(fh, upstream).dump(outputs[name])

@@ -20,7 +20,7 @@ import numpy as np
 from .carleson import packing_constant
 from .dyadic import CubeSystem
 from .functionals import FunctionalSuite
-from .whitney import CoronaDecomposition, RegionComplex
+from .whitney import RegionComplex
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +206,6 @@ class GenerationForest:
     subregime_top: dict  # qid in a regime -> generation cube anchoring it
     members: dict = field(default_factory=dict)  # gen cube -> its subregime
 
-    def subregime(self, gen_cube: int) -> set:
-        return self.members[gen_cube]
-
     def to_json(self):
         return {
             "eps": self.eps,
@@ -289,38 +286,6 @@ def generation_cubes(
 # ---------------------------------------------------------------------------
 # eps^{-2} packing verification
 # ---------------------------------------------------------------------------
-
-
-def oscillation_square_domination(FS: FunctionalSuite, signs=("+", "-")) -> float:
-    """Measured C in (osc_{U_Q^s} u)^2 <= C l(Q)^{-1} int_{U_Q^s} |grad u|^2 delta.
-
-    Quadrature on both sides over the good cubes; the right side integrates
-    over the component's core boxes with delta = dist(box, E).
-    """
-    from .geometry import _distance
-
-    S = FS.S
-    mx, mn = FS.box_extrema()
-    _, g2 = FS.grad_integrals()  # per box: int |grad u|^2
-    worst = 0.0
-    for q, r in FS.RC.regions.items():
-        if not r.good:
-            continue
-        for sign in signs:
-            comp = r.components[r.labels.index(sign)]
-            osc = float(mx[comp].max() - mn[comp].min())
-            if osc == 0.0:
-                continue
-            integral = 0.0
-            for b in comp:
-                lo, hi = FS.W.geom(b)
-                mids = (lo + hi) / 2.0
-                delta = float(_distance(mids[None, :], FS.E)[0])
-                # weight the box integral by delta at the box center
-                integral += g2[b] * delta
-            if integral > 0:
-                worst = max(worst, osc**2 * S.side(q) / integral)
-    return worst
 
 
 def verify_eps_packing(

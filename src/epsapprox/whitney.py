@@ -50,12 +50,6 @@ class WhitneyComplex:
     boxes: list
     neighbors: list  # per box: sorted ids with closed-box contact
     facets: list  # (a, b, axis, area) with a.hi == b.lo on axis, overlap > 0
-    _level_index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for b in self.boxes:
-            key = (b.size, tuple(c // b.size for c in b.lo))
-            self._level_index[key] = b.id
 
     @property
     def n_boxes(self) -> int:
@@ -77,22 +71,6 @@ class WhitneyComplex:
     def volume(self, bid: int) -> float:
         b = self.boxes[bid]
         return (self.unit * b.size) ** 2
-
-    def sizes_present(self) -> list:
-        return sorted({b.size for b in self.boxes})
-
-    def locate(self, p) -> int | None:
-        """Id of the core box containing p (lo <= p < hi), else None."""
-        p = np.asarray(p, dtype=float)
-        rel = (p - self.base) / self.unit
-        for size in self.sizes_present():
-            cell = tuple(int(np.floor(c / size)) for c in rel)
-            bid = self._level_index.get((size, cell))
-            if bid is not None:
-                lo, hi = self.geom(bid)
-                if np.all(p >= lo) and np.all(p < hi):
-                    return bid
-        return None
 
 
 def whitney_decompose(
@@ -437,10 +415,6 @@ class RegionComplex:
 
     def region(self, qid: int) -> WhitneyRegion:
         return self.regions[qid]
-
-    def component(self, qid: int, label: str) -> list:
-        r = self.regions[qid]
-        return r.components[r.labels.index(label)]
 
     def x_point(self, qid: int, sign: str) -> np.ndarray:
         """X_Q^{sign}: center of the largest box of the signed component."""

@@ -295,7 +295,7 @@ def test_criterion_08_aperture_comparability(big, line_rc):
 
 
 def test_criterion_09_trivial_exactness(line_rc):
-    from epsapprox.approximator import eval_approximant
+    from test_approximator import eval_approximant
 
     FS = FunctionalSuite(line_rc, Constant(2.0))
     numbers, m_point = FS.cube_numbers(None)

@@ -7,24 +7,67 @@ import pytest
 
 from epsapprox import pipeline
 from epsapprox.approximator import (
+    Approximant,
     build_global_approximant,
     build_local_approximant,
-    eval_approximant,
     find_alpha0,
     nontangential_deviation,
     order_good_cubes,
-    total_variation,
     verify_approximation,
 )
 from epsapprox.carleson import packing_constant
-from epsapprox.config import RunConfig
+from epsapprox.config import RegionParams, RunConfig
+from epsapprox.dyadic import build_cube_system
 from epsapprox.functionals import FunctionalSuite
+from epsapprox.geometry import Hyperplane, Window, build_boundary
 from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
 from epsapprox.stopping import generation_cubes, oscillation_cubes
+from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
 from conftest import certified_mask
+from test_dyadic import surface_ball
+from test_whitney import locate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def eval_approximant(A: Approximant, X) -> float:
+    """phi(X): locate the core box, apply its cell rule; u on facets."""
+    X = np.asarray(X, dtype=float)
+    W = A.RC.W
+    bid = locate(W, X)
+    if bid is None:
+        raise ValueError(f"point {X} is outside the box complex")
+    cell = A.cell_of(bid)
+    if cell is None:
+        raise ValueError(f"point {X} is outside the approximant's cells")
+    lo, hi = W.geom(bid)
+    if np.any(X == lo) or np.any(X == hi):
+        return float(A.u.eval(X[None, :])[0])
+    if cell.value is None:
+        return float(A.u.eval(X[None, :])[0])
+    return cell.value
+
+
+def total_variation(FS: FunctionalSuite, A: Approximant, boxset) -> dict:
+    """TV of phi over the open interior of the box union.
+
+    Jump part: facets with both sides in the set (exact areas).  Gradient
+    part: the suite's quadrature of |grad u| over member boxes whose rule
+    is u.
+    """
+    boxset = set(boxset)
+    jump = 0.0
+    for a, b, _, _, mass in A.jump_facets:
+        if a in boxset and b in boxset:
+            jump += mass
+    grad = 0.0
+    g1, _ = FS.grad_integrals()
+    for b in boxset:
+        c = A.cell_of(b)
+        if c is not None and c.value is None:
+            grad += g1[b]
+    return {"jump": jump, "grad": grad, "total": jump + grad}
 
 
 def make_state(rc, u, eps, far=None):
@@ -123,6 +166,14 @@ class TestPartition:
             inside = np.where(np.all(p >= lo, axis=1) & np.all(p < hi, axis=1))[0]
             assert len(inside) == 1
             assert local_t.cell_of_box[t_boxes[inside[0]]] is not None
+
+    def test_a_cells_inside_sawtooth_halves(self, line_rc, state_t, local_t):
+        gf = state_t[3]
+        a_cells = [c for c in local_t.cells if c.kind in ("A+", "A-")]
+        assert a_cells
+        for c in a_cells:
+            plus, minus = line_rc.sawtooth_halves(gf.members[c.anchor])
+            assert set(c.boxes) <= (plus if c.kind == "A+" else minus)
 
     def test_red_cells_carved_from_a_cells(self, line_rc, state_t, local_t):
         fs, numbers, labels, gf = state_t
@@ -281,7 +332,7 @@ class TestGlobalModes:
         assert A.mode == "bounded"
         t_root = segment_rc.carleson_box(segment_rc.S.roots[0])
         X = np.array([3.5, 2.5])
-        assert segment_rc.W.locate(X) not in t_root
+        assert locate(segment_rc.W, X) not in t_root
         assert eval_approximant(A, X) == float(fs.u.eval(X[None, :])[0])
 
     def test_ring_chain_spacing_and_disjointness(self, line_rc, state_t):
@@ -301,8 +352,6 @@ class TestGlobalModes:
         assert seen == set(line_rc.carleson_box(S.roots[0]))
 
     def test_ring_ball_packing(self, line_rc, state_t):
-        from epsapprox.dyadic import surface_ball
-
         fs, numbers, labels, gf = state_t
         A = build_global_approximant(fs, gf, labels, 0.5, gamma0=4.0)
         S = line_rc.S
@@ -319,10 +368,17 @@ class TestGlobalModes:
         )
         assert worst <= 3.0
 
-    def test_window_too_small_for_rings(self, segment_rc):
-        fs, numbers, labels, gf = make_state(segment_rc, Constant(1.0), 0.3)
+    def test_window_too_small_for_rings(self):
+        # one generation, the root [0, 4): the central chain is the root
+        # alone, so the unbounded gluing finds no second ring cube
+        params = RegionParams(tau=0.05, c_w=0.25, C_w=4.0, C_d=4.0)
+        E = build_boundary(Hyperplane(), 1 / 64, Window((0.5, -2), (3.5, 2)))
+        S = build_cube_system(E, k_min=-2, k_max=-2)
+        W = whitney_decompose(E, Window((0.5, -6.5), (3.5, 6.5)), min_side=1.0)
+        rc = build_regions(S, W, corona_provider(E, S), params)
+        fs, numbers, labels, gf = make_state(rc, Constant(1.0), 0.3)
         with pytest.raises(ValueError, match="ring"):
-            build_global_approximant(fs, gf, labels, 0.3, mode="unbounded", gamma0=64.0)
+            build_global_approximant(fs, gf, labels, 0.3)
 
 
 class TestVerification:
@@ -395,7 +451,9 @@ def _alpha0_oracle(fs, gf):
             for b in anchor_boxes:
                 best = np.inf
                 for p_own, _ in RC.box_owners.get(b, ()):
-                    anc = S.ancestor_at_gen(q, S.cube(p_own).k)
+                    anc = q  # walk up from q to the owner's generation
+                    while anc is not None and S.cube(anc).k != S.cube(p_own).k:
+                        anc = S.cube(anc).rparent
                     if anc is None:
                         continue
                     c = S.cube(anc)
@@ -415,8 +473,6 @@ class TestRemarkLocality:
         eps = 0.5
         A = build_global_approximant(fs, gf, labels, eps, gamma0=4.0)
         S = line_rc.S
-        from epsapprox.dyadic import surface_ball
-
         ns = fs.n_star(None)
         rng = np.random.default_rng(12)
         ids = [q for q in S.relevant_ids() if line_rc.region(q).good]

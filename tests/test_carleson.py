@@ -165,7 +165,7 @@ class TestHLMaximal:
         rng = np.random.default_rng(2)
         f = rng.random(S.E.n_samples)
         md = dyadic_maximal(S, f)
-        mhl = hl_maximal(S, f, centers_stride=1)
+        mhl = hl_maximal(S, f)
         # cube averages are dominated by averages over Delta(z_Q, C1 l(Q))
         # at the cost of the worst mass ratio sigma(Delta)/sigma(Q)
         ratio = 0.0

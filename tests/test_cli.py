@@ -178,6 +178,16 @@ class TestSubcommands:
             cold_bytes = (tmp_path / "cold" / name).read_bytes()
             assert (tmp_path / "warm" / name).read_bytes() == cold_bytes
 
+    def test_code_change_prunes_stale_artifacts(self, tmp_path, monkeypatch):
+        cfgp = small_config(tmp_path)
+        cache = tmp_path / "cache"
+        assert main(["run", "--config", str(cfgp), "--cache-dir", str(cache)]) == 0
+        monkeypatch.setattr(pipeline, "source_fingerprint", lambda: "0" * 64)
+        assert main(["run", "--config", str(cfgp), "--cache-dir", str(cache)]) == 0
+        names = sorted(p.name for p in cache.glob("*.pkl"))
+        assert [n.split("-")[0] for n in names] == ["approximate", "grid", "regions"]
+        assert all(n.split("-")[1] == "0" * 8 for n in names)
+
     def test_report_formats_agree(self, tmp_path):
         cfgp = small_config(tmp_path)
         assert main(["run", "--config", str(cfgp)]) == 0

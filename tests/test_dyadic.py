@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from epsapprox.dyadic import (
-    build_cube_system,
-    containing_cubes,
-    surface_ball,
-    synthetic_system,
-)
+from epsapprox.dyadic import build_cube_system, synthetic_system
 from epsapprox.geometry import (
     CantorSet,
     Hyperplane,
@@ -18,6 +13,17 @@ from epsapprox.geometry import (
 )
 
 W2 = Window((-4.0, -4.0), (4.0, 4.0))
+
+
+def surface_ball(S, qid: int, kappa: float = 1.0):
+    """kappa-dilate of the closed surface ball Delta_Q = Delta(z_Q, C1 l(Q)).
+
+    Returns (center, radius, member sample indices).
+    """
+    c = S.cube(qid)
+    r = kappa * S.C1 * c.side
+    d = np.linalg.norm(S.E.points - c.z, axis=1)
+    return c.z, float(r), np.where(d <= r)[0]
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +69,7 @@ class TestBuild:
     def test_bounded_root_carries_full_measure(self, cantor_system):
         S = cantor_system
         assert len(S.roots) == 1
-        assert S.sigma(S.roots[0]) == pytest.approx(S.E.total_measure)
+        assert S.sigma(S.roots[0]) == pytest.approx(S.E.weights.sum())
 
     def test_nestedness_brute_force(self, graph_system):
         # any two relevant cubes are disjoint or comparable as sample sets
@@ -117,7 +123,7 @@ class TestBuild:
 class TestNavigation:
     def test_chain_coarsest_first_and_ordered(self, line_system):
         S = line_system
-        chain = containing_cubes(137, S)
+        chain = S.chain(137)
         sides = [S.side(q) for q in chain]
         assert sides == sorted(sides, reverse=True)
         sets = [frozenset(S.cube(q).sample_idx.tolist()) for q in chain]
@@ -128,11 +134,6 @@ class TestNavigation:
         S = cantor_system
         chain = S.chain(0)
         assert chain[0] == S.roots[0]
-
-    def test_non_sample_point_falls_back(self, line_system):
-        with pytest.warns(UserWarning, match="nearest"):
-            chain = containing_cubes((0.30001234, 0.0), line_system)
-        assert chain
 
     def test_chain_length_after_dedup(self, line_system):
         S = line_system

@@ -11,12 +11,11 @@ from epsapprox.geometry import (
     LipschitzGraph,
     PointList,
     Window,
-    box_distance,
+    _distance,
     box_distance_many,
     build_boundary,
     check_adr,
     descriptor_from_json,
-    distance_to_boundary,
     surface_measure,
 )
 
@@ -72,7 +71,7 @@ class TestBuildBoundary:
         assert np.allclose(E.points * 16, np.round(E.points * 16))
         assert [0.0, 0.0] in E.points.tolist()
         assert [15 / 16, 15 / 16] in E.points.tolist()
-        assert np.isclose(E.total_measure, 1.0)
+        assert np.isclose(E.weights.sum(), 1.0)
 
     def test_lipschitz_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
@@ -85,24 +84,20 @@ class TestBuildBoundary:
 
 class TestDistance:
     def test_line_above(self, line):
-        assert distance_to_boundary((0.5, 0.7), line) == pytest.approx(0.7)
+        assert _distance(np.array([[0.5, 0.7]]), line)[0] == pytest.approx(0.7)
 
     def test_line_below(self, line):
-        assert distance_to_boundary((3.0, -2.0), line) == pytest.approx(2.0)
+        assert _distance(np.array([[3.0, -2.0]]), line)[0] == pytest.approx(2.0)
 
     def test_tilted_line_closed_form(self):
         E = build_boundary(LipschitzGraph("linear", 0.1), 0.01, W2)
-        assert distance_to_boundary((0.0, 1.0), E) == pytest.approx(
+        assert _distance(np.array([[0.0, 1.0]]), E)[0] == pytest.approx(
             1 / np.sqrt(1.01), rel=1e-12
         )
 
-    def test_on_boundary_degenerate(self, line):
-        with pytest.warns(UserWarning, match="boundary"):
-            assert distance_to_boundary((0.25, 0.0), line) == 0.0
-
     def test_kink_distance_matches_resolution(self, kink):
         # nearest point to (0, 1) on g=0.1|x| is found numerically
-        d = distance_to_boundary((0.0, 1.0), kink)
+        d = _distance(np.array([[0.0, 1.0]]), kink)[0]
         assert d == pytest.approx(1 / np.sqrt(1.01), rel=1e-3)
 
     @settings(max_examples=100, deadline=None)
@@ -114,8 +109,7 @@ class TestDistance:
     def test_distance_is_lipschitz(self, xyab):
         x, y, a, b = xyab
         E = _MODULE_LINE
-        d1 = distance_to_boundary((x, y), E)
-        d2 = distance_to_boundary((a, b), E)
+        d1, d2 = _distance(np.array([[x, y], [a, b]]), E)
         assert abs(d1 - d2) <= np.hypot(x - a, y - b) + 1e-12
 
 
@@ -194,17 +188,20 @@ class TestADR:
 
 class TestBoxDistance:
     def test_box_touching_line(self, line):
-        assert box_distance((-0.5, -0.5), (0.5, 0.5), line) == 0.0
+        d = box_distance_many(np.array([[-0.5, -0.5]]), np.array([[0.5, 0.5]]), line)
+        assert d[0] == 0.0
 
     def test_box_above_line(self, line):
-        assert box_distance((0.0, 1.0), (1.0, 2.0), line) == pytest.approx(1.0)
+        d = box_distance_many(np.array([[0.0, 1.0]]), np.array([[1.0, 2.0]]), line)
+        assert d[0] == pytest.approx(1.0)
 
     def test_box_to_cloud(self):
         E = build_boundary(
             CantorSet(level=1), resolution=0.25, window=Window((0, 0), (1, 1))
         )
         # cloud corners at (0,0),(3/4,0),(0,3/4),(3/4,3/4)
-        assert box_distance((2.0, 2.0), (3.0, 3.0), E) == pytest.approx(
+        d = box_distance_many(np.array([[2.0, 2.0]]), np.array([[3.0, 3.0]]), E)
+        assert d[0] == pytest.approx(
             np.hypot(2 - 0.75, 2 - 0.75)
         )
 
