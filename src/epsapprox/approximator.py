@@ -55,25 +55,6 @@ class Approximant:
         i = self.cell_of_box.get(bid)
         return None if i is None else self.cells[i]
 
-    def to_json(self):
-        return {
-            "eps": self.eps,
-            "mode": self.mode,
-            "q0": self.q0,
-            "rings": list(self.rings),
-            "cells": [
-                {
-                    "idx": c.idx,
-                    "kind": c.kind,
-                    "anchor": c.anchor,
-                    "value": c.value,
-                    "boxes": list(c.boxes),
-                }
-                for c in self.cells
-            ],
-            "n_jump_facets": len(self.jump_facets),
-        }
-
 
 # ---------------------------------------------------------------------------
 # ordered good cubes and cells

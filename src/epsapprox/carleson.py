@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import CubeSystem
+from .geometry import ball_sums, pair_distances, row_blocks
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,6 @@ class CubeCollection:
 
     def __len__(self):
         return len(self.ids)
-
-    def to_json(self):
-        return sorted(self.ids)
 
 
 def _as_ids(collection) -> list:
@@ -171,16 +169,6 @@ class SparseWitness:
     def mass(self, qid: int) -> float:
         return sum(m for _, m in self.assignments[qid])
 
-    def to_json(self):
-        return {
-            "lambda": self.lam,
-            "feasible": True,
-            "assignments": {
-                str(q): [[int(i), m] for i, m in v]
-                for q, v in self.assignments.items()
-            },
-        }
-
 
 @dataclass
 class InfeasibleCut:
@@ -189,15 +177,6 @@ class InfeasibleCut:
     demand: float
     capacity: float
     feasible: bool = False
-
-    def to_json(self):
-        return {
-            "lambda": self.lam,
-            "feasible": False,
-            "cut_cubes": self.cut_cubes,
-            "demand": self.demand,
-            "capacity": self.capacity,
-        }
 
 
 def sparse_witness(S: CubeSystem, collection, lam: float):
@@ -291,6 +270,10 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     Every sample is a center and `default_radii` are the radii.  A lower
     bound of the true M f; the grid includes the surface-ball radii C1*l(Q)
     so cube averages are always dominated up to the ball/cube mass ratio.
+
+    Centers run in row blocks of one distance block each.  A sample x lies
+    in B(c, r) for exactly the radii from the first one above |x - c|, so
+    it takes the suffix max of c's ball averages over the radii from there.
     """
     E = S.E
     f = np.abs(np.asarray(f, dtype=float))
@@ -298,19 +281,15 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     pts, w = E.points, E.weights
     fw = f * w
     out = np.zeros(E.n_samples)
-    for c in pts:
-        d = np.linalg.norm(pts - c, axis=1)
-        order = np.argsort(d, kind="stable")
-        dw = np.cumsum(w[order])
-        dfw = np.cumsum(fw[order])
-        pos = np.searchsorted(d[order], radii, side="left")
-        for j, r in enumerate(radii):
-            k = pos[j]
-            if k == 0:
-                continue
-            avg = dfw[k - 1] / dw[k - 1]
-            inside = d < r
-            out[inside] = np.maximum(out[inside], avg)
+    for rows in row_blocks(E.n_samples, E.n_samples):
+        d = pair_distances(pts[rows], pts)
+        count, first, (dw, dfw) = ball_sums(d, radii, w, fw)
+        avg = np.divide(dfw, dw, out=np.zeros_like(dfw), where=count > 0)
+        # best[:, j]: max average over the radii from r_j up; 0 past the last
+        best = np.zeros((len(avg), len(radii) + 1))
+        best[:, :-1] = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
+        hit = np.take_along_axis(best, first, axis=1)
+        out = np.maximum(out, hit.max(axis=0))
     return out
 
 

@@ -14,12 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import CubeSystem
+from .geometry import CHUNK, ball_sums, pair_distances, row_blocks
 from .harmonic import HarmonicField
 from .whitney import RegionComplex
-
-# (box, point, candidate) triples per containment test in `owners`
-_OWNER_CHUNK = 1 << 20
-
 
 class FunctionalSuite:
     """Shared evaluation state for one (boundary, regions, field) triple.
@@ -56,6 +53,8 @@ class FunctionalSuite:
         self._numbers_cache: dict = {}
         self.chains = [self.S.chain(i) for i in range(self.E.n_samples)]
         self._neighbor_cache: dict = {}
+        self._gen_x: dict = {}
+        self._order = None
         self.far_ball_factor = far_ball_factor
         self._grad_int = None
         self._grad2_int = None
@@ -134,7 +133,7 @@ class FunctionalSuite:
                 for row, nb in enumerate(nbrs):
                     cands[row, 1 : 1 + len(nb)] = nb
                 out = np.empty(pts.shape[:2], dtype=int)
-                step = max(1, _OWNER_CHUNK // (cands.shape[1] * pts.shape[1]))
+                step = max(1, CHUNK // (cands.shape[1] * pts.shape[1]))
                 for r in range(0, len(ids), step):
                     c = cands[r : r + step]
                     x, y = (pts[r : r + step, :, None, k] for k in (0, 1))
@@ -187,15 +186,23 @@ class FunctionalSuite:
         """Same-generation cubes P with alpha*Delta_Q meeting P.
 
         The surface ball is open (strict inequality), so alpha = 1 with
-        centered cubes reproduces the default cones exactly.
+        centered cubes reproduces the default cones exactly.  A candidate
+        passes the centre test only within r + 2*C1*l(P) of z_Q in x, so
+        only the generation's cubes in that x-window (widened against
+        rounding) are tested, in ascending id order.
         """
         key = (alpha, qid)
         if key not in self._neighbor_cache:
             S = self.S
             c = S.cube(qid)
             r = alpha * S.C1 * c.side
+            ids, xs, side = self._gen_index(c.k)
+            zx = c.z[0]
+            reach = (r + 2 * S.C1 * side) * (1 + 1e-9) + 1e-9 * abs(zx)
+            lo = np.searchsorted(xs, zx - reach, side="left")
+            hi = np.searchsorted(xs, zx + reach, side="right")
             out = []
-            for p in S.relevant_at_gen(c.k):
+            for p in np.sort(ids[lo:hi]).tolist():
                 cp = S.cube(p)
                 if np.linalg.norm(cp.z - c.z) > r + S.C1 * cp.side * 2:
                     continue
@@ -205,25 +212,57 @@ class FunctionalSuite:
             self._neighbor_cache[key] = out
         return self._neighbor_cache[key]
 
+    def _gen_index(self, k: int):
+        """Relevant cube ids of generation k sorted by centre x, their
+        centre xs, and their largest side."""
+        if k not in self._gen_x:
+            ids = np.asarray(self.S.relevant_at_gen(k), dtype=int)
+            xs = np.array([self.S.cube(q).z[0] for q in ids], dtype=float)
+            order = np.argsort(xs, kind="stable")
+            side = max(self.S.cube(q).side for q in ids)
+            self._gen_x[k] = (ids[order], xs[order], side)
+        return self._gen_x[k]
+
+    def _top_down(self) -> list:
+        """Relevant cube ids, every cube after its relevant parent."""
+        if self._order is None:
+            S = self.S
+            self._order = sorted(S.relevant_ids(), key=lambda i: S.cube(i).k)
+        return self._order
+
+    def _per_sample(self, val: dict) -> np.ndarray:
+        """The value of each sample's finest relevant cube."""
+        table = np.zeros(len(self.S.cubes))
+        table[list(val)] = list(val.values())
+        return table[self.S.sample_leaf]
+
     def n_star(self, alpha: float | None = None) -> np.ndarray:
-        """N_* u (default cones) or the alpha-aperture variant, per sample."""
+        """N_* u (default cones) or the alpha-aperture variant, per sample.
+
+        The cone of a sample is the union over its chain of one piece per
+        cube (the cube's region, or its aperture neighbours' regions), so
+        each cube's piece sup is taken once and the running max propagates
+        root to leaf, starting from the far-field sup.
+        """
         key = alpha
         if key in self._nstar_cache:
             return self._nstar_cache[key]
         sup = self.region_sup()
-        out = np.zeros(self.E.n_samples)
         far = self._far_sup()
-        for i, chain in enumerate(self.chains):
-            best = far
-            for q in chain:
-                if alpha is None:
-                    best = max(best, sup[q])
-                else:
-                    for p in self.aperture_neighbors(alpha, q):
-                        best = max(best, sup[p])
-            if best == -np.inf:
-                raise ValueError(f"empty cone at sample {i} (window edge)")
-            out[i] = best
+        val: dict = {}
+        for q in self._top_down():
+            if alpha is None:
+                own = sup[q]
+            else:
+                own = -np.inf
+                for p in self.aperture_neighbors(alpha, q):
+                    own = max(own, sup[p])
+            p = self.S.cube(q).rparent
+            val[q] = max(val[p] if p is not None else far, own)
+        out = self._per_sample(val)
+        empty = np.nonzero(out == -np.inf)[0]
+        if len(empty):
+            raise ValueError(f"empty cone at sample {empty[0]} (window edge)")
         self._nstar_cache[key] = out
         return out
 
@@ -274,12 +313,10 @@ class FunctionalSuite:
         ns = self.n_star(alpha)
         avg = self.S.cube_averages(ns)
         val: dict = {}
-        for q in sorted(self.S.relevant_ids(), key=lambda i: self.S.cube(i).k):
+        for q in self._top_down():
             p = self.S.cube(q).rparent
             val[q] = max(avg[q], val[p]) if p is not None else avg[q]
-        point = np.zeros(self.E.n_samples)
-        for i in range(self.E.n_samples):
-            point[i] = val[int(self.S.sample_leaf[i])]
+        point = self._per_sample(val)
         self._numbers_cache[alpha] = (val, point)
         return val, point
 
@@ -357,13 +394,10 @@ class FunctionalSuite:
             return out
         m = mass[live]
         pos = mids[live]
-        for j, i in enumerate(sample_ids):
-            d = np.linalg.norm(pos - self.E.points[i], axis=1)
-            order = np.argsort(d, kind="stable")
-            csum = np.cumsum(m[order])
-            idx = np.searchsorted(d[order], radii, side="left")
-            vals = np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0)
-            out[j] = float(np.max(vals / radii))
+        pts = self.E.points[np.asarray(sample_ids, dtype=int)]
+        for rows in row_blocks(len(pts), len(pos)):
+            _, _, (csum,) = ball_sums(pair_distances(pts[rows], pos), radii, m)
+            out[rows] = np.max(csum / radii, axis=1)
         return out
 
     def _ball_radii(self) -> np.ndarray:

@@ -348,13 +348,67 @@ def _distance(P: np.ndarray, E: BoundarySet) -> np.ndarray:
     pl = E.polyline()
     if pl is not None:
         return _dist_to_polyline(P, pl)
-    return _dist_to_cloud(P, E.points)
+    return dist_to_cloud(P, E.points)
 
 
-def _dist_to_cloud(P: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+# elements per temporary of every chunked array pass: (row, column) pairs
+# of a distance block, (box, target) pairs in `box_distance_many` and
+# (box, point, candidate) triples in `FunctionalSuite.owners`
+CHUNK = 1 << 16
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list:
+    """Slices of consecutive rows holding at most CHUNK (row, column) pairs."""
+    step = max(1, CHUNK // max(1, n_cols))
+    return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
+
+
+def pair_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """|Q_j - P_i| as a (len(P), len(Q)) block.
+
+    Row i is bit-identical to ``np.linalg.norm(Q - P[i], axis=1)``, which
+    also squares each coordinate difference and adds the two squares.
+    """
+    d = Q[None, :, 0] - P[:, None, 0]
+    dy = Q[None, :, 1] - P[:, None, 1]
+    d *= d
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
+
+
+def ball_sums(d: np.ndarray, radii: np.ndarray, *weights: np.ndarray):
+    """Per row i of a distance block and per radius r_j (ascending):
+
+    * ``count[i, j]``, the number of columns with d < r_j;
+    * ``first[i, k]``, the index of the first radius above d[i, k];
+    * per weight vector, the weight sum over those columns, accumulated in
+      ascending-distance order (stable), so each equals the prefix sum of a
+      single row sorted on its own; 0.0 where the count is 0.
+    """
+    n, m = d.shape[0], len(radii)
+    first = np.searchsorted(radii, d, side="right")
+    cells = (np.arange(n)[:, None] * (m + 1) + first).ravel()
+    count = np.bincount(cells, minlength=n * (m + 1)).reshape(n, m + 1)
+    count = count.cumsum(axis=1)[:, :m]
+    order = np.argsort(d, axis=1, kind="stable")
+    last = np.maximum(count - 1, 0)
+    sums = [
+        np.where(
+            count > 0,
+            np.take_along_axis(np.cumsum(w[order], axis=1), last, axis=1),
+            0.0,
+        )
+        for w in weights
+    ]
+    return count, first, sums
+
+
+def dist_to_cloud(P: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """dist(P_i, cloud) per point, in row blocks of one distance block each."""
     out = np.empty(len(P))
-    for i, p in enumerate(P):
-        out[i] = np.min(np.linalg.norm(cloud - p, axis=1))
+    for rows in row_blocks(len(P), len(cloud)):
+        out[rows] = pair_distances(P[rows], cloud).min(axis=1)
     return out
 
 
@@ -410,13 +464,23 @@ def box_distance_many(
     start = np.searchsorted(targets[:, 0], los[:, 0] - reach, side="left")
     stop = np.searchsorted(targets[:, 0], his[:, 0] + reach, side="right")
     count = stop - start
-    offsets = np.zeros(len(los), dtype=np.intp)
-    np.cumsum(count[:-1], out=offsets[1:])
-    box = np.repeat(np.arange(len(los)), count)
-    idx = np.arange(len(box)) - offsets[box] + start[box]
-    t = targets[idx]
-    d = np.linalg.norm(t - np.clip(t, los[box], his[box]), axis=1)
-    return np.minimum.reduceat(d, offsets)
+    # window offsets of every box; consecutive boxes are taken in blocks
+    # of at most CHUNK (box, target) pairs (or one box, if it alone has more)
+    total = np.zeros(len(los) + 1, dtype=np.intp)
+    np.cumsum(count, out=total[1:])
+    out = np.empty(len(los))
+    i = 0
+    while i < len(los):
+        j = int(np.searchsorted(total, total[i] + CHUNK, side="right")) - 1
+        j = min(max(j, i + 1), len(los))
+        offsets = total[i:j] - total[i]
+        box = np.repeat(np.arange(i, j), count[i:j])
+        idx = np.arange(len(box)) - offsets[box - i] + start[box]
+        t = targets[idx]
+        d = np.linalg.norm(t - np.clip(t, los[box], his[box]), axis=1)
+        out[i:j] = np.minimum.reduceat(d, offsets)
+        i = j
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,6 @@ class PrincipalFamily:
     stop_parent: dict  # family cube -> the cube it stopped against
     depth: dict  # family cube -> chain length to the initial collection
 
-    def to_json(self):
-        return {
-            "cubes": sorted(self.cubes),
-            "initial": list(self.initial),
-            "max_depth": max(self.depth.values(), default=0),
-        }
-
 
 def initial_chain(S: CubeSystem) -> list:
     """Ancestor chain of the central base cube, coarsest first.
@@ -173,9 +166,6 @@ class OscillationLabels:
     def is_red(self, qid: int, ci: int) -> bool:
         return (qid, ci) in self.red
 
-    def to_json(self):
-        return {"eps": self.eps, "n_red_cubes": len(self.cubes)}
-
 
 def oscillation_cubes(
     FS: FunctionalSuite, eps: float, numbers: dict
@@ -205,15 +195,6 @@ class GenerationForest:
     all_cubes: set  # G*: union over regimes and generations
     subregime_top: dict  # qid in a regime -> generation cube anchoring it
     members: dict = field(default_factory=dict)  # gen cube -> its subregime
-
-    def to_json(self):
-        return {
-            "eps": self.eps,
-            "n_generation_cubes": len(self.all_cubes),
-            "max_generations": max(
-                (len(g) for g in self.generations.values()), default=0
-            ),
-        }
 
 
 def generation_cubes(

@@ -22,6 +22,7 @@ from .geometry import (
     Window,
     box_distance_many,
     descriptor_from_json,
+    dist_to_cloud,
 )
 
 # packing bound of the corona's bad cubes and regime tops: checked when the
@@ -382,10 +383,9 @@ def _property3_sup(E, S, corona, reject: bool = False) -> float:
 
 
 def _sup_dist(pts: np.ndarray, targets: np.ndarray) -> float:
-    worst = 0.0
-    for p in pts[:: max(1, len(pts) // 64)]:
-        worst = max(worst, float(np.min(np.linalg.norm(targets - p, axis=1))))
-    return worst
+    """max over about 64 strided points of their distance to the targets."""
+    near = dist_to_cloud(pts[:: max(1, len(pts) // 64)], targets)
+    return float(near.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

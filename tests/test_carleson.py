@@ -1,21 +1,25 @@
 """Packing constants, sparse witnesses, maximal operators, embedding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsapprox import geometry
 from epsapprox.carleson import (
     InfeasibleCut,
     SparseWitness,
     carleson_embedding_check,
+    default_radii,
     dyadic_maximal,
     hl_maximal,
     packing_constant,
     sparse_witness,
 )
 from epsapprox.dyadic import build_cube_system, synthetic_system
-from epsapprox.geometry import Hyperplane, Window, build_boundary
+from epsapprox.geometry import Hyperplane, PointList, Segment, Window, build_boundary
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +195,70 @@ class TestHLMaximal:
         h = S.E.resolution
         assert np.all(mhl[sel] <= w / (x[sel] - 2 * h))
         assert np.all(mhl[sel] >= 0.9 * w / (4 * x[sel]))
+
+
+def _hl_loop(S, f):
+    """Reference: one sorted distance scan per center, radius by radius."""
+    E = S.E
+    f = np.abs(np.asarray(f, dtype=float))
+    radii = default_radii(S)
+    pts, w = E.points, E.weights
+    fw = f * w
+    out = np.zeros(E.n_samples)
+    for c in pts:
+        d = np.linalg.norm(pts - c, axis=1)
+        order = np.argsort(d, kind="stable")
+        dw = np.cumsum(w[order])
+        dfw = np.cumsum(fw[order])
+        pos = np.searchsorted(d[order], radii, side="left")
+        for j, r in enumerate(radii):
+            k = pos[j]
+            if k == 0:
+                continue
+            avg = dfw[k - 1] / dw[k - 1]
+            inside = d < r
+            out[inside] = np.maximum(out[inside], avg)
+    return out
+
+
+def _segment_system():
+    E = build_boundary(Segment(-1.0, 1.0), 1 / 64, Window((-1, -1), (1, 1)))
+    return build_cube_system(E, k_min=-1, k_max=3)
+
+
+def _cloud_system():
+    # a weighted cloud whose points are not sorted by x
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1.0, 1.0, size=(150, 2))
+    wts = rng.uniform(0.5, 1.5, size=150) / 150
+    desc = PointList(tuple(map(tuple, pts)), tuple(map(float, wts)))
+    E = build_boundary(desc, 0.05, Window((-1, -1), (1, 1)))
+    return build_cube_system(E, k_min=0, k_max=3)
+
+
+class TestHLMaximalBlocks:
+    @pytest.mark.parametrize("chunk", [None, 1])
+    @pytest.mark.parametrize("system", ["line", "segment", "cloud"])
+    def test_matches_per_center_loop(self, system, chunk, line_system, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(geometry, "CHUNK", chunk)
+        S = {"line": lambda: line_system, "segment": _segment_system,
+             "cloud": _cloud_system}[system]()
+        f = np.random.default_rng(6).normal(size=S.E.n_samples)
+        assert np.array_equal(hl_maximal(S, f), _hl_loop(S, f))
+
+    def test_transient_memory_bounded(self):
+        # 4097 samples: the full distance matrix alone would be 134 MB
+        E = build_boundary(Hyperplane(), 1 / 512, Window((-4.0, -4.0), (4.0, 4.0)))
+        S = build_cube_system(E, k_min=-4, k_max=4)
+        f = np.random.default_rng(8).random(E.n_samples)
+        tracemalloc.start()
+        try:
+            hl_maximal(S, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEmbedding:

@@ -11,7 +11,8 @@ from epsapprox.functionals import (
     compare_levelsets,
     lp_norm,
 )
-from epsapprox.geometry import Hyperplane, Window, build_boundary
+from epsapprox import geometry
+from epsapprox.geometry import Hyperplane, LipschitzGraph, Window, build_boundary
 from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
@@ -161,6 +162,103 @@ def test_owners_match_per_box_loop(fixture, request):
     assert any((ref[size] < 0).any() for size in ref)  # uncovered points occur
 
 
+@pytest.fixture(scope="module")
+def sin_rc():
+    """Region complex of the graph of 0.2 sin x over [-2, 2]."""
+    E = build_boundary(LipschitzGraph("sin", 0.2), resolution=1 / 64, window=W2)
+    S = build_cube_system(E, k_min=-3, k_max=3)
+    W = whitney_decompose(
+        E, Window((-2.0, -3.0), (2.0, 3.0)), min_side=PARAMS.c_w * 2.0**-3
+    )
+    corona = corona_provider(E, S, "trivial_graph", eta=0.25)
+    return build_regions(S, W, corona, PARAMS)
+
+
+def _aperture_scan(FS, alpha, qid):
+    """Reference: every relevant cube of the generation, in id order."""
+    S = FS.S
+    c = S.cube(qid)
+    r = alpha * S.C1 * c.side
+    out = []
+    for p in S.relevant_at_gen(c.k):
+        cp = S.cube(p)
+        if np.linalg.norm(cp.z - c.z) > r + S.C1 * cp.side * 2:
+            continue
+        d = np.linalg.norm(S.E.points[cp.sample_idx] - c.z, axis=1)
+        if np.min(d) < r:
+            out.append(p)
+    return out
+
+
+def _n_star_loop(FS, alpha):
+    """Reference: per sample, the running max over its chain's cones."""
+    sup = FS.region_sup()
+    out = np.zeros(FS.E.n_samples)
+    far = FS._far_sup()
+    for i, chain in enumerate(FS.chains):
+        best = far
+        for q in chain:
+            if alpha is None:
+                best = max(best, sup[q])
+            else:
+                for p in _aperture_scan(FS, alpha, q):
+                    best = max(best, sup[p])
+        out[i] = best
+    return out
+
+
+# `verify_approximation` reads the cones at alpha0, which need not be on
+# the alpha grid
+APERTURES = [None, 1.0, 4.0, 3.7]
+
+
+@pytest.mark.parametrize("fixture", ["line_rc", "segment_rc", "sin_rc"])
+def test_cones_match_all_pairs_scan(fixture, request):
+    rc = request.getfixturevalue(fixture)
+    far = 2.0 if rc.S.E.bounded else None
+    fs = FunctionalSuite(rc, PoissonIndicator(-0.5, 0.7), far_ball_factor=far)
+    for alpha in APERTURES[1:]:
+        for q in fs.S.relevant_ids():
+            assert fs.aperture_neighbors(alpha, q) == _aperture_scan(fs, alpha, q)
+    for alpha in APERTURES:
+        assert np.array_equal(fs.n_star(alpha), _n_star_loop(fs, alpha))
+    # some neighbour's centre lies outside the ball alpha*Delta_Q, so an
+    # x-window of radius alpha*C1*l(Q) alone would miss it
+    S = fs.S
+    assert any(
+        np.linalg.norm(S.cube(p).z - S.cube(q).z) > alpha * S.C1 * S.side(q)
+        for alpha in APERTURES[1:]
+        for q in S.relevant_ids()
+        for p in fs.aperture_neighbors(alpha, q)
+    )
+
+
+def test_aperture_calls_once_per_cube(line_rc, monkeypatch):
+    fs = FunctionalSuite(line_rc, Coordinate(1))
+    calls = []
+    inner = FunctionalSuite.aperture_neighbors
+    monkeypatch.setattr(
+        FunctionalSuite,
+        "aperture_neighbors",
+        lambda self, a, q: calls.append(q) or inner(self, a, q),
+    )
+    fs.n_star(4.0)
+    assert sorted(calls) == sorted(fs.S.relevant_ids())
+
+
+def test_empty_cone_names_first_sample(line_rc):
+    fs = FunctionalSuite(line_rc, Coordinate(1))
+    chain = set(fs.chains[7])
+    # empty every cone piece on sample 7's chain: exactly the samples of its
+    # finest cube have empty cones
+    sup = fs.region_sup()
+    fs._region_sup = {q: (-np.inf if q in chain else v) for q, v in sup.items()}
+    leaf = fs.S.sample_leaf
+    first = int(np.argmax(leaf == leaf[7]))
+    with pytest.raises(ValueError, match=f"empty cone at sample {first} "):
+        fs.n_star(None)
+
+
 class TestCubeNumbers:
     def test_constant(self, rc):
         fs = FunctionalSuite(rc, Constant(2.0))
@@ -238,6 +336,36 @@ class TestCarlesonFunctionals:
             )
             C = max(C, (far / fs.S.side(q)) ** 1)
         assert np.all(cd <= C * cb * (1 + 1e-6) + 1e-12)
+
+
+def _carleson_ball_loop(fs, mass, sample_ids):
+    """Reference: one sorted distance scan per sample."""
+    lo, hi = fs.W.geom_arrays()
+    live = np.nonzero(mass)[0]
+    pos, m = ((lo + hi) / 2)[live], mass[live]
+    radii = fs._ball_radii()
+    out = np.zeros(len(sample_ids))
+    for j, i in enumerate(sample_ids):
+        d = np.linalg.norm(pos - fs.E.points[i], axis=1)
+        order = np.argsort(d, kind="stable")
+        csum = np.cumsum(m[order])
+        idx = np.searchsorted(d[order], radii, side="left")
+        vals = np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0)
+        out[j] = float(np.max(vals / radii))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 200])
+@pytest.mark.parametrize("fixture", ["line_rc", "segment_rc"])
+def test_carleson_ball_matches_per_sample_loop(fixture, chunk, request, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
+    fs = FunctionalSuite(request.getfixturevalue(fixture), Constant(0.0))
+    rng = np.random.default_rng(5)
+    mass = rng.random(fs.W.n_boxes) * (rng.random(fs.W.n_boxes) < 0.3)
+    ids = np.arange(0, fs.E.n_samples, 3)
+    ref = _carleson_ball_loop(fs, mass, ids)
+    assert np.array_equal(fs.carleson_ball(mass, ids), ref)
 
 
 class TestComparisonLemmas:

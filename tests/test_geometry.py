@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsapprox import geometry
 from epsapprox.geometry import (
     CantorSet,
     Hyperplane,
@@ -214,3 +215,20 @@ class TestBoxDistance:
         his = los + 1.0
         exact = box_distance_many(los, his, E)
         assert np.array_equal(box_distance_many(los, his, E, exact), exact)
+
+    @pytest.mark.parametrize("chunk", [1, 37])
+    def test_box_blocks_match_one_pass(self, chunk, monkeypatch):
+        # boxes taken a few (box, target) pairs at a time give the same
+        # distances as one pass over every pair
+        rng = np.random.default_rng(9)
+        los = rng.uniform(-2.0, 1.5, size=(300, 2))
+        his = los + rng.uniform(0.01, 0.5, size=(300, 1))
+        cloud = PointList(tuple(map(tuple, los[:40])), (0.025,) * 40)
+        for desc in (LipschitzGraph("sin", 0.3), cloud):
+            E = build_boundary(desc, 1 / 64, W2)
+            monkeypatch.setattr(geometry, "CHUNK", 1 << 40)
+            whole = box_distance_many(los, his, E)
+            bound = whole * 1.5 + 0.01
+            monkeypatch.setattr(geometry, "CHUNK", chunk)
+            assert np.array_equal(box_distance_many(los, his, E), whole)
+            assert np.array_equal(box_distance_many(los, his, E, bound), whole)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from epsapprox import geometry
 from epsapprox.carleson import packing_constant
 from epsapprox.config import RegionParams
 from epsapprox.dyadic import build_cube_system
@@ -20,6 +21,7 @@ from epsapprox.geometry import (
 from epsapprox.whitney import (
     WhitneyBox,
     _adjacency,
+    _sup_dist,
     build_regions,
     corona_provider,
     whitney_decompose,
@@ -167,6 +169,25 @@ class TestWhitneyDecompose:
         ]
         assert W.neighbors == neighbors
         assert W.facets == facets
+
+
+def _sup_dist_loop(pts, targets):
+    """Reference: one distance scan per strided point."""
+    worst = 0.0
+    for p in pts[:: max(1, len(pts) // 64)]:
+        worst = max(worst, float(np.min(np.linalg.norm(targets - p, axis=1))))
+    return worst
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+@pytest.mark.parametrize("n_pts", [0, 1, 50, 300])
+def test_sup_dist_matches_per_point_loop(n_pts, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
+    rng = np.random.default_rng(n_pts)
+    pts = rng.uniform(-1.0, 1.0, size=(n_pts, 2))
+    targets = rng.uniform(-1.5, 1.5, size=(700, 2))
+    assert _sup_dist(pts, targets) == _sup_dist_loop(pts, targets)
 
 
 class TestCoronaProvider:
