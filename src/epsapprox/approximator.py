@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .carleson import hl_maximal
 from .functionals import FunctionalSuite, lp_norm
-from .stopping import GenerationForest, OscillationLabels
+from .stopping import GenerationForest, OscillationLabels, initial_chain
 from .whitney import RegionComplex
 
 
@@ -28,32 +29,16 @@ class Cell:
 
 
 @dataclass
-class CellPartition:
-    q0: int
-    ordered_good: list  # the Q_k family, non-increasing side length
-    v_enum: list  # enumeration of the large-oscillation/bad cubes
-    cells: list
-    cell_of_box: dict
-
-
-@dataclass
 class Approximant:
     RC: RegionComplex
     u: object
-    eps: float
     mode: str  # 'local', 'bounded', 'unbounded'
     cells: list
-    cell_of_box: dict
+    cell: np.ndarray  # per box: its cell index, -1 outside the domain
     jump_facets: list  # (a, b, axis, area, mass)
     tv_box: np.ndarray  # per-box binned TV measure (grad + half jumps)
     q0: int | None = None
     rings: list = field(default_factory=list)
-    partition: object = None
-    uncovered: int = 0
-
-    def cell_of(self, bid: int) -> Cell | None:
-        i = self.cell_of_box.get(bid)
-        return None if i is None else self.cells[i]
 
 
 # ---------------------------------------------------------------------------
@@ -99,24 +84,26 @@ def build_partition(
     q0: int,
     family: list,
     values: dict,
-) -> CellPartition:
+) -> tuple[list, np.ndarray]:
     """Carve T_{q0} into V cells (oscillation/bad regions, precedence) and
-    A cells (subregime sawtooth halves minus what is already taken)."""
+    A cells (subregime sawtooth halves minus what is already taken).
+
+    Returns the cells and the per-box cell index (-1 outside T_{q0}).
+    """
     S = RC.S
     t_boxes = RC.carleson_box(q0)
     cells: list[Cell] = []
-    cell_of: dict = {}
+    cell = np.full(RC.W.n_boxes, -1)
 
     def add_cell(kind, anchor, value, boxes):
         boxes = sorted(boxes)
         if not boxes:
             return
-        c = Cell(idx=len(cells), kind=kind, anchor=anchor, value=value, boxes=boxes)
-        cells.append(c)
-        for b in boxes:
-            if b in cell_of:
-                raise RuntimeError(f"box {b} assigned to two cells")
-            cell_of[b] = c.idx
+        if (cell[boxes] >= 0).any():
+            b = next(b for b in boxes if cell[b] >= 0)
+            raise RuntimeError(f"box {b} assigned to two cells")
+        cell[boxes] = len(cells)
+        cells.append(Cell(idx=len(cells), kind=kind, anchor=anchor, value=value, boxes=boxes))
 
     # V cells first (phi_1 has precedence over phi_0 on its closure)
     under = set(S.descendants(q0))
@@ -135,8 +122,7 @@ def build_partition(
             if labels.is_red(qm, ci):
                 add_cell("red", qm, None, boxes)
             else:
-                lo, hi = RC.W.geom(r.centers[ci])
-                x_i = (lo + hi) / 2.0
+                x_i = (RC.W.lo[r.centers[ci]] + RC.W.hi[r.centers[ci]]) / 2.0
                 add_cell("blue", qm, float(values["u"].eval(x_i[None, :])[0]), boxes)
     # A cells: subregime sawtooth halves minus everything taken so far
     for qk in family:
@@ -154,9 +140,7 @@ def build_partition(
         raise RuntimeError(
             f"partition does not cover T_q0: {len(missing)} boxes left"
         )
-    return CellPartition(
-        q0=q0, ordered_good=family, v_enum=v_enum, cells=cells, cell_of_box=cell_of
-    )
+    return cells, cell
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +153,6 @@ def build_local_approximant(
     GF: GenerationForest,
     labels: OscillationLabels,
     q0: int,
-    eps: float,
 ) -> Approximant:
     """phi on T_{q0}: constants on A/blue cells, u on red cells."""
     RC = FS.RC
@@ -179,18 +162,16 @@ def build_local_approximant(
         for sign in "+-":
             y = RC.y_point(qk, sign)
             values[(qk, sign)] = float(FS.u.eval(y[None, :])[0])
-    part = build_partition(RC, GF, labels, q0, family, values)
+    cells, cell = build_partition(RC, GF, labels, q0, family, values)
     A = Approximant(
         RC=RC,
         u=FS.u,
-        eps=eps,
         mode="local",
-        cells=part.cells,
-        cell_of_box=dict(part.cell_of_box),
+        cells=cells,
+        cell=cell,
         jump_facets=[],
         tv_box=np.zeros(RC.W.n_boxes),
         q0=q0,
-        partition=part,
     )
     _assemble_jumps(FS, A)
     return A
@@ -200,7 +181,6 @@ def build_global_approximant(
     FS: FunctionalSuite,
     GF: GenerationForest,
     labels: OscillationLabels,
-    eps: float,
     gamma0: float = 4.0,
 ) -> Approximant:
     """Glue local approximants: bounded mode patches u outside T_{root};
@@ -211,25 +191,23 @@ def build_global_approximant(
     S = RC.S
     root = S.roots[0]
     if S.E.bounded:
-        local = build_local_approximant(FS, GF, labels, root, eps)
+        local = build_local_approximant(FS, GF, labels, root)
         cells = list(local.cells)
-        cell_of = dict(local.cell_of_box)
-        outer = sorted(set(range(RC.W.n_boxes)) - set(cell_of))
-        c = Cell(idx=len(cells), kind="outer", anchor=None, value=None, boxes=outer)
-        cells.append(c)
-        for b in outer:
-            cell_of[b] = c.idx
+        cell = local.cell
+        outer = np.flatnonzero(cell < 0)
+        cell[outer] = len(cells)
+        cells.append(
+            Cell(idx=len(cells), kind="outer", anchor=None, value=None, boxes=outer.tolist())
+        )
         A = Approximant(
             RC=RC,
             u=FS.u,
-            eps=eps,
             mode="bounded",
             cells=cells,
-            cell_of_box=cell_of,
+            cell=cell,
             jump_facets=[],
             tv_box=np.zeros(RC.W.n_boxes),
             q0=root,
-            partition=local.partition,
         )
         _assemble_jumps(FS, A)
         return A
@@ -239,16 +217,16 @@ def build_global_approximant(
             "window too small for >= 2 gamma0-spaced ring cubes; "
             "decrease gamma0 or extend the generation range"
         )
-    locals_ = [build_local_approximant(FS, GF, labels, q, eps) for q in rings]
+    locals_ = [build_local_approximant(FS, GF, labels, q) for q in rings]
     cells: list[Cell] = []
-    cell_of: dict = {}
+    cell = np.full(RC.W.n_boxes, -1)
     prev_t: frozenset = frozenset()
-    for k, (q, loc) in enumerate(zip(rings, locals_)):
+    for q, loc in zip(rings, locals_):
         remap: dict = {}
         t_k = RC.carleson_box(q)
-        for b in sorted(t_k - prev_t):
-            li = loc.cell_of_box.get(b)
-            if li is None:
+        ring = np.array(sorted(t_k - prev_t), dtype=int)
+        for b, li in zip(ring.tolist(), loc.cell[ring].tolist()):
+            if li < 0:
                 continue
             if li not in remap:
                 src = loc.cells[li]
@@ -262,21 +240,18 @@ def build_global_approximant(
                 cells.append(c)
                 remap[li] = c.idx
             cells[remap[li]].boxes.append(b)
-            cell_of[b] = remap[li]
+            cell[b] = remap[li]
         prev_t = prev_t | t_k
-    uncovered = RC.W.n_boxes - len(cell_of)
     A = Approximant(
         RC=RC,
         u=FS.u,
-        eps=eps,
         mode="unbounded",
         cells=cells,
-        cell_of_box=cell_of,
+        cell=cell,
         jump_facets=[],
         tv_box=np.zeros(RC.W.n_boxes),
         q0=root,
         rings=rings,
-        uncovered=uncovered,
     )
     _assemble_jumps(FS, A)
     return A
@@ -284,8 +259,6 @@ def build_global_approximant(
 
 def _ring_chain(S, gamma0: float) -> list:
     """Ancestors of the central base cube with side spacing >= gamma0."""
-    from .stopping import initial_chain
-
     chain = initial_chain(S)  # coarsest first
     chain = chain[::-1]
     out = [chain[0]]
@@ -303,21 +276,20 @@ _FACET_NODES = 9
 
 def _assemble_jumps(FS: FunctionalSuite, A: Approximant):
     """Facet jump table and the per-box binned TV measure."""
-    RC, W, u = A.RC, A.RC.W, A.u
+    W, u = A.RC.W, A.u
     g1, _ = FS.grad_integrals()
     tv = np.zeros(W.n_boxes)
     jumps = []
-    for b in range(W.n_boxes):
-        c = A.cell_of(b)
-        if c is not None and c.value is None:  # red or outer: rule is u
-            tv[b] += g1[b]
+    _, is_u, _ = _box_rules(A)
+    tv[is_u] += g1[is_u]  # red or outer: the rule is u
+    cell = A.cell.tolist()
     for a, b, axis, area in W.facets:
-        ca, cb = A.cell_of(a), A.cell_of(b)
-        if ca is None or cb is None:
+        ia, ib = cell[a], cell[b]
+        if ia < 0 or ib < 0:
             continue  # outside the approximant's domain
-        if ca.idx == cb.idx:
+        if ia == ib:
             continue
-        va, vb = ca.value, cb.value
+        va, vb = A.cells[ia].value, A.cells[ib].value
         if va is None and vb is None:
             continue  # u on both sides: no jump
         if va is not None and vb is not None:
@@ -335,8 +307,8 @@ def _assemble_jumps(FS: FunctionalSuite, A: Approximant):
 
 
 def _facet_nodes(W, a, b, axis, m):
-    lo_a, hi_a = W.geom(a)
-    lo_b, hi_b = W.geom(b)
+    lo_a, hi_a = W.lo[a], W.hi[a]
+    lo_b, hi_b = W.lo[b], W.hi[b]
     plane = hi_a[axis]
     perp = 1 - axis
     t0 = max(lo_a[perp], lo_b[perp])
@@ -353,29 +325,25 @@ def _facet_nodes(W, a, b, axis, m):
 # ---------------------------------------------------------------------------
 
 
+def _box_rules(A: Approximant):
+    """Per box: phi's constant (nan elsewhere), whether the rule is u, and
+    whether the box is in the approximant's domain."""
+    # the trailing entry is read through the -1 of boxes outside the domain
+    value = np.array([np.nan if c.value is None else c.value for c in A.cells] + [np.nan])
+    is_u = np.array([c.value is None for c in A.cells] + [False])
+    return value[A.cell], is_u[A.cell], A.cell >= 0
+
+
 def deviation_sups(FS: FunctionalSuite, A: Approximant) -> np.ndarray:
     """Per box: grid sup of |u - phi| over the fattened grid.
 
     phi is evaluated through the owning core box of each grid point, so the
     sup honestly sees across cell boundaries inside the fattened margin.
     """
-    W = FS.W
-    n = W.n_boxes
-    val = np.full(n, np.nan)
-    is_u = np.zeros(n, dtype=bool)
-    covered = np.zeros(n, dtype=bool)
-    for b in range(n):
-        c = A.cell_of(b)
-        if c is None:
-            continue
-        covered[b] = True
-        if c.value is None:
-            is_u[b] = True
-        else:
-            val[b] = c.value
+    val, is_u, covered = _box_rules(A)
     owners = FS.owners()
-    out = np.zeros(n)
-    for size in FS._by_size:
+    out = np.zeros(FS.W.n_boxes)
+    for size in FS.W.size_groups():
         ids, pts = FS.fat_points(size)
         flat = pts.reshape(-1, 2)
         uv = FS.u.eval(flat).reshape(pts.shape[:2])
@@ -493,8 +461,6 @@ def verify_approximation(
     Smallest passing constants are reported; `pass` keys compare C1 to its
     budget (C2 and the L^p constants are reported for cross-eps stability).
     """
-    from .carleson import hl_maximal
-
     S, w = FS.S, FS.E.weights
     cert = np.asarray(certified, dtype=bool)
     _, m_point = FS.cube_numbers(None)

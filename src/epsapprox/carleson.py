@@ -20,25 +20,7 @@ from .dyadic import CubeSystem
 from .geometry import ball_sums, pair_distances, row_blocks
 
 
-@dataclass(frozen=True)
-class CubeCollection:
-    """A set of relevant cube ids in a host system."""
-
-    ids: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "ids", frozenset(int(i) for i in self.ids))
-
-    def __iter__(self):
-        return iter(sorted(self.ids))
-
-    def __len__(self):
-        return len(self.ids)
-
-
 def _as_ids(collection) -> list:
-    if isinstance(collection, CubeCollection):
-        return sorted(collection.ids)
     return sorted(set(int(i) for i in collection))
 
 
@@ -299,7 +281,7 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
 
 
 def carleson_embedding_check(S: CubeSystem, f: np.ndarray, collection, q0: int):
-    """lhs = sum над collection inside Q0 of int_Q f; rhs = Lambda*int_{Q0} M_dyadic f.
+    """lhs = sum over collection inside Q0 of int_Q f; rhs = Lambda*int_{Q0} M_dyadic f.
 
     Returns (lhs, rhs, holds).  A violation indicates an implementation bug:
     the inequality is unconditional.

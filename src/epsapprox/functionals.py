@@ -40,9 +40,6 @@ class FunctionalSuite:
         self.u = u
         self.sample_frac = sample_frac
         self.tau = RC.params.tau
-        self._by_size: dict = {}
-        for b in self.W.boxes:
-            self._by_size.setdefault(b.size, []).append(b.id)
         self._fat = {}
         self._core = {}
         self._owner = None
@@ -77,27 +74,22 @@ class FunctionalSuite:
     def fat_points(self, size: int):
         """(box ids, points array (nbox, npts, 2)) for one size group."""
         if size not in self._fat:
-            ids = np.asarray(self._by_size[size])
-            los = np.array([self.W.boxes[i].lo for i in ids], dtype=float)
-            lo = self.W.base + self.W.unit * los
-            side = self.W.unit * size
-            off = self._offsets(fat=True) * side
-            self._fat[size] = (ids, lo[:, None, :] + off[None, :, :])
+            ids = self.W.size_groups()[size]
+            off = self._offsets(fat=True) * (self.W.unit * size)
+            self._fat[size] = (ids, self.W.lo[ids][:, None, :] + off[None, :, :])
         return self._fat[size]
 
     def core_midpoints(self, size: int):
         """(ids, midpoints (nbox, m, 2), cell volume) for quadrature."""
         if size not in self._core:
-            ids = np.asarray(self._by_size[size])
-            los = np.array([self.W.boxes[i].lo for i in ids], dtype=float)
-            lo = self.W.base + self.W.unit * los
+            ids = self.W.size_groups()[size]
             side = self.W.unit * size
             m = max(2, int(np.ceil(1.0 / self.sample_frac)))
             t = (np.arange(m) + 0.5) / m
             gx, gy = np.meshgrid(t, t, indexing="ij")
             off = np.column_stack([gx.ravel(), gy.ravel()]) * side
             vol = (side / m) ** 2
-            self._core[size] = (ids, lo[:, None, :] + off[None, :, :], vol)
+            self._core[size] = (ids, self.W.lo[ids][:, None, :] + off[None, :, :], vol)
         return self._core[size]
 
     def box_extrema(self):
@@ -105,7 +97,7 @@ class FunctionalSuite:
         if self._comp_stats is None:
             mx = np.full(self.W.n_boxes, -np.inf)
             mn = np.full(self.W.n_boxes, np.inf)
-            for size in self._by_size:
+            for size in self.W.size_groups():
                 ids, pts = self.fat_points(size)
                 vals = self.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2])
                 mx[ids] = vals.max(axis=1)
@@ -121,11 +113,10 @@ class FunctionalSuite:
         """
         if self._owner is None:
             owner = {}
-            lo_all, hi_all = self.W.geom_arrays()
             # padding candidate: an empty box, never hit
-            lo_all = np.vstack([lo_all, np.full(2, np.inf)])
-            hi_all = np.vstack([hi_all, np.full(2, -np.inf)])
-            for size in self._by_size:
+            lo_all = np.vstack([self.W.lo, np.full(2, np.inf)])
+            hi_all = np.vstack([self.W.hi, np.full(2, -np.inf)])
+            for size in self.W.size_groups():
                 ids, pts = self.fat_points(size)
                 nbrs = [self.W.neighbors[b] for b in ids]
                 cands = np.full((len(ids), 1 + max(map(len, nbrs))), -1)
@@ -157,7 +148,7 @@ class FunctionalSuite:
         if self._grad_int is None:
             g1 = np.zeros(self.W.n_boxes)
             g2 = np.zeros(self.W.n_boxes)
-            for size in self._by_size:
+            for size in self.W.size_groups():
                 ids, pts, vol = self.core_midpoints(size)
                 flat = pts.reshape(-1, 2)
                 gr = np.linalg.norm(self.u.grad(flat), axis=1).reshape(
@@ -272,8 +263,7 @@ class FunctionalSuite:
             return -np.inf
         z0 = self.E.points[0]
         R = self.far_ball_factor * self.E.diameter
-        lo, hi = self.W.geom_arrays()
-        mids = (lo + hi) / 2
+        mids = (self.W.lo + self.W.hi) / 2
         outside = np.linalg.norm(mids - z0, axis=1) > R
         if not outside.any():
             return -np.inf
@@ -364,7 +354,7 @@ class FunctionalSuite:
 
     def _tower_sup(self, mass: np.ndarray) -> float:
         z0 = self.E.points[0]
-        lo, hi = self.W.geom_arrays()
+        lo, hi = self.W.lo, self.W.hi
         far = np.maximum(np.linalg.norm(lo - z0, axis=1), np.linalg.norm(hi - z0, axis=1))
         t_root = max(
             (far[b] for b in self.RC.carleson_box(self.S.roots[0])), default=0.0
@@ -385,8 +375,7 @@ class FunctionalSuite:
 
         Box masses are binned at box centers (midpoint convention).
         """
-        lo, hi = self.W.geom_arrays()
-        mids = (lo + hi) / 2
+        mids = (self.W.lo + self.W.hi) / 2
         live = np.nonzero(mass)[0]
         radii = self._ball_radii()
         out = np.zeros(len(sample_ids))

@@ -280,7 +280,6 @@ class BoundarySet:
     points: np.ndarray
     weights: np.ndarray
     params: np.ndarray | None
-    geom_tol: float = GEOM_TOL
     _polyline: np.ndarray | None = None
 
     @property
@@ -505,7 +504,6 @@ _ADR_RADII = 12
 
 @dataclass
 class ADRReport:
-    tested_centers: np.ndarray
     tested_radii: list
     ratios: list
     lower_constant: float
@@ -574,7 +572,6 @@ def check_adr(
     lower = float(min(flat))
     upper = float(max(flat))
     return ADRReport(
-        tested_centers=centers,
         tested_radii=radii_all,
         ratios=ratios_all,
         lower_constant=lower,

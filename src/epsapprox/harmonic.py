@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundarySet, _distance
+from .geometry import GEOM_TOL, BoundarySet, _distance
 
 
 class HarmonicField:
@@ -188,7 +188,7 @@ def make_field(desc, E: BoundarySet | None = None) -> HarmonicField:
         pole = tuple(p["pole"])
         if E is not None:
             d = _distance(np.asarray([pole], dtype=float), E)[0]
-            if d > max(E.geom_tol, E.resolution):
+            if d > max(GEOM_TOL, E.resolution):
                 raise ValueError(f"pole {pole} lies off the boundary (dist {d:.3g})")
         return FundamentalPole(pole)
     if t in ("poisson_indicator", "poisson_quadrature"):

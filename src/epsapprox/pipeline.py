@@ -278,7 +278,7 @@ def stage_approximate(cfg: RunConfig, grid, regions):
     for eps in cfg.eps_grid:
         labels = oscillation_cubes(FS, eps, numbers)
         gf = generation_cubes(RC, eps, numbers, u)
-        A = build_global_approximant(FS, gf, labels, eps, gamma0=cfg.gamma0)
+        A = build_global_approximant(FS, gf, labels, gamma0=cfg.gamma0)
         state["per_eps"][eps] = {"labels": labels, "gf": gf, "A": A}
     return state
 

@@ -33,7 +33,6 @@ class PrincipalFamily:
     cubes: set
     initial: list  # the increasing chain I
     projection: dict  # qid -> smallest family cube containing it
-    stop_parent: dict  # family cube -> the cube it stopped against
     depth: dict  # family cube -> chain length to the initial collection
 
 
@@ -63,7 +62,6 @@ def principal_cubes(S: CubeSystem, numbers: dict, chain: list) -> PrincipalFamil
         raise ValueError("initial collection is empty")
     fam = set(chain)
     proj: dict = {}
-    stop_parent: dict = {}
     depth = {q: 0 for q in chain}
 
     def project_all():
@@ -95,7 +93,6 @@ def principal_cubes(S: CubeSystem, numbers: dict, chain: list) -> PrincipalFamil
                 blocked.add(q)
         for q, anchor in added:
             fam.add(q)
-            stop_parent[q] = anchor
             depth[q] = depth[anchor] + 1
             changed = True
         if changed:
@@ -106,7 +103,6 @@ def principal_cubes(S: CubeSystem, numbers: dict, chain: list) -> PrincipalFamil
         cubes=fam,
         initial=list(chain),
         projection=proj,
-        stop_parent=stop_parent,
         depth=depth,
     )
 
@@ -158,8 +154,6 @@ def verify_principal_packing(
 
 @dataclass
 class OscillationLabels:
-    eps: float
-    osc: dict  # (qid, comp idx) -> oscillation of u
     red: set  # (qid, comp idx) with large oscillation
     cubes: set  # qids with some red component (the collection R)
 
@@ -173,14 +167,13 @@ def oscillation_cubes(
     """Label region components red/blue by osc u > eps * cube number."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
-    osc = FS.oscillations()
     red = set()
     cubes = set()
-    for (q, ci), v in osc.items():
+    for (q, ci), v in FS.oscillations().items():
         if v > eps * numbers[q]:
             red.add((q, ci))
             cubes.add(q)
-    return OscillationLabels(eps=eps, osc=osc, red=red, cubes=cubes)
+    return OscillationLabels(red=red, cubes=cubes)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +183,6 @@ def oscillation_cubes(
 
 @dataclass
 class GenerationForest:
-    eps: float
     generations: dict  # regime idx -> list of sets G_0, G_1, ...
     all_cubes: set  # G*: union over regimes and generations
     subregime_top: dict  # qid in a regime -> generation cube anchoring it
@@ -256,7 +248,6 @@ def generation_cubes(
             frontier = sorted(next_gen)
         generations[reg.idx] = gens
     return GenerationForest(
-        eps=eps,
         generations=generations,
         all_cubes=all_cubes,
         subregime_top=subregime_top,

@@ -31,47 +31,33 @@ CORONA_PACKING_BUDGET = 16.0
 
 
 @dataclass
-class WhitneyBox:
-    id: int
-    lo: tuple  # ints, units of `unit`, relative to base
-    size: int  # side in units; a power of two
-    dist: float  # dist(I, E)
-
-    def geom(self, base, unit):
-        lo = base + unit * np.asarray(self.lo, dtype=float)
-        return lo, lo + unit * self.size
-
-
-@dataclass
 class WhitneyComplex:
+    """Accepted boxes as arrays indexed by box id, in (size, lo) order, so
+    each size group is a contiguous id range."""
+
     E: BoundarySet
     window: Window
     unit: float
     base: np.ndarray
-    boxes: list
+    ij: np.ndarray  # (n, 2) int64 lattice corners, units of `unit` from base
+    size: np.ndarray  # (n,) int64 sides in units; powers of two
+    dist: np.ndarray  # (n,) dist(I, E)
+    lo: np.ndarray  # (n, 2) float corners, base + unit * ij
+    hi: np.ndarray  # (n, 2) float corners, lo + unit * size
     neighbors: list  # per box: sorted ids with closed-box contact
     facets: list  # (a, b, axis, area) with a.hi == b.lo on axis, overlap > 0
 
     @property
     def n_boxes(self) -> int:
-        return len(self.boxes)
+        return len(self.size)
 
-    def geom(self, bid: int):
-        return self.boxes[bid].geom(self.base, self.unit)
-
-    def geom_arrays(self):
-        los = np.array([b.lo for b in self.boxes], dtype=float)
-        sizes = np.array([b.size for b in self.boxes], dtype=float)
-        lo = self.base + self.unit * los
-        hi = lo + self.unit * sizes[:, None]
-        return lo, hi
-
-    def side(self, bid: int) -> float:
-        return self.unit * self.boxes[bid].size
-
-    def volume(self, bid: int) -> float:
-        b = self.boxes[bid]
-        return (self.unit * b.size) ** 2
+    def size_groups(self) -> dict:
+        """Box size -> its ids (a contiguous range), ascending."""
+        sizes, starts = np.unique(self.size, return_index=True)
+        stops = [*starts[1:].tolist(), self.n_boxes]
+        return {
+            s: np.arange(a, b) for s, a, b in zip(sizes.tolist(), starts.tolist(), stops)
+        }
 
 
 def whitney_decompose(
@@ -99,7 +85,7 @@ def whitney_decompose(
     base = cell * np.floor(np.asarray(window.lo, dtype=float) / cell)
     sq2 = np.sqrt(2.0)
 
-    boxes: list[WhitneyBox] = []
+    levels = []  # (lattice corners, size, dist) of the accepted boxes per level
     size = n_units
     lo = n_units * _CORNERS
     bound = np.full(len(lo), np.inf)
@@ -113,10 +99,7 @@ def whitney_decompose(
         d = box_distance_many(glo, ghi, E, bound)
         diam = sq2 * unit * size
         ok = d >= diam
-        boxes.extend(
-            WhitneyBox(id=-1, lo=tuple(ij), size=size, dist=dist)
-            for ij, dist in zip(lo[ok].tolist(), d[ok].tolist())
-        )
+        levels.append((lo[ok], np.full(int(ok.sum()), size, dtype=np.int64), d[ok]))
         if size == 1:
             break
         half = size // 2
@@ -124,16 +107,21 @@ def whitney_decompose(
         bound = np.repeat(d[~ok] + diam, len(_CORNERS))
         size = half
 
-    boxes.sort(key=lambda b: (b.size, b.lo))
-    for i, b in enumerate(boxes):
-        b.id = i
-    neighbors, facets = _adjacency(boxes, unit)
+    ij, sizes, dist = (np.concatenate(a) for a in zip(*levels))
+    order = np.lexsort((ij[:, 1], ij[:, 0], sizes))
+    ij, sizes, dist = ij[order], sizes[order], dist[order]
+    blo = base + unit * ij.astype(float)
+    neighbors, facets = _adjacency(ij, sizes, unit)
     return WhitneyComplex(
         E=E,
         window=window,
         unit=unit,
         base=base,
-        boxes=boxes,
+        ij=ij,
+        size=sizes,
+        dist=dist,
+        lo=blo,
+        hi=blo + unit * sizes[:, None].astype(float),
         neighbors=neighbors,
         facets=facets,
     )
@@ -144,53 +132,54 @@ def whitney_decompose(
 _CORNERS = np.array(((0, 0), (1, 0), (0, 1), (1, 1)), dtype=np.int64)
 
 
-def _adjacency(boxes, unit):
+def _adjacency(ij, size, unit):
     """Face sweep: contacts (incl. corner touch) and positive-area facets.
 
     Faces sharing a plane form two sequences of non-overlapping intervals
     (the boxes on either side tile), so a sorted two-pointer merge finds all
     contacts in linear time.
     """
-    neighbors = [set() for _ in boxes]
+    lo, s = ij.tolist(), size.tolist()
+    ids = range(len(s))
+    neighbors = [set() for _ in ids]
     facets = []
     for axis in (0, 1):
         perp = 1 - axis
         plane: dict = {}
-        for b in boxes:
-            plane.setdefault(b.lo[axis] + b.size, ([], []))[0].append(b)
-            plane.setdefault(b.lo[axis], ([], []))[1].append(b)
+        for b in ids:
+            plane.setdefault(lo[b][axis] + s[b], ([], []))[0].append(b)
+            plane.setdefault(lo[b][axis], ([], []))[1].append(b)
         for _, (plus, minus) in plane.items():
             if not plus or not minus:
                 continue
-            plus.sort(key=lambda b: b.lo[perp])
-            minus.sort(key=lambda b: b.lo[perp])
+            plus.sort(key=lambda b: lo[b][perp])
+            minus.sort(key=lambda b: lo[b][perp])
             i = j = 0
             while i < len(plus) and j < len(minus):
                 a, c = plus[i], minus[j]
-                lo = max(a.lo[perp], c.lo[perp])
-                hi = min(a.lo[perp] + a.size, c.lo[perp] + c.size)
-                if hi > lo:
-                    neighbors[a.id].add(c.id)
-                    neighbors[c.id].add(a.id)
-                    facets.append((a.id, c.id, axis, float((hi - lo) * unit)))
-                if a.lo[perp] + a.size <= c.lo[perp] + c.size:
+                a_end, c_end = lo[a][perp] + s[a], lo[c][perp] + s[c]
+                overlap = min(a_end, c_end) - max(lo[a][perp], lo[c][perp])
+                if overlap > 0:
+                    neighbors[a].add(c)
+                    neighbors[c].add(a)
+                    facets.append((a, c, axis, float(overlap * unit)))
+                if a_end <= c_end:
                     i += 1
                 else:
                     j += 1
     # corner contacts (zero-overlap, incl. diagonal) via shared corner points
     corner_map: dict = {}
-    for b in boxes:
-        x0, y0 = b.lo
-        s = b.size
-        for corner in ((x0, y0), (x0 + s, y0), (x0, y0 + s), (x0 + s, y0 + s)):
-            corner_map.setdefault(corner, []).append(b.id)
-    for ids in corner_map.values():
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                neighbors[ids[i]].add(ids[j])
-                neighbors[ids[j]].add(ids[i])
+    for b in ids:
+        x0, y0 = lo[b]
+        for corner in ((x0, y0), (x0 + s[b], y0), (x0, y0 + s[b]), (x0 + s[b], y0 + s[b])):
+            corner_map.setdefault(corner, []).append(b)
+    for group in corner_map.values():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                neighbors[group[i]].add(group[j])
+                neighbors[group[j]].add(group[i])
     facets.sort()
-    return [sorted(s) for s in neighbors], facets
+    return [sorted(n) for n in neighbors], facets
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +384,6 @@ def _sup_dist(pts: np.ndarray, targets: np.ndarray) -> float:
 
 @dataclass
 class WhitneyRegion:
-    qid: int
     boxes: list  # all member box ids, sorted
     components: list  # list of sorted box-id lists
     labels: list  # per component: '+', '-', or 'i<k>'
@@ -420,8 +408,7 @@ class RegionComplex:
         """X_Q^{sign}: center of the largest box of the signed component."""
         r = self.regions[qid]
         bid = r.centers[r.labels.index(sign)]
-        lo, hi = self.W.geom(bid)
-        return (lo + hi) / 2.0
+        return (self.W.lo[bid] + self.W.hi[bid]) / 2.0
 
     def y_point(self, qid: int, sign: str) -> np.ndarray:
         """Y_Q^{sign} = X of the parent (or of Q itself at a regime top)."""
@@ -474,17 +461,11 @@ def build_regions(
     sign against the regime graph; defective ones are demoted to the bad set
     and the regimes are re-cohered.
     """
-    lo_all, hi_all = W.geom_arrays()
-    by_size: dict = {}
-    for i, b in enumerate(W.boxes):
-        by_size.setdefault(b.size, []).append(i)
     # per size group: ids sorted by geometric lo-x for windowed slicing
     size_index = {}
-    for size, ids in by_size.items():
-        ids = np.asarray(ids)
-        order = np.argsort(lo_all[ids, 0], kind="stable")
-        ids = ids[order]
-        size_index[size] = (ids, lo_all[ids, 0])
+    for size, ids in W.size_groups().items():
+        ids = ids[np.argsort(W.lo[ids, 0], kind="stable")]
+        size_index[size] = (ids, W.lo[ids, 0])
 
     regions: dict = {}
     demoted = set()
@@ -504,8 +485,8 @@ def build_regions(
             b = np.searchsorted(lox, qhi[0] + reach, side="right")
             ids_w = ids[a:b]
             # distance from box to the sample bbox of Q
-            gap_lo = np.maximum(qlo[None, :] - hi_all[ids_w], 0.0)
-            gap_hi = np.maximum(lo_all[ids_w] - qhi[None, :], 0.0)
+            gap_lo = np.maximum(qlo[None, :] - W.hi[ids_w], 0.0)
+            gap_hi = np.maximum(W.lo[ids_w] - qhi[None, :], 0.0)
             gap = np.sqrt(((gap_lo + gap_hi) ** 2).sum(axis=1))
             keep = ids_w[gap <= reach]
             members.extend(int(i) for i in keep)
@@ -524,7 +505,6 @@ def build_regions(
             good = False
             labels, centers, _ = _label_components(W, comps, None, False)
         regions[q] = WhitneyRegion(
-            qid=q,
             boxes=members,
             components=comps,
             labels=labels,
@@ -540,7 +520,7 @@ def build_regions(
                 box_owners.setdefault(bid, []).append((q, ci))
     for v in box_owners.values():
         v.sort()
-    stats = _region_stats(S, W, regions, params)
+    stats = _region_stats(S, W, regions)
     stats["demoted"] = sorted(demoted)
     return RegionComplex(
         S=S,
@@ -577,18 +557,15 @@ def _components(members, neighbors):
 
 def _label_components(W: WhitneyComplex, comps, reg, good):
     """Label components by graph side (good) or index (bad); find X boxes."""
-    centers = []
-    for comp in comps:
-        best = max(comp, key=lambda b: (W.boxes[b].size, -b))
-        centers.append(best)
+    # the largest box, smallest id first (components are sorted)
+    centers = [comp[int(np.argmax(W.size[comp]))] for comp in comps]
     if not good or reg is None:
         return [f"i{k}" for k in range(len(comps))], centers, False
     if len(comps) != 2:
         return [f"i{k}" for k in range(len(comps))], centers, False
     labels = []
     for comp in comps:
-        mids = np.array([(np.add(*W.geom(b))) / 2.0 for b in comp])
-        side = reg.side_of(mids)
+        side = reg.side_of((W.lo[comp] + W.hi[comp]) / 2.0)
         if np.all(side > 0):
             labels.append("+")
         elif np.all(side < 0):
@@ -644,18 +621,21 @@ def _recohere(S: CubeSystem, corona: CoronaDecomposition, demoted) -> CoronaDeco
     )
 
 
-def _region_stats(S, W, regions, params: RegionParams) -> dict:
+def _region_stats(S, W, regions) -> dict:
     """Measured comparability constants of the region complex."""
     vol_ratio_lo, vol_ratio_hi = np.inf, 0.0
     delta_lo, delta_hi = np.inf, 0.0
     overlap_num = 0.0
     covered: set = set()
     n_comp_max = 0
+    side = [W.unit * s for s in W.size.tolist()]
+    volume = [a**2 for a in side]
+    dist = W.dist.tolist()
     for q, r in regions.items():
         if not r.boxes:
             continue
         c = S.cube(q)
-        vol = sum(W.volume(b) for b in r.boxes)
+        vol = sum(volume[b] for b in r.boxes)
         ratio = vol / c.side**2
         vol_ratio_lo = min(vol_ratio_lo, ratio)
         vol_ratio_hi = max(vol_ratio_hi, ratio)
@@ -663,12 +643,10 @@ def _region_stats(S, W, regions, params: RegionParams) -> dict:
         covered.update(r.boxes)
         n_comp_max = max(n_comp_max, len(r.components))
         for b in r.boxes[:: max(1, len(r.boxes) // 8)]:
-            lo, hi = W.geom(b)
-            d = W.boxes[b].dist
-            mid_delta = d + 0.0  # dist(I,E) ~ delta at the box within a diam
-            delta_lo = min(delta_lo, mid_delta / c.side)
-            delta_hi = max(delta_hi, (d + np.sqrt(2.0) * W.side(b)) / c.side)
-    union_vol = sum(W.volume(b) for b in covered)
+            # dist(I,E) ~ delta at the box within a diam
+            delta_lo = min(delta_lo, dist[b] / c.side)
+            delta_hi = max(delta_hi, (dist[b] + np.sqrt(2.0) * side[b]) / c.side)
+    union_vol = sum(volume[b] for b in covered)
     return {
         "volume_ratio_range": (float(vol_ratio_lo), float(vol_ratio_hi)),
         "delta_over_side_range": (float(delta_lo), float(delta_hi)),

@@ -38,10 +38,10 @@ def eval_approximant(A: Approximant, X) -> float:
     bid = locate(W, X)
     if bid is None:
         raise ValueError(f"point {X} is outside the box complex")
-    cell = A.cell_of(bid)
-    if cell is None:
+    if A.cell[bid] < 0:
         raise ValueError(f"point {X} is outside the approximant's cells")
-    lo, hi = W.geom(bid)
+    cell = A.cells[A.cell[bid]]
+    lo, hi = W.lo[bid], W.hi[bid]
     if np.any(X == lo) or np.any(X == hi):
         return float(A.u.eval(X[None, :])[0])
     if cell.value is None:
@@ -64,8 +64,7 @@ def total_variation(FS: FunctionalSuite, A: Approximant, boxset) -> dict:
     grad = 0.0
     g1, _ = FS.grad_integrals()
     for b in boxset:
-        c = A.cell_of(b)
-        if c is not None and c.value is None:
+        if A.cell[b] >= 0 and A.cells[A.cell[b]].value is None:
             grad += g1[b]
     return {"jump": jump, "grad": grad, "total": jump + grad}
 
@@ -86,7 +85,7 @@ def state_t(line_rc):
 @pytest.fixture(scope="module")
 def local_t(line_rc, state_t):
     fs, numbers, labels, gf = state_t
-    return build_local_approximant(fs, gf, labels, line_rc.S.roots[0], 0.5)
+    return build_local_approximant(fs, gf, labels, line_rc.S.roots[0])
 
 
 class TestOrderedFamily:
@@ -129,7 +128,7 @@ class TestPartition:
     def test_constant_field_single_a_cell(self, line_rc):
         fs, numbers, labels, gf = make_state(line_rc, Constant(2.0), 0.3)
         root = line_rc.S.roots[0]
-        A = build_local_approximant(fs, gf, labels, root, 0.3)
+        A = build_local_approximant(fs, gf, labels, root)
         kinds = {c.kind for c in A.cells}
         # one A pair over the single subregime; demoted edge cubes appear as
         # (all-blue) V cells since u is constant
@@ -142,8 +141,8 @@ class TestPartition:
         A = local_t
         W = line_rc.W
         t_boxes = line_rc.carleson_box(A.q0)
-        total = sum(W.boxes[b].size ** 2 for b in t_boxes)
-        cells = sum(W.boxes[b].size ** 2 for c in A.cells for b in c.boxes)
+        total = sum(int(W.size[b]) ** 2 for b in t_boxes)
+        cells = sum(int(W.size[b]) ** 2 for c in A.cells for b in c.boxes)
         assert cells == total
 
     def test_cells_disjoint(self, local_t):
@@ -157,15 +156,13 @@ class TestPartition:
         W = line_rc.W
         rng = np.random.default_rng(8)
         t_boxes = sorted(line_rc.carleson_box(local_t.q0))
-        lo = np.array([W.geom(b)[0] for b in t_boxes])
-        hi = np.array([W.geom(b)[1] for b in t_boxes])
+        lo, hi = W.lo[t_boxes], W.hi[t_boxes]
         for _ in range(300):
             b = t_boxes[rng.integers(len(t_boxes))]
-            blo, bhi = W.geom(b)
-            p = rng.uniform(blo + 1e-9, bhi - 1e-9)
+            p = rng.uniform(W.lo[b] + 1e-9, W.hi[b] - 1e-9)
             inside = np.where(np.all(p >= lo, axis=1) & np.all(p < hi, axis=1))[0]
             assert len(inside) == 1
-            assert local_t.cell_of_box[t_boxes[inside[0]]] is not None
+            assert local_t.cell[t_boxes[inside[0]]] >= 0
 
     def test_a_cells_inside_sawtooth_halves(self, line_rc, state_t, local_t):
         gf = state_t[3]
@@ -192,7 +189,7 @@ class TestPartition:
 class TestValues:
     def test_constant_field_phi_equals_u_exactly(self, line_rc):
         fs, numbers, labels, gf = make_state(line_rc, Constant(2.5), 0.3)
-        A = build_local_approximant(fs, gf, labels, line_rc.S.roots[0], 0.3)
+        A = build_local_approximant(fs, gf, labels, line_rc.S.roots[0])
         assert all(c.value == 2.5 for c in A.cells if c.value is not None)
         assert len(A.jump_facets) == 0
         assert float(A.tv_box.sum()) == 0.0
@@ -213,8 +210,8 @@ class TestValues:
                 found = False
                 for ci, comp in enumerate(r.components):
                     if set(c.boxes) <= set(comp):
-                        lo, hi = line_rc.W.geom(r.centers[ci])
-                        x_i = (lo + hi) / 2
+                        W = line_rc.W
+                        x_i = (W.lo[r.centers[ci]] + W.hi[r.centers[ci]]) / 2
                         assert c.value == pytest.approx(x_i[1], rel=1e-12)
                         found = True
                 assert found
@@ -238,8 +235,7 @@ class TestValues:
 class TestEval:
     def test_a_cell_rule(self, line_rc, local_t):
         c = next(c for c in local_t.cells if c.kind == "A+" and c.boxes)
-        lo, hi = line_rc.W.geom(c.boxes[0])
-        X = (lo + hi) / 2
+        X = (line_rc.W.lo[c.boxes[0]] + line_rc.W.hi[c.boxes[0]]) / 2
         assert eval_approximant(local_t, X) == c.value
 
     def test_red_cell_rule_returns_u(self, line_rc, state_t, local_t):
@@ -247,14 +243,14 @@ class TestEval:
         reds = [c for c in local_t.cells if c.kind == "red" and c.boxes]
         if not reds:
             pytest.skip("no red cells")
-        lo, hi = line_rc.W.geom(reds[0].boxes[0])
-        X = (lo + hi) / 2
+        b = reds[0].boxes[0]
+        X = (line_rc.W.lo[b] + line_rc.W.hi[b]) / 2
         assert eval_approximant(local_t, X) == float(fs.u.eval(X[None, :])[0])
 
     def test_facet_point_returns_u(self, line_rc, state_t, local_t):
         fs = state_t[0]
         b = local_t.cells[0].boxes[0]
-        lo, hi = line_rc.W.geom(b)
+        lo, hi = line_rc.W.lo[b], line_rc.W.hi[b]
         X = np.array([lo[0], (lo[1] + hi[1]) / 2])  # on the left face
         assert eval_approximant(local_t, X) == float(fs.u.eval(X[None, :])[0])
 
@@ -264,15 +260,14 @@ class TestEval:
         t_boxes = sorted(line_rc.carleson_box(local_t.q0))
         for _ in range(200):
             b = t_boxes[rng.integers(len(t_boxes))]
-            lo, hi = W.geom(b)
-            X = rng.uniform(lo + 1e-9, hi - 1e-9)
+            X = rng.uniform(W.lo[b] + 1e-9, W.hi[b] - 1e-9)
             fast = eval_approximant(local_t, X)
             # slow path: scan all cells for the box containing X
             hit = [
                 c
                 for c in local_t.cells
                 for bb in c.boxes
-                if np.all(X >= W.geom(bb)[0]) and np.all(X < W.geom(bb)[1])
+                if np.all(X >= W.lo[bb]) and np.all(X < W.hi[bb])
             ]
             assert len(hit) == 1
             c = hit[0]
@@ -285,7 +280,7 @@ class TestEval:
 class TestTotalVariation:
     def test_single_jump_exact(self, line_rc, local_t):
         a, b, axis, area, mass = local_t.jump_facets[0]
-        ca, cb = local_t.cell_of(a), local_t.cell_of(b)
+        ca, cb = (local_t.cells[local_t.cell[x]] for x in (a, b))
         if ca.value is not None and cb.value is not None:
             assert mass == abs(ca.value - cb.value) * area
 
@@ -296,7 +291,7 @@ class TestTotalVariation:
             pytest.skip("no red cells")
         W = line_rc.W
         tv = total_variation(state_t[0], local_t, set(reds[0].boxes))
-        vol = sum(W.volume(b) for b in reds[0].boxes)
+        vol = sum((W.unit * W.size[b]) ** 2 for b in reds[0].boxes)
         assert tv["grad"] == pytest.approx(vol, rel=1e-12)
 
     def test_monotone_under_inclusion(self, line_rc, state_t, local_t):
@@ -311,7 +306,7 @@ class TestTotalVariation:
     def test_additive_over_separated_sets(self, line_rc, state_t, local_t):
         fs = state_t[0]
         W = line_rc.W
-        lo, hi = W.geom_arrays()
+        lo, hi = W.lo, W.hi
         left = {b for b in range(W.n_boxes) if hi[b][0] <= -0.5}
         right = {b for b in range(W.n_boxes) if lo[b][0] >= 0.5}
         tv_l = total_variation(fs, local_t, left)["total"]
@@ -320,15 +315,39 @@ class TestTotalVariation:
         assert tv_both == pytest.approx(tv_l + tv_r, rel=1e-12)
 
 
-class TestGlobalModes:
-    def test_bounded_outside_is_u_exactly(self, segment_rc):
-        # the pole sits on the segment, so u is harmonic on its complement
-        from epsapprox.harmonic import FundamentalPole
+@pytest.fixture(scope="module")
+def bounded_pole(segment_rc):
+    # the pole sits on the segment, so u is harmonic on its complement
+    from epsapprox.harmonic import FundamentalPole
 
-        fs, numbers, labels, gf = make_state(
-            segment_rc, FundamentalPole((0.0, 0.0)), 0.3, far=4.0
-        )
-        A = build_global_approximant(fs, gf, labels, 0.3)
+    fs, numbers, labels, gf = make_state(
+        segment_rc, FundamentalPole((0.0, 0.0)), 0.3, far=4.0
+    )
+    return fs, build_global_approximant(fs, gf, labels)
+
+
+@pytest.mark.parametrize("mode", ["local", "bounded", "unbounded"])
+def test_cell_array_indexes_cells(mode, request, line_rc, state_t, local_t):
+    if mode == "local":
+        A = local_t
+    elif mode == "bounded":
+        A = request.getfixturevalue("bounded_pole")[1]
+    else:
+        fs, numbers, labels, gf = state_t
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
+    assert A.mode == mode
+    in_cell = np.zeros(A.RC.W.n_boxes, dtype=bool)
+    for c in A.cells:
+        assert np.all(A.cell[c.boxes] == c.idx)
+        in_cell[c.boxes] = True
+    assert np.all(A.cell[~in_cell] == -1)
+    if mode == "bounded":
+        assert np.all(A.cell >= 0)
+
+
+class TestGlobalModes:
+    def test_bounded_outside_is_u_exactly(self, segment_rc, bounded_pole):
+        fs, A = bounded_pole
         assert A.mode == "bounded"
         t_root = segment_rc.carleson_box(segment_rc.S.roots[0])
         X = np.array([3.5, 2.5])
@@ -337,7 +356,7 @@ class TestGlobalModes:
 
     def test_ring_chain_spacing_and_disjointness(self, line_rc, state_t):
         fs, numbers, labels, gf = state_t
-        A = build_global_approximant(fs, gf, labels, 0.5, gamma0=4.0)
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
         S = line_rc.S
         sides = [S.side(q) for q in A.rings]
         for a, b in zip(sides, sides[1:-1]):
@@ -353,7 +372,7 @@ class TestGlobalModes:
 
     def test_ring_ball_packing(self, line_rc, state_t):
         fs, numbers, labels, gf = state_t
-        A = build_global_approximant(fs, gf, labels, 0.5, gamma0=4.0)
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
         S = line_rc.S
         beta = 2.0
         masses = []
@@ -378,13 +397,13 @@ class TestGlobalModes:
         rc = build_regions(S, W, corona_provider(E, S), params)
         fs, numbers, labels, gf = make_state(rc, Constant(1.0), 0.3)
         with pytest.raises(ValueError, match="ring"):
-            build_global_approximant(fs, gf, labels, 0.3)
+            build_global_approximant(fs, gf, labels)
 
 
 class TestVerification:
     def test_constant_field_all_zero(self, line_rc):
         fs, numbers, labels, gf = make_state(line_rc, Constant(3.0), 0.2)
-        A = build_global_approximant(fs, gf, labels, 0.2, gamma0=4.0)
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
         ndev = nontangential_deviation(fs, A)
         assert np.all(ndev == 0.0)
         rep = verify_approximation(
@@ -395,7 +414,7 @@ class TestVerification:
 
     def test_height_field_certifies(self, line_rc, state_t):
         fs, numbers, labels, gf = state_t
-        A = build_global_approximant(fs, gf, labels, 0.5, gamma0=4.0)
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
         a0 = find_alpha0(fs, gf)
         rep = verify_approximation(fs, A, 0.5, a0, certified_mask(line_rc))
         assert rep["C1_pass"]
@@ -471,7 +490,7 @@ class TestRemarkLocality:
         # budget of either governing cube, on random triples
         fs, numbers, labels, gf = state_t
         eps = 0.5
-        A = build_global_approximant(fs, gf, labels, eps, gamma0=4.0)
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
         S = line_rc.S
         ns = fs.n_star(None)
         rng = np.random.default_rng(12)

@@ -37,7 +37,7 @@ def cone_distance_constant(FS, alpha: float, stride: int = 37) -> float:
     lower bound dist(I,E) for delta on each box.
     """
     worst = 0.0
-    lo, hi = FS.W.geom_arrays()
+    lo, hi = FS.W.lo, FS.W.hi
     for i in range(0, FS.E.n_samples, stride):
         x = FS.E.points[i]
         for q in FS.chains[i]:
@@ -47,16 +47,16 @@ def cone_distance_constant(FS, alpha: float, stride: int = 37) -> float:
                     pad = 1.5 * FS.tau * (hi[b][0] - lo[b][0])
                     worst = max(
                         worst,
-                        (far + pad) / max(FS.W.boxes[b].dist, 1e-300),
+                        (far + pad) / max(FS.W.dist[b], 1e-300),
                     )
     return worst
 
 
 def _per_box_owners(fs):
     """Reference: per box and per candidate, first hit wins."""
-    lo_all, hi_all = fs.W.geom_arrays()
+    lo_all, hi_all = fs.W.lo, fs.W.hi
     owner = {}
-    for size in fs._by_size:
+    for size in fs.W.size_groups():
         ids, pts = fs.fat_points(size)
         out = np.full(pts.shape[:2], -1, dtype=int)
         for row, bid in enumerate(ids):
@@ -97,7 +97,7 @@ class TestNStar:
                 boxes.update(fs.RC.regions[q].boxes)
             direct = 0.0
             for b in boxes:
-                lo, hi = W.geom(b)
+                lo, hi = W.lo[b], W.hi[b]
                 s = hi[1] - lo[1]
                 direct = max(direct, abs(lo[1] - pad * s), abs(hi[1] + pad * s))
             assert fs.n_star()[i] == pytest.approx(direct, rel=1e-12)
@@ -140,7 +140,7 @@ class TestSquareFunction:
             boxes = set()
             for q in fs.chains[i]:
                 boxes.update(fs.RC.regions[q].boxes)
-            area = sum(fs.W.volume(b) for b in boxes)
+            area = sum((fs.W.unit * fs.W.size[b]) ** 2 for b in boxes)
             assert s[i] ** 2 == pytest.approx(area, rel=1e-9)
 
     def test_linearity_in_scaling(self, rc):
@@ -323,7 +323,7 @@ class TestCarlesonFunctionals:
         cd = fs.carleson_dyadic(g1)[ids]
         cb = fs.carleson_ball(g1, ids)
         # T_Q subset B(z_Q, C l(Q)): measured domination constant
-        lo, hi = fs.W.geom_arrays()
+        lo, hi = fs.W.lo, fs.W.hi
         C = 0.0
         for q in fs.S.relevant_ids():
             t = RCbox = fs.RC.carleson_box(q)
@@ -340,7 +340,7 @@ class TestCarlesonFunctionals:
 
 def _carleson_ball_loop(fs, mass, sample_ids):
     """Reference: one sorted distance scan per sample."""
-    lo, hi = fs.W.geom_arrays()
+    lo, hi = fs.W.lo, fs.W.hi
     live = np.nonzero(mass)[0]
     pos, m = ((lo + hi) / 2)[live], mass[live]
     radii = fs._ball_radii()

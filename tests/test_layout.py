@@ -47,3 +47,37 @@ def test_src_defs_are_reached():
     assert not unreached, "defined in src/ but reached from nowhere: " + ", ".join(
         unreached
     )
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name == "dataclass"
+
+
+def test_dataclass_fields_are_read():
+    """Every annotated field of a `src/` dataclass is loaded as an attribute
+    somewhere; tests count, since some result fields are read only there."""
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in SRC + BENCH + tests}
+    loaded = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = []
+    for path in SRC:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not any(_is_dataclass(d) for d in node.decorator_list):
+                continue
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in loaded
+                ):
+                    unread.append(f"{node.name}.{stmt.target.id}")
+    assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)

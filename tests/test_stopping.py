@@ -45,8 +45,7 @@ def oscillation_square_domination(FS: FunctionalSuite, signs=("+", "-")) -> floa
                 continue
             integral = 0.0
             for b in comp:
-                lo, hi = FS.W.geom(b)
-                mids = (lo + hi) / 2.0
+                mids = (FS.W.lo[b] + FS.W.hi[b]) / 2.0
                 delta = float(_distance(mids[None, :], FS.E)[0])
                 # weight the box integral by delta at the box center
                 integral += g2[b] * delta

@@ -19,7 +19,6 @@ from epsapprox.geometry import (
     build_boundary,
 )
 from epsapprox.whitney import (
-    WhitneyBox,
     _adjacency,
     _sup_dist,
     build_regions,
@@ -36,8 +35,7 @@ PARAMS = RegionParams(tau=0.05, c_w=0.25, C_w=4.0, C_d=4.0)
 
 def locate(W, p):
     """Id of the core box containing p (lo <= p < hi), else None."""
-    lo, hi = W.geom_arrays()
-    hit = np.nonzero(np.all((p >= lo) & (p < hi), axis=1))[0]
+    hit = np.nonzero(np.all((p >= W.lo) & (p < W.hi), axis=1))[0]
     return int(hit[0]) if len(hit) else None
 
 
@@ -74,16 +72,17 @@ def _per_box_decompose(E, window, min_side):
             c = np.clip(targets, glo, ghi)
             d = np.min(np.linalg.norm(targets - c, axis=1))
         if d >= np.sqrt(2.0) * unit * size:
-            boxes.append(WhitneyBox(id=-1, lo=lo, size=size, dist=float(d)))
+            boxes.append((size, lo, float(d)))
         elif size > 1:
             half = size // 2
             stack.extend(
                 ((lo[0] + half * i, lo[1] + half * j), half) for i, j in corners
             )
-    boxes.sort(key=lambda b: (b.size, b.lo))
-    for i, b in enumerate(boxes):
-        b.id = i
-    return boxes, *_adjacency(boxes, unit)
+    boxes.sort()
+    ij = np.array([lo for _, lo, _ in boxes], dtype=np.int64)
+    sizes = np.array([s for s, _, _ in boxes], dtype=np.int64)
+    dist = np.array([d for _, _, d in boxes])
+    return ij, sizes, dist, *_adjacency(ij, sizes, unit)
 
 
 # a cloud whose points are not sorted by x
@@ -101,8 +100,7 @@ class TestWhitneyDecompose:
     def test_halfplane_row_pattern(self, line_setup):
         E, S, W = line_setup
         # with the diam-rule, side-s boxes sit at heights {2s, 3s}
-        for b in W.boxes:
-            lo, hi = W.geom(b.id)
+        for lo, hi in zip(W.lo, W.hi):
             s = hi[1] - lo[1]
             bottom = min(abs(lo[1]), abs(hi[1]))
             assert bottom / s in (2.0, 3.0)
@@ -113,7 +111,7 @@ class TestWhitneyDecompose:
         pts = rng.uniform([-1.8, -1.8], [1.8, 1.8], size=(3000, 2))
         floor = 4 * np.sqrt(2) * W.unit
         pts = pts[np.abs(pts[:, 1]) >= floor]
-        lo, hi = W.geom_arrays()
+        lo, hi = W.lo, W.hi
         for p in pts[:400]:
             inside = np.where(
                 np.all(p >= lo, axis=1) & np.all(p < hi, axis=1)
@@ -122,9 +120,8 @@ class TestWhitneyDecompose:
 
     def test_distance_property(self, line_setup):
         E, S, W = line_setup
-        dists = box_distance_many(*W.geom_arrays(), E)
-        for b, d in zip(W.boxes, dists):
-            lo, hi = W.geom(b.id)
+        dists = box_distance_many(W.lo, W.hi, E)
+        for lo, hi, d in zip(W.lo, W.hi, dists):
             diam = float(np.linalg.norm(hi - lo))
             assert diam <= d + 1e-12
             assert d <= 4 * diam + 1e-12
@@ -134,18 +131,17 @@ class TestWhitneyDecompose:
         span = max(h - l for l, h in zip(W.window.lo, W.window.hi))
         root = 2 ** int(np.ceil(np.log2(span / W.unit)))
         assert W.n_boxes > 0
-        dists = box_distance_many(*W.geom_arrays(), W.E)
-        for b, d in zip(W.boxes, dists):
-            lo, hi = W.geom(b.id)
+        dists = box_distance_many(W.lo, W.hi, W.E)
+        for lo, hi, size, d in zip(W.lo, W.hi, W.size, dists):
             diam = float(np.linalg.norm(hi - lo))
             assert diam <= d + 1e-12
-            if b.size < root:
+            if size < root:
                 assert d <= 4 * diam + 1e-12
 
     def test_fattened_boxes_stay_off_boundary(self, line_setup):
         E, S, W = line_setup
         step = max(1, W.n_boxes // 100)
-        lo, hi = (a[::step] for a in W.geom_arrays())
+        lo, hi = W.lo[::step], W.hi[::step]
         c = (lo + hi) / 2
         half = (hi - lo) / 2 * (1 + 3 * PARAMS.tau)
         assert np.all(box_distance_many(c - half, c + half, E) > 0)
@@ -163,10 +159,10 @@ class TestWhitneyDecompose:
     def test_matches_per_box_walk(self, desc, sample_window, ambient):
         E = build_boundary(desc, 1 / 64, sample_window)
         W = whitney_decompose(E, ambient, min_side=1 / 32)
-        boxes, neighbors, facets = _per_box_decompose(E, ambient, 1 / 32)
-        assert [(b.lo, b.size, b.dist) for b in W.boxes] == [
-            (b.lo, b.size, b.dist) for b in boxes
-        ]
+        ij, size, dist, neighbors, facets = _per_box_decompose(E, ambient, 1 / 32)
+        assert W.ij.shape == ij.shape and np.all(W.ij == ij)
+        assert W.size.shape == size.shape and np.all(W.size == size)
+        assert W.dist.shape == dist.shape and np.all(W.dist == dist)
         assert W.neighbors == neighbors
         assert W.facets == facets
 
@@ -258,8 +254,7 @@ class TestRegions:
         pts = S.E.points[c.sample_idx]
         qlo, qhi = pts.min(axis=0), pts.max(axis=0)
         expect = []
-        for b in W.boxes:
-            lo, hi = W.geom(b.id)
+        for b, (lo, hi) in enumerate(zip(W.lo, W.hi)):
             side = hi[0] - lo[0]
             if not (
                 PARAMS.c_w * c.side * (1 - 1e-9)
@@ -271,7 +266,7 @@ class TestRegions:
                 np.maximum(qlo - hi, 0) + np.maximum(lo - qhi, 0)
             )
             if gap <= PARAMS.C_d * c.side * (1 + 1e-9):
-                expect.append(b.id)
+                expect.append(b)
         assert r.boxes == sorted(expect)
 
     def test_two_signed_components_symmetric(self, line_regions):
@@ -288,8 +283,8 @@ class TestRegions:
             assert sorted(r.labels) == ["+", "-"]
             plus = r.components[r.labels.index("+")]
             minus = r.components[r.labels.index("-")]
-            vol_p = sum(RC.W.volume(b) for b in plus)
-            vol_m = sum(RC.W.volume(b) for b in minus)
+            vol_p = sum((RC.W.unit * RC.W.size[b]) ** 2 for b in plus)
+            vol_m = sum((RC.W.unit * RC.W.size[b]) ** 2 for b in minus)
             assert vol_p == pytest.approx(vol_m)  # half-plane symmetry
 
     def test_x_points_at_scale(self, line_regions):
@@ -340,7 +335,7 @@ class TestBoxesAndSawtooths:
             c = RC.S.cube(q)
             t = RC.carleson_box(q)
             for b in list(t)[:: max(1, len(t) // 16)]:
-                lo, hi = RC.W.geom(b)
+                lo, hi = RC.W.lo[b], RC.W.hi[b]
                 far = max(np.linalg.norm(lo - c.z), np.linalg.norm(hi - c.z))
                 worst = max(worst, far / c.side)
         assert worst < 16 * (PARAMS.C_d + PARAMS.C_w)
@@ -363,8 +358,7 @@ class TestBoxesAndSawtooths:
             q for q in S.relevant_ids() if S.cube(q).param_range == (0.0, 1.0)
         )
         t = RC.carleson_box(q)
-        lo = np.array([RC.W.geom(b)[0] for b in sorted(t)])
-        hi = np.array([RC.W.geom(b)[1] for b in sorted(t)])
+        lo, hi = RC.W.lo[sorted(t)], RC.W.hi[sorted(t)]
         rng = np.random.default_rng(6)
         floor = 8 * RC.W.unit
         probes = rng.uniform([0.05, floor], [0.95, 0.95], size=(200, 2))
@@ -379,8 +373,7 @@ class TestBoxesAndSawtooths:
         plus, minus = RC.sawtooth_halves(ids)
         assert plus and minus and not (plus & minus)
         for b in list(plus)[::29]:
-            lo, hi = RC.W.geom(b)
-            assert lo[1] >= 0
+            assert RC.W.lo[b][1] >= 0
 
 
 class TestCoverage:
