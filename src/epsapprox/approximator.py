@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .carleson import hl_maximal
-from .functionals import FunctionalSuite, lp_norm
+from .functionals import FunctionalSuite, csr_rows, lp_norm, row_spans
+from .geometry import pair_distances, row_blocks
 from .stopping import GenerationForest, OscillationLabels, initial_chain
 from .whitney import RegionComplex
 
@@ -345,33 +346,26 @@ def deviation_sups(FS: FunctionalSuite, A: Approximant) -> np.ndarray:
     out = np.zeros(FS.W.n_boxes)
     for size in FS.W.size_groups():
         ids, pts = FS.fat_points(size)
-        flat = pts.reshape(-1, 2)
-        uv = FS.u.eval(flat).reshape(pts.shape[:2])
-        own = owners[size]
-        ok = own >= 0
-        own_safe = np.where(ok, own, 0)
-        dev = np.abs(uv - val[own_safe])
-        dev[is_u[own_safe]] = 0.0
-        dev[~ok | ~covered[own_safe]] = 0.0
-        out[ids] = dev.max(axis=1)
+        uv = FS.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        for rows in row_blocks(len(ids), pts.shape[1]):
+            own = owners[size][rows]
+            ok = own >= 0
+            own = np.where(ok, own, 0)
+            dev = np.abs(uv[rows] - val[own])
+            dev[is_u[own] | ~ok | ~covered[own]] = 0.0
+            out[ids[rows]] = dev.max(axis=1)
     return out
 
 
 def nontangential_deviation(
-    FS: FunctionalSuite, A: Approximant, restrict_to: frozenset | None = None
+    FS: FunctionalSuite, dev: np.ndarray, within: np.ndarray | None = None
 ) -> np.ndarray:
-    """N_*(u - phi) per sample (optionally 1_{T} restricted to a box set)."""
-    dev = deviation_sups(FS, A)
-    per_region: dict = {}
-    for q, r in FS.RC.regions.items():
-        boxes = r.boxes
-        if restrict_to is not None:
-            boxes = [b for b in boxes if b in restrict_to]
-        per_region[q] = float(dev[boxes].max()) if boxes else 0.0
-    out = np.zeros(FS.E.n_samples)
-    for i, chain in enumerate(FS.chains):
-        out[i] = max((per_region[q] for q in chain), default=0.0)
-    return out
+    """N_*(u - phi) per sample from the per-box sups `dev` of
+    `deviation_sups`, optionally 1_T restricted to the boxes of the mask
+    `within`.  dev >= 0, so a box outside T counts as a zero sup."""
+    if within is not None:
+        dev = np.where(within, dev, 0.0)
+    return FS.down_max(FS.region_max(dev), 0.0)[FS.S.sample_leaf]
 
 
 def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
@@ -379,62 +373,83 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
     generation cube P are inside Gamma_alpha(x) for all x in any cube Q
     with l(Q) <= l(P) whose Carleson box meets the subregime sawtooth.
 
-    The (q, box) results, each q's {generation: ancestor} map and the
-    (owner cube, ancestor) distance ratios are memoized for this call.
+    A pair (Q, anchor box b) needs, over the cubes o owning b, the least
+    min |x - z_A| / (C1 l(A)), x in o, where A is Q's ancestor at o's
+    generation.  The (Q, b) pairs of all generation cubes are collected
+    first; each (o, A) ratio they reach is then computed once.
     """
     S, RC = FS.S, FS.RC
-    box_anc = FS.box_ancestors()
-    gens: dict = {}
-    ratios: dict = {}
-    per_box: dict = {}
-    needed = 1.0
+    indptr, owner, _ = FS.box_owner_csr()
+    anc = FS.anc_at()
+    side = FS.cube_sides()
+    n, n_boxes = len(S.cubes), RC.W.n_boxes
+    # one slot more for the -1 of a missing ancestor
+    is_owner = np.zeros(n + 1, dtype=bool)
+    is_q = np.zeros(n + 1, dtype=bool)
+    pairs = []
     for p in sorted(GF.all_cubes):
         reg = RC.regions.get(p)
         if reg is None or not reg.good:
             continue
-        omega = RC.sawtooth(GF.members[p])
-        qs: set = set()
-        for b in omega:
-            qs.update(box_anc.get(b, ()))
+        omega = np.fromiter(RC.sawtooth(GF.members[p]), dtype=np.int32)
+        # the cubes Q whose Carleson box meets the sawtooth: ancestors of
+        # the cubes owning one of its boxes
+        is_owner[owner[csr_rows(indptr, omega)]] = True
+        is_q[anc[np.flatnonzero(is_owner)]] = True
+        qs = np.flatnonzero(is_q[:n])
+        qs = qs[side[qs] <= side[p]]
+        is_owner[:] = False
+        is_q[:] = False
         anchor_boxes = []
         for sign in "+-":
-            r = RC.regions[p]
-            anchor_boxes.append(r.centers[r.labels.index(sign)])
+            anchor_boxes.append(reg.centers[reg.labels.index(sign)])
             pr = S.cube(p).rparent
             if pr is not None and RC.regions[pr].good:
                 rp = RC.regions[pr]
                 anchor_boxes.append(rp.centers[rp.labels.index(sign)])
-        for q in sorted(qs):
-            if S.side(q) > S.side(p):
-                continue
-            if q not in gens:
-                # nearest ancestor wins: the first met walking up from q
-                gens[q] = {S.cube(a).k: a for a in reversed(S.ancestors(q))}
-            for b in anchor_boxes:
-                if (q, b) not in per_box:
-                    per_box[q, b] = _alpha_for(FS, gens[q], b, ratios)
-                needed = max(needed, per_box[q, b])
+        pairs.append((qs[:, None].astype(np.int64) * n_boxes + anchor_boxes).ravel())
+    if not pairs:
+        return 1.0
+    q, b = np.divmod(np.unique(np.concatenate(pairs)), n_boxes)
+    n_own = np.diff(indptr)[b]
+    gen = np.array([c.k for c in S.cubes]) - S.k_min
+    spans = row_spans(n_own)
+
+    def entries(lo, hi):
+        """(o, A) keys, one per (Q, b) pair of the span and owner o of b,
+        A being Q's ancestor at o's generation (-1 for none)."""
+        o = owner[csr_rows(indptr, b[lo:hi])]
+        a = anc[np.repeat(q[lo:hi], n_own[lo:hi]), gen[o]]
+        return o * np.int64(n + 1) + (a + 1)
+
+    keys = np.unique(np.concatenate([np.unique(entries(lo, hi)) for lo, hi in spans]))
+    own, a = np.divmod(keys, n + 1)
+    a -= 1
+    ratio = np.full(len(keys), np.inf)
+    ratio[a >= 0] = _owner_ratios(S, own[a >= 0], a[a >= 0], side)
+    needed = 1.0
+    for lo, hi in spans:
+        r = ratio[np.searchsorted(keys, entries(lo, hi))]
+        cut = np.cumsum(n_own[lo:hi]) - n_own[lo:hi]
+        best = np.minimum.reduceat(r, cut)
+        # a pair whose Q has no ancestor at any owner's generation asks for
+        # no widening
+        best = best[best != np.inf]
+        needed = max(needed, float((best * (1 + 1e-9)).max(initial=1.0)))
     return needed
 
 
-def _alpha_for(FS: FunctionalSuite, gen: dict, bid: int, ratios: dict) -> float:
-    """Smallest alpha putting box bid's owner regions into Gamma_alpha(x), x in Q.
-
-    gen maps each generation to Q's ancestor there; ratios memoizes
-    min |x - z_anc| / (C1 l(anc)) over the owner's samples per (owner, anc).
-    """
-    S = FS.S
-    best = np.inf
-    for p_own, _ in FS.RC.box_owners.get(bid, ()):
-        anc = gen.get(S.cube(p_own).k)
-        if anc is None:
-            continue
-        if (p_own, anc) not in ratios:
-            c = S.cube(anc)
-            d = np.linalg.norm(S.E.points[S.cube(p_own).sample_idx] - c.z, axis=1)
-            ratios[p_own, anc] = float(np.min(d)) / (S.C1 * c.side)
-        best = min(best, ratios[p_own, anc])
-    return 1.0 if best == np.inf else max(1.0, best * (1 + 1e-9))
+def _owner_ratios(S, own: np.ndarray, anc: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """min |x - z_A| / (C1 l(A)) over the samples x of cube o, per (o, A)
+    pair; the pairs come sorted by o."""
+    z = np.array([c.z for c in S.cubes])
+    out = np.empty(len(own))
+    cut = (np.flatnonzero(np.diff(own)) + 1).tolist()
+    for lo, hi in zip([0, *cut], [*cut, len(own)]):
+        pts = S.E.points[S.cube(int(own[lo])).sample_idx]
+        d = pair_distances(z[anc[lo:hi]], pts).min(axis=1)
+        out[lo:hi] = d / (S.C1 * side[anc[lo:hi]])
+    return out
 
 
 # stride over the certified samples at which the L^p roll-up takes the ball
@@ -464,14 +479,17 @@ def verify_approximation(
     S, w = FS.S, FS.E.weights
     cert = np.asarray(certified, dtype=bool)
     _, m_point = FS.cube_numbers(None)
-    ndev = nontangential_deviation(FS, A)
+    dev = deviation_sups(FS, A)
+    ndev = nontangential_deviation(FS, dev)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = ndev[cert] / (eps * m_point[cert])
     ratio = ratio[np.isfinite(ratio)]
     c1 = float(ratio.max()) if len(ratio) else 0.0
     # constant-free local form on T_{q0}
-    t0 = A.RC.carleson_box(A.q0) if A.q0 is not None else frozenset()
-    ndev_local = nontangential_deviation(FS, A, restrict_to=t0)
+    t0 = np.zeros(FS.W.n_boxes, dtype=bool)
+    if A.q0 is not None:
+        t0[list(A.RC.carleson_box(A.q0))] = True
+    ndev_local = nontangential_deviation(FS, dev, within=t0)
     in_q0 = np.zeros(FS.E.n_samples, dtype=bool)
     in_q0[S.cube(A.q0).sample_idx] = True
     sel = cert & in_q0

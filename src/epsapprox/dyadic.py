@@ -76,15 +76,6 @@ class CubeSystem:
             q = self.cubes[q].rparent
         return out[::-1]
 
-    def ancestors(self, qid: int) -> list:
-        """The cube and its relevant ancestors, finest first."""
-        out = [qid]
-        q = self.cubes[qid].rparent
-        while q is not None:
-            out.append(q)
-            q = self.cubes[q].rparent
-        return out
-
     def descendants(self, qid: int) -> list:
         """The cube, then its relevant descendants."""
         out = [qid]

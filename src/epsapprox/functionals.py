@@ -11,12 +11,34 @@ the square-function weight delta^{1-n} is 1 and l(Q)^n = l(Q).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .dyadic import CubeSystem
 from .geometry import CHUNK, ball_sums, pair_distances, row_blocks
 from .harmonic import HarmonicField
 from .whitney import RegionComplex
+
+
+def csr_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Entry positions of the CSR rows `ids`, row after row."""
+    start = indptr[ids]
+    count = indptr[ids + 1] - start
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def row_spans(count: np.ndarray) -> list:
+    """(lo, hi) spans of consecutive rows with `count` entries each, holding
+    at most CHUNK entries together (or one row, if it alone has more)."""
+    ends = np.cumsum(count)
+    out, lo = [], 0
+    while lo < len(count):
+        hi = int(np.searchsorted(ends, ends[lo] - count[lo] + CHUNK, side="right"))
+        out.append((lo, max(hi, lo + 1)))
+        lo = out[-1][1]
+    return out
+
 
 class FunctionalSuite:
     """Shared evaluation state for one (boundary, regions, field) triple.
@@ -43,7 +65,11 @@ class FunctionalSuite:
         self._fat = {}
         self._core = {}
         self._owner = None
-        self._anc = None
+        self._levels = None
+        self._anc_at = None
+        self._box_owner = None
+        self._pairs = None
+        self._region_csr = None
         self._region_sup: dict | None = None
         self._comp_stats: dict | None = None
         self._nstar_cache: dict = {}
@@ -51,16 +77,17 @@ class FunctionalSuite:
         self.chains = [self.S.chain(i) for i in range(self.E.n_samples)]
         self._neighbor_cache: dict = {}
         self._gen_x: dict = {}
-        self._order = None
         self.far_ball_factor = far_ball_factor
         self._grad_int = None
         self._grad2_int = None
 
     def __getstate__(self):
-        # the point grids and the owner map are rebuilt from W in a fraction
-        # of a second, so a pickled suite (a cached `approximate` stage)
-        # leaves them out
-        return self.__dict__ | {"_fat": {}, "_core": {}, "_owner": None}
+        # the point grids, the owner map and the cube-tree tables are rebuilt
+        # from W and S in a fraction of a second, so a pickled suite (a cached
+        # `approximate` stage) leaves them out
+        return self.__dict__ | {"_fat": {}, "_core": {}} | dict.fromkeys(
+            ("_owner", "_levels", "_anc_at", "_box_owner", "_pairs", "_region_csr")
+        )
 
     # -- grids --------------------------------------------------------------
 
@@ -106,7 +133,8 @@ class FunctionalSuite:
         return self._comp_stats
 
     def owners(self):
-        """Per box: owner box id of each fat-grid point (-1 if uncovered).
+        """Per box: owner box id (int32) of each fat-grid point, -1 if
+        uncovered.
 
         The candidates of a box are itself, then its neighbours in id
         order; the first whose half-open core box holds the point wins.
@@ -119,11 +147,11 @@ class FunctionalSuite:
             for size in self.W.size_groups():
                 ids, pts = self.fat_points(size)
                 nbrs = [self.W.neighbors[b] for b in ids]
-                cands = np.full((len(ids), 1 + max(map(len, nbrs))), -1)
+                cands = np.full((len(ids), 1 + max(map(len, nbrs))), -1, dtype=np.int32)
                 cands[:, 0] = ids
                 for row, nb in enumerate(nbrs):
                     cands[row, 1 : 1 + len(nb)] = nb
-                out = np.empty(pts.shape[:2], dtype=int)
+                out = np.empty(pts.shape[:2], dtype=np.int32)
                 step = max(1, CHUNK // (cands.shape[1] * pts.shape[1]))
                 for r in range(0, len(ids), step):
                     c = cands[r : r + step]
@@ -214,18 +242,93 @@ class FunctionalSuite:
             self._gen_x[k] = (ids[order], xs[order], side)
         return self._gen_x[k]
 
-    def _top_down(self) -> list:
-        """Relevant cube ids, every cube after its relevant parent."""
-        if self._order is None:
+    def tree_levels(self) -> list:
+        """Per generation, coarsest first: (k, relevant ids, their relevant
+        parents), int32, a root's parent being -1.  Every cube's parent
+        comes in an earlier level."""
+        if self._levels is None:
             S = self.S
-            self._order = sorted(S.relevant_ids(), key=lambda i: S.cube(i).k)
-        return self._order
+            out = []
+            for k in range(S.k_min, S.k_max + 1):
+                ids = S.relevant_at_gen(k)
+                par = [-1 if S.cube(q).rparent is None else S.cube(q).rparent for q in ids]
+                out.append((k, np.array(ids, dtype=np.int32), np.array(par, dtype=np.int32)))
+            self._levels = out
+        return self._levels
 
-    def _per_sample(self, val: dict) -> np.ndarray:
-        """The value of each sample's finest relevant cube."""
-        table = np.zeros(len(self.S.cubes))
-        table[list(val)] = list(val.values())
-        return table[self.S.sample_leaf]
+    def down_max(self, own: np.ndarray, start: float) -> np.ndarray:
+        """Per cube: the max of `start` and of the per-cube `own` over the
+        cube and its relevant ancestors, propagated root to leaf one
+        generation at a time.  A sample's chain max is the value at its
+        `sample_leaf`."""
+        # the extra last slot is what a root's parent -1 reads
+        val = np.full(len(self.S.cubes) + 1, start)
+        for _, ids, par in self.tree_levels():
+            val[ids] = np.maximum(val[par], own[ids])
+        return val
+
+    def anc_at(self) -> np.ndarray:
+        """anc_at[q, k - k_min]: cube q's relevant ancestor at generation k
+        (q itself at its own), -1 where there is none.  The extra last row,
+        read through a root's parent -1, is all -1."""
+        if self._anc_at is None:
+            S = self.S
+            table = np.full((len(S.cubes) + 1, S.k_max - S.k_min + 1), -1, dtype=np.int32)
+            for k, ids, par in self.tree_levels():
+                table[ids] = table[par]
+                table[ids, k - S.k_min] = ids
+            self._anc_at = table
+        return self._anc_at
+
+    def box_owner_csr(self):
+        """(indptr, owner, key_order): the cubes whose region holds box b are
+        owner[indptr[b]:indptr[b + 1]], ascending, and `key_order` lists the
+        boxes in the order they first appear over the regions' components
+        (cubes ascending), the order in which `anc_scatter` adds them."""
+        if self._box_owner is None:
+            comps = [(q, c) for q, r in self.RC.regions.items() for c in r.components]
+            bx = np.fromiter(
+                itertools.chain.from_iterable(c for _, c in comps), dtype=np.int32
+            )
+            qx = np.repeat(
+                np.array([q for q, _ in comps], dtype=np.int32),
+                [len(c) for _, c in comps],
+            )
+            # regions come in ascending cube order, so a stable sort by box
+            # keeps each box's owners ascending
+            order = np.argsort(bx, kind="stable")
+            count = np.bincount(bx, minlength=self.W.n_boxes)
+            indptr = np.zeros(self.W.n_boxes + 1, dtype=np.int64)
+            np.cumsum(count, out=indptr[1:])
+            # a box's first entry in the stable order is its first appearance
+            held = np.flatnonzero(count).astype(np.int32)
+            key_order = held[np.argsort(order[indptr[held]], kind="stable")]
+            self._box_owner = (indptr, qx[order], key_order)
+        return self._box_owner
+
+    def cube_sides(self) -> np.ndarray:
+        """l(Q) per cube id."""
+        return np.array([c.side for c in self.S.cubes])
+
+    def region_max(self, per_box: np.ndarray) -> np.ndarray:
+        """Per cube: max of a nonnegative per-box array over the cube's
+        region, 0 for an empty region or a cube without one."""
+        if self._region_csr is None:
+            regions = self.RC.regions
+            ids = [q for q, r in regions.items() if r.boxes]
+            lens = [len(regions[q].boxes) for q in ids]
+            flat = np.fromiter(
+                itertools.chain.from_iterable(regions[q].boxes for q in ids),
+                dtype=np.int32,
+                count=sum(lens),
+            )
+            starts = np.concatenate([[0], np.cumsum(lens[:-1], dtype=np.int64)])
+            self._region_csr = (np.array(ids, dtype=np.int32), starts, flat)
+        ids, starts, flat = self._region_csr
+        out = np.zeros(len(self.S.cubes))
+        if len(ids):
+            out[ids] = np.maximum.reduceat(per_box[flat], starts)
+        return out
 
     def n_star(self, alpha: float | None = None) -> np.ndarray:
         """N_* u (default cones) or the alpha-aperture variant, per sample.
@@ -239,18 +342,14 @@ class FunctionalSuite:
         if key in self._nstar_cache:
             return self._nstar_cache[key]
         sup = self.region_sup()
-        far = self._far_sup()
-        val: dict = {}
-        for q in self._top_down():
+        own = np.full(len(self.S.cubes), -np.inf)
+        for q in self.S.relevant_ids():
             if alpha is None:
-                own = sup[q]
+                own[q] = sup[q]
             else:
-                own = -np.inf
-                for p in self.aperture_neighbors(alpha, q):
-                    own = max(own, sup[p])
-            p = self.S.cube(q).rparent
-            val[q] = max(val[p] if p is not None else far, own)
-        out = self._per_sample(val)
+                nbrs = self.aperture_neighbors(alpha, q)
+                own[q] = max((sup[p] for p in nbrs), default=-np.inf)
+        out = self.down_max(own, self._far_sup())[self.S.sample_leaf]
         empty = np.nonzero(out == -np.inf)[0]
         if len(empty):
             raise ValueError(f"empty cone at sample {empty[0]} (window edge)")
@@ -300,39 +399,57 @@ class FunctionalSuite:
         """
         if alpha in self._numbers_cache:
             return self._numbers_cache[alpha]
-        ns = self.n_star(alpha)
-        avg = self.S.cube_averages(ns)
-        val: dict = {}
-        for q in self._top_down():
-            p = self.S.cube(q).rparent
-            val[q] = max(avg[q], val[p]) if p is not None else avg[q]
-        point = self._per_sample(val)
+        avg = self.S.cube_averages(self.n_star(alpha))
+        own = np.zeros(len(self.S.cubes))
+        own[list(avg)] = list(avg.values())
+        top = self.down_max(own, -np.inf)
+        val = {int(q): float(top[q]) for _, ids, _ in self.tree_levels() for q in ids}
+        point = top[self.S.sample_leaf]
         self._numbers_cache[alpha] = (val, point)
         return val, point
 
     # -- Carleson functionals ---------------------------------------------------
 
-    def box_ancestors(self) -> dict:
-        """Per box: sorted ids of the cubes Q with the box inside T_Q."""
-        if self._anc is None:
-            anc = {}
-            for bid, owners in self.RC.box_owners.items():
-                s: set = set()
-                for q, _ in owners:
-                    s.update(self.S.ancestors(q))
-                anc[bid] = sorted(s)
-            self._anc = anc
-        return self._anc
+    def _anc_pairs(self):
+        """(box ids, cube ids), int32: every (b, Q) with box b inside T_Q.
 
-    def anc_scatter(self, mass: np.ndarray) -> dict:
-        """Per cube Q: total mass of boxes inside T_Q."""
-        out = {q: 0.0 for q in self.S.relevant_ids()}
-        for bid, qs in self.box_ancestors().items():
-            m = mass[bid]
-            if m:
-                for q in qs:
-                    out[q] += m
-        return out
+        T_Q holds b iff Q is an ancestor of one of b's owners.  The pairs
+        come one generation of Q after another and, within one, in the key
+        order of b, so each cube's boxes follow that order.  The owner
+        entries are read in blocks of whole boxes.
+        """
+        if self._pairs is None:
+            indptr, owner, key_order = self.box_owner_csr()
+            anc = self.anc_at()
+            n = len(self.S.cubes)
+            count = np.diff(indptr)[key_order]
+            cols = [[] for _ in range(anc.shape[1])]
+            for lo, hi in row_spans(count):
+                own = owner[csr_rows(indptr, key_order[lo:hi])]
+                pos = np.repeat(np.arange(lo, hi), count[lo:hi])
+                for g, col in enumerate(cols):
+                    a = anc[own, g]
+                    live = a >= 0
+                    # positions ascend, so the sort only orders each box's
+                    # ancestors; then one pair per distinct (b, Q)
+                    key = pos[live] * n + a[live]
+                    key.sort(kind="stable")
+                    first = np.ones(len(key), dtype=bool)
+                    first[1:] = key[1:] != key[:-1]
+                    key = key[first]
+                    col.append((key_order[key // n], (key % n).astype(np.int32)))
+            parts = [part for col in cols for part in col]
+            self._pairs = tuple(np.concatenate(x) for x in zip(*parts))
+        return self._pairs
+
+    def anc_scatter(self, mass: np.ndarray) -> np.ndarray:
+        """Per cube Q: total mass of boxes inside T_Q (0 off the tree).
+
+        `bincount` adds in pair order, so each sum takes its boxes in the
+        key order of `box_owner_csr`.
+        """
+        boxes, cubes = self._anc_pairs()
+        return np.bincount(cubes, weights=mass[boxes], minlength=len(self.S.cubes))
 
     def carleson_dyadic(self, mass: np.ndarray) -> np.ndarray:
         """C_dyadic: per sample, sup over containing cubes of T_Q-mass/l(Q).
@@ -341,13 +458,8 @@ class FunctionalSuite:
         B(z0, 2^k diam E), k = Lambda_0 .. Lambda_0+4, with Lambda_0 chosen
         so the first ball contains T_{root}.
         """
-        per_cube = self.anc_scatter(mass)
-        out = np.zeros(self.E.n_samples)
-        for i, chain in enumerate(self.chains):
-            best = 0.0
-            for q in chain:
-                best = max(best, per_cube[q] / self.S.side(q))
-            out[i] = best
+        per_cube = self.anc_scatter(mass) / self.cube_sides()
+        out = self.down_max(per_cube, 0.0)[self.S.sample_leaf]
         if self.E.bounded:
             out = np.maximum(out, self._tower_sup(mass))
         return out

@@ -521,13 +521,9 @@ class ADRReport:
         }
 
 
-def check_adr(
-    E: BoundarySet,
-    budget: float,
-    r_min: float | None = None,
-    r_max: float | None = None,
-) -> ADRReport:
-    """Sweep sigma-hat(B(x,r))/r over a log-spaced radius grid.
+def check_adr(E: BoundarySet, budget: float) -> ADRReport:
+    """Sweep sigma-hat(B(x,r))/r over a log-spaced radius grid from
+    8 * resolution to half the diameter (bounded E) or half the window span.
 
     Pairs whose ball leaves the sampled window are skipped (the mass there is
     truncated, not small).  pass <=> 1/budget - q <= ratio <= budget + q for
@@ -541,10 +537,8 @@ def check_adr(
         raise ValueError("empty sample cloud")
     stride = max(1, E.n_samples // _ADR_CENTERS)
     centers = E.points[::stride]
-    if r_min is None:
-        r_min = 8 * E.resolution
-    if r_max is None:
-        r_max = (E.diameter if E.bounded else E.window.span) / 2.0
+    r_min = 8 * E.resolution
+    r_max = (E.diameter if E.bounded else E.window.span) / 2.0
     lo = np.asarray(E.window.lo)
     hi = np.asarray(E.window.hi)
     radii_all, ratios_all = [], []

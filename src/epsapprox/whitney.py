@@ -47,6 +47,15 @@ class WhitneyComplex:
     neighbors: list  # per box: sorted ids with closed-box contact
     facets: list  # (a, b, axis, area) with a.hi == b.lo on axis, overlap > 0
 
+    def __getstate__(self):
+        # the float corners follow from the lattice, so a pickle (the cached
+        # `regions` stage) leaves them out and loading recomputes them
+        return {k: v for k, v in self.__dict__.items() if k not in ("lo", "hi")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.lo, self.hi = _corners(self.base, self.unit, self.ij, self.size)
+
     @property
     def n_boxes(self) -> int:
         return len(self.size)
@@ -110,8 +119,8 @@ def whitney_decompose(
     ij, sizes, dist = (np.concatenate(a) for a in zip(*levels))
     order = np.lexsort((ij[:, 1], ij[:, 0], sizes))
     ij, sizes, dist = ij[order], sizes[order], dist[order]
-    blo = base + unit * ij.astype(float)
     neighbors, facets = _adjacency(ij, sizes, unit)
+    blo, bhi = _corners(base, unit, ij, sizes)
     return WhitneyComplex(
         E=E,
         window=window,
@@ -121,10 +130,16 @@ def whitney_decompose(
         size=sizes,
         dist=dist,
         lo=blo,
-        hi=blo + unit * sizes[:, None].astype(float),
+        hi=bhi,
         neighbors=neighbors,
         facets=facets,
     )
+
+
+def _corners(base, unit, ij, size):
+    """Float (lo, hi) corners of lattice boxes."""
+    lo = base + unit * ij.astype(float)
+    return lo, lo + unit * size[:, None].astype(float)
 
 
 # lattice offsets of the four children of a dyadic square, in units of
@@ -397,8 +412,7 @@ class RegionComplex:
     W: WhitneyComplex
     corona: CoronaDecomposition
     params: RegionParams
-    regions: dict  # qid -> WhitneyRegion
-    box_owners: dict  # box id -> list of (qid, comp index)
+    regions: dict  # qid -> WhitneyRegion, ascending qid
     stats: dict
 
     def region(self, qid: int) -> WhitneyRegion:
@@ -513,13 +527,6 @@ def build_regions(
         )
 
     corona2 = _recohere(S, corona, demoted)
-    box_owners: dict = {}
-    for q, r in regions.items():
-        for ci, comp in enumerate(r.components):
-            for bid in comp:
-                box_owners.setdefault(bid, []).append((q, ci))
-    for v in box_owners.values():
-        v.sort()
     stats = _region_stats(S, W, regions)
     stats["demoted"] = sorted(demoted)
     return RegionComplex(
@@ -528,7 +535,6 @@ def build_regions(
         corona=corona2,
         params=params,
         regions=regions,
-        box_owners=box_owners,
         stats=stats,
     )
 

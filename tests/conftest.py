@@ -5,7 +5,13 @@ import pytest
 
 from epsapprox.config import RegionParams
 from epsapprox.dyadic import build_cube_system
-from epsapprox.geometry import Hyperplane, Segment, Window, build_boundary
+from epsapprox.geometry import (
+    Hyperplane,
+    LipschitzGraph,
+    Segment,
+    Window,
+    build_boundary,
+)
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
 
@@ -41,6 +47,42 @@ def segment_rc():
     )
     corona = corona_provider(E, S, "trivial_graph", eta=0.25)
     return build_regions(S, W, corona, params)
+
+
+@pytest.fixture(scope="session")
+def sin_rc():
+    """Region complex of the graph of 0.2 sin x over [-2, 2]."""
+    params = RegionParams(tau=0.05, c_w=0.25, C_w=4.0, C_d=4.0)
+    E = build_boundary(
+        LipschitzGraph("sin", 0.2), resolution=1 / 64, window=Window((-2, -2), (2, 2))
+    )
+    S = build_cube_system(E, k_min=-3, k_max=3)
+    W = whitney_decompose(
+        E, Window((-2.0, -3.0), (2.0, 3.0)), min_side=params.c_w * 2.0**-3
+    )
+    corona = corona_provider(E, S, "trivial_graph", eta=0.25)
+    return build_regions(S, W, corona, params)
+
+
+def ancestors(S, qid):
+    """The cube and its relevant ancestors, finest first."""
+    out = [qid]
+    while S.cube(out[-1]).rparent is not None:
+        out.append(S.cube(out[-1]).rparent)
+    return out
+
+
+def box_owners(RC):
+    """Box id -> sorted (cube, component index) pairs of the regions holding
+    it, keyed in the order the boxes first appear over the components."""
+    out = {}
+    for q, r in RC.regions.items():
+        for ci, comp in enumerate(r.components):
+            for bid in comp:
+                out.setdefault(bid, []).append((q, ci))
+    for v in out.values():
+        v.sort()
+    return out
 
 
 def certified_mask(rc, margin_frac=0.15):

@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epsapprox import pipeline
+from epsapprox import approximator, pipeline
 from epsapprox.approximator import (
     Approximant,
     build_global_approximant,
     build_local_approximant,
+    deviation_sups,
     find_alpha0,
     nontangential_deviation,
     order_good_cubes,
@@ -20,11 +21,11 @@ from epsapprox.config import RegionParams, RunConfig
 from epsapprox.dyadic import build_cube_system
 from epsapprox.functionals import FunctionalSuite
 from epsapprox.geometry import Hyperplane, Window, build_boundary
-from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
+from epsapprox.harmonic import Constant, Coordinate, FundamentalPole, PoissonIndicator
 from epsapprox.stopping import generation_cubes, oscillation_cubes
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
-from conftest import certified_mask
+from conftest import ancestors, box_owners, certified_mask
 from test_dyadic import surface_ball
 from test_whitney import locate
 
@@ -318,8 +319,6 @@ class TestTotalVariation:
 @pytest.fixture(scope="module")
 def bounded_pole(segment_rc):
     # the pole sits on the segment, so u is harmonic on its complement
-    from epsapprox.harmonic import FundamentalPole
-
     fs, numbers, labels, gf = make_state(
         segment_rc, FundamentalPole((0.0, 0.0)), 0.3, far=4.0
     )
@@ -404,7 +403,7 @@ class TestVerification:
     def test_constant_field_all_zero(self, line_rc):
         fs, numbers, labels, gf = make_state(line_rc, Constant(3.0), 0.2)
         A = build_global_approximant(fs, gf, labels, gamma0=4.0)
-        ndev = nontangential_deviation(fs, A)
+        ndev = nontangential_deviation(fs, deviation_sups(fs, A))
         assert np.all(ndev == 0.0)
         rep = verify_approximation(
             fs, A, 0.2, 1.0, certified_mask(line_rc), c1_budget=4.0
@@ -441,14 +440,74 @@ class TestVerification:
         # eps = 0.1 lands above the clamp at 1, so the ratio itself is checked
         assert alphas[0.1] == 14.250000014250002
 
+    @pytest.mark.parametrize(
+        "fixture, field, eps",
+        [("segment_rc", FundamentalPole((0.0, 0.0)), 0.1), ("sin_rc", Coordinate(1), 0.3)],
+    )
+    def test_alpha0_matches_brute_force_bounded_and_curved(
+        self, fixture, field, eps, request
+    ):
+        rc = request.getfixturevalue(fixture)
+        fs, _, _, gf = make_state(rc, field, eps, far=4.0 if rc.S.E.bounded else None)
+        assert find_alpha0(fs, gf) == _alpha0_oracle(fs, gf)
+
+    def test_deviation_sups_once_per_verification(self, line_rc, state_t, monkeypatch):
+        fs, numbers, labels, gf = state_t
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
+        calls = []
+        inner = approximator.deviation_sups
+        monkeypatch.setattr(
+            approximator, "deviation_sups", lambda FS, A: calls.append(A) or inner(FS, A)
+        )
+        verify_approximation(fs, A, 0.5, 1.0, certified_mask(line_rc))
+        assert len(calls) == 1 and calls[0] is A
+
+
+def _ndev_loop(fs, dev, restrict_to=None):
+    """Reference: per region the max sup over its (listed) boxes, then per
+    sample the max over its chain."""
+    per_region = {}
+    for q, r in fs.RC.regions.items():
+        boxes = r.boxes
+        if restrict_to is not None:
+            boxes = [b for b in boxes if b in restrict_to]
+        per_region[q] = float(dev[boxes].max()) if boxes else 0.0
+    out = np.zeros(fs.E.n_samples)
+    for i, chain in enumerate(fs.chains):
+        out[i] = max((per_region[q] for q in chain), default=0.0)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["unbounded", "bounded"])
+def test_nontangential_deviation_matches_region_loop(mode, request, line_rc, state_t):
+    if mode == "bounded":
+        fs, A = request.getfixturevalue("bounded_pole")
+    else:
+        fs, numbers, labels, gf = state_t
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
+    dev = deviation_sups(fs, A)
+    assert dev.max() > 0.0
+    got = nontangential_deviation(fs, dev)
+    assert np.array_equal(got, _ndev_loop(fs, dev))
+    S = fs.S
+    for q in (S.roots[0], int(S.sample_leaf[0])):
+        t = A.RC.carleson_box(q)
+        within = np.zeros(fs.W.n_boxes, dtype=bool)
+        within[list(t)] = True
+        local = nontangential_deviation(fs, dev, within=within)
+        assert np.array_equal(local, _ndev_loop(fs, dev, restrict_to=t))
+    # the last restriction drops boxes some cone sees
+    assert (local < got).any()
+
 
 def _alpha0_oracle(fs, gf):
     """find_alpha0 by brute force: every (Q, anchor box, owner) distance
     is recomputed and each ancestor found by walking up from Q."""
     S, RC = fs.S, fs.RC
+    owners_of = box_owners(RC)
     box_anc = {}
-    for bid, owners in RC.box_owners.items():
-        box_anc[bid] = sorted({a for q, _ in owners for a in S.ancestors(q)})
+    for bid, owners in owners_of.items():
+        box_anc[bid] = sorted({a for q, _ in owners for a in ancestors(S, q)})
     needed = 1.0
     for p in sorted(gf.all_cubes):
         reg = RC.regions.get(p)
@@ -469,7 +528,7 @@ def _alpha0_oracle(fs, gf):
                 continue
             for b in anchor_boxes:
                 best = np.inf
-                for p_own, _ in RC.box_owners.get(b, ()):
+                for p_own, _ in owners_of.get(b, ()):
                     anc = q  # walk up from q to the owner's generation
                     while anc is not None and S.cube(anc).k != S.cube(p_own).k:
                         anc = S.cube(anc).rparent

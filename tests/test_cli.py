@@ -5,6 +5,8 @@ import json
 import pickle
 from dataclasses import fields
 
+import numpy as np
+
 from epsapprox import pipeline
 from epsapprox.cli import main
 from epsapprox.config import RunConfig
@@ -33,6 +35,9 @@ def small_config(tmp_path, **overrides):
     p = tmp_path / "run.json"
     p.write_text(json.dumps(cfg, indent=1))
     return p
+
+
+OUTPUTS = ("report.json", "functionals.csv", "tv.csv", "packing.csv", "acceptance.json")
 
 
 class TestRun:
@@ -175,6 +180,20 @@ class TestSubcommands:
         standalone = len(pickle.dumps(warm["approximate"]))
         assert size["approximate"] + size["regions"] <= standalone
         for name in ("report.json", "functionals.csv", "tv.csv"):
+            cold_bytes = (tmp_path / "cold" / name).read_bytes()
+            assert (tmp_path / "warm" / name).read_bytes() == cold_bytes
+
+    def test_warm_run_writes_cold_outputs(self, tmp_path):
+        cfg = RunConfig.load(small_config(tmp_path))
+        cache = tmp_path / "cache"
+        cold = pipeline.run(cfg, out_dir=tmp_path / "cold", cache_dir=cache)
+        warm = pipeline.run(cfg, out_dir=tmp_path / "warm", cache_dir=cache)
+        # the regions artifact stores the box lattice; the float corners
+        # are recomputed on load
+        W0, W1 = cold["regions"]["W"], warm["regions"]["W"]
+        assert W1 is not W0 and "lo" not in W1.__getstate__()
+        assert np.array_equal(W1.lo, W0.lo) and np.array_equal(W1.hi, W0.hi)
+        for name in OUTPUTS:
             cold_bytes = (tmp_path / "cold" / name).read_bytes()
             assert (tmp_path / "warm" / name).read_bytes() == cold_bytes
 

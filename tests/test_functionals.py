@@ -12,9 +12,11 @@ from epsapprox.functionals import (
     lp_norm,
 )
 from epsapprox import geometry
-from epsapprox.geometry import Hyperplane, LipschitzGraph, Window, build_boundary
+from epsapprox.geometry import Hyperplane, Window, build_boundary
 from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
+
+from conftest import ancestors, box_owners
 
 W2 = Window((-2.0, -2.0), (2.0, 2.0))
 AMBIENT = Window((-2.0, -6.5), (2.0, 6.5))
@@ -58,7 +60,7 @@ def _per_box_owners(fs):
     owner = {}
     for size in fs.W.size_groups():
         ids, pts = fs.fat_points(size)
-        out = np.full(pts.shape[:2], -1, dtype=int)
+        out = np.full(pts.shape[:2], -1, dtype=np.int32)
         for row, bid in enumerate(ids):
             P = pts[row]
             found = np.full(len(P), -1, dtype=int)
@@ -160,18 +162,6 @@ def test_owners_match_per_box_loop(fixture, request):
         assert got[size].dtype == ref[size].dtype
         assert np.array_equal(got[size], ref[size])
     assert any((ref[size] < 0).any() for size in ref)  # uncovered points occur
-
-
-@pytest.fixture(scope="module")
-def sin_rc():
-    """Region complex of the graph of 0.2 sin x over [-2, 2]."""
-    E = build_boundary(LipschitzGraph("sin", 0.2), resolution=1 / 64, window=W2)
-    S = build_cube_system(E, k_min=-3, k_max=3)
-    W = whitney_decompose(
-        E, Window((-2.0, -3.0), (2.0, 3.0)), min_side=PARAMS.c_w * 2.0**-3
-    )
-    corona = corona_provider(E, S, "trivial_graph", eta=0.25)
-    return build_regions(S, W, corona, PARAMS)
 
 
 def _aperture_scan(FS, alpha, qid):
@@ -281,7 +271,7 @@ class TestCubeNumbers:
         w = S.E.weights
         for q in S.relevant_ids()[::13]:
             best = 0.0
-            for r in S.ancestors(q):
+            for r in ancestors(S, q):
                 m = S.cube(r).sample_idx
                 best = max(best, np.dot(ns[m], w[m]) / S.sigma(r))
             assert val[q] == pytest.approx(best, rel=1e-12)
@@ -336,6 +326,52 @@ class TestCarlesonFunctionals:
             )
             C = max(C, (far / fs.S.side(q)) ** 1)
         assert np.all(cd <= C * cb * (1 + 1e-6) + 1e-12)
+
+
+def _anc_scatter_loop(fs, mass):
+    """Reference: per box in `box_owners` key order, its mass added to each
+    ancestor of each of its owners."""
+    S = fs.S
+    out = np.zeros(len(S.cubes))
+    for bid, owners in box_owners(fs.RC).items():
+        qs = sorted({a for q, _ in owners for a in ancestors(S, q)})
+        m = mass[bid]
+        if m:
+            for q in qs:
+                out[q] += m
+    return out
+
+
+def _carleson_dyadic_loop(fs, mass):
+    """Reference: per sample, the running max over its chain."""
+    per_cube = _anc_scatter_loop(fs, mass)
+    out = np.zeros(fs.E.n_samples)
+    for i, chain in enumerate(fs.chains):
+        best = 0.0
+        for q in chain:
+            best = max(best, per_cube[q] / fs.S.side(q))
+        out[i] = best
+    if fs.E.bounded:
+        out = np.maximum(out, fs._tower_sup(mass))
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["line_rc", "segment_rc"])
+def test_carleson_dyadic_matches_dict_scatter(fixture, request):
+    fs = FunctionalSuite(request.getfixturevalue(fixture), Constant(0.0))
+    indptr, owner, key_order = fs.box_owner_csr()
+    ref = box_owners(fs.RC)
+    assert key_order.tolist() == list(ref)
+    for b, owners in ref.items():
+        assert owner[indptr[b] : indptr[b + 1]].tolist() == [q for q, _ in owners]
+    assert indptr[-1] == sum(map(len, ref.values()))
+    rng = np.random.default_rng(11)
+    mass = rng.random(fs.W.n_boxes) * (rng.random(fs.W.n_boxes) < 0.5)
+    assert (mass == 0.0).any()
+    assert np.array_equal(fs.anc_scatter(mass), _anc_scatter_loop(fs, mass))
+    cd = fs.carleson_dyadic(mass)
+    assert np.array_equal(cd, _carleson_dyadic_loop(fs, mass))
+    assert len(np.unique(cd)) > 1  # the chains, not one tower sup, decide
 
 
 def _carleson_ball_loop(fs, mass, sample_ids):

@@ -386,7 +386,8 @@ class TestCoverage:
         floor = 6 * W.unit
         pts = rng.uniform([-1.5, -1.5], [1.5, 1.5], size=(500, 2))
         pts = pts[np.abs(pts[:, 1]) >= floor]
+        owned = {b for r in RC.regions.values() for b in r.boxes}
         for p in pts:
             b = locate(W, p)
             assert b is not None
-            assert RC.box_owners.get(b), f"box {b} at {p} in no region"
+            assert b in owned, f"box {b} at {p} in no region"
