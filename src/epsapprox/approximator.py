@@ -60,7 +60,7 @@ def order_good_cubes(RC: RegionComplex, GF: GenerationForest, q0: int) -> list:
     if q0 in corona.good:
         q1 = GF.subregime_top[q0]
     else:
-        q1 = min(good_under, key=lambda q: (-S.side(q), q))
+        q1 = min(good_under, key=lambda q: (-S.side[q], q))
         if GF.subregime_top[q1] != q1:
             raise RuntimeError(
                 f"maximal good subcube {q1} is not a generation cube"
@@ -68,12 +68,12 @@ def order_good_cubes(RC: RegionComplex, GF: GenerationForest, q0: int) -> list:
     family.append(q1)
     remaining = good_under - GF.members[q1]
     while remaining:
-        qk = min(remaining, key=lambda q: (-S.side(q), q))
+        qk = min(remaining, key=lambda q: (-S.side[q], q))
         if GF.subregime_top[qk] != qk:
             raise RuntimeError(f"family cube {qk} is not a generation cube")
         family.append(qk)
         remaining -= GF.members[qk]
-    sides = [S.side(q) for q in family]
+    sides = [S.side[q] for q in family]
     assert all(a >= b - 1e-15 for a, b in zip(sides, sides[1:]))
     return family
 
@@ -110,7 +110,7 @@ def build_partition(
     under = set(S.descendants(q0))
     v_enum = sorted(
         (q for q in under if q in RC.corona.bad or q in labels.cubes),
-        key=lambda q: (-S.side(q), q),
+        key=lambda q: (-S.side[q], q),
     )
     taken: set = set()
     for qm in v_enum:
@@ -264,7 +264,7 @@ def _ring_chain(S, gamma0: float) -> list:
     chain = chain[::-1]
     out = [chain[0]]
     for q in chain[1:]:
-        if S.side(q) >= gamma0 * S.side(out[-1]) - 1e-12:
+        if S.side[q] >= gamma0 * S.side[out[-1]] - 1e-12:
             out.append(q)
     if out[-1] != chain[-1]:
         out.append(chain[-1])  # always end at the root
@@ -345,9 +345,8 @@ def deviation_sups(FS: FunctionalSuite, A: Approximant) -> np.ndarray:
     owners = FS.owners()
     out = np.zeros(FS.W.n_boxes)
     for size in FS.W.size_groups():
-        ids, pts = FS.fat_points(size)
-        uv = FS.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-        for rows in row_blocks(len(ids), pts.shape[1]):
+        ids, uv = FS.fat_values(size)
+        for rows in row_blocks(len(ids), uv.shape[1]):
             own = owners[size][rows]
             ok = own >= 0
             own = np.where(ok, own, 0)
@@ -365,7 +364,7 @@ def nontangential_deviation(
     `within`.  dev >= 0, so a box outside T counts as a zero sup."""
     if within is not None:
         dev = np.where(within, dev, 0.0)
-    return FS.down_max(FS.region_max(dev), 0.0)[FS.S.sample_leaf]
+    return FS.S.down_max(FS.region_max(dev), 0.0)[FS.S.sample_leaf]
 
 
 def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
@@ -380,8 +379,7 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
     """
     S, RC = FS.S, FS.RC
     indptr, owner, _ = FS.box_owner_csr()
-    anc = FS.anc_at()
-    side = FS.cube_sides()
+    anc, side = S.anc_at, S.side
     n, n_boxes = len(S.cubes), RC.W.n_boxes
     # one slot more for the -1 of a missing ancestor
     is_owner = np.zeros(n + 1, dtype=bool)
@@ -412,7 +410,7 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
         return 1.0
     q, b = np.divmod(np.unique(np.concatenate(pairs)), n_boxes)
     n_own = np.diff(indptr)[b]
-    gen = np.array([c.k for c in S.cubes]) - S.k_min
+    gen = S.gen - S.k_min
     spans = row_spans(n_own)
 
     def entries(lo, hi):

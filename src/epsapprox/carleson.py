@@ -33,12 +33,13 @@ def subtree_sums(S: CubeSystem, collection) -> dict:
     """Per relevant cube Q0: sum of sigma(Q) over collection cubes inside Q0."""
     ids = set(_as_ids(collection))
     sums: dict = {}
-    order = sorted(S.relevant_ids(), key=lambda q: -S.cube(q).k)
-    for q in order:
-        s = S.sigma(q) if q in ids else 0.0
-        for ch in S.cube(q).rchildren:
-            s += sums[ch]
-        sums[q] = s
+    # finest generation first, so each cube's children are summed already
+    for level, _ in reversed(S.levels):
+        for q in level.tolist():
+            s = S.sigma(q) if q in ids else 0.0
+            for ch in S.cube(q).rchildren:
+                s += sums[ch]
+            sums[q] = s
     return sums
 
 
@@ -223,18 +224,8 @@ def sparse_witness(S: CubeSystem, collection, lam: float):
 
 def dyadic_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     """M_dyadic f: per sample, sup of |f| cube averages along its chain."""
-    f = np.abs(np.asarray(f, dtype=float))
-    avg = S.cube_averages(f)
-    best: dict = {}
-    out = np.zeros(S.E.n_samples)
-    order = sorted(S.relevant_ids(), key=lambda q: S.cube(q).k)
-    for q in order:
-        p = S.cube(q).rparent
-        best[q] = max(avg[q], best[p]) if p is not None else avg[q]
-    for q in order:
-        if not S.cube(q).rchildren:
-            out[S.cube(q).sample_idx] = best[q]
-    return out
+    avg = S.cube_averages(np.abs(np.asarray(f, dtype=float)))
+    return S.down_max(avg, -np.inf)[S.sample_leaf]
 
 
 def default_radii(S: CubeSystem) -> np.ndarray:

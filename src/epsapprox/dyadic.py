@@ -47,11 +47,21 @@ class CubeSystem:
     scale: float
     k_min: int
     k_max: int
-    roots: list
     generations: dict
     c1: float
     C1: float
+    # the relevant-tree index, built once by `_relevant_tree`
+    roots: list
     sample_leaf: np.ndarray  # finest relevant cube id containing each sample
+    # per generation, coarsest first: (relevant ids, their relevant parents),
+    # int32, a root's parent being -1; every parent comes in an earlier level
+    levels: list
+    # anc_at[q, k - k_min]: cube q's relevant ancestor at generation k (q
+    # itself at its own), -1 where there is none; the extra last row, read
+    # through a root's parent -1, is all -1
+    anc_at: np.ndarray
+    side: np.ndarray  # l(Q) per cube id
+    gen: np.ndarray  # generation k per cube id
 
     # -- navigation -------------------------------------------------------
 
@@ -61,20 +71,13 @@ class CubeSystem:
     def relevant_ids(self) -> list:
         return [c.id for c in self.cubes if c.relevant]
 
-    def side(self, qid: int) -> float:
-        return self.cubes[qid].side
-
     def sigma(self, qid: int) -> float:
         return self.cubes[qid].measure
 
     def chain(self, sample: int) -> list:
         """Relevant cubes containing the sample, coarsest first."""
-        out = []
-        q = int(self.sample_leaf[sample])
-        while q is not None:
-            out.append(q)
-            q = self.cubes[q].rparent
-        return out[::-1]
+        row = self.anc_at[self.sample_leaf[sample]]
+        return row[row >= 0].tolist()
 
     def descendants(self, qid: int) -> list:
         """The cube, then its relevant descendants."""
@@ -88,24 +91,31 @@ class CubeSystem:
 
     def contains(self, qid: int, pid: int) -> bool:
         """True iff cube `pid` is inside cube `qid` (relevant tree)."""
-        q = pid
-        while q is not None:
-            if q == qid:
-                return True
-            q = self.cubes[q].rparent
-        return False
+        return pid == qid or bool(self.anc_at[pid, self.gen[qid] - self.k_min] == qid)
 
     def relevant_at_gen(self, k: int) -> list:
         return [q for q in self.generations.get(k, []) if self.cubes[q].relevant]
 
-    def cube_averages(self, f: np.ndarray) -> dict:
-        """Per relevant cube: weighted average of f over member samples."""
+    def cube_averages(self, f: np.ndarray) -> np.ndarray:
+        """Per cube id: weighted average of f over member samples, 0 off the
+        relevant tree."""
         w = self.E.weights
-        out = {}
+        out = np.zeros(len(self.cubes))
         for q in self.relevant_ids():
             c = self.cubes[q]
-            out[q] = float(np.dot(f[c.sample_idx], w[c.sample_idx]) / c.measure)
+            out[q] = np.dot(f[c.sample_idx], w[c.sample_idx]) / c.measure
         return out
+
+    def down_max(self, own: np.ndarray, start: float) -> np.ndarray:
+        """Per cube: the max of `start` and of the per-cube `own` over the
+        cube and its relevant ancestors, propagated root to leaf one
+        generation at a time.  A sample's chain max is the value at its
+        `sample_leaf`."""
+        # the extra last slot is what a root's parent -1 reads
+        val = np.full(len(self.cubes) + 1, start)
+        for ids, par in self.levels:
+            val[ids] = np.maximum(val[par], own[ids])
+        return val
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +273,32 @@ def _finalize(E: BoundarySet, raw, k_min, k_max, scale) -> CubeSystem:
             by_sample[cubes[q].sample_idx] = q
         prev_by_sample = by_sample
 
-    _dedup_relevant(cubes)
-    _link_relevant(cubes)
-    sample_leaf = np.full(E.n_samples, -1, dtype=int)
-    for c in cubes:
-        if c.relevant and not c.rchildren:
-            sample_leaf[c.sample_idx] = c.id
+    tree = _relevant_tree(cubes, generations, k_min, k_max, E.n_samples)
     c1, C1 = _inclusion_constants(E, cubes)
-    roots = [c.id for c in cubes if c.relevant and c.rparent is None]
     return CubeSystem(
         E=E,
         cubes=cubes,
         scale=scale,
         k_min=k_min,
         k_max=k_max,
-        roots=roots,
         generations=generations,
         c1=c1,
         C1=C1,
-        sample_leaf=sample_leaf,
+        **tree,
     )
 
 
-def _dedup_relevant(cubes):
-    """Keep only the deepest copy of each set-equal chain of cubes."""
+def _relevant_tree(cubes, generations, k_min, k_max, n_samples) -> dict:
+    """Mark the relevant cubes, link them, and index the relevant tree.
+
+    Of each set-equal chain of cubes only the deepest copy stays relevant.
+    Returns the CubeSystem fields from `roots` on.
+    """
     for c in cubes:
         if len(c.children) == 1:
             child = cubes[c.children[0]]
             if len(child.sample_idx) == len(c.sample_idx):
                 c.relevant = False
-
-
-def _link_relevant(cubes):
     for c in cubes:
         if not c.relevant:
             continue
@@ -304,6 +308,27 @@ def _link_relevant(cubes):
         c.rparent = p
         if p is not None:
             cubes[p].rchildren.append(c.id)
+    sample_leaf = np.full(n_samples, -1, dtype=int)
+    for c in cubes:
+        if c.relevant and not c.rchildren:
+            sample_leaf[c.sample_idx] = c.id
+    levels = []
+    anc_at = np.full((len(cubes) + 1, k_max - k_min + 1), -1, dtype=np.int32)
+    for g, k in enumerate(range(k_min, k_max + 1)):
+        ids = [q for q in generations.get(k, []) if cubes[q].relevant]
+        par = [-1 if cubes[q].rparent is None else cubes[q].rparent for q in ids]
+        ids, par = np.array(ids, dtype=np.int32), np.array(par, dtype=np.int32)
+        anc_at[ids] = anc_at[par]
+        anc_at[ids, g] = ids
+        levels.append((ids, par))
+    return {
+        "roots": [c.id for c in cubes if c.relevant and c.rparent is None],
+        "sample_leaf": sample_leaf,
+        "levels": levels,
+        "anc_at": anc_at,
+        "side": np.array([c.side for c in cubes]),
+        "gen": np.array([c.k for c in cubes]),
+    }
 
 
 def _inclusion_constants(E: BoundarySet, cubes) -> tuple:
@@ -386,21 +411,14 @@ def synthetic_system(depth: int) -> CubeSystem:
             ids.append(c.id)
         generations[k] = ids
         prev = ids
-    _dedup_relevant(cubes)
-    _link_relevant(cubes)
-    sample_leaf = np.full(n, -1, dtype=int)
-    for c in cubes:
-        if c.relevant and not c.rchildren:
-            sample_leaf[c.sample_idx] = c.id
     return CubeSystem(
         E=E,
         cubes=cubes,
         scale=float(n),
         k_min=0,
         k_max=depth,
-        roots=[0],
         generations=generations,
         c1=0.5,
         C1=1.0,
-        sample_leaf=sample_leaf,
+        **_relevant_tree(cubes, generations, 0, depth, n),
     )

@@ -40,12 +40,19 @@ def row_spans(count: np.ndarray) -> list:
     return out
 
 
+def square_grid(t: np.ndarray) -> np.ndarray:
+    """The points (t_i, t_j), i major, as a (len(t)^2, 2) array."""
+    gx, gy = np.meshgrid(t, t, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
 class FunctionalSuite:
     """Shared evaluation state for one (boundary, regions, field) triple.
 
-    The cone index lives here: per-sample ancestor chains (`chains`) realize
-    the default cones, `aperture_neighbors` the widened ones; both resolve
-    to region box sets of the complex.
+    The cone index lives here: the relevant cubes of a sample's chain
+    realize its default cone, `aperture_neighbors` the widened ones; both
+    resolve to region box sets of the complex.  Tree sweeps read the
+    relevant-tree index of the cube system.
     """
 
     def __init__(
@@ -63,10 +70,7 @@ class FunctionalSuite:
         self.sample_frac = sample_frac
         self.tau = RC.params.tau
         self._fat = {}
-        self._core = {}
         self._owner = None
-        self._levels = None
-        self._anc_at = None
         self._box_owner = None
         self._pairs = None
         self._region_csr = None
@@ -74,7 +78,6 @@ class FunctionalSuite:
         self._comp_stats: dict | None = None
         self._nstar_cache: dict = {}
         self._numbers_cache: dict = {}
-        self.chains = [self.S.chain(i) for i in range(self.E.n_samples)]
         self._neighbor_cache: dict = {}
         self._gen_x: dict = {}
         self.far_ball_factor = far_ball_factor
@@ -82,42 +85,31 @@ class FunctionalSuite:
         self._grad2_int = None
 
     def __getstate__(self):
-        # the point grids, the owner map and the cube-tree tables are rebuilt
-        # from W and S in a fraction of a second, so a pickled suite (a cached
-        # `approximate` stage) leaves them out
-        return self.__dict__ | {"_fat": {}, "_core": {}} | dict.fromkeys(
-            ("_owner", "_levels", "_anc_at", "_box_owner", "_pairs", "_region_csr")
+        # the fat-grid values, the owner map and the box tables are rebuilt
+        # from W, the regions and u in a fraction of a second, so a pickled
+        # suite (a cached `approximate` stage) leaves them out
+        return self.__dict__ | {"_fat": {}} | dict.fromkeys(
+            ("_owner", "_box_owner", "_pairs", "_region_csr")
         )
 
     # -- grids --------------------------------------------------------------
 
-    def _offsets(self, fat: bool) -> np.ndarray:
-        pad = 1.5 * self.tau if fat else 0.0
-        npts = int(np.ceil((1 + 2 * pad) / self.sample_frac)) + 1
-        t = np.linspace(-pad, 1 + pad, npts)
-        gx, gy = np.meshgrid(t, t, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
     def fat_points(self, size: int):
-        """(box ids, points array (nbox, npts, 2)) for one size group."""
-        if size not in self._fat:
-            ids = self.W.size_groups()[size]
-            off = self._offsets(fat=True) * (self.W.unit * size)
-            self._fat[size] = (ids, self.W.lo[ids][:, None, :] + off[None, :, :])
-        return self._fat[size]
+        """(box ids, points array (nbox, npts, 2)) for one size group: a grid
+        over each box widened by 1.5 tau of its side all round."""
+        pad = 1.5 * self.tau
+        t = np.linspace(-pad, 1 + pad, int(np.ceil((1 + 2 * pad) / self.sample_frac)) + 1)
+        ids = self.W.size_groups()[size]
+        off = square_grid(t) * (self.W.unit * size)
+        return ids, self.W.lo[ids][:, None, :] + off[None, :, :]
 
-    def core_midpoints(self, size: int):
-        """(ids, midpoints (nbox, m, 2), cell volume) for quadrature."""
-        if size not in self._core:
-            ids = self.W.size_groups()[size]
-            side = self.W.unit * size
-            m = max(2, int(np.ceil(1.0 / self.sample_frac)))
-            t = (np.arange(m) + 0.5) / m
-            gx, gy = np.meshgrid(t, t, indexing="ij")
-            off = np.column_stack([gx.ravel(), gy.ravel()]) * side
-            vol = (side / m) ** 2
-            self._core[size] = (ids, self.W.lo[ids][:, None, :] + off[None, :, :], vol)
-        return self._core[size]
+    def fat_values(self, size: int):
+        """(box ids, u on their fat-grid points (nbox, npts)) for one size
+        group, evaluated once."""
+        if size not in self._fat:
+            ids, pts = self.fat_points(size)
+            self._fat[size] = (ids, self.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2]))
+        return self._fat[size]
 
     def box_extrema(self):
         """Per box: (max u, min u) over the fat grid."""
@@ -125,8 +117,7 @@ class FunctionalSuite:
             mx = np.full(self.W.n_boxes, -np.inf)
             mn = np.full(self.W.n_boxes, np.inf)
             for size in self.W.size_groups():
-                ids, pts = self.fat_points(size)
-                vals = self.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+                ids, vals = self.fat_values(size)
                 mx[ids] = vals.max(axis=1)
                 mn[ids] = vals.min(axis=1)
             self._comp_stats = (mx, mn)
@@ -176,8 +167,12 @@ class FunctionalSuite:
         if self._grad_int is None:
             g1 = np.zeros(self.W.n_boxes)
             g2 = np.zeros(self.W.n_boxes)
-            for size in self.W.size_groups():
-                ids, pts, vol = self.core_midpoints(size)
+            m = max(2, int(np.ceil(1.0 / self.sample_frac)))
+            mid = square_grid((np.arange(m) + 0.5) / m)
+            for size, ids in self.W.size_groups().items():
+                side = self.W.unit * size
+                pts = self.W.lo[ids][:, None, :] + (mid * side)[None, :, :]
+                vol = (side / m) ** 2
                 flat = pts.reshape(-1, 2)
                 gr = np.linalg.norm(self.u.grad(flat), axis=1).reshape(
                     pts.shape[:2]
@@ -242,44 +237,6 @@ class FunctionalSuite:
             self._gen_x[k] = (ids[order], xs[order], side)
         return self._gen_x[k]
 
-    def tree_levels(self) -> list:
-        """Per generation, coarsest first: (k, relevant ids, their relevant
-        parents), int32, a root's parent being -1.  Every cube's parent
-        comes in an earlier level."""
-        if self._levels is None:
-            S = self.S
-            out = []
-            for k in range(S.k_min, S.k_max + 1):
-                ids = S.relevant_at_gen(k)
-                par = [-1 if S.cube(q).rparent is None else S.cube(q).rparent for q in ids]
-                out.append((k, np.array(ids, dtype=np.int32), np.array(par, dtype=np.int32)))
-            self._levels = out
-        return self._levels
-
-    def down_max(self, own: np.ndarray, start: float) -> np.ndarray:
-        """Per cube: the max of `start` and of the per-cube `own` over the
-        cube and its relevant ancestors, propagated root to leaf one
-        generation at a time.  A sample's chain max is the value at its
-        `sample_leaf`."""
-        # the extra last slot is what a root's parent -1 reads
-        val = np.full(len(self.S.cubes) + 1, start)
-        for _, ids, par in self.tree_levels():
-            val[ids] = np.maximum(val[par], own[ids])
-        return val
-
-    def anc_at(self) -> np.ndarray:
-        """anc_at[q, k - k_min]: cube q's relevant ancestor at generation k
-        (q itself at its own), -1 where there is none.  The extra last row,
-        read through a root's parent -1, is all -1."""
-        if self._anc_at is None:
-            S = self.S
-            table = np.full((len(S.cubes) + 1, S.k_max - S.k_min + 1), -1, dtype=np.int32)
-            for k, ids, par in self.tree_levels():
-                table[ids] = table[par]
-                table[ids, k - S.k_min] = ids
-            self._anc_at = table
-        return self._anc_at
-
     def box_owner_csr(self):
         """(indptr, owner, key_order): the cubes whose region holds box b are
         owner[indptr[b]:indptr[b + 1]], ascending, and `key_order` lists the
@@ -305,10 +262,6 @@ class FunctionalSuite:
             key_order = held[np.argsort(order[indptr[held]], kind="stable")]
             self._box_owner = (indptr, qx[order], key_order)
         return self._box_owner
-
-    def cube_sides(self) -> np.ndarray:
-        """l(Q) per cube id."""
-        return np.array([c.side for c in self.S.cubes])
 
     def region_max(self, per_box: np.ndarray) -> np.ndarray:
         """Per cube: max of a nonnegative per-box array over the cube's
@@ -349,7 +302,7 @@ class FunctionalSuite:
             else:
                 nbrs = self.aperture_neighbors(alpha, q)
                 own[q] = max((sup[p] for p in nbrs), default=-np.inf)
-        out = self.down_max(own, self._far_sup())[self.S.sample_leaf]
+        out = self.S.down_max(own, self._far_sup())[self.S.sample_leaf]
         empty = np.nonzero(out == -np.inf)[0]
         if len(empty):
             raise ValueError(f"empty cone at sample {empty[0]} (window edge)")
@@ -374,9 +327,9 @@ class FunctionalSuite:
         """S u per sample: quadrature of |grad u|^2 over the cone."""
         _, g2 = self.grad_integrals()
         out = np.zeros(self.E.n_samples)
-        for i, chain in enumerate(self.chains):
+        for i in range(self.E.n_samples):
             seen: set = set()
-            for q in chain:
+            for q in self.S.chain(i):
                 seen.update(self.RC.regions[q].boxes)
             out[i] = np.sqrt(sum(g2[b] for b in seen))
         return out
@@ -399,11 +352,8 @@ class FunctionalSuite:
         """
         if alpha in self._numbers_cache:
             return self._numbers_cache[alpha]
-        avg = self.S.cube_averages(self.n_star(alpha))
-        own = np.zeros(len(self.S.cubes))
-        own[list(avg)] = list(avg.values())
-        top = self.down_max(own, -np.inf)
-        val = {int(q): float(top[q]) for _, ids, _ in self.tree_levels() for q in ids}
+        top = self.S.down_max(self.S.cube_averages(self.n_star(alpha)), -np.inf)
+        val = {q: float(top[q]) for ids, _ in self.S.levels for q in ids.tolist()}
         point = top[self.S.sample_leaf]
         self._numbers_cache[alpha] = (val, point)
         return val, point
@@ -420,7 +370,7 @@ class FunctionalSuite:
         """
         if self._pairs is None:
             indptr, owner, key_order = self.box_owner_csr()
-            anc = self.anc_at()
+            anc = self.S.anc_at
             n = len(self.S.cubes)
             count = np.diff(indptr)[key_order]
             cols = [[] for _ in range(anc.shape[1])]
@@ -458,8 +408,8 @@ class FunctionalSuite:
         B(z0, 2^k diam E), k = Lambda_0 .. Lambda_0+4, with Lambda_0 chosen
         so the first ball contains T_{root}.
         """
-        per_cube = self.anc_scatter(mass) / self.cube_sides()
-        out = self.down_max(per_cube, 0.0)[self.S.sample_leaf]
+        per_cube = self.anc_scatter(mass) / self.S.side
+        out = self.S.down_max(per_cube, 0.0)[self.S.sample_leaf]
         if self.E.bounded:
             out = np.maximum(out, self._tower_sup(mass))
         return out

@@ -63,14 +63,17 @@ def principal_cubes(S: CubeSystem, numbers: dict, chain: list) -> PrincipalFamil
     fam = set(chain)
     proj: dict = {}
     depth = {q: 0 for q in chain}
+    # (cube, relevant parent or -1) one generation after another
+    tree = [
+        (q, p) for ids, par in S.levels for q, p in zip(ids.tolist(), par.tolist())
+    ]
 
     def project_all():
-        for q in sorted(S.relevant_ids(), key=lambda i: S.cube(i).k):
+        for q, p in tree:
             if q in fam:
                 proj[q] = q
             else:
-                p = S.cube(q).rparent
-                proj[q] = proj[p] if p is not None else None
+                proj[q] = proj[p] if p >= 0 else None
 
     project_all()
     changed = True
@@ -80,8 +83,7 @@ def principal_cubes(S: CubeSystem, numbers: dict, chain: list) -> PrincipalFamil
         # added this round is blocked until the next round re-projects it
         blocked: set = set()
         added = []
-        for q in sorted(S.relevant_ids(), key=lambda i: S.cube(i).k):
-            p = S.cube(q).rparent
+        for q, p in tree:
             if p in blocked:
                 blocked.add(q)
                 continue

@@ -415,9 +415,6 @@ class RegionComplex:
     regions: dict  # qid -> WhitneyRegion, ascending qid
     stats: dict
 
-    def region(self, qid: int) -> WhitneyRegion:
-        return self.regions[qid]
-
     def x_point(self, qid: int, sign: str) -> np.ndarray:
         """X_Q^{sign}: center of the largest box of the signed component."""
         r = self.regions[qid]
@@ -434,12 +431,7 @@ class RegionComplex:
 
     def carleson_box(self, qid: int) -> frozenset:
         """T_Q: member boxes over the relevant descendants of Q."""
-        out = set()
-        for q in self.S.descendants(qid):
-            r = self.regions.get(q)
-            if r is not None:
-                out.update(r.boxes)
-        return frozenset(out)
+        return self.sawtooth(self.S.descendants(qid))
 
     def sawtooth(self, ids) -> frozenset:
         out = set()
@@ -511,7 +503,7 @@ def build_regions(
         p = c.rparent
         scale_defect = (
             p is not None
-            and S.side(p) > params.max_parent_ratio * c.side * (1 + 1e-9)
+            and S.side[p] > params.max_parent_ratio * c.side * (1 + 1e-9)
         )
         labels, centers, ok = _label_components(W, comps, reg, good)
         if good and (not ok or scale_defect):
@@ -591,27 +583,26 @@ def _recohere(S: CubeSystem, corona: CoronaDecomposition, demoted) -> CoronaDeco
     bad = corona.bad | demoted
     regimes: list = []
     regime_of: dict = {}
-    order = sorted(S.relevant_ids(), key=lambda q: S.cube(q).k)
-    for q in order:
-        if q not in good:
-            continue
-        p = S.cube(q).rparent
-        old = corona.regime_of.get(q)
-        joins = (
-            p is not None
-            and p in regime_of
-            and corona.regime_of.get(p) == old
-            and all(ch in good for ch in S.cube(p).rchildren)
-        )
-        if joins:
-            i = regime_of[p]
-            regimes[i].cubes.add(q)
-            regime_of[q] = i
-        else:
-            graph = corona.regimes[old].graph if old is not None else None
-            reg = Regime(idx=len(regimes), cubes={q}, max_cube=q, graph=graph)
-            regimes.append(reg)
-            regime_of[q] = reg.idx
+    for ids, par in S.levels:
+        for q, p in zip(ids.tolist(), par.tolist()):
+            if q not in good:
+                continue
+            old = corona.regime_of.get(q)
+            # a root's parent -1 is in no regime
+            joins = (
+                p in regime_of
+                and corona.regime_of.get(p) == old
+                and all(ch in good for ch in S.cube(p).rchildren)
+            )
+            if joins:
+                i = regime_of[p]
+                regimes[i].cubes.add(q)
+                regime_of[q] = i
+            else:
+                graph = corona.regimes[old].graph if old is not None else None
+                reg = Regime(idx=len(regimes), cubes={q}, max_cube=q, graph=graph)
+                regimes.append(reg)
+                regime_of[q] = reg.idx
     return CoronaDecomposition(
         good=good,
         bad=bad,

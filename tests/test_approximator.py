@@ -111,7 +111,7 @@ class TestOrderedFamily:
         expect = []
         rem = set(good)
         while rem:
-            q = min(rem, key=lambda i: (-S.side(i), i))
+            q = min(rem, key=lambda i: (-S.side[i], i))
             top = gf.subregime_top[q]
             assert top == q
             expect.append(q)
@@ -121,7 +121,7 @@ class TestOrderedFamily:
     def test_sides_non_increasing(self, line_rc, state_t):
         fs, numbers, labels, gf = state_t
         fam = order_good_cubes(line_rc, gf, line_rc.S.roots[0])
-        sides = [line_rc.S.side(q) for q in fam]
+        sides = [line_rc.S.side[q] for q in fam]
         assert sides == sorted(sides, reverse=True)
 
 
@@ -207,7 +207,7 @@ class TestValues:
         fs = state_t[0]
         for c in local_t.cells:
             if c.kind == "blue":
-                r = line_rc.region(c.anchor)
+                r = line_rc.regions[c.anchor]
                 found = False
                 for ci, comp in enumerate(r.components):
                     if set(c.boxes) <= set(comp):
@@ -357,7 +357,7 @@ class TestGlobalModes:
         fs, numbers, labels, gf = state_t
         A = build_global_approximant(fs, gf, labels, gamma0=4.0)
         S = line_rc.S
-        sides = [S.side(q) for q in A.rings]
+        sides = [S.side[q] for q in A.rings]
         for a, b in zip(sides, sides[1:-1]):
             assert b >= 4.0 * a - 1e-12
         # rings tile: every covered box belongs to exactly one cell
@@ -473,7 +473,7 @@ def _ndev_loop(fs, dev, restrict_to=None):
             boxes = [b for b in boxes if b in restrict_to]
         per_region[q] = float(dev[boxes].max()) if boxes else 0.0
     out = np.zeros(fs.E.n_samples)
-    for i, chain in enumerate(fs.chains):
+    for i, chain in enumerate(map(fs.S.chain, range(fs.E.n_samples))):
         out[i] = max((per_region[q] for q in chain), default=0.0)
     return out
 
@@ -524,7 +524,7 @@ def _alpha0_oracle(fs, gf):
                 rp = RC.regions[pr]
                 anchor_boxes.append(rp.centers[rp.labels.index(sign)])
         for q in sorted(qs):
-            if S.side(q) > S.side(p):
+            if S.side[q] > S.side[p]:
                 continue
             for b in anchor_boxes:
                 best = np.inf
@@ -553,7 +553,7 @@ class TestRemarkLocality:
         S = line_rc.S
         ns = fs.n_star(None)
         rng = np.random.default_rng(12)
-        ids = [q for q in S.relevant_ids() if line_rc.region(q).good]
+        ids = [q for q in S.relevant_ids() if line_rc.regions[q].good]
         worst = 0.0
         for _ in range(40):
             qp, q1, q2 = (ids[rng.integers(len(ids))] for _ in range(3))

@@ -175,7 +175,7 @@ class TestHLMaximal:
         ratio = 0.0
         for q in S.relevant_ids():
             d = np.linalg.norm(S.E.points - S.cube(q).z, axis=1)
-            ball = S.E.weights[d < S.C1 * S.side(q)].sum()
+            ball = S.E.weights[d < S.C1 * S.side[q]].sum()
             if ball > 0:
                 ratio = max(ratio, ball / S.sigma(q))
         assert np.all(md <= ratio * mhl + 1e-9)

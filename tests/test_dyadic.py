@@ -124,7 +124,7 @@ class TestNavigation:
     def test_chain_coarsest_first_and_ordered(self, line_system):
         S = line_system
         chain = S.chain(137)
-        sides = [S.side(q) for q in chain]
+        sides = [S.side[q] for q in chain]
         assert sides == sorted(sides, reverse=True)
         sets = [frozenset(S.cube(q).sample_idx.tolist()) for q in chain]
         for a, b in zip(sets, sets[1:]):
@@ -173,7 +173,7 @@ class TestSurfaceBall:
         _, r1, _ = surface_ball(S, q, 1.0)
         _, r2, _ = surface_ball(S, q, 2.0)
         assert r2 == pytest.approx(2 * r1)
-        assert r1 == pytest.approx(S.C1 * S.side(q))
+        assert r1 == pytest.approx(S.C1 * S.side[q])
 
 
 class TestSynthetic:

@@ -42,7 +42,7 @@ def cone_distance_constant(FS, alpha: float, stride: int = 37) -> float:
     lo, hi = FS.W.lo, FS.W.hi
     for i in range(0, FS.E.n_samples, stride):
         x = FS.E.points[i]
-        for q in FS.chains[i]:
+        for q in FS.S.chain(i):
             for p in FS.aperture_neighbors(alpha, q):
                 for b in FS.RC.regions[p].boxes:
                     far = max(np.linalg.norm(lo[b] - x), np.linalg.norm(hi[b] - x))
@@ -95,7 +95,7 @@ class TestNStar:
         pad = 1.5 * fs.tau
         for i in range(0, fs.E.n_samples, 37):
             boxes = set()
-            for q in fs.chains[i]:
+            for q in fs.S.chain(i):
                 boxes.update(fs.RC.regions[q].boxes)
             direct = 0.0
             for b in boxes:
@@ -140,7 +140,7 @@ class TestSquareFunction:
         s = fs.square_function()
         for i in range(0, fs.E.n_samples, 71):
             boxes = set()
-            for q in fs.chains[i]:
+            for q in fs.S.chain(i):
                 boxes.update(fs.RC.regions[q].boxes)
             area = sum((fs.W.unit * fs.W.size[b]) ** 2 for b in boxes)
             assert s[i] ** 2 == pytest.approx(area, rel=1e-9)
@@ -185,7 +185,7 @@ def _n_star_loop(FS, alpha):
     sup = FS.region_sup()
     out = np.zeros(FS.E.n_samples)
     far = FS._far_sup()
-    for i, chain in enumerate(FS.chains):
+    for i, chain in enumerate(map(FS.S.chain, range(FS.E.n_samples))):
         best = far
         for q in chain:
             if alpha is None:
@@ -216,7 +216,7 @@ def test_cones_match_all_pairs_scan(fixture, request):
     # x-window of radius alpha*C1*l(Q) alone would miss it
     S = fs.S
     assert any(
-        np.linalg.norm(S.cube(p).z - S.cube(q).z) > alpha * S.C1 * S.side(q)
+        np.linalg.norm(S.cube(p).z - S.cube(q).z) > alpha * S.C1 * S.side[q]
         for alpha in APERTURES[1:]
         for q in S.relevant_ids()
         for p in fs.aperture_neighbors(alpha, q)
@@ -238,7 +238,7 @@ def test_aperture_calls_once_per_cube(line_rc, monkeypatch):
 
 def test_empty_cone_names_first_sample(line_rc):
     fs = FunctionalSuite(line_rc, Coordinate(1))
-    chain = set(fs.chains[7])
+    chain = set(fs.S.chain(7))
     # empty every cone piece on sample 7's chain: exactly the samples of its
     # finest cube have empty cones
     sup = fs.region_sup()
@@ -301,9 +301,9 @@ class TestCarlesonFunctionals:
         # oracle: per sample, enumerate containing cubes and check T_Q
         for i in range(0, fs.E.n_samples, 97):
             best = 0.0
-            for qq in fs.chains[i]:
+            for qq in fs.S.chain(i):
                 if bid in RC.carleson_box(qq):
-                    best = max(best, 1.0 / S.side(qq) ** n)
+                    best = max(best, 1.0 / S.side[qq] ** n)
             assert cd[i] == pytest.approx(best)
 
     def test_dyadic_dominated_by_ball(self, fs_poisson):
@@ -324,7 +324,7 @@ class TestCarlesonFunctionals:
                 max(np.linalg.norm(lo[b] - z), np.linalg.norm(hi[b] - z))
                 for b in t
             )
-            C = max(C, (far / fs.S.side(q)) ** 1)
+            C = max(C, (far / fs.S.side[q]) ** 1)
         assert np.all(cd <= C * cb * (1 + 1e-6) + 1e-12)
 
 
@@ -346,10 +346,10 @@ def _carleson_dyadic_loop(fs, mass):
     """Reference: per sample, the running max over its chain."""
     per_cube = _anc_scatter_loop(fs, mass)
     out = np.zeros(fs.E.n_samples)
-    for i, chain in enumerate(fs.chains):
+    for i, chain in enumerate(map(fs.S.chain, range(fs.E.n_samples))):
         best = 0.0
         for q in chain:
-            best = max(best, per_cube[q] / fs.S.side(q))
+            best = max(best, per_cube[q] / fs.S.side[q])
         out[i] = best
     if fs.E.bounded:
         out = np.maximum(out, fs._tower_sup(mass))
@@ -449,7 +449,7 @@ class TestOscillations:
         osc = fs.oscillations()
         for q in fs.S.relevant_ids():
             r = fs.RC.regions[q]
-            side = fs.S.side(q)
+            side = fs.S.side[q]
             for ci, comp in enumerate(r.components):
                 # oscillation of t over a component is its height extent
                 mx, mn = fs.box_extrema()

@@ -1,13 +1,15 @@
 """Layout guard: `src/` holds only code the pipeline, CLI or benchmark reaches."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "epsapprox").glob("*.py"))
 BENCH = sorted((ROOT / "benchmark").glob("*.py"))
-# synthetic_system builds a real CubeSystem through private linkers for the
-# tests; pickle alone calls the persistence hooks
+# synthetic_system builds a real CubeSystem for the tests; pickle alone calls
+# the persistence hooks
 ALLOWED = {"synthetic_system", "persistent_id", "persistent_load"}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -81,3 +83,50 @@ def test_dataclass_fields_are_read():
                 ):
                     unread.append(f"{node.name}.{stmt.target.id}")
     assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+
+
+def test_tree_sweeps_read_the_levels():
+    """Only dyadic.py puts cubes in generation order: every other tree sweep
+    iterates `CubeSystem.levels` instead of sorting `relevant_ids()`."""
+    found = []
+    for path in SRC:
+        if path.name == "dyadic.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)
+                and n.func.id == "sorted"
+                and any(k.arg == "key" for k in n.keywords)
+                and n.args
+                and "relevant_ids" in _names(n.args[0])
+            ):
+                found.append(f"{path.name}:{n.lineno}")
+    assert not found, "generation sorts of relevant_ids(): " + ", ".join(found)
+
+
+def test_benchmark_tracer_installs():
+    """`benchmark/run.py --trace 1` wraps its targets by module and name, so
+    a moved or renamed one fails here; uninstall restores every binding."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmark" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def bindings():
+        out = {}
+        for m in tracer.MODULES:
+            mod = importlib.import_module(f"{tracer.PACKAGE}.{m}")
+            out[m] = dict(vars(mod))
+            for name, obj in vars(mod).items():
+                if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                    out[f"{m}.{name}"] = dict(vars(obj))
+        return out
+
+    before = bindings()
+    t = tracer.Tracer().install()
+    try:
+        assert len(t._restore) >= len(tracer.FUNCTIONS)
+        assert bindings() != before
+    finally:
+        t.uninstall()
+    assert bindings() == before

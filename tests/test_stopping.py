@@ -50,7 +50,7 @@ def oscillation_square_domination(FS: FunctionalSuite, signs=("+", "-")) -> floa
                 # weight the box integral by delta at the box center
                 integral += g2[b] * delta
             if integral > 0:
-                worst = max(worst, osc**2 * S.side(q) / integral)
+                worst = max(worst, osc**2 * S.side[q] / integral)
     return worst
 
 

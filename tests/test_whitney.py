@@ -249,7 +249,7 @@ class TestRegions:
         RC = line_regions
         S, W = RC.S, RC.W
         q = S.relevant_ids()[len(S.relevant_ids()) // 2]
-        r = RC.region(q)
+        r = RC.regions[q]
         c = S.cube(q)
         pts = S.E.points[c.sample_idx]
         qlo, qhi = pts.min(axis=0), pts.max(axis=0)
@@ -276,7 +276,7 @@ class TestRegions:
         for q in RC.stats["demoted"]:
             assert len(RC.S.cube(q).sample_idx) == 1
         for q in RC.S.relevant_ids():
-            r = RC.region(q)
+            r = RC.regions[q]
             if q in RC.stats["demoted"]:
                 continue
             assert r.good
@@ -290,7 +290,7 @@ class TestRegions:
     def test_x_points_at_scale(self, line_regions):
         RC = line_regions
         for q in RC.S.relevant_ids():
-            if not RC.region(q).good:
+            if not RC.regions[q].good:
                 continue
             c = RC.S.cube(q)
             for sign in "+-":
@@ -317,7 +317,7 @@ class TestRegions:
             for b in r.boxes:
                 seen.setdefault(b, []).append(q)
         for b, qs in list(seen.items())[::17]:
-            sides = [RC.S.side(q) for q in qs]
+            sides = [RC.S.side[q] for q in qs]
             assert max(sides) / min(sides) <= PARAMS.C_w / PARAMS.c_w + 1e-9
 
 
@@ -348,7 +348,7 @@ class TestBoxesAndSawtooths:
     def test_sawtooth_single_cube_is_region(self, line_regions):
         RC = line_regions
         q = RC.S.relevant_ids()[5]
-        assert RC.sawtooth([q]) == frozenset(RC.region(q).boxes)
+        assert RC.sawtooth([q]) == frozenset(RC.regions[q].boxes)
 
     def test_carleson_box_covers_dyadic_box_probe(self, line_regions):
         RC = line_regions
@@ -368,7 +368,7 @@ class TestBoxesAndSawtooths:
     def test_halves_of_sawtooth(self, line_regions):
         RC = line_regions
         ids = [
-            q for q in RC.S.descendants(RC.S.roots[0]) if RC.region(q).good
+            q for q in RC.S.descendants(RC.S.roots[0]) if RC.regions[q].good
         ]
         plus, minus = RC.sawtooth_halves(ids)
         assert plus and minus and not (plus & minus)
