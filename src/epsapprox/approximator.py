@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .carleson import hl_maximal
-from .functionals import FunctionalSuite, csr_rows, lp_norm, row_spans
-from .geometry import pair_distances, row_blocks
+from .functionals import FunctionalSuite, lp_norm
+from .geometry import csr_rows, pair_distances, row_blocks, row_spans
 from .stopping import GenerationForest, OscillationLabels, initial_chain
 from .whitney import RegionComplex
 
@@ -91,20 +91,23 @@ def build_partition(
 
     Returns the cells and the per-box cell index (-1 outside T_{q0}).
     """
-    S = RC.S
-    t_boxes = RC.carleson_box(q0)
+    S, W = RC.S, RC.W
+    # `free`: boxes of T_{q0} no cell has taken yet
+    free = np.zeros(W.n_boxes, dtype=bool)
+    free[RC.carleson_box(q0)] = True
     cells: list[Cell] = []
-    cell = np.full(RC.W.n_boxes, -1)
+    cell = np.full(W.n_boxes, -1)
 
     def add_cell(kind, anchor, value, boxes):
-        boxes = sorted(boxes)
-        if not boxes:
+        """A cell of the free boxes among `boxes` (ascending), which it takes."""
+        boxes = boxes[free[boxes]]
+        if not len(boxes):
             return
-        if (cell[boxes] >= 0).any():
-            b = next(b for b in boxes if cell[b] >= 0)
-            raise RuntimeError(f"box {b} assigned to two cells")
+        free[boxes] = False
         cell[boxes] = len(cells)
-        cells.append(Cell(idx=len(cells), kind=kind, anchor=anchor, value=value, boxes=boxes))
+        cells.append(
+            Cell(idx=len(cells), kind=kind, anchor=anchor, value=value, boxes=boxes.tolist())
+        )
 
     # V cells first (phi_1 has precedence over phi_0 on its closure)
     under = set(S.descendants(q0))
@@ -112,34 +115,21 @@ def build_partition(
         (q for q in under if q in RC.corona.bad or q in labels.cubes),
         key=lambda q: (-S.side[q], q),
     )
-    taken: set = set()
     for qm in v_enum:
-        r = RC.regions[qm]
-        for ci, comp in enumerate(r.components):
-            boxes = [b for b in comp if b in t_boxes and b not in taken]
-            if not boxes:
-                continue
-            taken.update(boxes)
-            if labels.is_red(qm, ci):
-                add_cell("red", qm, None, boxes)
-            else:
-                x_i = (RC.W.lo[r.centers[ci]] + RC.W.hi[r.centers[ci]]) / 2.0
-                add_cell("blue", qm, float(values["u"].eval(x_i[None, :])[0]), boxes)
+        for c in RC.comps(qm):
+            if labels.red[c]:
+                add_cell("red", qm, None, RC.comp(c))
+            elif free[RC.comp(c)].any():
+                b = RC.comp_center[c]
+                x_i = (W.lo[b] + W.hi[b]) / 2.0
+                add_cell("blue", qm, float(values["u"].eval(x_i[None, :])[0]), RC.comp(c))
     # A cells: subregime sawtooth halves minus everything taken so far
     for qk in family:
-        plus, minus = RC.sawtooth_halves(GF.members[qk])
-        add_cell(
-            "A+", qk, values[(qk, "+")], [b for b in plus if b in t_boxes and b not in taken]
-        )
-        taken.update(plus & t_boxes)
-        add_cell(
-            "A-", qk, values[(qk, "-")], [b for b in minus if b in t_boxes and b not in taken]
-        )
-        taken.update(minus & t_boxes)
-    missing = t_boxes - taken
-    if missing:
+        for sign, half in zip("+-", RC.sawtooth_halves(GF.members[qk])):
+            add_cell("A" + sign, qk, values[(qk, sign)], half)
+    if free.any():
         raise RuntimeError(
-            f"partition does not cover T_q0: {len(missing)} boxes left"
+            f"partition does not cover T_q0: {int(free.sum())} boxes left"
         )
     return cells, cell
 
@@ -221,28 +211,20 @@ def build_global_approximant(
     locals_ = [build_local_approximant(FS, GF, labels, q) for q in rings]
     cells: list[Cell] = []
     cell = np.full(RC.W.n_boxes, -1)
-    prev_t: frozenset = frozenset()
+    # `fresh`: boxes of no earlier ring
+    fresh = np.ones(RC.W.n_boxes, dtype=bool)
     for q, loc in zip(rings, locals_):
-        remap: dict = {}
         t_k = RC.carleson_box(q)
-        ring = np.array(sorted(t_k - prev_t), dtype=int)
-        for b, li in zip(ring.tolist(), loc.cell[ring].tolist()):
-            if li < 0:
-                continue
-            if li not in remap:
-                src = loc.cells[li]
-                c = Cell(
-                    idx=len(cells),
-                    kind=src.kind,
-                    anchor=src.anchor,
-                    value=src.value,
-                    boxes=[],
-                )
-                cells.append(c)
-                remap[li] = c.idx
-            cells[remap[li]].boxes.append(b)
-            cell[b] = remap[li]
-        prev_t = prev_t | t_k
+        ring = t_k[fresh[t_k] & (loc.cell[t_k] >= 0)]
+        fresh[t_k] = False
+        # the ring's piece of each local cell, in order of its first box
+        li = loc.cell[ring]
+        for j in np.sort(np.unique(li, return_index=True)[1]).tolist():
+            src, boxes = loc.cells[li[j]], ring[li == li[j]]
+            cell[boxes] = len(cells)
+            cells.append(
+                Cell(len(cells), src.kind, src.anchor, src.value, boxes=boxes.tolist())
+            )
     A = Approximant(
         RC=RC,
         u=FS.u,
@@ -276,49 +258,46 @@ _FACET_NODES = 9
 
 
 def _assemble_jumps(FS: FunctionalSuite, A: Approximant):
-    """Facet jump table and the per-box binned TV measure."""
-    W, u = A.RC.W, A.u
+    """Facet jump table and the per-box binned TV measure.
+
+    One pass over the facet table: a jump between two constants is exact,
+    and one between u and a constant is the mean of |u - c| over the
+    facet's nodes, the nodes of all such facets taken by one call of u.
+    """
+    W = A.RC.W
     g1, _ = FS.grad_integrals()
+    value, is_u, _ = _box_rules(A)
+    a, b, axis = W.facets.T
+    ia, ib = A.cell[a], A.cell[b]
+    # inside the approximant's domain, across two cells, not u on both sides
+    live = (ia >= 0) & (ib >= 0) & (ia != ib) & ~(is_u[a] & is_u[b])
+    a, b, axis, area = a[live], b[live], axis[live], W.facet_area[live]
+    mass = np.abs(value[a] - value[b]) * area
+    mixed = np.flatnonzero(is_u[a] | is_u[b])
+    if len(mixed):
+        const = np.where(is_u[a[mixed]], value[b[mixed]], value[a[mixed]])
+        nodes = _facet_nodes(W, a[mixed], b[mixed], axis[mixed], _FACET_NODES)
+        uv = A.u.eval(nodes.reshape(-1, 2)).reshape(len(mixed), _FACET_NODES)
+        mass[mixed] = np.mean(np.abs(uv - const[:, None]), axis=1) * area[mixed]
+    jump = mass > 0.0
+    a, b, axis, area, mass = a[jump], b[jump], axis[jump], area[jump], mass[jump]
     tv = np.zeros(W.n_boxes)
-    jumps = []
-    _, is_u, _ = _box_rules(A)
     tv[is_u] += g1[is_u]  # red or outer: the rule is u
-    cell = A.cell.tolist()
-    for a, b, axis, area in W.facets:
-        ia, ib = cell[a], cell[b]
-        if ia < 0 or ib < 0:
-            continue  # outside the approximant's domain
-        if ia == ib:
-            continue
-        va, vb = A.cells[ia].value, A.cells[ib].value
-        if va is None and vb is None:
-            continue  # u on both sides: no jump
-        if va is not None and vb is not None:
-            mass = abs(va - vb) * area
-        else:
-            const = va if va is not None else vb
-            nodes = _facet_nodes(W, a, b, axis, _FACET_NODES)
-            mass = float(np.mean(np.abs(u.eval(nodes) - const))) * area
-        if mass > 0.0:
-            jumps.append((a, b, axis, area, mass))
-            tv[a] += mass / 2
-            tv[b] += mass / 2
-    A.jump_facets = jumps
+    # half of each jump to either side, facet by facet
+    np.add.at(tv, np.column_stack([a, b]).ravel(), np.repeat(mass / 2, 2))
+    A.jump_facets = list(zip(*(x.tolist() for x in (a, b, axis, area, mass))))
     A.tv_box = tv
 
 
 def _facet_nodes(W, a, b, axis, m):
-    lo_a, hi_a = W.lo[a], W.hi[a]
-    lo_b, hi_b = W.lo[b], W.hi[b]
-    plane = hi_a[axis]
-    perp = 1 - axis
-    t0 = max(lo_a[perp], lo_b[perp])
-    t1 = min(hi_a[perp], hi_b[perp])
-    ts = t0 + (np.arange(m) + 0.5) / m * (t1 - t0)
-    pts = np.empty((m, 2))
-    pts[:, axis] = plane
-    pts[:, perp] = ts
-    return pts
+    """(facets, m, 2): m midpoint nodes along each facet (a, b, axis)."""
+    k, perp = np.arange(len(a)), 1 - axis
+    t0 = np.maximum(W.lo[a, perp], W.lo[b, perp])
+    t1 = np.minimum(W.hi[a, perp], W.hi[b, perp])
+    nodes = np.empty((len(a), m, 2))
+    nodes[k, :, axis] = W.hi[a, axis][:, None]
+    nodes[k, :, perp] = t0[:, None] + (np.arange(m) + 0.5) / m * (t1 - t0)[:, None]
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +343,7 @@ def nontangential_deviation(
     `within`.  dev >= 0, so a box outside T counts as a zero sup."""
     if within is not None:
         dev = np.where(within, dev, 0.0)
-    return FS.S.down_max(FS.region_max(dev), 0.0)[FS.S.sample_leaf]
+    return FS.S.down_max(FS.RC.region_max(dev, 0.0), 0.0)[FS.S.sample_leaf]
 
 
 def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
@@ -378,33 +357,30 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
     first; each (o, A) ratio they reach is then computed once.
     """
     S, RC = FS.S, FS.RC
-    indptr, owner, _ = FS.box_owner_csr()
+    indptr, owner = RC.owner_ptr, RC.owner_cube
     anc, side = S.anc_at, S.side
     n, n_boxes = len(S.cubes), RC.W.n_boxes
     # one slot more for the -1 of a missing ancestor
     is_owner = np.zeros(n + 1, dtype=bool)
     is_q = np.zeros(n + 1, dtype=bool)
     pairs = []
+    good = RC.corona.good
     for p in sorted(GF.all_cubes):
-        reg = RC.regions.get(p)
-        if reg is None or not reg.good:
+        if p not in good:
             continue
-        omega = np.fromiter(RC.sawtooth(GF.members[p]), dtype=np.int32)
         # the cubes Q whose Carleson box meets the sawtooth: ancestors of
         # the cubes owning one of its boxes
-        is_owner[owner[csr_rows(indptr, omega)]] = True
+        is_owner[owner[csr_rows(indptr, RC.sawtooth(GF.members[p]))]] = True
         is_q[anc[np.flatnonzero(is_owner)]] = True
         qs = np.flatnonzero(is_q[:n])
         qs = qs[side[qs] <= side[p]]
-        is_owner[:] = False
-        is_q[:] = False
+        is_owner[:] = is_q[:] = False
         anchor_boxes = []
+        pr = S.cube(p).rparent
         for sign in "+-":
-            anchor_boxes.append(reg.centers[reg.labels.index(sign)])
-            pr = S.cube(p).rparent
-            if pr is not None and RC.regions[pr].good:
-                rp = RC.regions[pr]
-                anchor_boxes.append(rp.centers[rp.labels.index(sign)])
+            anchor_boxes.append(RC.comp_center[RC.signed_comp(p, sign)])
+            if pr in good:
+                anchor_boxes.append(RC.comp_center[RC.signed_comp(pr, sign)])
         pairs.append((qs[:, None].astype(np.int64) * n_boxes + anchor_boxes).ravel())
     if not pairs:
         return 1.0
@@ -486,7 +462,7 @@ def verify_approximation(
     # constant-free local form on T_{q0}
     t0 = np.zeros(FS.W.n_boxes, dtype=bool)
     if A.q0 is not None:
-        t0[list(A.RC.carleson_box(A.q0))] = True
+        t0[A.RC.carleson_box(A.q0)] = True
     ndev_local = nontangential_deviation(FS, dev, within=t0)
     in_q0 = np.zeros(FS.E.n_samples, dtype=bool)
     in_q0[S.cube(A.q0).sample_idx] = True

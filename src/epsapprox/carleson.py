@@ -271,11 +271,14 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def carleson_embedding_check(S: CubeSystem, f: np.ndarray, collection, q0: int):
+def carleson_embedding_check(
+    S: CubeSystem, f: np.ndarray, collection, q0: int, md: np.ndarray | None = None
+):
     """lhs = sum over collection inside Q0 of int_Q f; rhs = Lambda*int_{Q0} M_dyadic f.
 
-    Returns (lhs, rhs, holds).  A violation indicates an implementation bug:
-    the inequality is unconditional.
+    `md` is M_dyadic f per sample when the caller already has it.  Returns
+    (lhs, rhs, holds).  A violation indicates an implementation bug: the
+    inequality is unconditional.
     """
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
@@ -287,7 +290,8 @@ def carleson_embedding_check(S: CubeSystem, f: np.ndarray, collection, q0: int):
         m = S.cube(q).sample_idx
         lhs += float(np.dot(f[m], w[m]))
     lam = packing_constant(S, ids, within=q0)
-    md = dyadic_maximal(S, f)
+    if md is None:
+        md = dyadic_maximal(S, f)
     m0 = S.cube(q0).sample_idx
     rhs = lam * float(np.dot(md[m0], w[m0]))
     holds = lhs <= rhs * (1 + 1e-12) + 1e-15

@@ -11,33 +11,12 @@ the square-function weight delta^{1-n} is 1 and l(Q)^n = l(Q).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .dyadic import CubeSystem
-from .geometry import CHUNK, ball_sums, pair_distances, row_blocks
+from .geometry import CHUNK, ball_sums, csr_rows, pair_distances, ranges, row_blocks, row_spans
 from .harmonic import HarmonicField
 from .whitney import RegionComplex
-
-
-def csr_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Entry positions of the CSR rows `ids`, row after row."""
-    start = indptr[ids]
-    count = indptr[ids + 1] - start
-    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-
-
-def row_spans(count: np.ndarray) -> list:
-    """(lo, hi) spans of consecutive rows with `count` entries each, holding
-    at most CHUNK entries together (or one row, if it alone has more)."""
-    ends = np.cumsum(count)
-    out, lo = [], 0
-    while lo < len(count):
-        hi = int(np.searchsorted(ends, ends[lo] - count[lo] + CHUNK, side="right"))
-        out.append((lo, max(hi, lo + 1)))
-        lo = out[-1][1]
-    return out
 
 
 def square_grid(t: np.ndarray) -> np.ndarray:
@@ -71,10 +50,7 @@ class FunctionalSuite:
         self.tau = RC.params.tau
         self._fat = {}
         self._owner = None
-        self._box_owner = None
         self._pairs = None
-        self._region_csr = None
-        self._region_sup: dict | None = None
         self._comp_stats: dict | None = None
         self._nstar_cache: dict = {}
         self._numbers_cache: dict = {}
@@ -85,12 +61,10 @@ class FunctionalSuite:
         self._grad2_int = None
 
     def __getstate__(self):
-        # the fat-grid values, the owner map and the box tables are rebuilt
-        # from W, the regions and u in a fraction of a second, so a pickled
-        # suite (a cached `approximate` stage) leaves them out
-        return self.__dict__ | {"_fat": {}} | dict.fromkeys(
-            ("_owner", "_box_owner", "_pairs", "_region_csr")
-        )
+        # the fat-grid values, the owner map and the (box, cube) pairs are
+        # rebuilt from W, the regions and u in a fraction of a second, so a
+        # pickled suite (a cached `approximate` stage) leaves them out
+        return self.__dict__ | {"_fat": {}} | dict.fromkeys(("_owner", "_pairs"))
 
     # -- grids --------------------------------------------------------------
 
@@ -135,13 +109,15 @@ class FunctionalSuite:
             # padding candidate: an empty box, never hit
             lo_all = np.vstack([self.W.lo, np.full(2, np.inf)])
             hi_all = np.vstack([self.W.hi, np.full(2, -np.inf)])
+            ptr, nbr = self.W.nbr_ptr, self.W.nbr
             for size in self.W.size_groups():
                 ids, pts = self.fat_points(size)
-                nbrs = [self.W.neighbors[b] for b in ids]
-                cands = np.full((len(ids), 1 + max(map(len, nbrs))), -1, dtype=np.int32)
+                deg = ptr[ids + 1] - ptr[ids]
+                cands = np.full((len(ids), 1 + deg.max(initial=0)), -1, dtype=np.int32)
                 cands[:, 0] = ids
-                for row, nb in enumerate(nbrs):
-                    cands[row, 1 : 1 + len(nb)] = nb
+                cands[np.repeat(np.arange(len(ids)), deg), 1 + ranges(0 * deg, deg)] = nbr[
+                    csr_rows(ptr, ids)
+                ]
                 out = np.empty(pts.shape[:2], dtype=np.int32)
                 step = max(1, CHUNK // (cands.shape[1] * pts.shape[1]))
                 for r in range(0, len(ids), step):
@@ -185,16 +161,11 @@ class FunctionalSuite:
 
     # -- cones and nontangential sups ----------------------------------------
 
-    def region_sup(self) -> dict:
-        """Per cube: sup |u| over the fattened region boxes."""
-        if self._region_sup is None:
-            mx, mn = self.box_extrema()
-            sup = np.maximum(np.abs(mx), np.abs(mn))
-            self._region_sup = {
-                q: (float(sup[r.boxes].max()) if r.boxes else -np.inf)
-                for q, r in self.RC.regions.items()
-            }
-        return self._region_sup
+    def region_sup(self) -> np.ndarray:
+        """Per cube: sup |u| over the fattened region boxes, -inf for an
+        empty region or a cube without one."""
+        mx, mn = self.box_extrema()
+        return self.RC.region_max(np.maximum(np.abs(mx), np.abs(mn)), -np.inf)
 
     def aperture_neighbors(self, alpha: float, qid: int) -> list:
         """Same-generation cubes P with alpha*Delta_Q meeting P.
@@ -237,52 +208,6 @@ class FunctionalSuite:
             self._gen_x[k] = (ids[order], xs[order], side)
         return self._gen_x[k]
 
-    def box_owner_csr(self):
-        """(indptr, owner, key_order): the cubes whose region holds box b are
-        owner[indptr[b]:indptr[b + 1]], ascending, and `key_order` lists the
-        boxes in the order they first appear over the regions' components
-        (cubes ascending), the order in which `anc_scatter` adds them."""
-        if self._box_owner is None:
-            comps = [(q, c) for q, r in self.RC.regions.items() for c in r.components]
-            bx = np.fromiter(
-                itertools.chain.from_iterable(c for _, c in comps), dtype=np.int32
-            )
-            qx = np.repeat(
-                np.array([q for q, _ in comps], dtype=np.int32),
-                [len(c) for _, c in comps],
-            )
-            # regions come in ascending cube order, so a stable sort by box
-            # keeps each box's owners ascending
-            order = np.argsort(bx, kind="stable")
-            count = np.bincount(bx, minlength=self.W.n_boxes)
-            indptr = np.zeros(self.W.n_boxes + 1, dtype=np.int64)
-            np.cumsum(count, out=indptr[1:])
-            # a box's first entry in the stable order is its first appearance
-            held = np.flatnonzero(count).astype(np.int32)
-            key_order = held[np.argsort(order[indptr[held]], kind="stable")]
-            self._box_owner = (indptr, qx[order], key_order)
-        return self._box_owner
-
-    def region_max(self, per_box: np.ndarray) -> np.ndarray:
-        """Per cube: max of a nonnegative per-box array over the cube's
-        region, 0 for an empty region or a cube without one."""
-        if self._region_csr is None:
-            regions = self.RC.regions
-            ids = [q for q, r in regions.items() if r.boxes]
-            lens = [len(regions[q].boxes) for q in ids]
-            flat = np.fromiter(
-                itertools.chain.from_iterable(regions[q].boxes for q in ids),
-                dtype=np.int32,
-                count=sum(lens),
-            )
-            starts = np.concatenate([[0], np.cumsum(lens[:-1], dtype=np.int64)])
-            self._region_csr = (np.array(ids, dtype=np.int32), starts, flat)
-        ids, starts, flat = self._region_csr
-        out = np.zeros(len(self.S.cubes))
-        if len(ids):
-            out[ids] = np.maximum.reduceat(per_box[flat], starts)
-        return out
-
     def n_star(self, alpha: float | None = None) -> np.ndarray:
         """N_* u (default cones) or the alpha-aperture variant, per sample.
 
@@ -295,13 +220,11 @@ class FunctionalSuite:
         if key in self._nstar_cache:
             return self._nstar_cache[key]
         sup = self.region_sup()
-        own = np.full(len(self.S.cubes), -np.inf)
-        for q in self.S.relevant_ids():
-            if alpha is None:
-                own[q] = sup[q]
-            else:
-                nbrs = self.aperture_neighbors(alpha, q)
-                own[q] = max((sup[p] for p in nbrs), default=-np.inf)
+        own = sup
+        if alpha is not None:
+            own = np.full(len(self.S.cubes), -np.inf)
+            for q in self.S.relevant_ids():
+                own[q] = sup[self.aperture_neighbors(alpha, q)].max(initial=-np.inf)
         out = self.S.down_max(own, self._far_sup())[self.S.sample_leaf]
         empty = np.nonzero(out == -np.inf)[0]
         if len(empty):
@@ -324,24 +247,27 @@ class FunctionalSuite:
         return float(sup[outside].max())
 
     def square_function(self) -> np.ndarray:
-        """S u per sample: quadrature of |grad u|^2 over the cone."""
-        _, g2 = self.grad_integrals()
-        out = np.zeros(self.E.n_samples)
-        for i in range(self.E.n_samples):
-            seen: set = set()
-            for q in self.S.chain(i):
-                seen.update(self.RC.regions[q].boxes)
-            out[i] = np.sqrt(sum(g2[b] for b in seen))
-        return out
+        """S u per sample: quadrature of |grad u|^2 over the cone.
 
-    def oscillations(self) -> dict:
-        """(qid, comp index) -> grid oscillation of u over the component."""
+        Samples of one finest cube share their cone.  Its boxes are summed
+        in the iteration order of a set filled region by region along the
+        chain, each region's boxes ascending.
+        """
+        g2 = self.grad_integrals()[1].tolist()
+        S, RC = self.S, self.RC
+        leaves, inverse = np.unique(S.sample_leaf, return_inverse=True)
+        per_leaf = np.zeros(len(leaves))
+        for i, leaf in enumerate(leaves.tolist()):
+            chain = S.anc_at[leaf]
+            seen = set(RC.region_box[csr_rows(RC.region_ptr, chain[chain >= 0])].tolist())
+            per_leaf[i] = np.sqrt(sum(g2[b] for b in seen))
+        return per_leaf[inverse]
+
+    def oscillations(self) -> np.ndarray:
+        """Per component: grid oscillation of u over its boxes."""
         mx, mn = self.box_extrema()
-        out = {}
-        for q, r in self.RC.regions.items():
-            for ci, comp in enumerate(r.components):
-                out[(q, ci)] = float(mx[comp].max() - mn[comp].min())
-        return out
+        box, starts = self.RC.comp_box, self.RC.comp_ptr[:-1]
+        return np.maximum.reduceat(mx[box], starts) - np.minimum.reduceat(mn[box], starts)
 
     # -- cube numbers ---------------------------------------------------------
 
@@ -369,7 +295,8 @@ class FunctionalSuite:
         entries are read in blocks of whole boxes.
         """
         if self._pairs is None:
-            indptr, owner, key_order = self.box_owner_csr()
+            indptr, owner = self.RC.owner_ptr, self.RC.owner_cube
+            key_order = self.RC.box_order()
             anc = self.S.anc_at
             n = len(self.S.cubes)
             count = np.diff(indptr)[key_order]
@@ -396,7 +323,7 @@ class FunctionalSuite:
         """Per cube Q: total mass of boxes inside T_Q (0 off the tree).
 
         `bincount` adds in pair order, so each sum takes its boxes in the
-        key order of `box_owner_csr`.
+        order of `RegionComplex.box_order`.
         """
         boxes, cubes = self._anc_pairs()
         return np.bincount(cubes, weights=mass[boxes], minlength=len(self.S.cubes))
@@ -418,9 +345,7 @@ class FunctionalSuite:
         z0 = self.E.points[0]
         lo, hi = self.W.lo, self.W.hi
         far = np.maximum(np.linalg.norm(lo - z0, axis=1), np.linalg.norm(hi - z0, axis=1))
-        t_root = max(
-            (far[b] for b in self.RC.carleson_box(self.S.roots[0])), default=0.0
-        )
+        t_root = far[self.RC.carleson_box(self.S.roots[0])].max(initial=0.0)
         d = self.E.diameter
         lam0 = max(0, int(np.ceil(np.log2(max(t_root, d) / d))))
         mids = (lo + hi) / 2

@@ -231,10 +231,8 @@ class PointList(Descriptor):
 
     def diameter(self, window: Window) -> float:
         pts = np.asarray(self.points, dtype=float)
-        d = 0.0
-        for i in range(len(pts)):
-            d = max(d, float(np.max(np.linalg.norm(pts - pts[i], axis=1))))
-        return d
+        blocks = row_blocks(len(pts), len(pts))
+        return max((float(pair_distances(pts[r], pts).max()) for r in blocks), default=0.0)
 
     def to_json(self):
         return {
@@ -360,6 +358,29 @@ def row_blocks(n_rows: int, n_cols: int) -> list:
     """Slices of consecutive rows holding at most CHUNK (row, column) pairs."""
     step = max(1, CHUNK // max(1, n_cols))
     return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
+
+
+def ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs start[i], ..., start[i] + count[i] - 1, one after another."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def csr_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Entry positions of the CSR rows `ids`, row after row."""
+    start = indptr[ids]
+    return ranges(start, indptr[ids + 1] - start)
+
+
+def row_spans(count: np.ndarray) -> list:
+    """(lo, hi) spans of consecutive rows with `count` entries each, holding
+    at most CHUNK entries together (or one row, if it alone has more)."""
+    ends = np.cumsum(count)
+    out, lo = [], 0
+    while lo < len(count):
+        hi = int(np.searchsorted(ends, ends[lo] - count[lo] + CHUNK, side="right"))
+        out.append((lo, max(hi, lo + 1)))
+        lo = out[-1][1]
+    return out
 
 
 def pair_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

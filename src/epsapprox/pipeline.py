@@ -314,9 +314,10 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     report["principal"] = verify_principal_packing(
         S, fam, numbers, budget_factor=cfg.budgets.principal_packing_factor
     )
-    # discrete embedding self-check: f = N_* u against the principal family
+    # discrete embedding self-check: f = N_* u against the principal family;
+    # M_dyadic(N_* u) is the pointwise cube number
     lhs, rhs, holds = carleson_embedding_check(
-        S, FS.n_star(None), sorted(fam.cubes), S.roots[0]
+        S, FS.n_star(None), sorted(fam.cubes), S.roots[0], md=approx["m_point"]
     )
     report["embedding"] = {"lhs": lhs, "rhs": rhs, "holds": bool(holds)}
 

@@ -156,11 +156,8 @@ def verify_principal_packing(
 
 @dataclass
 class OscillationLabels:
-    red: set  # (qid, comp idx) with large oscillation
+    red: np.ndarray  # per region component: large oscillation
     cubes: set  # qids with some red component (the collection R)
-
-    def is_red(self, qid: int, ci: int) -> bool:
-        return (qid, ci) in self.red
 
 
 def oscillation_cubes(
@@ -169,13 +166,11 @@ def oscillation_cubes(
     """Label region components red/blue by osc u > eps * cube number."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
-    red = set()
-    cubes = set()
-    for (q, ci), v in FS.oscillations().items():
-        if v > eps * numbers[q]:
-            red.add((q, ci))
-            cubes.add(q)
-    return OscillationLabels(red=red, cubes=cubes)
+    ptr = FS.RC.region_comp_ptr
+    comp_cube = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    bound = eps * np.array([numbers[q] for q in comp_cube.tolist()])
+    red = FS.oscillations() > bound
+    return OscillationLabels(red=red, cubes=set(comp_cube[red].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +202,11 @@ def generation_cubes(
     members: dict = {}
     all_cubes: set = set()
 
-    def anchor_vals(q):
-        out = {}
-        for sign in "+-":
-            out[sign] = float(u.eval(RC.y_point(q, sign)[None, :])[0])
-        return out
+    # u at Y_Q^{+/-} of every regime cube, in one evaluation
+    cubes = [q for reg in corona.regimes for q in sorted(reg.cubes)]
+    ys = [RC.y_point(q, sign) for q in cubes for sign in "+-"]
+    vals = u.eval(np.array(ys).reshape(-1, 2)).reshape(-1, 2).tolist()
+    anchor = {q: dict(zip("+-", v)) for q, v in zip(cubes, vals)}
 
     for reg in corona.regimes:
         gens = [{reg.max_cube}]
@@ -220,7 +215,7 @@ def generation_cubes(
         while frontier:
             next_gen: set = set()
             for top in frontier:
-                ref = anchor_vals(top)
+                ref = anchor[top]
                 sub = {top}
                 stack = list(S.cube(top).rchildren)
                 while stack:
@@ -229,7 +224,7 @@ def generation_cubes(
                     if q not in reg.cubes:
                         stopped = True  # condition (1); also demoted cubes
                     else:
-                        vals = anchor_vals(q)
+                        vals = anchor[q]
                         drift = max(
                             abs(vals["+"] - ref["+"]), abs(vals["-"] - ref["-"])
                         )

@@ -21,8 +21,11 @@ from .geometry import (
     BoundarySet,
     Window,
     box_distance_many,
+    csr_rows,
     descriptor_from_json,
     dist_to_cloud,
+    ranges,
+    row_spans,
 )
 
 # packing bound of the corona's bad cubes and regime tops: checked when the
@@ -44,8 +47,14 @@ class WhitneyComplex:
     dist: np.ndarray  # (n,) dist(I, E)
     lo: np.ndarray  # (n, 2) float corners, base + unit * ij
     hi: np.ndarray  # (n, 2) float corners, lo + unit * size
-    neighbors: list  # per box: sorted ids with closed-box contact
-    facets: list  # (a, b, axis, area) with a.hi == b.lo on axis, overlap > 0
+    # neighbour CSR: the boxes in closed-box contact with box b, ascending,
+    # are nbr[nbr_ptr[b]:nbr_ptr[b + 1]]
+    nbr_ptr: np.ndarray  # (n + 1,) int64
+    nbr: np.ndarray  # int32
+    # facet table sorted by (a, b): rows (a, b, axis) with a.hi == b.lo on
+    # the axis and a positive overlap, whose length is the facet's area
+    facets: np.ndarray  # (m, 3) int32
+    facet_area: np.ndarray  # (m,) float
 
     def __getstate__(self):
         # the float corners follow from the lattice, so a pickle (the cached
@@ -119,7 +128,7 @@ def whitney_decompose(
     ij, sizes, dist = (np.concatenate(a) for a in zip(*levels))
     order = np.lexsort((ij[:, 1], ij[:, 0], sizes))
     ij, sizes, dist = ij[order], sizes[order], dist[order]
-    neighbors, facets = _adjacency(ij, sizes, unit)
+    nbr_ptr, nbr, facets, facet_area = _adjacency(ij, sizes, unit)
     blo, bhi = _corners(base, unit, ij, sizes)
     return WhitneyComplex(
         E=E,
@@ -131,8 +140,10 @@ def whitney_decompose(
         dist=dist,
         lo=blo,
         hi=bhi,
-        neighbors=neighbors,
+        nbr_ptr=nbr_ptr,
+        nbr=nbr,
         facets=facets,
+        facet_area=facet_area,
     )
 
 
@@ -148,53 +159,44 @@ _CORNERS = np.array(((0, 0), (1, 0), (0, 1), (1, 1)), dtype=np.int64)
 
 
 def _adjacency(ij, size, unit):
-    """Face sweep: contacts (incl. corner touch) and positive-area facets.
+    """Face sweep: closed-box contacts (corner touches included) and the
+    positive-area facets among them.
 
-    Faces sharing a plane form two sequences of non-overlapping intervals
-    (the boxes on either side tile), so a sorted two-pointer merge finds all
-    contacts in linear time.
+    Two boxes touch iff, on one axis, the upper face of one lies in the
+    plane of the lower face of the other and their intervals across it
+    meet.  The boxes touching a plane from one side have disjoint
+    interiors, so sorted by (plane, start) their ends ascend too, and two
+    searches per box find the boxes meeting its upper faces.
     """
-    lo, s = ij.tolist(), size.tolist()
-    ids = range(len(s))
-    neighbors = [set() for _ in ids]
-    facets = []
+    n = len(size)
+    # lattice coordinates lie in [0, span), so plane * span + coordinate
+    # orders faces by plane, then along it
+    span = int((ij + size[:, None]).max(initial=0)) + 1
+    ids = np.arange(n)
+    links, facets, areas = [], [], []
     for axis in (0, 1):
-        perp = 1 - axis
-        plane: dict = {}
-        for b in ids:
-            plane.setdefault(lo[b][axis] + s[b], ([], []))[0].append(b)
-            plane.setdefault(lo[b][axis], ([], []))[1].append(b)
-        for _, (plus, minus) in plane.items():
-            if not plus or not minus:
-                continue
-            plus.sort(key=lambda b: lo[b][perp])
-            minus.sort(key=lambda b: lo[b][perp])
-            i = j = 0
-            while i < len(plus) and j < len(minus):
-                a, c = plus[i], minus[j]
-                a_end, c_end = lo[a][perp] + s[a], lo[c][perp] + s[c]
-                overlap = min(a_end, c_end) - max(lo[a][perp], lo[c][perp])
-                if overlap > 0:
-                    neighbors[a].add(c)
-                    neighbors[c].add(a)
-                    facets.append((a, c, axis, float(overlap * unit)))
-                if a_end <= c_end:
-                    i += 1
-                else:
-                    j += 1
-    # corner contacts (zero-overlap, incl. diagonal) via shared corner points
-    corner_map: dict = {}
-    for b in ids:
-        x0, y0 = lo[b]
-        for corner in ((x0, y0), (x0 + s[b], y0), (x0, y0 + s[b]), (x0 + s[b], y0 + s[b])):
-            corner_map.setdefault(corner, []).append(b)
-    for group in corner_map.values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                neighbors[group[i]].add(group[j])
-                neighbors[group[j]].add(group[i])
-    facets.sort()
-    return [sorted(n) for n in neighbors], facets
+        start = ij[:, 1 - axis]
+        end = start + size
+        # boxes by (lower plane, start), against every box's upper plane
+        above = np.lexsort((start, ij[:, axis]))
+        base = ij[above, axis] * span
+        top = (ij[:, axis] + size) * span
+        first = np.searchsorted(base + end[above], top + start)
+        count = np.maximum(np.searchsorted(base + start[above], top + end, side="right") - first, 0)
+        a = np.repeat(ids, count)
+        b = above[ranges(first, count)]
+        overlap = np.minimum(end[a], end[b]) - np.maximum(start[a], start[b])
+        face = overlap > 0
+        links += [a * n + b, b * n + a]
+        facets.append(np.column_stack([a, b, np.full(len(a), axis)])[face])
+        areas.append(overlap[face] * unit)
+    # a corner touch across both axes is found twice
+    link = np.sort(np.concatenate(links))
+    link = link[np.diff(link, prepend=-1) != 0]
+    facets, areas = np.concatenate(facets), np.concatenate(areas)
+    order = np.lexsort((facets[:, 1], facets[:, 0]))
+    ptr = np.searchsorted(link // n, np.arange(n + 1))
+    return ptr, (link % n).astype(np.int32), facets[order].astype(np.int32), areas[order]
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +227,6 @@ class CoronaDecomposition:
     packing_measured: float = 0.0
     property3_sup: float = 0.0
     demoted: set = field(default_factory=set)
-
-    def regime(self, qid: int) -> Regime | None:
-        i = self.regime_of.get(qid)
-        return None if i is None else self.regimes[i]
 
     def to_json(self):
         return {
@@ -398,59 +396,104 @@ def _sup_dist(pts: np.ndarray, targets: np.ndarray) -> float:
 
 
 @dataclass
-class WhitneyRegion:
-    boxes: list  # all member box ids, sorted
-    components: list  # list of sorted box-id lists
-    labels: list  # per component: '+', '-', or 'i<k>'
-    centers: list  # per component: box id of the largest box (the X point)
-    good: bool
-
-
-@dataclass
 class RegionComplex:
+    """Whitney regions and their components as CSR arrays.
+
+    The member boxes of cube q, ascending, are
+    region_box[region_ptr[q]:region_ptr[q + 1]] (an empty row off the
+    relevant tree); the cubes whose region holds box b, ascending, are
+    owner_cube[owner_ptr[b]:owner_ptr[b + 1]].  Components are numbered in
+    (cube, least box) order: cube q's are region_comp_ptr[q] up to
+    region_comp_ptr[q + 1], and component c holds the boxes
+    comp_box[comp_ptr[c]:comp_ptr[c + 1]], ascending.
+    """
+
     S: CubeSystem
     W: WhitneyComplex
     corona: CoronaDecomposition
     params: RegionParams
-    regions: dict  # qid -> WhitneyRegion, ascending qid
+    region_ptr: np.ndarray  # (n_cubes + 1,) int64
+    region_box: np.ndarray  # int32
+    owner_ptr: np.ndarray  # (n_boxes + 1,) int64
+    owner_cube: np.ndarray  # int32
+    region_comp_ptr: np.ndarray  # (n_cubes + 1,) int64
+    comp_ptr: np.ndarray  # (n_comps + 1,) int64
+    comp_box: np.ndarray  # int32
+    comp_sign: np.ndarray  # int8: regime graph side +1/-1 (good cube), else 0
+    comp_center: np.ndarray  # int32: the largest box, least id first (the X point)
     stats: dict
+
+    def comps(self, qid: int) -> range:
+        """Ids of the components of cube qid's region, in order."""
+        return range(self.region_comp_ptr[qid], self.region_comp_ptr[qid + 1])
+
+    def comp(self, c: int) -> np.ndarray:
+        """The boxes of component c, ascending."""
+        return self.comp_box[self.comp_ptr[c] : self.comp_ptr[c + 1]]
+
+    def signed_comp(self, qid: int, sign: str) -> int:
+        """Id of the '+' or '-' component of a good cube's region."""
+        want = 1 if sign == "+" else -1
+        for c in self.comps(qid):
+            if self.comp_sign[c] == want:
+                return c
+        raise ValueError(f"cube {qid} has no {sign!r} component")
 
     def x_point(self, qid: int, sign: str) -> np.ndarray:
         """X_Q^{sign}: center of the largest box of the signed component."""
-        r = self.regions[qid]
-        bid = r.centers[r.labels.index(sign)]
+        bid = self.comp_center[self.signed_comp(qid, sign)]
         return (self.W.lo[bid] + self.W.hi[bid]) / 2.0
 
     def y_point(self, qid: int, sign: str) -> np.ndarray:
         """Y_Q^{sign} = X of the parent (or of Q itself at a regime top)."""
-        reg = self.corona.regime(qid)
+        i = self.corona.regime_of.get(qid)
         p = self.S.cube(qid).rparent
-        if reg is not None and qid == reg.max_cube or p is None:
+        if i is not None and qid == self.corona.regimes[i].max_cube or p is None:
             return self.x_point(qid, sign)
         return self.x_point(p, sign)
 
-    def carleson_box(self, qid: int) -> frozenset:
-        """T_Q: member boxes over the relevant descendants of Q."""
-        return self.sawtooth(self.S.descendants(qid))
+    def region_max(self, per_box: np.ndarray, empty: float) -> np.ndarray:
+        """Per cube: max of a per-box array over its region, else `empty`."""
+        out = np.full(len(self.S.cubes), empty)
+        live = np.flatnonzero(np.diff(self.region_ptr))
+        out[live] = np.maximum.reduceat(per_box[self.region_box], self.region_ptr[live])
+        return out
 
-    def sawtooth(self, ids) -> frozenset:
-        out = set()
-        for q in ids:
-            r = self.regions.get(q)
-            if r is not None:
-                out.update(r.boxes)
-        return frozenset(out)
+    def box_order(self) -> np.ndarray:
+        """Boxes of some region, in order of first appearance over the components."""
+        first = np.full(self.W.n_boxes, len(self.comp_box))
+        np.minimum.at(first, self.comp_box, np.arange(len(self.comp_box)))
+        return self.comp_box[np.sort(first[first < len(self.comp_box)])]
+
+    def carleson_box(self, qid: int) -> np.ndarray:
+        """T_Q: member boxes over the relevant descendants of Q, ascending."""
+        S = self.S
+        return self.sawtooth(np.flatnonzero(S.anc_at[:-1, S.gen[qid] - S.k_min] == qid))
+
+    def sawtooth(self, ids) -> np.ndarray:
+        """Member boxes over the cubes `ids`, ascending."""
+        ids = np.fromiter(ids, dtype=np.int64)
+        return _union(self.W.n_boxes, self.region_box[csr_rows(self.region_ptr, ids)])
 
     def sawtooth_halves(self, ids):
-        """(+ half, - half) of a sawtooth over good cubes."""
-        plus, minus = set(), set()
-        for q in ids:
-            r = self.regions.get(q)
-            if r is None or not r.good:
+        """(+ half, - half) of a sawtooth over good cubes, ascending."""
+        ids = np.fromiter(ids, dtype=np.int64)
+        for q in ids.tolist():
+            if q not in self.corona.good:
                 raise ValueError(f"cube {q} has no signed region")
-            for comp, lab in zip(r.components, r.labels):
-                (plus if lab == "+" else minus).update(comp)
-        return frozenset(plus), frozenset(minus)
+        lo = self.region_comp_ptr[ids]
+        c = ranges(lo, self.region_comp_ptr[ids + 1] - lo)
+        return tuple(
+            _union(self.W.n_boxes, self.comp_box[csr_rows(self.comp_ptr, c[self.comp_sign[c] == s])])
+            for s in (1, -1)
+        )
+
+
+def _union(n: int, ids: np.ndarray) -> np.ndarray:
+    """The distinct ids in [0, n), ascending."""
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return np.flatnonzero(mask)
 
 
 def build_regions(
@@ -467,112 +510,149 @@ def build_regions(
     sign against the regime graph; defective ones are demoted to the bad set
     and the regimes are re-cohered.
     """
-    # per size group: ids sorted by geometric lo-x for windowed slicing
-    size_index = {}
-    for size, ids in W.size_groups().items():
-        ids = ids[np.argsort(W.lo[ids, 0], kind="stable")]
-        size_index[size] = (ids, W.lo[ids, 0])
+    n_cubes = len(S.cubes)
+    cubes, boxes = _memberships(S, W, params)
+    by_box = np.sort(boxes.astype(np.int64) * n_cubes + cubes)
+    # CSR row pointers: rows are ascending ids
+    region_ptr = np.searchsorted(cubes, np.arange(n_cubes + 1))
+    # a component's least member comes first in (cube, box) order, so
+    # ordering members by that label orders components by (cube, least box)
+    lab = _component_labels(W, region_ptr, boxes)
+    order = np.argsort(lab, kind="stable")
+    head = np.flatnonzero(lab == np.arange(len(lab)))
+    comp_ptr = np.append(np.searchsorted(lab[order], head), len(lab)).astype(np.int64)
+    comp_box, comp_cube, starts = boxes[order], cubes[head], comp_ptr[:-1]
+    # X box: the largest box of each component, least id first
+    size = W.size[comp_box]
+    big = size == np.repeat(np.maximum.reduceat(size, starts), np.diff(comp_ptr))
+    comp_center = comp_box[np.minimum.reduceat(np.where(big, np.arange(len(size)), len(size)), starts)]
 
-    regions: dict = {}
-    demoted = set()
-    for q in sorted(S.relevant_ids()):
-        c = S.cube(q)
-        pts = S.E.points[c.sample_idx]
-        qlo = pts.min(axis=0)
-        qhi = pts.max(axis=0)
-        members = []
-        for size, (ids, lox) in size_index.items():
-            side = size * W.unit
-            ratio = side / c.side
-            if ratio < params.c_w * (1 - 1e-9) or ratio > params.C_w * (1 + 1e-9):
-                continue
-            reach = params.C_d * c.side * (1 + 1e-9)
-            a = np.searchsorted(lox, qlo[0] - reach - side)
-            b = np.searchsorted(lox, qhi[0] + reach, side="right")
-            ids_w = ids[a:b]
-            # distance from box to the sample bbox of Q
-            gap_lo = np.maximum(qlo[None, :] - W.hi[ids_w], 0.0)
-            gap_hi = np.maximum(W.lo[ids_w] - qhi[None, :], 0.0)
-            gap = np.sqrt(((gap_lo + gap_hi) ** 2).sum(axis=1))
-            keep = ids_w[gap <= reach]
-            members.extend(int(i) for i in keep)
-        members.sort()
-        comps = _components(members, W.neighbors)
-        reg = corona.regime(q)
-        good = q in corona.good
-        p = c.rparent
-        scale_defect = (
-            p is not None
-            and S.side[p] > params.max_parent_ratio * c.side * (1 + 1e-9)
-        )
-        labels, centers, ok = _label_components(W, comps, reg, good)
-        if good and (not ok or scale_defect):
-            demoted.add(q)
-            good = False
-            labels, centers, _ = _label_components(W, comps, None, False)
-        regions[q] = WhitneyRegion(
-            boxes=members,
-            components=comps,
-            labels=labels,
-            centers=centers,
-            good=good,
-        )
+    # a component's sign: the side of its cube's regime graph that holds
+    # all its box centres (0 for neither, or for a cube without a regime)
+    regime = np.full(n_cubes, -1)
+    regime[list(corona.regime_of)] = list(corona.regime_of.values())
+    at = np.repeat(regime[comp_cube], np.diff(comp_ptr))
+    side = np.zeros(len(comp_box))
+    for i in np.unique(at[at >= 0]).tolist():
+        b = np.flatnonzero(at == i)
+        side[b] = corona.regimes[i].side_of((W.lo[comp_box[b]] + W.hi[comp_box[b]]) / 2.0)
+    sign = np.zeros(len(head), dtype=np.int8)
+    sign[np.minimum.reduceat(side, starts) > 0] = 1
+    sign[np.maximum.reduceat(side, starts) < 0] = -1
+    # a good cube keeps its labels on two components of opposite signs
+    good = np.zeros(n_cubes, dtype=bool)
+    good[list(corona.good)] = True
+    region_comp_ptr = np.searchsorted(comp_cube, np.arange(n_cubes + 1))
+    two = np.flatnonzero(np.diff(region_comp_ptr) == 2)
+    ok = np.zeros(n_cubes, dtype=bool)
+    ok[two] = sign[region_comp_ptr[two]] * sign[region_comp_ptr[two] + 1] == -1
+    parent = np.full(n_cubes, -1)
+    for ids, par in S.levels:
+        parent[ids] = par
+    scale_defect = (parent >= 0) & (S.side[parent] > params.max_parent_ratio * S.side * (1 + 1e-9))
+    keep = good & ok & ~scale_defect
+    demoted = set(np.flatnonzero(good & ~keep).tolist())
+    comp_sign = np.where(keep[comp_cube], sign, 0).astype(np.int8)
 
     corona2 = _recohere(S, corona, demoted)
-    stats = _region_stats(S, W, regions)
+    stats = _region_stats(S, W, region_ptr, boxes, region_comp_ptr)
     stats["demoted"] = sorted(demoted)
     return RegionComplex(
         S=S,
         W=W,
         corona=corona2,
         params=params,
-        regions=regions,
+        region_ptr=region_ptr,
+        region_box=boxes,
+        owner_ptr=np.searchsorted(by_box // n_cubes, np.arange(W.n_boxes + 1)),
+        owner_cube=(by_box % n_cubes).astype(np.int32),
+        region_comp_ptr=region_comp_ptr,
+        comp_ptr=comp_ptr,
+        comp_box=comp_box,
+        comp_sign=comp_sign,
+        comp_center=comp_center,
         stats=stats,
     )
 
 
-def _components(members, neighbors):
-    member_set = set(members)
-    seen = set()
-    comps = []
-    for b in members:
-        if b in seen:
-            continue
-        comp = []
-        stack = [b]
-        seen.add(b)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in neighbors[x]:
-                if y in member_set and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
-    comps.sort()
-    return comps
+def _memberships(S: CubeSystem, W: WhitneyComplex, params: RegionParams):
+    """(cubes, boxes), int32 in (cube, box) order: the pairs of the
+    membership rule, found for all relevant cubes one box size at a time.
+    The boxes of a size group sorted by lo-x are cut to each cube's
+    x-window, then the distance test runs on the pairs."""
+    rel = np.asarray(S.relevant_ids(), dtype=np.int64)
+    samples = [S.cube(q).sample_idx for q in rel.tolist()]
+    cut = np.cumsum([0] + [len(m) for m in samples[:-1]])
+    pts = S.E.points[np.concatenate(samples)]
+    # sample bounding box of each cube
+    qlo = np.minimum.reduceat(pts, cut, axis=0)
+    qhi = np.maximum.reduceat(pts, cut, axis=0)
+    cside = S.side[rel]
+    reach = params.C_d * cside * (1 + 1e-9)
+    pairs = [rel[:0]]
+    for size, ids in W.size_groups().items():
+        ids = ids[np.argsort(W.lo[ids, 0], kind="stable")]
+        lox = W.lo[ids, 0]
+        side = size * W.unit
+        ratio = side / cside
+        sel = np.flatnonzero(
+            (ratio >= params.c_w * (1 - 1e-9)) & (ratio <= params.C_w * (1 + 1e-9))
+        )
+        a = np.searchsorted(lox, qlo[sel, 0] - reach[sel] - side)
+        b = np.searchsorted(lox, qhi[sel, 0] + reach[sel], side="right")
+        count = np.maximum(b - a, 0)
+        for lo, hi in row_spans(count):
+            k = np.repeat(sel[lo:hi], count[lo:hi])
+            cand = ids[ranges(a[lo:hi], count[lo:hi])]
+            # distance from box to the sample bbox of Q
+            gap_lo = np.maximum(qlo[k] - W.hi[cand], 0.0)
+            gap_hi = np.maximum(W.lo[cand] - qhi[k], 0.0)
+            gap = np.sqrt(((gap_lo + gap_hi) ** 2).sum(axis=1))
+            keep = gap <= reach[k]
+            pairs.append(rel[k[keep]] * W.n_boxes + cand[keep])
+    pairs = np.sort(np.concatenate(pairs))
+    return (pairs // W.n_boxes).astype(np.int32), (pairs % W.n_boxes).astype(np.int32)
 
 
-def _label_components(W: WhitneyComplex, comps, reg, good):
-    """Label components by graph side (good) or index (bad); find X boxes."""
-    # the largest box, smallest id first (components are sorted)
-    centers = [comp[int(np.argmax(W.size[comp]))] for comp in comps]
-    if not good or reg is None:
-        return [f"i{k}" for k in range(len(comps))], centers, False
-    if len(comps) != 2:
-        return [f"i{k}" for k in range(len(comps))], centers, False
-    labels = []
-    for comp in comps:
-        side = reg.side_of((W.lo[comp] + W.hi[comp]) / 2.0)
-        if np.all(side > 0):
-            labels.append("+")
-        elif np.all(side < 0):
-            labels.append("-")
-        else:
-            return [f"i{k}" for k in range(len(comps))], centers, False
-    if set(labels) != {"+", "-"}:
-        return [f"i{k}" for k in range(len(comps))], centers, False
-    return labels, centers, True
+def _component_labels(W: WhitneyComplex, region_ptr, boxes) -> np.ndarray:
+    """Per member (cube, box), in (cube, box) order: the position of the
+    least member of its component, the members of one cube being linked by
+    the neighbour CSR.
+
+    Min-label propagation with pointer jumping, on whole cubes at a time:
+    about CHUNK neighbour entries, and at most about 64 CHUNK slots of the
+    dense (cube, box) -> member table that finds the linked members.
+    """
+    deg = W.nbr_ptr[boxes + 1] - W.nbr_ptr[boxes]
+    live = np.flatnonzero(np.diff(region_ptr))
+    bounds = np.append(region_ptr[live], len(boxes))
+    count = np.diff(bounds)
+    lab = np.arange(len(boxes))
+    spans = row_spans(np.maximum(np.add.reduceat(deg, bounds[:-1]), W.n_boxes // 64))
+    table = np.full(max((c1 - c0 for c0, c1 in spans), default=0) * W.n_boxes, -1, dtype=np.int32)
+    for c0, c1 in spans:
+        lo, hi = bounds[c0], bounds[c1]
+        rank = np.repeat(np.arange(c1 - c0), count[c0:c1])
+        slot = rank * W.n_boxes + boxes[lo:hi]
+        table[slot] = np.arange(hi - lo)
+        src = np.repeat(np.arange(hi - lo), deg[lo:hi])
+        dst = table[rank[src] * W.n_boxes + W.nbr[csr_rows(W.nbr_ptr, boxes[lo:hi])]]
+        table[slot] = -1
+        src, dst = src[dst >= 0], dst[dst >= 0]
+        part = np.arange(hi - lo)
+        while True:
+            new = part.copy()
+            np.minimum.at(new, src, part[dst])
+            while True:
+                jump = new[new]
+                if np.array_equal(jump, new):
+                    break
+                new = jump
+            if np.array_equal(new, part):
+                break
+            part = new
+        lab[lo:hi] += part - np.arange(hi - lo)
+    return lab
 
 
 def _recohere(S: CubeSystem, corona: CoronaDecomposition, demoted) -> CoronaDecomposition:
@@ -618,36 +698,32 @@ def _recohere(S: CubeSystem, corona: CoronaDecomposition, demoted) -> CoronaDeco
     )
 
 
-def _region_stats(S, W, regions) -> dict:
-    """Measured comparability constants of the region complex."""
-    vol_ratio_lo, vol_ratio_hi = np.inf, 0.0
-    delta_lo, delta_hi = np.inf, 0.0
-    overlap_num = 0.0
-    covered: set = set()
-    n_comp_max = 0
-    side = [W.unit * s for s in W.size.tolist()]
-    volume = [a**2 for a in side]
-    dist = W.dist.tolist()
-    for q, r in regions.items():
-        if not r.boxes:
-            continue
-        c = S.cube(q)
-        vol = sum(volume[b] for b in r.boxes)
-        ratio = vol / c.side**2
-        vol_ratio_lo = min(vol_ratio_lo, ratio)
-        vol_ratio_hi = max(vol_ratio_hi, ratio)
-        overlap_num += vol
-        covered.update(r.boxes)
-        n_comp_max = max(n_comp_max, len(r.components))
-        for b in r.boxes[:: max(1, len(r.boxes) // 8)]:
-            # dist(I,E) ~ delta at the box within a diam
-            delta_lo = min(delta_lo, dist[b] / c.side)
-            delta_hi = max(delta_hi, (dist[b] + np.sqrt(2.0) * side[b]) / c.side)
-    union_vol = sum(volume[b] for b in covered)
+def _region_stats(S, W, region_ptr, boxes, region_comp_ptr) -> dict:
+    """Measured comparability constants of the region complex.
+
+    Volumes are summed in lattice units, exact integers, and scaled once;
+    on a dyadic lattice this equals the float sum box by box.
+    """
+    live = np.flatnonzero(np.diff(region_ptr))
+    start, count = region_ptr[live], np.diff(region_ptr)[live]
+    sq = W.size**2
+    cell = W.unit**2
+    side = S.side[live]
+    vol = np.add.reduceat(sq[boxes], start) * cell
+    ratio = vol / side**2
+    covered = _union(W.n_boxes, boxes)
+    union_vol = float(sq[covered].sum() * cell)
+    # about eight boxes of each region: dist(I,E) ~ delta at the box within a diam
+    step = np.maximum(1, count // 8)
+    m = -(-count // step)
+    b = boxes[np.repeat(start, m) + ranges(np.zeros_like(m), m) * np.repeat(step, m)]
+    cs = np.repeat(side, m)
+    delta_lo = (W.dist[b] / cs).min(initial=np.inf)
+    delta_hi = ((W.dist[b] + np.sqrt(2.0) * (W.unit * W.size[b])) / cs).max(initial=0.0)
     return {
-        "volume_ratio_range": (float(vol_ratio_lo), float(vol_ratio_hi)),
+        "volume_ratio_range": (float(ratio.min(initial=np.inf)), float(ratio.max(initial=0.0))),
         "delta_over_side_range": (float(delta_lo), float(delta_hi)),
-        "bounded_overlap": float(overlap_num / union_vol) if union_vol else 0.0,
-        "max_components": n_comp_max,
+        "bounded_overlap": float(sq[boxes].sum() * cell / union_vol) if union_vol else 0.0,
+        "max_components": int(np.diff(region_comp_ptr).max(initial=0)),
         "n_boxes_covered": len(covered),
     }

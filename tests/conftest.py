@@ -72,13 +72,18 @@ def ancestors(S, qid):
     return out
 
 
+def region(RC, q) -> list:
+    """W_Q: the member boxes of cube q, ascending."""
+    return RC.region_box[RC.region_ptr[q] : RC.region_ptr[q + 1]].tolist()
+
+
 def box_owners(RC):
     """Box id -> sorted (cube, component index) pairs of the regions holding
     it, keyed in the order the boxes first appear over the components."""
     out = {}
-    for q, r in RC.regions.items():
-        for ci, comp in enumerate(r.components):
-            for bid in comp:
+    for q in sorted(RC.S.relevant_ids()):
+        for ci, c in enumerate(RC.comps(q)):
+            for bid in RC.comp(c).tolist():
                 out.setdefault(bid, []).append((q, ci))
     for v in out.values():
         v.sort()

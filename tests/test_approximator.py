@@ -25,9 +25,9 @@ from epsapprox.harmonic import Constant, Coordinate, FundamentalPole, PoissonInd
 from epsapprox.stopping import generation_cubes, oscillation_cubes
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
-from conftest import ancestors, box_owners, certified_mask
+from conftest import ancestors, box_owners, certified_mask, region
 from test_dyadic import surface_ball
-from test_whitney import locate
+from test_whitney import facet_rows, locate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -171,7 +171,7 @@ class TestPartition:
         assert a_cells
         for c in a_cells:
             plus, minus = line_rc.sawtooth_halves(gf.members[c.anchor])
-            assert set(c.boxes) <= (plus if c.kind == "A+" else minus)
+            assert set(c.boxes) <= set((plus if c.kind == "A+" else minus).tolist())
 
     def test_red_cells_carved_from_a_cells(self, line_rc, state_t, local_t):
         fs, numbers, labels, gf = state_t
@@ -207,12 +207,12 @@ class TestValues:
         fs = state_t[0]
         for c in local_t.cells:
             if c.kind == "blue":
-                r = line_rc.regions[c.anchor]
                 found = False
-                for ci, comp in enumerate(r.components):
-                    if set(c.boxes) <= set(comp):
+                for ci in line_rc.comps(c.anchor):
+                    if set(c.boxes) <= set(line_rc.comp(ci).tolist()):
                         W = line_rc.W
-                        x_i = (W.lo[r.centers[ci]] + W.hi[r.centers[ci]]) / 2
+                        b = line_rc.comp_center[ci]
+                        x_i = (W.lo[b] + W.hi[b]) / 2
                         assert c.value == pytest.approx(x_i[1], rel=1e-12)
                         found = True
                 assert found
@@ -463,12 +463,67 @@ class TestVerification:
         assert len(calls) == 1 and calls[0] is A
 
 
+def _assemble_jumps_loop(FS, A):
+    """Reference: facet by facet, a u-against-constant jump by nine nodes
+    evaluated on their own, half of each jump added to a, then to b.
+    Returns the jump tuples, the TV measure and the number of
+    u-against-constant facets."""
+    W, u = A.RC.W, A.u
+    g1, _ = FS.grad_integrals()
+    is_u = np.array([c.value is None for c in A.cells] + [False])[A.cell]
+    tv = np.zeros(W.n_boxes)
+    tv[is_u] += g1[is_u]
+    jumps, n_mixed = [], 0
+    cell = A.cell.tolist()
+    for a, b, axis, area in facet_rows(W):
+        ia, ib = cell[a], cell[b]
+        if ia < 0 or ib < 0 or ia == ib:
+            continue
+        va, vb = A.cells[ia].value, A.cells[ib].value
+        if va is None and vb is None:
+            continue
+        if va is not None and vb is not None:
+            mass = abs(va - vb) * area
+        else:
+            n_mixed += 1
+            const = va if va is not None else vb
+            perp = 1 - axis
+            t0 = max(W.lo[a][perp], W.lo[b][perp])
+            t1 = min(W.hi[a][perp], W.hi[b][perp])
+            nodes = np.empty((9, 2))
+            nodes[:, axis] = W.hi[a][axis]
+            nodes[:, perp] = t0 + (np.arange(9) + 0.5) / 9 * (t1 - t0)
+            mass = float(np.mean(np.abs(u.eval(nodes) - const))) * area
+        if mass > 0.0:
+            jumps.append((a, b, axis, area, mass))
+            tv[a] += mass / 2
+            tv[b] += mass / 2
+    return jumps, tv, n_mixed
+
+
+@pytest.mark.parametrize("mode", ["local", "bounded", "unbounded"])
+def test_jumps_match_facet_loop(mode, request, line_rc, state_t, local_t):
+    if mode == "local":
+        fs, A = state_t[0], local_t
+    elif mode == "bounded":
+        fs, A = request.getfixturevalue("bounded_pole")
+    else:
+        fs, numbers, labels, gf = make_state(line_rc, PoissonIndicator(-0.5, 0.5), 0.2)
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
+    jumps, tv, n_mixed = _assemble_jumps_loop(fs, A)
+    assert A.jump_facets == jumps
+    assert np.array_equal(A.tv_box, tv)
+    # u against a constant: red cells in the Poisson field, the outer cell
+    # of the bounded mode
+    assert n_mixed > 0 or mode == "local"
+
+
 def _ndev_loop(fs, dev, restrict_to=None):
     """Reference: per region the max sup over its (listed) boxes, then per
     sample the max over its chain."""
     per_region = {}
-    for q, r in fs.RC.regions.items():
-        boxes = r.boxes
+    for q in fs.S.relevant_ids():
+        boxes = region(fs.RC, q)
         if restrict_to is not None:
             boxes = [b for b in boxes if b in restrict_to]
         per_region[q] = float(dev[boxes].max()) if boxes else 0.0
@@ -495,7 +550,7 @@ def test_nontangential_deviation_matches_region_loop(mode, request, line_rc, sta
         within = np.zeros(fs.W.n_boxes, dtype=bool)
         within[list(t)] = True
         local = nontangential_deviation(fs, dev, within=within)
-        assert np.array_equal(local, _ndev_loop(fs, dev, restrict_to=t))
+        assert np.array_equal(local, _ndev_loop(fs, dev, restrict_to=set(t.tolist())))
     # the last restriction drops boxes some cone sees
     assert (local < got).any()
 
@@ -509,20 +564,19 @@ def _alpha0_oracle(fs, gf):
     for bid, owners in owners_of.items():
         box_anc[bid] = sorted({a for q, _ in owners for a in ancestors(S, q)})
     needed = 1.0
+    good = RC.corona.good
     for p in sorted(gf.all_cubes):
-        reg = RC.regions.get(p)
-        if reg is None or not reg.good:
+        if p not in good:
             continue
         qs = set()
-        for b in RC.sawtooth(gf.members[p]):
+        for b in RC.sawtooth(gf.members[p]).tolist():
             qs.update(box_anc.get(b, ()))
         anchor_boxes = []
         for sign in "+-":
-            anchor_boxes.append(reg.centers[reg.labels.index(sign)])
+            anchor_boxes.append(int(RC.comp_center[RC.signed_comp(p, sign)]))
             pr = S.cube(p).rparent
-            if pr is not None and RC.regions[pr].good:
-                rp = RC.regions[pr]
-                anchor_boxes.append(rp.centers[rp.labels.index(sign)])
+            if pr in good:
+                anchor_boxes.append(int(RC.comp_center[RC.signed_comp(pr, sign)]))
         for q in sorted(qs):
             if S.side[q] > S.side[p]:
                 continue
@@ -553,13 +607,12 @@ class TestRemarkLocality:
         S = line_rc.S
         ns = fs.n_star(None)
         rng = np.random.default_rng(12)
-        ids = [q for q in S.relevant_ids() if line_rc.regions[q].good]
+        ids = [q for q in S.relevant_ids() if q in line_rc.corona.good]
+        t = {q: set(line_rc.carleson_box(q).tolist()) for q in ids}
         worst = 0.0
         for _ in range(40):
             qp, q1, q2 = (ids[rng.integers(len(ids))] for _ in range(3))
-            boxset = (
-                line_rc.carleson_box(qp) & line_rc.carleson_box(q1)
-            ) - line_rc.carleson_box(q2)
+            boxset = (t[qp] & t[q1]) - t[q2]
             if not boxset:
                 continue
             tv = total_variation(fs, A, boxset)["total"]

@@ -19,7 +19,9 @@ from epsapprox.carleson import (
     sparse_witness,
 )
 from epsapprox.dyadic import build_cube_system, synthetic_system
+from epsapprox.functionals import FunctionalSuite
 from epsapprox.geometry import Hyperplane, PointList, Segment, Window, build_boundary
+from epsapprox.harmonic import PoissonIndicator
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +292,17 @@ class TestEmbedding:
             coll = [q for q, t in zip(ids, take) if t]
             lhs, rhs, holds = carleson_embedding_check(S, f, coll, S.roots[0])
             assert holds, (lhs, rhs)
+
+    def test_cube_numbers_as_dyadic_maximal(self, line_rc):
+        # the pipeline passes M_D(N_* u) as its pointwise cube numbers
+        fs = FunctionalSuite(line_rc, PoissonIndicator(-1.0, 1.0))
+        S = fs.S
+        f = fs.n_star(None)
+        _, m_point = fs.cube_numbers(None)
+        coll = sorted(S.relevant_ids())[::3]
+        for q0 in (S.roots[0], coll[5]):
+            got = carleson_embedding_check(S, f, coll, q0, md=m_point)
+            assert got == carleson_embedding_check(S, f, coll, q0)
 
     def test_negative_f_rejected(self, line_system):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from epsapprox.geometry import Hyperplane, Window, build_boundary
 from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
-from conftest import ancestors, box_owners
+from conftest import ancestors, box_owners, region
 
 W2 = Window((-2.0, -2.0), (2.0, 2.0))
 AMBIENT = Window((-2.0, -6.5), (2.0, 6.5))
@@ -44,7 +44,7 @@ def cone_distance_constant(FS, alpha: float, stride: int = 37) -> float:
         x = FS.E.points[i]
         for q in FS.S.chain(i):
             for p in FS.aperture_neighbors(alpha, q):
-                for b in FS.RC.regions[p].boxes:
+                for b in region(FS.RC, p):
                     far = max(np.linalg.norm(lo[b] - x), np.linalg.norm(hi[b] - x))
                     pad = 1.5 * FS.tau * (hi[b][0] - lo[b][0])
                     worst = max(
@@ -64,7 +64,7 @@ def _per_box_owners(fs):
         for row, bid in enumerate(ids):
             P = pts[row]
             found = np.full(len(P), -1, dtype=int)
-            for c in [bid] + list(fs.W.neighbors[bid]):
+            for c in [bid] + fs.W.nbr[fs.W.nbr_ptr[bid] : fs.W.nbr_ptr[bid + 1]].tolist():
                 hit = np.all(P >= lo_all[c], axis=1) & np.all(P < hi_all[c], axis=1)
                 found = np.where((found < 0) & hit, c, found)
             out[row] = found
@@ -96,7 +96,7 @@ class TestNStar:
         for i in range(0, fs.E.n_samples, 37):
             boxes = set()
             for q in fs.S.chain(i):
-                boxes.update(fs.RC.regions[q].boxes)
+                boxes.update(region(fs.RC, q))
             direct = 0.0
             for b in boxes:
                 lo, hi = W.lo[b], W.hi[b]
@@ -141,7 +141,7 @@ class TestSquareFunction:
         for i in range(0, fs.E.n_samples, 71):
             boxes = set()
             for q in fs.S.chain(i):
-                boxes.update(fs.RC.regions[q].boxes)
+                boxes.update(region(fs.RC, q))
             area = sum((fs.W.unit * fs.W.size[b]) ** 2 for b in boxes)
             assert s[i] ** 2 == pytest.approx(area, rel=1e-9)
 
@@ -236,13 +236,14 @@ def test_aperture_calls_once_per_cube(line_rc, monkeypatch):
     assert sorted(calls) == sorted(fs.S.relevant_ids())
 
 
-def test_empty_cone_names_first_sample(line_rc):
+def test_empty_cone_names_first_sample(line_rc, monkeypatch):
     fs = FunctionalSuite(line_rc, Coordinate(1))
     chain = set(fs.S.chain(7))
     # empty every cone piece on sample 7's chain: exactly the samples of its
     # finest cube have empty cones
     sup = fs.region_sup()
-    fs._region_sup = {q: (-np.inf if q in chain else v) for q, v in sup.items()}
+    sup[list(chain)] = -np.inf
+    monkeypatch.setattr(fs, "region_sup", lambda: sup)
     leaf = fs.S.sample_leaf
     first = int(np.argmax(leaf == leaf[7]))
     with pytest.raises(ValueError, match=f"empty cone at sample {first} "):
@@ -291,9 +292,9 @@ class TestCarlesonFunctionals:
         q = next(
             q
             for q in S.relevant_ids()
-            if S.cube(q).k == 3 and RC.regions[q].boxes
+            if S.cube(q).k == 3 and len(region(RC, q))
         )
-        bid = RC.regions[q].boxes[0]
+        bid = region(RC, q)[0]
         mass = np.zeros(fs.W.n_boxes)
         mass[bid] = 1.0
         cd = fs.carleson_dyadic(mass)
@@ -316,8 +317,8 @@ class TestCarlesonFunctionals:
         lo, hi = fs.W.lo, fs.W.hi
         C = 0.0
         for q in fs.S.relevant_ids():
-            t = RCbox = fs.RC.carleson_box(q)
-            if not t:
+            t = fs.RC.carleson_box(q)
+            if not len(t):
                 continue
             z = fs.S.cube(q).z
             far = max(
@@ -359,7 +360,7 @@ def _carleson_dyadic_loop(fs, mass):
 @pytest.mark.parametrize("fixture", ["line_rc", "segment_rc"])
 def test_carleson_dyadic_matches_dict_scatter(fixture, request):
     fs = FunctionalSuite(request.getfixturevalue(fixture), Constant(0.0))
-    indptr, owner, key_order = fs.box_owner_csr()
+    indptr, owner, key_order = fs.RC.owner_ptr, fs.RC.owner_cube, fs.RC.box_order()
     ref = box_owners(fs.RC)
     assert key_order.tolist() == list(ref)
     for b, owners in ref.items():
@@ -414,7 +415,7 @@ class TestComparisonLemmas:
     def test_levelsets_single_box_mass(self, fs_t):
         fs = fs_t
         mass = np.zeros(fs.W.n_boxes)
-        mass[fs.RC.regions[fs.S.roots[0]].boxes[0]] = 1.0
+        mass[region(fs.RC, fs.S.roots[0])[0]] = 1.0
         ids = np.arange(0, fs.E.n_samples, 4)
         cb = fs.carleson_ball(mass, ids)
         cd = fs.carleson_dyadic(mass)[ids]
@@ -442,20 +443,20 @@ class TestComparisonLemmas:
 class TestOscillations:
     def test_constant_zero(self, rc):
         fs = FunctionalSuite(rc, Constant(1.5))
-        assert all(v == 0.0 for v in fs.oscillations().values())
+        assert np.all(fs.oscillations() == 0.0)
 
     def test_height_field_scales_with_cube(self, fs_t):
         fs = fs_t
         osc = fs.oscillations()
         for q in fs.S.relevant_ids():
-            r = fs.RC.regions[q]
             side = fs.S.side[q]
-            for ci, comp in enumerate(r.components):
+            for c in fs.RC.comps(q):
                 # oscillation of t over a component is its height extent
+                comp = fs.RC.comp(c)
                 mx, mn = fs.box_extrema()
                 direct = mx[comp].max() - mn[comp].min()
-                assert osc[(q, ci)] == pytest.approx(direct)
-                assert 0.2 * side <= osc[(q, ci)] <= 40 * side
+                assert osc[c] == pytest.approx(direct)
+                assert 0.2 * side <= osc[c] <= 40 * side
 
 
 class TestConeDistance:

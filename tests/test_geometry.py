@@ -239,3 +239,16 @@ class TestBoxDistance:
             monkeypatch.setattr(geometry, "CHUNK", chunk)
             assert np.array_equal(box_distance_many(los, his, E), whole)
             assert np.array_equal(box_distance_many(los, his, E, bound), whole)
+
+
+@pytest.mark.parametrize("chunk", [None, 3000])
+def test_point_list_diameter_matches_per_point_loop(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
+    pts = np.random.default_rng(23).normal(size=(500, 2))
+    desc = PointList(tuple(map(tuple, pts)), (1 / 500,) * 500)
+    loop = 0.0
+    for p in pts:
+        loop = max(loop, float(np.max(np.linalg.norm(pts - p, axis=1))))
+    assert desc.diameter(W2) == loop
+    assert PointList((), ()).diameter(W2) == 0.0

@@ -35,11 +35,9 @@ def oscillation_square_domination(FS: FunctionalSuite, signs=("+", "-")) -> floa
     mx, mn = FS.box_extrema()
     _, g2 = FS.grad_integrals()  # per box: int |grad u|^2
     worst = 0.0
-    for q, r in FS.RC.regions.items():
-        if not r.good:
-            continue
+    for q in sorted(FS.RC.corona.good):
         for sign in signs:
-            comp = r.components[r.labels.index(sign)]
+            comp = FS.RC.comp(FS.RC.signed_comp(q, sign))
             osc = float(mx[comp].max() - mn[comp].min())
             if osc == 0.0:
                 continue
@@ -178,7 +176,7 @@ class TestOscillation:
         numbers, _ = fs.cube_numbers()
         labels = oscillation_cubes(fs, 0.3, numbers)
         assert labels.cubes == set()
-        assert labels.red == set()
+        assert not labels.red.any()
 
     def test_height_field_direct_check(self, fs_t):
         fs = fs_t
@@ -187,10 +185,10 @@ class TestOscillation:
         labels = oscillation_cubes(fs, eps, numbers)
         mx, mn = fs.box_extrema()
         for q in fs.S.relevant_ids():
-            r = fs.RC.regions[q]
-            for ci, comp in enumerate(r.components):
+            for c in fs.RC.comps(q):
+                comp = fs.RC.comp(c)
                 osc = mx[comp].max() - mn[comp].min()
-                assert labels.is_red(q, ci) == (osc > eps * numbers[q])
+                assert labels.red[c] == (osc > eps * numbers[q])
 
     def test_threshold_monotone_in_eps(self, fs_poisson):
         fs = fs_poisson

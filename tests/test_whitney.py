@@ -19,12 +19,15 @@ from epsapprox.geometry import (
     build_boundary,
 )
 from epsapprox.whitney import (
-    _adjacency,
+    CoronaDecomposition,
+    Regime,
     _sup_dist,
     build_regions,
     corona_provider,
     whitney_decompose,
 )
+
+from conftest import region
 
 W2 = Window((-2.0, -2.0), (2.0, 2.0))
 # ambient box for the Whitney complex: tall enough that the top-generation
@@ -82,7 +85,64 @@ def _per_box_decompose(E, window, min_side):
     ij = np.array([lo for _, lo, _ in boxes], dtype=np.int64)
     sizes = np.array([s for s, _, _ in boxes], dtype=np.int64)
     dist = np.array([d for _, _, d in boxes])
-    return ij, sizes, dist, *_adjacency(ij, sizes, unit)
+    return ij, sizes, dist, *_adjacency_loop(ij, sizes, unit)
+
+
+def _adjacency_loop(ij, size, unit):
+    """Reference: per face plane, a two-pointer merge of the sorted faces on
+    either side; corner contacts through a dict of corner points.  Returns
+    the sorted neighbour list of each box and the sorted (a, b, axis, area)
+    facet tuples."""
+    lo, s = ij.tolist(), size.tolist()
+    ids = range(len(s))
+    neighbors = [set() for _ in ids]
+    facets = []
+    for axis in (0, 1):
+        perp = 1 - axis
+        plane: dict = {}
+        for b in ids:
+            plane.setdefault(lo[b][axis] + s[b], ([], []))[0].append(b)
+            plane.setdefault(lo[b][axis], ([], []))[1].append(b)
+        for _, (plus, minus) in plane.items():
+            if not plus or not minus:
+                continue
+            plus.sort(key=lambda b: lo[b][perp])
+            minus.sort(key=lambda b: lo[b][perp])
+            i = j = 0
+            while i < len(plus) and j < len(minus):
+                a, c = plus[i], minus[j]
+                a_end, c_end = lo[a][perp] + s[a], lo[c][perp] + s[c]
+                overlap = min(a_end, c_end) - max(lo[a][perp], lo[c][perp])
+                if overlap > 0:
+                    neighbors[a].add(c)
+                    neighbors[c].add(a)
+                    facets.append((a, c, axis, float(overlap * unit)))
+                if a_end <= c_end:
+                    i += 1
+                else:
+                    j += 1
+    corner_map: dict = {}
+    for b in ids:
+        x0, y0 = lo[b]
+        for corner in ((x0, y0), (x0 + s[b], y0), (x0, y0 + s[b]), (x0 + s[b], y0 + s[b])):
+            corner_map.setdefault(corner, []).append(b)
+    for group in corner_map.values():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                neighbors[group[i]].add(group[j])
+                neighbors[group[j]].add(group[i])
+    facets.sort()
+    return [sorted(n) for n in neighbors], facets
+
+
+def neighbor_lists(W):
+    """The neighbour CSR as one list per box."""
+    return [W.nbr[a:b].tolist() for a, b in zip(W.nbr_ptr[:-1], W.nbr_ptr[1:])]
+
+
+def facet_rows(W):
+    """The facet table as (a, b, axis, area) tuples."""
+    return list(zip(*W.facets.T.tolist(), W.facet_area.tolist()))
 
 
 # a cloud whose points are not sorted by x
@@ -163,8 +223,8 @@ class TestWhitneyDecompose:
         assert W.ij.shape == ij.shape and np.all(W.ij == ij)
         assert W.size.shape == size.shape and np.all(W.size == size)
         assert W.dist.shape == dist.shape and np.all(W.dist == dist)
-        assert W.neighbors == neighbors
-        assert W.facets == facets
+        assert neighbor_lists(W) == neighbors
+        assert facet_rows(W) == facets
 
 
 def _sup_dist_loop(pts, targets):
@@ -249,7 +309,6 @@ class TestRegions:
         RC = line_regions
         S, W = RC.S, RC.W
         q = S.relevant_ids()[len(S.relevant_ids()) // 2]
-        r = RC.regions[q]
         c = S.cube(q)
         pts = S.E.points[c.sample_idx]
         qlo, qhi = pts.min(axis=0), pts.max(axis=0)
@@ -267,7 +326,7 @@ class TestRegions:
             )
             if gap <= PARAMS.C_d * c.side * (1 + 1e-9):
                 expect.append(b)
-        assert r.boxes == sorted(expect)
+        assert region(RC, q) == sorted(expect)
 
     def test_two_signed_components_symmetric(self, line_regions):
         RC = line_regions
@@ -276,13 +335,12 @@ class TestRegions:
         for q in RC.stats["demoted"]:
             assert len(RC.S.cube(q).sample_idx) == 1
         for q in RC.S.relevant_ids():
-            r = RC.regions[q]
             if q in RC.stats["demoted"]:
                 continue
-            assert r.good
-            assert sorted(r.labels) == ["+", "-"]
-            plus = r.components[r.labels.index("+")]
-            minus = r.components[r.labels.index("-")]
+            assert q in RC.corona.good
+            assert sorted(RC.comp_sign[list(RC.comps(q))]) == [-1, 1]
+            plus = RC.comp(RC.signed_comp(q, "+"))
+            minus = RC.comp(RC.signed_comp(q, "-"))
             vol_p = sum((RC.W.unit * RC.W.size[b]) ** 2 for b in plus)
             vol_m = sum((RC.W.unit * RC.W.size[b]) ** 2 for b in minus)
             assert vol_p == pytest.approx(vol_m)  # half-plane symmetry
@@ -290,7 +348,7 @@ class TestRegions:
     def test_x_points_at_scale(self, line_regions):
         RC = line_regions
         for q in RC.S.relevant_ids():
-            if not RC.regions[q].good:
+            if q not in RC.corona.good:
                 continue
             c = RC.S.cube(q)
             for sign in "+-":
@@ -313,8 +371,8 @@ class TestRegions:
     def test_overlapping_regions_have_comparable_scale(self, line_regions):
         RC = line_regions
         seen: dict = {}
-        for q, r in RC.regions.items():
-            for b in r.boxes:
+        for q in RC.S.relevant_ids():
+            for b in region(RC, q):
                 seen.setdefault(b, []).append(q)
         for b, qs in list(seen.items())[::17]:
             sides = [RC.S.side[q] for q in qs]
@@ -326,7 +384,7 @@ class TestBoxesAndSawtooths:
         RC = line_regions
         root = RC.S.roots[0]
         child = RC.S.cube(root).rchildren[0]
-        assert RC.carleson_box(child) <= RC.carleson_box(root)
+        assert set(RC.carleson_box(child)) <= set(RC.carleson_box(root))
 
     def test_carleson_box_bounded(self, line_regions):
         RC = line_regions
@@ -343,12 +401,12 @@ class TestBoxesAndSawtooths:
     def test_sawtooth_of_descendants_is_carleson_box(self, line_regions):
         RC = line_regions
         q = RC.S.cube(RC.S.roots[0]).rchildren[0]
-        assert RC.sawtooth(RC.S.descendants(q)) == RC.carleson_box(q)
+        assert np.array_equal(RC.sawtooth(RC.S.descendants(q)), RC.carleson_box(q))
 
     def test_sawtooth_single_cube_is_region(self, line_regions):
         RC = line_regions
         q = RC.S.relevant_ids()[5]
-        assert RC.sawtooth([q]) == frozenset(RC.regions[q].boxes)
+        assert np.array_equal(RC.sawtooth([q]), region(RC, q))
 
     def test_carleson_box_covers_dyadic_box_probe(self, line_regions):
         RC = line_regions
@@ -368,10 +426,10 @@ class TestBoxesAndSawtooths:
     def test_halves_of_sawtooth(self, line_regions):
         RC = line_regions
         ids = [
-            q for q in RC.S.descendants(RC.S.roots[0]) if RC.regions[q].good
+            q for q in RC.S.descendants(RC.S.roots[0]) if q in RC.corona.good
         ]
         plus, minus = RC.sawtooth_halves(ids)
-        assert plus and minus and not (plus & minus)
+        assert len(plus) and len(minus) and not set(plus) & set(minus)
         for b in list(plus)[::29]:
             assert RC.W.lo[b][1] >= 0
 
@@ -386,8 +444,201 @@ class TestCoverage:
         floor = 6 * W.unit
         pts = rng.uniform([-1.5, -1.5], [1.5, 1.5], size=(500, 2))
         pts = pts[np.abs(pts[:, 1]) >= floor]
-        owned = {b for r in RC.regions.values() for b in r.boxes}
+        owned = set(RC.region_box.tolist())
         for p in pts:
             b = locate(W, p)
             assert b is not None
             assert b in owned, f"box {b} at {p} in no region"
+
+
+# ---------------------------------------------------------------------------
+# region arrays against the per-cube loops
+# ---------------------------------------------------------------------------
+
+
+def _components_loop(members, neighbors):
+    """Reference: depth-first search per unvisited member; components sorted."""
+    member_set = set(members)
+    seen = set()
+    comps = []
+    for b in members:
+        if b in seen:
+            continue
+        comp = []
+        stack = [b]
+        seen.add(b)
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            for y in neighbors[x]:
+                if y in member_set and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+    comps.sort()
+    return comps
+
+
+def _label_components_loop(W, comps, reg, good):
+    """Reference: '+'/'-' by the graph side of every box centre (good cubes
+    with two components), else 'i<k>'; the X box of each component."""
+    centers = [comp[int(np.argmax(W.size[comp]))] for comp in comps]
+    indexed = [f"i{k}" for k in range(len(comps))]
+    if not good or reg is None or len(comps) != 2:
+        return indexed, centers, False
+    labels = []
+    for comp in comps:
+        side = reg.side_of((W.lo[comp] + W.hi[comp]) / 2.0)
+        if np.all(side > 0):
+            labels.append("+")
+        elif np.all(side < 0):
+            labels.append("-")
+        else:
+            return indexed, centers, False
+    if set(labels) != {"+", "-"}:
+        return indexed, centers, False
+    return labels, centers, True
+
+
+def _region_stats_loop(S, W, regions) -> dict:
+    """Reference: the comparability constants summed region by region."""
+    vol_ratio_lo, vol_ratio_hi = np.inf, 0.0
+    delta_lo, delta_hi = np.inf, 0.0
+    overlap_num = 0.0
+    covered: set = set()
+    n_comp_max = 0
+    side = [W.unit * s for s in W.size.tolist()]
+    volume = [a**2 for a in side]
+    dist = W.dist.tolist()
+    for q, (boxes, comps, _, _, _) in regions.items():
+        if not boxes:
+            continue
+        c = S.cube(q)
+        vol = sum(volume[b] for b in boxes)
+        ratio = vol / c.side**2
+        vol_ratio_lo = min(vol_ratio_lo, ratio)
+        vol_ratio_hi = max(vol_ratio_hi, ratio)
+        overlap_num += vol
+        covered.update(boxes)
+        n_comp_max = max(n_comp_max, len(comps))
+        for b in boxes[:: max(1, len(boxes) // 8)]:
+            delta_lo = min(delta_lo, dist[b] / c.side)
+            delta_hi = max(delta_hi, (dist[b] + np.sqrt(2.0) * side[b]) / c.side)
+    union_vol = sum(volume[b] for b in covered)
+    return {
+        "volume_ratio_range": (float(vol_ratio_lo), float(vol_ratio_hi)),
+        "delta_over_side_range": (float(delta_lo), float(delta_hi)),
+        "bounded_overlap": float(overlap_num / union_vol) if union_vol else 0.0,
+        "max_components": n_comp_max,
+        "n_boxes_covered": len(covered),
+    }
+
+
+def _regions_loop(S, W, corona, params):
+    """Reference: per cube, the membership window of each size group, the
+    depth-first components and their labels.  Returns {q: (boxes,
+    components, labels, centers, good)} and the stats with the demoted
+    cubes."""
+    neighbors, _ = _adjacency_loop(W.ij, W.size, W.unit)
+    size_index = {}
+    for size, ids in W.size_groups().items():
+        ids = ids[np.argsort(W.lo[ids, 0], kind="stable")]
+        size_index[size] = (ids, W.lo[ids, 0])
+    regions, demoted = {}, set()
+    for q in sorted(S.relevant_ids()):
+        c = S.cube(q)
+        pts = S.E.points[c.sample_idx]
+        qlo, qhi = pts.min(axis=0), pts.max(axis=0)
+        members = []
+        for size, (ids, lox) in size_index.items():
+            side = size * W.unit
+            ratio = side / c.side
+            if ratio < params.c_w * (1 - 1e-9) or ratio > params.C_w * (1 + 1e-9):
+                continue
+            reach = params.C_d * c.side * (1 + 1e-9)
+            a = np.searchsorted(lox, qlo[0] - reach - side)
+            b = np.searchsorted(lox, qhi[0] + reach, side="right")
+            ids_w = ids[a:b]
+            gap_lo = np.maximum(qlo[None, :] - W.hi[ids_w], 0.0)
+            gap_hi = np.maximum(W.lo[ids_w] - qhi[None, :], 0.0)
+            gap = np.sqrt(((gap_lo + gap_hi) ** 2).sum(axis=1))
+            members.extend(int(i) for i in ids_w[gap <= reach])
+        members.sort()
+        comps = _components_loop(members, neighbors)
+        reg = corona.regimes[corona.regime_of[q]] if q in corona.regime_of else None
+        good = q in corona.good
+        p = c.rparent
+        scale_defect = (
+            p is not None and S.side[p] > params.max_parent_ratio * c.side * (1 + 1e-9)
+        )
+        labels, centers, ok = _label_components_loop(W, comps, reg, good)
+        if good and (not ok or scale_defect):
+            demoted.add(q)
+            good = False
+            labels, centers, _ = _label_components_loop(W, comps, None, False)
+        regions[q] = (members, comps, labels, centers, good)
+    return regions, _region_stats_loop(S, W, regions) | {"demoted": sorted(demoted)}
+
+
+def cloud_inputs(height):
+    """A seeded cloud, not sorted by x, of the given height, whose cubes all
+    start good against the x-axis: regions that fail the sign test are
+    demoted."""
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-1.0, 1.0, size=(150, 2)) * (1.0, height)
+    desc = PointList(tuple(map(tuple, pts)), (1 / 150,) * 150)
+    E = build_boundary(desc, 0.05, Window((-1, -1), (1, 1)))
+    S = build_cube_system(E, k_min=0, k_max=3)
+    W = whitney_decompose(E, Window((-1.5, -1.5), (1.5, 1.5)), min_side=PARAMS.c_w * 2.0**-3)
+    regimes = [
+        Regime(idx=i, cubes=set(S.descendants(r)), max_cube=r, graph=Hyperplane())
+        for i, r in enumerate(S.roots)
+    ]
+    corona = CoronaDecomposition(
+        good=set(S.relevant_ids()),
+        bad=set(),
+        regimes=regimes,
+        regime_of={q: reg.idx for reg in regimes for q in reg.cubes},
+        eta=0.25,
+        K=4.0,
+    )
+    return S, W, corona, PARAMS
+
+
+@pytest.mark.parametrize("fixture", ["line_rc", "segment_rc", "sin_rc", "cloud", "flat_cloud"])
+def test_region_arrays_match_loops(fixture, request):
+    if fixture.endswith("cloud"):
+        S, W, corona, params = cloud_inputs(1.0 if fixture == "cloud" else 0.1)
+    else:
+        rc = request.getfixturevalue(fixture)
+        S, W, params = rc.S, rc.W, rc.params
+        corona = corona_provider(S.E, S, "trivial_graph", eta=0.25)
+    neighbors, facets = _adjacency_loop(W.ij, W.size, W.unit)
+    assert neighbor_lists(W) == neighbors
+    assert facet_rows(W) == facets
+    RC = build_regions(S, W, corona, params)
+    regions, stats = _regions_loop(S, W, corona, params)
+    assert RC.stats == stats
+    owners: dict = {}
+    for q in range(len(S.cubes)):
+        if q not in regions:
+            assert not len(region(RC, q)) and not len(RC.comps(q))
+            continue
+        boxes, comps, labels, centers, good = regions[q]
+        assert region(RC, q) == boxes
+        cs = RC.comps(q)
+        assert [RC.comp(c).tolist() for c in cs] == comps
+        sign = {1: "+", -1: "-"}
+        assert [sign.get(int(RC.comp_sign[c]), f"i{k}") for k, c in enumerate(cs)] == labels
+        assert RC.comp_center[list(cs)].tolist() == centers
+        assert (q in RC.corona.good) == good
+        for b in boxes:
+            owners.setdefault(b, []).append(q)
+    assert [
+        RC.owner_cube[RC.owner_ptr[b] : RC.owner_ptr[b + 1]].tolist() for b in range(W.n_boxes)
+    ] == [owners.get(b, []) for b in range(W.n_boxes)]
+    if fixture == "cloud":
+        # every region fails the sign test, some on more than two components
+        assert not RC.corona.good and stats["max_components"] > 2
+    if fixture == "flat_cloud":
+        assert stats["demoted"] and RC.corona.good
