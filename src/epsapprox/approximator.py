@@ -359,7 +359,7 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
     S, RC = FS.S, FS.RC
     indptr, owner = RC.owner_ptr, RC.owner_cube
     anc, side = S.anc_at, S.side
-    n, n_boxes = len(S.cubes), RC.W.n_boxes
+    n, n_boxes = S.n_cubes, RC.W.n_boxes
     # one slot more for the -1 of a missing ancestor
     is_owner = np.zeros(n + 1, dtype=bool)
     is_q = np.zeros(n + 1, dtype=bool)
@@ -376,7 +376,7 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
         qs = qs[side[qs] <= side[p]]
         is_owner[:] = is_q[:] = False
         anchor_boxes = []
-        pr = S.cube(p).rparent
+        pr = S.rparent[p]
         for sign in "+-":
             anchor_boxes.append(RC.comp_center[RC.signed_comp(p, sign)])
             if pr in good:
@@ -416,12 +416,11 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
 def _owner_ratios(S, own: np.ndarray, anc: np.ndarray, side: np.ndarray) -> np.ndarray:
     """min |x - z_A| / (C1 l(A)) over the samples x of cube o, per (o, A)
     pair; the pairs come sorted by o."""
-    z = np.array([c.z for c in S.cubes])
     out = np.empty(len(own))
     cut = (np.flatnonzero(np.diff(own)) + 1).tolist()
     for lo, hi in zip([0, *cut], [*cut, len(own)]):
-        pts = S.E.points[S.cube(int(own[lo])).sample_idx]
-        d = pair_distances(z[anc[lo:hi]], pts).min(axis=1)
+        pts = S.E.points[S.members(own[lo])]
+        d = pair_distances(S.z[anc[lo:hi]], pts).min(axis=1)
         out[lo:hi] = d / (S.C1 * side[anc[lo:hi]])
     return out
 
@@ -465,7 +464,7 @@ def verify_approximation(
         t0[A.RC.carleson_box(A.q0)] = True
     ndev_local = nontangential_deviation(FS, dev, within=t0)
     in_q0 = np.zeros(FS.E.n_samples, dtype=bool)
-    in_q0[S.cube(A.q0).sample_idx] = True
+    in_q0[S.members(A.q0)] = True
     sel = cert & in_q0
     with np.errstate(divide="ignore", invalid="ignore"):
         lr = ndev_local[sel] / (eps * m_point[sel])

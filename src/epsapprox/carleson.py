@@ -10,7 +10,6 @@ are fractional (sample weights may be split between cubes).
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,17 +28,23 @@ def _as_ids(collection) -> list:
 # ---------------------------------------------------------------------------
 
 
-def subtree_sums(S: CubeSystem, collection) -> dict:
-    """Per relevant cube Q0: sum of sigma(Q) over collection cubes inside Q0."""
-    ids = set(_as_ids(collection))
-    sums: dict = {}
-    # finest generation first, so each cube's children are summed already
+def subtree_sums(S: CubeSystem, collection) -> np.ndarray:
+    """Per cube Q0: sum of sigma(Q) over collection cubes inside Q0, 0 off
+    the relevant tree.
+
+    Children add into their parents one parent generation at a time,
+    finest first, so each child's sum is whole; `add.at` applies a
+    parent's adds in ascending child id, after its own sigma.  A
+    generation's ids are consecutive, so its cubes' children are one
+    stretch of the child CSR.
+    """
+    ids = _as_ids(collection)
+    sums = np.zeros(S.n_cubes)
+    sums[ids] = S.measure[ids]
     for level, _ in reversed(S.levels):
-        for q in level.tolist():
-            s = S.sigma(q) if q in ids else 0.0
-            for ch in S.cube(q).rchildren:
-                s += sums[ch]
-            sums[q] = s
+        if len(level):
+            ch = S.child_cube[S.child_ptr[level[0]] : S.child_ptr[level[-1] + 1]]
+            np.add.at(sums, S.rparent[ch], sums[ch])
     return sums
 
 
@@ -50,25 +55,13 @@ def packing_constant(S: CubeSystem, collection, within: int | None = None) -> fl
     Returns 0.0 for an empty collection.
     """
     ids = _as_ids(collection)
+    candidates = S.relevant
     if within is not None:
-        inside = set(S.descendants(within))
-        ids = [q for q in ids if q in inside]
-        candidates = inside
-    else:
-        candidates = None
+        candidates = S.subtree(within)
+        ids = [q for q in ids if candidates[q]]
     if not ids:
         return 0.0
-    sums = subtree_sums(S, ids)
-    best = 0.0
-    for q, s in sums.items():
-        if candidates is not None and q not in candidates:
-            continue
-        sig = S.sigma(q)
-        if sig <= 0:
-            warnings.warn(f"cube {q} has zero measure; skipped", stacklevel=2)
-            continue
-        best = max(best, s / sig)
-    return best
+    return float((subtree_sums(S, ids)[candidates] / S.measure[candidates]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +166,8 @@ def sparse_witness(S: CubeSystem, collection, lam: float):
     ids = _as_ids(collection)
     if not ids:
         return SparseWitness(lam=lam, assignments={})
-    samples = sorted(set(int(i) for q in ids for i in S.cube(q).sample_idx))
+    rows = [m.tolist() for m in S.member_rows(ids)]
+    samples = sorted(set(i for row in rows for i in row))
     samp_node = {s: 1 + len(ids) + j for j, s in enumerate(samples)}
     src = 0
     sink = 1 + len(ids) + len(samples)
@@ -182,16 +176,13 @@ def sparse_witness(S: CubeSystem, collection, lam: float):
     demand = 0.0
     src_edges = []
     mid_edges: dict = {}
-    for a, q in enumerate(ids):
-        d = lam * S.sigma(q)
+    for a, (q, sigma) in enumerate(zip(ids, S.measure[ids].tolist())):
+        d = lam * sigma
         demand += d
         src_edges.append(net.add(src, 1 + a, d))
-        mid_edges[q] = [
-            (net.add(1 + a, samp_node[int(i)], float("inf")), int(i))
-            for i in S.cube(q).sample_idx
-        ]
-    for s in samples:
-        net.add(samp_node[s], sink, float(w[s]))
+        mid_edges[q] = [(net.add(1 + a, samp_node[i], float("inf")), i) for i in rows[a]]
+    for s, ws in zip(samples, w[samples].tolist()):
+        net.add(samp_node[s], sink, ws)
     eps = 1e-12 * max(demand, 1.0)
     flow = net.maxflow(src, sink, eps)
     if flow >= demand - 1e-9 * max(demand, 1.0):
@@ -208,7 +199,7 @@ def sparse_witness(S: CubeSystem, collection, lam: float):
     cut = [q for a, q in enumerate(ids) if (1 + a) in side]
     members = set()
     for q in cut:
-        members.update(int(i) for i in S.cube(q).sample_idx)
+        members.update(S.members(q).tolist())
     return InfeasibleCut(
         lam=lam,
         cut_cubes=cut,
@@ -283,16 +274,16 @@ def carleson_embedding_check(
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
         raise ValueError("f must be nonnegative")
-    ids = [q for q in _as_ids(collection) if S.contains(q0, q)]
+    inside = S.subtree(q0)
+    ids = [q for q in _as_ids(collection) if inside[q]]
     w = S.E.weights
     lhs = 0.0
-    for q in ids:
-        m = S.cube(q).sample_idx
+    for m in S.member_rows(ids):
         lhs += float(np.dot(f[m], w[m]))
     lam = packing_constant(S, ids, within=q0)
     if md is None:
         md = dyadic_maximal(S, f)
-    m0 = S.cube(q0).sample_idx
+    m0 = S.members(q0)
     rhs = lam * float(np.dot(md[m0], w[m0]))
     holds = lhs <= rhs * (1 + 1e-12) + 1e-15
     return lhs, rhs, holds

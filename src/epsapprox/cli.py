@@ -53,7 +53,7 @@ STAGED = {"build-grid": "grid", "decompose": "regions", "approximate": "approxim
 
 def _stage_line(stage: str, out, cfg: RunConfig) -> str:
     if stage == "grid":
-        return f"grid: {len(out['S'].cubes)} cubes, ADR pass={out['adr'].passed}"
+        return f"grid: {out['S'].n_cubes} cubes, ADR pass={out['adr'].passed}"
     if stage == "regions":
         return (f"regions: {out['W'].n_boxes} boxes, "
                 f"{len(out['RC'].corona.regimes)} regimes")

@@ -16,41 +16,41 @@ deduplicated "relevant" cubes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundarySet
-
-
-@dataclass
-class Cube:
-    id: int
-    k: int
-    z: np.ndarray
-    side: float
-    sample_idx: np.ndarray
-    measure: float
-    parent: int | None = None
-    children: list = field(default_factory=list)
-    relevant: bool = True
-    # relevant-tree links (set after dedup)
-    rparent: int | None = None
-    rchildren: list = field(default_factory=list)
-    param_range: tuple | None = None  # graph systems: [a, b) in parameter space
+from .geometry import BoundarySet, PointList, Window, csr_rows
 
 
 @dataclass
 class CubeSystem:
+    """The dyadic forest as arrays indexed by cube id.
+
+    Ids run generation after generation, coarsest first.  Cube q holds the
+    samples member_sample[member_ptr[q]:member_ptr[q + 1]], ascending; its
+    relevant children, ascending, are child_cube[child_ptr[q]:child_ptr[q + 1]]
+    (an empty row off the relevant tree).
+    """
+
     E: BoundarySet
-    cubes: list
     scale: float
     k_min: int
     k_max: int
-    generations: dict
     c1: float
     C1: float
-    # the relevant-tree index, built once by `_relevant_tree`
+    z: np.ndarray  # (n_cubes, 2): centre z_Q, a member sample
+    side: np.ndarray  # l(Q)
+    gen: np.ndarray  # generation k
+    measure: np.ndarray  # sigma(Q): the sum of the member weights
+    member_ptr: np.ndarray  # (n_cubes + 1,) int64
+    member_sample: np.ndarray  # int64
+    # of each set-equal chain of cubes only the deepest copy is relevant
+    relevant: np.ndarray  # bool
+    rparent: np.ndarray  # int32: nearest relevant strict ancestor, -1 for none
+    child_ptr: np.ndarray  # (n_cubes + 1,) int64
+    child_cube: np.ndarray  # int32
+    # the relevant-tree index
     roots: list
     sample_leaf: np.ndarray  # finest relevant cube id containing each sample
     # per generation, coarsest first: (relevant ids, their relevant parents),
@@ -60,19 +60,31 @@ class CubeSystem:
     # itself at its own), -1 where there is none; the extra last row, read
     # through a root's parent -1, is all -1
     anc_at: np.ndarray
-    side: np.ndarray  # l(Q) per cube id
-    gen: np.ndarray  # generation k per cube id
 
     # -- navigation -------------------------------------------------------
 
-    def cube(self, qid: int) -> Cube:
-        return self.cubes[qid]
+    @property
+    def n_cubes(self) -> int:
+        return len(self.side)
+
+    def members(self, qid: int) -> np.ndarray:
+        """The member samples of cube qid, ascending."""
+        return self.member_sample[self.member_ptr[qid] : self.member_ptr[qid + 1]]
+
+    def member_rows(self, ids) -> list:
+        """The member samples of each cube of `ids`, ascending."""
+        ptr = self.member_ptr.tolist()
+        return [self.member_sample[ptr[q] : ptr[q + 1]] for q in ids]
+
+    def children(self, qid: int) -> np.ndarray:
+        """The relevant children of cube qid, ascending."""
+        return self.child_cube[self.child_ptr[qid] : self.child_ptr[qid + 1]]
 
     def relevant_ids(self) -> list:
-        return [c.id for c in self.cubes if c.relevant]
+        return np.flatnonzero(self.relevant).tolist()
 
     def sigma(self, qid: int) -> float:
-        return self.cubes[qid].measure
+        return float(self.measure[qid])
 
     def chain(self, sample: int) -> list:
         """Relevant cubes containing the sample, coarsest first."""
@@ -80,30 +92,34 @@ class CubeSystem:
         return row[row >= 0].tolist()
 
     def descendants(self, qid: int) -> list:
-        """The cube, then its relevant descendants."""
+        """The cube, then its relevant descendants, depth first with the
+        last child taken first."""
         out = [qid]
-        stack = list(self.cubes[qid].rchildren)
+        stack = self.children(qid).tolist()
         while stack:
             q = stack.pop()
             out.append(q)
-            stack.extend(self.cubes[q].rchildren)
+            stack.extend(self.children(q).tolist())
         return out
 
     def contains(self, qid: int, pid: int) -> bool:
         """True iff cube `pid` is inside cube `qid` (relevant tree)."""
         return pid == qid or bool(self.anc_at[pid, self.gen[qid] - self.k_min] == qid)
 
+    def subtree(self, qid: int) -> np.ndarray:
+        """Per cube id: True at relevant cube qid and its relevant descendants."""
+        return self.anc_at[:-1, self.gen[qid] - self.k_min] == qid
+
     def relevant_at_gen(self, k: int) -> list:
-        return [q for q in self.generations.get(k, []) if self.cubes[q].relevant]
+        return np.flatnonzero(self.relevant & (self.gen == k)).tolist()
 
     def cube_averages(self, f: np.ndarray) -> np.ndarray:
         """Per cube id: weighted average of f over member samples, 0 off the
         relevant tree."""
-        w = self.E.weights
-        out = np.zeros(len(self.cubes))
-        for q in self.relevant_ids():
-            c = self.cubes[q]
-            out[q] = np.dot(f[c.sample_idx], w[c.sample_idx]) / c.measure
+        w, ids = self.E.weights, self.relevant_ids()
+        out = np.zeros(self.n_cubes)
+        for q, m, sigma in zip(ids, self.member_rows(ids), self.measure[ids].tolist()):
+            out[q] = np.dot(f[m], w[m]) / sigma
         return out
 
     def down_max(self, own: np.ndarray, start: float) -> np.ndarray:
@@ -112,7 +128,7 @@ class CubeSystem:
         generation at a time.  A sample's chain max is the value at its
         `sample_leaf`."""
         # the extra last slot is what a root's parent -1 reads
-        val = np.full(len(self.cubes) + 1, start)
+        val = np.full(self.n_cubes + 1, start)
         for ids, par in self.levels:
             val[ids] = np.maximum(val[par], own[ids])
         return val
@@ -143,11 +159,8 @@ def build_cube_system(
             "resolution too coarse for k_max: inner-ball constant c1 of the "
             "inclusion Delta(z_Q, c1 l(Q)) subset Q cannot be realized"
         )
-    if E.params is not None:
-        raw = _build_graph_forest(E, k_min, k_max, scale)
-    else:
-        raw = _build_net_forest(E, k_min, k_max, scale)
-    system = _finalize(E, raw, k_min, k_max, scale)
+    build = _graph_forest if E.params is not None else _net_forest
+    system = _finalize(E, build(E, k_min, k_max, scale), k_min, k_max, scale)
     lo, hi = inclusion_budget
     if not (system.c1 >= lo and system.C1 <= hi):
         raise ValueError(
@@ -157,8 +170,12 @@ def build_cube_system(
     return system
 
 
-def _build_graph_forest(E: BoundarySet, k_min, k_max, scale):
-    """Standard dyadic intervals in parameter space under one shifted root."""
+def _graph_forest(E: BoundarySet, k_min, k_max, scale) -> list:
+    """Standard dyadic intervals in parameter space under one shifted root.
+
+    Per generation, coarsest first: (members, centre sample) per nonempty
+    interval, the centre being the member whose parameter is nearest the
+    interval's midpoint."""
     params = E.params
     root_len = 2.0 ** (-k_min) * scale
     lo_req, hi_req = float(params.min()), float(params.max())
@@ -172,30 +189,26 @@ def _build_graph_forest(E: BoundarySet, k_min, k_max, scale):
             "decrease k_min (larger root) so the forest is connected"
         )
     order = np.argsort(params, kind="stable")
-    cubes = []
+    gens = []
     for k in range(k_min, k_max + 1):
         side = 2.0 ** (-k) * scale
         edges = a0 + side * np.arange(int(round(root_len / side)) + 1)
         idx = np.searchsorted(params[order], edges)
         gen = []
         for m in range(len(edges) - 1):
-            members = order[idx[m] : idx[m + 1]]
-            if len(members) == 0:
-                continue
-            gen.append(
-                {
-                    "k": k,
-                    "members": np.sort(members),
-                    "param_range": (float(edges[m]), float(edges[m + 1])),
-                    "side": side,
-                }
-            )
-        cubes.append(gen)
-    return cubes
+            members = np.sort(order[idx[m] : idx[m + 1]])
+            if len(members):
+                mid = (edges[m] + edges[m + 1]) / 2.0
+                gen.append((members, members[int(np.argmin(np.abs(params[members] - mid)))]))
+        gens.append(gen)
+    return gens
 
 
-def _build_net_forest(E: BoundarySet, k_min, k_max, scale):
-    """Greedy maximal-separated nets, nested across generations."""
+def _net_forest(E: BoundarySet, k_min, k_max, scale) -> list:
+    """Greedy maximal-separated nets, nested across generations.
+
+    Per generation, coarsest first: (members, centre sample) per nonempty
+    cell of a net centre."""
     pts = E.points
     n = len(pts)
     centers_prev: list = []
@@ -223,115 +236,102 @@ def _build_net_forest(E: BoundarySet, k_min, k_max, scale):
                 cands = cell_centers[int(assign_prev[i])]
                 d = [np.linalg.norm(pts[i] - pts[c]) for c in cands]
                 assign[i] = cands[int(np.argmin(d))]
-        gen = []
-        for c in centers:
-            members = np.where(assign == c)[0]
-            if len(members):
-                side = r
-                gen.append(
-                    {"k": k, "members": members, "center_idx": c, "side": side}
-                )
-        gens.append(gen)
+        cells = [(np.where(assign == c)[0], c) for c in centers]
+        gens.append([cell for cell in cells if len(cell[0])])
         centers_prev = centers
         assign_prev = assign
     return gens
 
 
-def _finalize(E: BoundarySet, raw, k_min, k_max, scale) -> CubeSystem:
-    pts, w = E.points, E.weights
-    cubes: list[Cube] = []
-    generations: dict = {}
-    prev_by_sample = None
-    for gen in raw:
-        ids_this = []
-        for spec in gen:
-            members = spec["members"]
-            if "center_idx" in spec:
-                z = pts[spec["center_idx"]]
-            else:
-                a, b = spec["param_range"]
-                mid = (a + b) / 2.0
-                mp = E.params[members]
-                z = pts[members[int(np.argmin(np.abs(mp - mid)))]]
-            c = Cube(
-                id=len(cubes),
-                k=spec["k"],
-                z=np.asarray(z, dtype=float),
-                side=spec["side"],
-                sample_idx=members,
-                measure=float(w[members].sum()),
-                param_range=spec.get("param_range"),
-            )
-            if prev_by_sample is not None:
-                c.parent = int(prev_by_sample[members[0]])
-                cubes[c.parent].children.append(c.id)
-            cubes.append(c)
-            ids_this.append(c.id)
-        generations.setdefault(gen[0]["k"] if gen else 0, []).extend(ids_this)
-        by_sample = np.full(E.n_samples, -1, dtype=int)
-        for q in ids_this:
-            by_sample[cubes[q].sample_idx] = q
-        prev_by_sample = by_sample
+def _finalize(E: BoundarySet, gens, k_min, k_max, scale, constants=None) -> CubeSystem:
+    """The CubeSystem of per-generation (members, centre sample) lists.
 
-    tree = _relevant_tree(cubes, generations, k_min, k_max, E.n_samples)
-    c1, C1 = _inclusion_constants(E, cubes)
+    A cube's parent is the previous generation's cube holding its first
+    member.  `constants` fixes (c1, C1); by default they are measured.
+    """
+    w = E.weights
+    members = [m for gen in gens for m, _ in gen]
+    count = np.array([len(m) for m in members], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(gen) for gen in gens])
+    k = np.repeat(np.arange(k_min, k_max + 1), np.diff(bounds))
+    member_ptr = np.concatenate([[0], np.cumsum(count)])
+    member_sample = np.concatenate(members).astype(np.int64)
+    parent = np.full(len(members), -1)
+    by_sample = np.full(E.n_samples, -1)
+    # each generation's parents, then its cubes as the next one's
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        parent[lo:hi] = by_sample[member_sample[member_ptr[lo:hi]]]
+        rows = slice(member_ptr[lo], member_ptr[hi])
+        by_sample[member_sample[rows]] = np.repeat(np.arange(lo, hi), count[lo:hi])
+    z = E.points[[c for gen in gens for _, c in gen]]
+    side = np.ldexp(float(scale), -k)
+    tree = _relevant_tree(parent, k, k_min, k_max, member_ptr, member_sample, E.n_samples)
+    if constants is None:
+        constants = _inclusion_constants(E, z, side, member_ptr, member_sample, tree)
     return CubeSystem(
         E=E,
-        cubes=cubes,
         scale=scale,
         k_min=k_min,
         k_max=k_max,
-        generations=generations,
-        c1=c1,
-        C1=C1,
+        c1=constants[0],
+        C1=constants[1],
+        z=z,
+        side=side,
+        gen=k,
+        measure=np.array([w[m].sum() for m in members]),
+        member_ptr=member_ptr,
+        member_sample=member_sample,
         **tree,
     )
 
 
-def _relevant_tree(cubes, generations, k_min, k_max, n_samples) -> dict:
+def _relevant_tree(parent, k, k_min, k_max, member_ptr, member_sample, n_samples) -> dict:
     """Mark the relevant cubes, link them, and index the relevant tree.
 
-    Of each set-equal chain of cubes only the deepest copy stays relevant.
-    Returns the CubeSystem fields from `roots` on.
+    A cube whose only child holds all its samples is not relevant, so of
+    each set-equal chain only the deepest copy stays.  Returns the
+    CubeSystem fields from `relevant` on.
     """
-    for c in cubes:
-        if len(c.children) == 1:
-            child = cubes[c.children[0]]
-            if len(child.sample_idx) == len(c.sample_idx):
-                c.relevant = False
-    for c in cubes:
-        if not c.relevant:
-            continue
-        p = c.parent
-        while p is not None and not cubes[p].relevant:
-            p = cubes[p].parent
-        c.rparent = p
-        if p is not None:
-            cubes[p].rchildren.append(c.id)
-    sample_leaf = np.full(n_samples, -1, dtype=int)
-    for c in cubes:
-        if c.relevant and not c.rchildren:
-            sample_leaf[c.sample_idx] = c.id
+    n = len(parent)
+    count = np.diff(member_ptr)
+    has = parent >= 0
+    only = np.full(n, -1)
+    only[parent[has]] = np.flatnonzero(has)  # a child; the only one where there is one
+    relevant = ~((np.bincount(parent[has], minlength=n) == 1) & (count[only] == count))
+    # up[q]: q's nearest relevant ancestor or q itself; the extra last slot
+    # is what a root's parent -1 reads, as is the last row of anc_at
+    up = np.full(n + 1, -1)
+    rparent = np.full(n, -1, dtype=np.int32)
+    anc_at = np.full((n + 1, k_max - k_min + 1), -1, dtype=np.int32)
     levels = []
-    anc_at = np.full((len(cubes) + 1, k_max - k_min + 1), -1, dtype=np.int32)
-    for g, k in enumerate(range(k_min, k_max + 1)):
-        ids = [q for q in generations.get(k, []) if cubes[q].relevant]
-        par = [-1 if cubes[q].rparent is None else cubes[q].rparent for q in ids]
-        ids, par = np.array(ids, dtype=np.int32), np.array(par, dtype=np.int32)
-        anc_at[ids] = anc_at[par]
-        anc_at[ids, g] = ids
-        levels.append((ids, par))
+    for g in range(k_max - k_min + 1):
+        q = np.flatnonzero(k == k_min + g)
+        up[q] = np.where(relevant[q], q, up[parent[q]])
+        q = q[relevant[q]].astype(np.int32)
+        par = up[parent[q]].astype(np.int32)
+        rparent[q] = par
+        anc_at[q] = anc_at[par]
+        anc_at[q, g] = q
+        levels.append((q, par))
+    kids = np.flatnonzero(rparent >= 0)
+    kids = kids[np.argsort(rparent[kids], kind="stable")]
+    child_ptr = np.searchsorted(rparent[kids], np.arange(n + 1))
+    leaves = np.flatnonzero(relevant & (np.diff(child_ptr) == 0))
+    sample_leaf = np.full(n_samples, -1)
+    sample_leaf[member_sample[csr_rows(member_ptr, leaves)]] = np.repeat(leaves, count[leaves])
     return {
-        "roots": [c.id for c in cubes if c.relevant and c.rparent is None],
+        "relevant": relevant,
+        "rparent": rparent,
+        "child_ptr": child_ptr,
+        "child_cube": kids.astype(np.int32),
+        "roots": np.flatnonzero(relevant & (rparent < 0)).tolist(),
         "sample_leaf": sample_leaf,
         "levels": levels,
         "anc_at": anc_at,
-        "side": np.array([c.side for c in cubes]),
-        "gen": np.array([c.k for c in cubes]),
     }
 
 
-def _inclusion_constants(E: BoundarySet, cubes) -> tuple:
+def _inclusion_constants(E: BoundarySet, z, side, member_ptr, member_sample, tree) -> tuple:
     """Measured (c1, C1) for Delta(z_Q, c1 l) subset Q subset Delta(z_Q, C1 l).
 
     C1 also absorbs the parent-child center drift so that the surface balls
@@ -341,21 +341,20 @@ def _inclusion_constants(E: BoundarySet, cubes) -> tuple:
     C_member = 0.0
     C_nest = 0.0
     c1 = np.inf
-    for c in cubes:
-        if not c.relevant:
-            continue
-        d = np.linalg.norm(pts[c.sample_idx] - c.z, axis=1)
-        if len(d):
-            C_member = max(C_member, float(d.max()) / c.side)
+    for q in np.flatnonzero(tree["relevant"]).tolist():
+        m = member_sample[member_ptr[q] : member_ptr[q + 1]]
+        l = float(side[q])
+        d = np.linalg.norm(pts[m] - z[q], axis=1)
+        C_member = max(C_member, float(d.max()) / l)
         mask = np.ones(len(pts), dtype=bool)
-        mask[c.sample_idx] = False
+        mask[m] = False
         if mask.any():
-            dout = np.min(np.linalg.norm(pts[mask] - c.z, axis=1))
-            c1 = min(c1, float(dout) / c.side)
-        if c.rparent is not None:
-            p = cubes[c.rparent]
-            drift = float(np.linalg.norm(c.z - p.z))
-            C_nest = max(C_nest, drift / (p.side - c.side))
+            dout = np.min(np.linalg.norm(pts[mask] - z[q], axis=1))
+            c1 = min(c1, float(dout) / l)
+        p = tree["rparent"][q]
+        if p >= 0:
+            drift = float(np.linalg.norm(z[q] - z[p]))
+            C_nest = max(C_nest, drift / (float(side[p]) - l))
     C1 = max(C_member, C_nest, 0.5)
     c1 = min(c1, C1) if np.isfinite(c1) else C1
     return c1, C1
@@ -376,8 +375,6 @@ def synthetic_system(depth: int) -> CubeSystem:
     xs = np.arange(n) + 0.5
     pts = np.column_stack([xs, np.zeros(n)])
     weights = np.ones(n)
-    from .geometry import BoundarySet, PointList, Window
-
     E = BoundarySet(
         descriptor=PointList(
             points=tuple(map(tuple, pts)), weights=tuple(map(float, weights))
@@ -388,37 +385,10 @@ def synthetic_system(depth: int) -> CubeSystem:
         weights=weights,
         params=None,
     )
-    cubes: list[Cube] = []
-    generations: dict = {}
-    prev: list = []
+    gens = []
     for k in range(depth + 1):
         width = n // 2**k
-        ids = []
-        for m in range(2**k):
-            members = np.arange(m * width, (m + 1) * width)
-            c = Cube(
-                id=len(cubes),
-                k=k,
-                z=pts[members[len(members) // 2]],
-                side=float(width),
-                sample_idx=members,
-                measure=float(weights[members].sum()),
-            )
-            if prev:
-                c.parent = prev[m // 2]
-                cubes[c.parent].children.append(c.id)
-            cubes.append(c)
-            ids.append(c.id)
-        generations[k] = ids
-        prev = ids
-    return CubeSystem(
-        E=E,
-        cubes=cubes,
-        scale=float(n),
-        k_min=0,
-        k_max=depth,
-        generations=generations,
-        c1=0.5,
-        C1=1.0,
-        **_relevant_tree(cubes, generations, 0, depth, n),
-    )
+        gens.append(
+            [(np.arange(m * width, (m + 1) * width), m * width + width // 2) for m in range(2**k)]
+        )
+    return _finalize(E, gens, 0, depth, float(n), constants=(0.5, 1.0))

@@ -179,22 +179,20 @@ class FunctionalSuite:
         key = (alpha, qid)
         if key not in self._neighbor_cache:
             S = self.S
-            c = S.cube(qid)
-            r = alpha * S.C1 * c.side
-            ids, xs, side = self._gen_index(c.k)
-            zx = c.z[0]
-            reach = (r + 2 * S.C1 * side) * (1 + 1e-9) + 1e-9 * abs(zx)
-            lo = np.searchsorted(xs, zx - reach, side="left")
-            hi = np.searchsorted(xs, zx + reach, side="right")
-            out = []
-            for p in np.sort(ids[lo:hi]).tolist():
-                cp = S.cube(p)
-                if np.linalg.norm(cp.z - c.z) > r + S.C1 * cp.side * 2:
-                    continue
-                d = np.linalg.norm(S.E.points[cp.sample_idx] - c.z, axis=1)
-                if np.min(d) < r:
-                    out.append(p)
-            self._neighbor_cache[key] = out
+            z = S.z[qid]
+            r = alpha * S.C1 * S.side[qid]
+            ids, xs, side = self._gen_index(S.gen[qid])
+            reach = (r + 2 * S.C1 * side) * (1 + 1e-9) + 1e-9 * abs(z[0])
+            lo = np.searchsorted(xs, z[0] - reach, side="left")
+            hi = np.searchsorted(xs, z[0] + reach, side="right")
+            cand = np.sort(ids[lo:hi])
+            cand = cand[np.linalg.norm(S.z[cand] - z, axis=1) <= r + S.C1 * S.side[cand] * 2]
+            # the member test, on the candidates the centre test keeps
+            count = S.member_ptr[cand + 1] - S.member_ptr[cand]
+            pts = S.E.points[S.member_sample[ranges(S.member_ptr[cand], count)]]
+            d = np.linalg.norm(pts - z, axis=1)
+            near = np.minimum.reduceat(d, np.cumsum(count) - count) < r
+            self._neighbor_cache[key] = cand[near].tolist()
         return self._neighbor_cache[key]
 
     def _gen_index(self, k: int):
@@ -202,10 +200,9 @@ class FunctionalSuite:
         centre xs, and their largest side."""
         if k not in self._gen_x:
             ids = np.asarray(self.S.relevant_at_gen(k), dtype=int)
-            xs = np.array([self.S.cube(q).z[0] for q in ids], dtype=float)
+            xs = self.S.z[ids, 0]
             order = np.argsort(xs, kind="stable")
-            side = max(self.S.cube(q).side for q in ids)
-            self._gen_x[k] = (ids[order], xs[order], side)
+            self._gen_x[k] = (ids[order], xs[order], self.S.side[ids].max())
         return self._gen_x[k]
 
     def n_star(self, alpha: float | None = None) -> np.ndarray:
@@ -222,7 +219,7 @@ class FunctionalSuite:
         sup = self.region_sup()
         own = sup
         if alpha is not None:
-            own = np.full(len(self.S.cubes), -np.inf)
+            own = np.full(self.S.n_cubes, -np.inf)
             for q in self.S.relevant_ids():
                 own[q] = sup[self.aperture_neighbors(alpha, q)].max(initial=-np.inf)
         out = self.S.down_max(own, self._far_sup())[self.S.sample_leaf]
@@ -274,15 +271,13 @@ class FunctionalSuite:
     def cube_numbers(self, alpha: float | None = None):
         """sup over ancestors R of Q of the average of N_* u over R.
 
-        Returns (per-cube dict, per-sample array of the pointwise sup).
+        Returns (per-cube array, -inf off the relevant tree; per-sample
+        array of the pointwise sup).
         """
-        if alpha in self._numbers_cache:
-            return self._numbers_cache[alpha]
-        top = self.S.down_max(self.S.cube_averages(self.n_star(alpha)), -np.inf)
-        val = {q: float(top[q]) for ids, _ in self.S.levels for q in ids.tolist()}
-        point = top[self.S.sample_leaf]
-        self._numbers_cache[alpha] = (val, point)
-        return val, point
+        if alpha not in self._numbers_cache:
+            top = self.S.down_max(self.S.cube_averages(self.n_star(alpha)), -np.inf)
+            self._numbers_cache[alpha] = (top, top[self.S.sample_leaf])
+        return self._numbers_cache[alpha]
 
     # -- Carleson functionals ---------------------------------------------------
 
@@ -298,7 +293,7 @@ class FunctionalSuite:
             indptr, owner = self.RC.owner_ptr, self.RC.owner_cube
             key_order = self.RC.box_order()
             anc = self.S.anc_at
-            n = len(self.S.cubes)
+            n = self.S.n_cubes
             count = np.diff(indptr)[key_order]
             cols = [[] for _ in range(anc.shape[1])]
             for lo, hi in row_spans(count):
@@ -326,7 +321,7 @@ class FunctionalSuite:
         order of `RegionComplex.box_order`.
         """
         boxes, cubes = self._anc_pairs()
-        return np.bincount(cubes, weights=mass[boxes], minlength=len(self.S.cubes))
+        return np.bincount(cubes, weights=mass[boxes], minlength=self.S.n_cubes)
 
     def carleson_dyadic(self, mass: np.ndarray) -> np.ndarray:
         """C_dyadic: per sample, sup over containing cubes of T_Q-mass/l(Q).

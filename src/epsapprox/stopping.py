@@ -50,14 +50,14 @@ def initial_chain(S: CubeSystem) -> list:
     return S.chain(i)
 
 
-def principal_cubes(S: CubeSystem, numbers: dict, chain: list) -> PrincipalFamily:
+def principal_cubes(S: CubeSystem, numbers: np.ndarray, chain: list) -> PrincipalFamily:
     """Iterated maximal-stopping family for the doubling condition.
 
     numbers: per-cube value of sup over ancestors of the N_* u average.
     chain: increasing initial collection (finest first in tree order is not
     required; it is sorted internally).
     """
-    chain = sorted(chain, key=lambda q: S.cube(q).k)
+    chain = sorted(chain, key=lambda q: S.gen[q])
     if not chain:
         raise ValueError("initial collection is empty")
     fam = set(chain)
@@ -110,7 +110,7 @@ def principal_cubes(S: CubeSystem, numbers: dict, chain: list) -> PrincipalFamil
 
 
 def verify_principal_packing(
-    S: CubeSystem, fam: PrincipalFamily, numbers: dict, budget_factor: float = 4.0
+    S: CubeSystem, fam: PrincipalFamily, numbers: np.ndarray, budget_factor: float = 4.0
 ) -> dict:
     """Packing of the family against factor * Lambda(initial chain).
 
@@ -161,14 +161,14 @@ class OscillationLabels:
 
 
 def oscillation_cubes(
-    FS: FunctionalSuite, eps: float, numbers: dict
+    FS: FunctionalSuite, eps: float, numbers: np.ndarray
 ) -> OscillationLabels:
     """Label region components red/blue by osc u > eps * cube number."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
     ptr = FS.RC.region_comp_ptr
     comp_cube = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-    bound = eps * np.array([numbers[q] for q in comp_cube.tolist()])
+    bound = eps * numbers[comp_cube]
     red = FS.oscillations() > bound
     return OscillationLabels(red=red, cubes=set(comp_cube[red].tolist()))
 
@@ -180,14 +180,13 @@ def oscillation_cubes(
 
 @dataclass
 class GenerationForest:
-    generations: dict  # regime idx -> list of sets G_0, G_1, ...
     all_cubes: set  # G*: union over regimes and generations
     subregime_top: dict  # qid in a regime -> generation cube anchoring it
     members: dict = field(default_factory=dict)  # gen cube -> its subregime
 
 
 def generation_cubes(
-    RC: RegionComplex, eps: float, numbers: dict, u
+    RC: RegionComplex, eps: float, numbers: np.ndarray, u
 ) -> GenerationForest:
     """Per-regime breadth-first stopping on regime exit or anchor drift.
 
@@ -197,7 +196,6 @@ def generation_cubes(
     """
     S = RC.S
     corona = RC.corona
-    generations: dict = {}
     subregime_top: dict = {}
     members: dict = {}
     all_cubes: set = set()
@@ -209,7 +207,6 @@ def generation_cubes(
     anchor = {q: dict(zip("+-", v)) for q, v in zip(cubes, vals)}
 
     for reg in corona.regimes:
-        gens = [{reg.max_cube}]
         all_cubes.add(reg.max_cube)
         frontier = [reg.max_cube]
         while frontier:
@@ -217,7 +214,7 @@ def generation_cubes(
             for top in frontier:
                 ref = anchor[top]
                 sub = {top}
-                stack = list(S.cube(top).rchildren)
+                stack = S.children(top).tolist()
                 while stack:
                     q = stack.pop()
                     stopped = False
@@ -235,17 +232,13 @@ def generation_cubes(
                             next_gen.add(q)  # stop cube inside the regime
                         continue
                     sub.add(q)
-                    stack.extend(S.cube(q).rchildren)
+                    stack.extend(S.children(q).tolist())
                 members[top] = sub
                 for q in sub:
                     subregime_top[q] = top
-            if next_gen:
-                gens.append(next_gen)
-                all_cubes.update(next_gen)
+            all_cubes.update(next_gen)
             frontier = sorted(next_gen)
-        generations[reg.idx] = gens
     return GenerationForest(
-        generations=generations,
         all_cubes=all_cubes,
         subregime_top=subregime_top,
         members=members,

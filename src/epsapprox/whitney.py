@@ -308,21 +308,21 @@ def _validate_annotated(E, S, spec, eta, K) -> CoronaDecomposition:
         if cubes & seen:
             raise ValueError(f"regime {i} overlaps earlier cubes")
         seen |= cubes
-        maxima = [q for q in cubes if S.cube(q).rparent not in cubes]
+        maxima = [q for q in cubes if S.rparent[q] not in cubes]
         if len(maxima) != 1:
             raise ValueError(f"regime {i} is not coherent: maxima {sorted(maxima)}")
         top = maxima[0]
         for q in cubes:
             # intermediate cubes present (semicoherence)
-            p = S.cube(q).rparent
-            while p is not None and p != top:
+            p = S.rparent[q]
+            while p >= 0 and p != top:
                 if p not in cubes and S.contains(top, p):
                     raise ValueError(
                         f"regime {i} misses intermediate cube {p} over {q}"
                     )
-                p = S.cube(p).rparent
+                p = S.rparent[p]
             # children all-in or all-out (coherence)
-            ch = S.cube(q).rchildren
+            ch = S.children(q).tolist()
             inside = [c for c in ch if c in cubes]
             if inside and len(inside) != len(ch):
                 raise ValueError(
@@ -353,8 +353,9 @@ def _property3_sup(E, S, corona, reject: bool = False) -> float:
     """sup over regime cubes of the two one-sided graph distances / (eta l(Q)).
 
     Exhaustive when validating an annotated decomposition (a violation must
-    name its cube); sampled (<= 64 cubes per regime) for the trivial
-    provider, whose distances vanish by construction.
+    name its cube); for the trivial provider, whose distances vanish by
+    construction, strided: every max(1, n // 64)-th of a regime's n cubes in
+    id order, so all of them when n < 128 and 64 to 96 otherwise.
     """
     worst = 0.0
     for reg in corona.regimes:
@@ -365,21 +366,21 @@ def _property3_sup(E, S, corona, reject: bool = False) -> float:
         if not reject:
             cubes = cubes[:: max(1, len(cubes) // 64)]
         for q in cubes:
-            c = S.cube(q)
-            r = corona.K * c.side
-            d = np.linalg.norm(E.points - c.z, axis=1)
+            z, side = S.z[q], float(S.side[q])
+            r = corona.K * side
+            d = np.linalg.norm(E.points - z, axis=1)
             near = E.points[d <= r]
             a = _sup_dist(near, pl) if len(near) else 0.0
-            dg = np.linalg.norm(pl - c.z, axis=1)
+            dg = np.linalg.norm(pl - z, axis=1)
             on_ball = pl[dg <= r]
             b = _sup_dist(on_ball, E.points) if len(on_ball) else 0.0
-            val = (a + b) / (corona.eta * c.side)
+            val = (a + b) / (corona.eta * side)
             worst = max(worst, val)
             if reject and val >= 1.0:
                 raise ValueError(
                     f"regime {reg.idx} violates the graph-approximation "
                     f"property at cube {q}: (sup_dist {a + b:.4g}) >= "
-                    f"eta*l(Q) = {corona.eta * c.side:.4g}"
+                    f"eta*l(Q) = {corona.eta * side:.4g}"
                 )
     return worst
 
@@ -447,14 +448,14 @@ class RegionComplex:
     def y_point(self, qid: int, sign: str) -> np.ndarray:
         """Y_Q^{sign} = X of the parent (or of Q itself at a regime top)."""
         i = self.corona.regime_of.get(qid)
-        p = self.S.cube(qid).rparent
-        if i is not None and qid == self.corona.regimes[i].max_cube or p is None:
+        p = self.S.rparent[qid]
+        if i is not None and qid == self.corona.regimes[i].max_cube or p < 0:
             return self.x_point(qid, sign)
         return self.x_point(p, sign)
 
     def region_max(self, per_box: np.ndarray, empty: float) -> np.ndarray:
         """Per cube: max of a per-box array over its region, else `empty`."""
-        out = np.full(len(self.S.cubes), empty)
+        out = np.full(self.S.n_cubes, empty)
         live = np.flatnonzero(np.diff(self.region_ptr))
         out[live] = np.maximum.reduceat(per_box[self.region_box], self.region_ptr[live])
         return out
@@ -467,8 +468,7 @@ class RegionComplex:
 
     def carleson_box(self, qid: int) -> np.ndarray:
         """T_Q: member boxes over the relevant descendants of Q, ascending."""
-        S = self.S
-        return self.sawtooth(np.flatnonzero(S.anc_at[:-1, S.gen[qid] - S.k_min] == qid))
+        return self.sawtooth(np.flatnonzero(self.S.subtree(qid)))
 
     def sawtooth(self, ids) -> np.ndarray:
         """Member boxes over the cubes `ids`, ascending."""
@@ -510,7 +510,7 @@ def build_regions(
     sign against the regime graph; defective ones are demoted to the bad set
     and the regimes are re-cohered.
     """
-    n_cubes = len(S.cubes)
+    n_cubes = S.n_cubes
     cubes, boxes = _memberships(S, W, params)
     by_box = np.sort(boxes.astype(np.int64) * n_cubes + cubes)
     # CSR row pointers: rows are ascending ids
@@ -546,9 +546,7 @@ def build_regions(
     two = np.flatnonzero(np.diff(region_comp_ptr) == 2)
     ok = np.zeros(n_cubes, dtype=bool)
     ok[two] = sign[region_comp_ptr[two]] * sign[region_comp_ptr[two] + 1] == -1
-    parent = np.full(n_cubes, -1)
-    for ids, par in S.levels:
-        parent[ids] = par
+    parent = S.rparent
     scale_defect = (parent >= 0) & (S.side[parent] > params.max_parent_ratio * S.side * (1 + 1e-9))
     keep = good & ok & ~scale_defect
     demoted = set(np.flatnonzero(good & ~keep).tolist())
@@ -580,10 +578,10 @@ def _memberships(S: CubeSystem, W: WhitneyComplex, params: RegionParams):
     membership rule, found for all relevant cubes one box size at a time.
     The boxes of a size group sorted by lo-x are cut to each cube's
     x-window, then the distance test runs on the pairs."""
-    rel = np.asarray(S.relevant_ids(), dtype=np.int64)
-    samples = [S.cube(q).sample_idx for q in rel.tolist()]
-    cut = np.cumsum([0] + [len(m) for m in samples[:-1]])
-    pts = S.E.points[np.concatenate(samples)]
+    rel = np.flatnonzero(S.relevant)
+    count = S.member_ptr[rel + 1] - S.member_ptr[rel]
+    cut = np.cumsum(count) - count
+    pts = S.E.points[S.member_sample[ranges(S.member_ptr[rel], count)]]
     # sample bounding box of each cube
     qlo = np.minimum.reduceat(pts, cut, axis=0)
     qhi = np.maximum.reduceat(pts, cut, axis=0)
@@ -672,7 +670,7 @@ def _recohere(S: CubeSystem, corona: CoronaDecomposition, demoted) -> CoronaDeco
             joins = (
                 p in regime_of
                 and corona.regime_of.get(p) == old
-                and all(ch in good for ch in S.cube(p).rchildren)
+                and all(ch in good for ch in S.children(p).tolist())
             )
             if joins:
                 i = regime_of[p]

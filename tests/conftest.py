@@ -67,9 +67,25 @@ def sin_rc():
 def ancestors(S, qid):
     """The cube and its relevant ancestors, finest first."""
     out = [qid]
-    while S.cube(out[-1]).rparent is not None:
-        out.append(S.cube(out[-1]).rparent)
+    while S.rparent[out[-1]] >= 0:
+        out.append(int(S.rparent[out[-1]]))
     return out
+
+
+def param_range(S, qid) -> tuple:
+    """[a, b): the parameter interval of cube qid of a graph system, the one
+    of side l(Q) on the root's grid that holds its first member.  The root
+    starts on the finest grid, left of the window's parameter midpoint by
+    half its side."""
+    params = S.E.params
+    unit = 2.0 ** (-S.k_max) * S.scale
+    root_len = 2.0 ** (-S.k_min) * S.scale
+    center = (float(params.min()) + float(params.max())) / 2.0
+    a0 = unit * np.floor((center - root_len / 2.0) / unit)
+    side = float(S.side[qid])
+    edges = a0 + side * np.arange(int(round(root_len / side)) + 1)
+    m = int(np.searchsorted(edges, params[S.members(qid)[0]], side="right")) - 1
+    return float(edges[m]), float(edges[m + 1])
 
 
 def region(RC, q) -> list:

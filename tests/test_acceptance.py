@@ -35,6 +35,8 @@ from epsapprox.geometry import (
 from epsapprox.harmonic import Constant, PoissonIndicator
 from epsapprox.stopping import generation_cubes, oscillation_cubes
 
+from conftest import param_range
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EPS_GRID = (0.1, 0.2, 0.4)
 P_GRID = (1.5, 2.0, 4.0)
@@ -147,29 +149,29 @@ def test_criterion_03_dyadic_grid_axioms():
         E = build_boundary(desc, resolution=1 / 128, window=Window((-4, -4), (4, 4)))
         S = build_cube_system(E, k_min=-4, k_max=4)
         ids = S.relevant_ids()
-        a = np.array([S.cube(q).param_range[0] for q in ids])
-        b = np.array([S.cube(q).param_range[1] for q in ids])
+        a, b = np.array([param_range(S, q) for q in ids]).T
         inside = (a[:, None] >= a[None, :]) & (b[:, None] <= b[None, :])
         disjoint = (b[:, None] <= a[None, :]) | (b[None, :] <= a[:, None])
-        nested = bool(np.all(inside | inside.T | disjoint))
+        # each cube's samples lie in its interval
+        held = all(
+            (lo <= E.params[S.members(q)]).all() and (E.params[S.members(q)] < hi).all()
+            for q, lo, hi in zip(ids, a, b)
+        )
+        nested = bool(np.all(inside | inside.T | disjoint)) and held
         total = E.weights.sum()
         partition = all(
-            np.isclose(
-                sum(S.cubes[q].measure for q in S.generations[k]), total, rtol=1e-12
-            )
-            and sum(len(S.cubes[q].sample_idx) for q in S.generations[k])
-            == E.n_samples
+            np.isclose(sum(S.measure[S.gen == k].tolist()), total, rtol=1e-12)
+            and sum(len(S.members(q)) for q in np.flatnonzero(S.gen == k)) == E.n_samples
             for k in range(S.k_min, S.k_max + 1)
         )
         inclusions = True
         for q in ids:
-            c = S.cube(q)
-            d = np.linalg.norm(E.points - c.z, axis=1)
+            d = np.linalg.norm(E.points - S.z[q], axis=1)
             members = np.zeros(E.n_samples, dtype=bool)
-            members[c.sample_idx] = True
-            if np.any((d < S.c1 * c.side) & ~members):
+            members[S.members(q)] = True
+            if np.any((d < S.c1 * S.side[q]) & ~members):
                 inclusions = False
-            if np.any(d[c.sample_idx] > S.C1 * c.side):
+            if np.any(d[members] > S.C1 * S.side[q]):
                 inclusions = False
         finite = np.isfinite(S.c1) and np.isfinite(S.C1) and S.c1 > 0
         results.append((nested, partition, inclusions, finite, S.c1, S.C1))
@@ -311,7 +313,7 @@ def test_criterion_09_trivial_exactness(line_rc):
     ok &= np.all(FS.n_star(None) == 2.0)
     ok &= np.all(FS.square_function() == 0.0)
     ok &= np.all(FS.carleson_dyadic(A.tv_box) == 0.0)
-    ok &= all(v == 2.0 for v in numbers.values())
+    ok &= all(v == 2.0 for v in numbers[line_rc.S.relevant_ids()])
     assert verdict(9, ok, "phi == u, TV = 0, functionals exact, no tolerance")
 
 

@@ -574,7 +574,7 @@ def _alpha0_oracle(fs, gf):
         anchor_boxes = []
         for sign in "+-":
             anchor_boxes.append(int(RC.comp_center[RC.signed_comp(p, sign)]))
-            pr = S.cube(p).rparent
+            pr = S.rparent[p]
             if pr in good:
                 anchor_boxes.append(int(RC.comp_center[RC.signed_comp(pr, sign)]))
         for q in sorted(qs):
@@ -584,14 +584,13 @@ def _alpha0_oracle(fs, gf):
                 best = np.inf
                 for p_own, _ in owners_of.get(b, ()):
                     anc = q  # walk up from q to the owner's generation
-                    while anc is not None and S.cube(anc).k != S.cube(p_own).k:
-                        anc = S.cube(anc).rparent
-                    if anc is None:
+                    while anc >= 0 and S.gen[anc] != S.gen[p_own]:
+                        anc = S.rparent[anc]
+                    if anc < 0:
                         continue
-                    c = S.cube(anc)
-                    pts = S.E.points[S.cube(p_own).sample_idx]
-                    d = np.linalg.norm(pts - c.z, axis=1)
-                    best = min(best, float(np.min(d)) / (S.C1 * c.side))
+                    pts = S.E.points[S.members(p_own)]
+                    d = np.linalg.norm(pts - S.z[anc], axis=1)
+                    best = min(best, float(np.min(d)) / (S.C1 * float(S.side[anc])))
                 a = 1.0 if best == np.inf else max(1.0, best * (1 + 1e-9))
                 needed = max(needed, a)
     return needed

@@ -23,6 +23,8 @@ from epsapprox.functionals import FunctionalSuite
 from epsapprox.geometry import Hyperplane, PointList, Segment, Window, build_boundary
 from epsapprox.harmonic import PoissonIndicator
 
+from conftest import param_range
+
 
 @pytest.fixture(scope="module")
 def line_system():
@@ -35,7 +37,7 @@ def line_system():
 def interval_cube(S, a, b):
     """Relevant cube with the given parameter range."""
     for q in S.relevant_ids():
-        if S.cube(q).param_range == (a, b):
+        if param_range(S, q) == (a, b):
             return q
     raise AssertionError(f"no cube [{a},{b})")
 
@@ -45,7 +47,7 @@ def check_witness(S, ids, wit: SparseWitness):
     used = {}
     for q in ids:
         rows = wit.assignments[q]
-        members = set(S.cube(q).sample_idx.tolist())
+        members = set(S.members(q).tolist())
         mass = 0.0
         for i, m in rows:
             assert i in members  # E_Q inside Q
@@ -121,14 +123,14 @@ class TestDyadicMaximal:
         q = interval_cube(S, 0.0, 1.0)
         left = interval_cube(S, 0.0, 0.5)
         f = np.zeros(S.E.n_samples)
-        f[S.cube(left).sample_idx] = 1.0
+        f[S.members(left)] = 1.0
         md = dyadic_maximal(S, f)
         x = S.E.points[:, 0]
         at = np.argmin(np.abs(x - 0.7))
         # at x=0.7 the best cube average among cubes containing x within
         # [0,1) is the root average of the indicator
-        inside = S.cube(q).sample_idx
-        expect = S.E.weights[S.cube(left).sample_idx].sum() / S.sigma(q)
+        inside = S.members(q)
+        expect = S.E.weights[S.members(left)].sum() / S.sigma(q)
         assert md[at] >= expect - 1e-12
         assert md[at] == pytest.approx(0.5, abs=0.02)
 
@@ -145,7 +147,7 @@ class TestDyadicMaximal:
         for s in range(8):
             best = 0.0
             for q in S.relevant_ids():
-                m = S.cube(q).sample_idx
+                m = S.members(q)
                 if s in m:
                     best = max(best, np.dot(f[m], w[m]) / S.sigma(q))
             assert md[s] == pytest.approx(best)
@@ -176,7 +178,7 @@ class TestHLMaximal:
         # at the cost of the worst mass ratio sigma(Delta)/sigma(Q)
         ratio = 0.0
         for q in S.relevant_ids():
-            d = np.linalg.norm(S.E.points - S.cube(q).z, axis=1)
+            d = np.linalg.norm(S.E.points - S.z[q], axis=1)
             ball = S.E.weights[d < S.C1 * S.side[q]].sum()
             if ball > 0:
                 ratio = max(ratio, ball / S.sigma(q))

@@ -12,6 +12,8 @@ from epsapprox.geometry import (
     build_boundary,
 )
 
+from conftest import param_range
+
 W2 = Window((-4.0, -4.0), (4.0, 4.0))
 
 
@@ -20,10 +22,9 @@ def surface_ball(S, qid: int, kappa: float = 1.0):
 
     Returns (center, radius, member sample indices).
     """
-    c = S.cube(qid)
-    r = kappa * S.C1 * c.side
-    d = np.linalg.norm(S.E.points - c.z, axis=1)
-    return c.z, float(r), np.where(d <= r)[0]
+    r = kappa * S.C1 * S.side[qid]
+    d = np.linalg.norm(S.E.points - S.z[qid], axis=1)
+    return S.z[qid], float(r), np.where(d <= r)[0]
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def graph_system():
 
 
 def cube_sets(S):
-    return {q: frozenset(S.cube(q).sample_idx.tolist()) for q in S.relevant_ids()}
+    return {q: frozenset(S.members(q).tolist()) for q in S.relevant_ids()}
 
 
 class TestBuild:
@@ -56,11 +57,11 @@ class TestBuild:
         # the generation-2 cube containing x=0.3 is the interval [0.25, 0.5)
         i = int(np.argmin(np.abs(S.E.points[:, 0] - 0.3)))
         chain = S.chain(i)
-        gen2 = [q for q in chain if S.cube(q).k == 2]
+        gen2 = [q for q in chain if S.gen[q] == 2]
         assert len(gen2) == 1
-        a, b = S.cube(gen2[0]).param_range
+        a, b = param_range(S, gen2[0])
         assert (a, b) == (0.25, 0.5)
-        xs = S.E.points[S.cube(gen2[0]).sample_idx, 0]
+        xs = S.E.points[S.members(gen2[0]), 0]
         assert xs.min() >= 0.25 and xs.max() < 0.5
 
     def test_single_relevant_root(self, line_system):
@@ -85,9 +86,9 @@ class TestBuild:
         S = line_system
         total = S.E.weights.sum()
         for k in range(S.k_min, S.k_max + 1):
-            gen = S.generations.get(k, [])
-            sigma = sum(S.cubes[q].measure for q in gen)
-            idx = np.concatenate([S.cubes[q].sample_idx for q in gen])
+            gen = np.flatnonzero(S.gen == k).tolist()
+            sigma = sum(S.sigma(q) for q in gen)
+            idx = np.concatenate([S.members(q) for q in gen])
             assert len(idx) == S.E.n_samples
             assert len(np.unique(idx)) == len(idx)
             assert sigma == pytest.approx(total, rel=1e-12)
@@ -95,16 +96,16 @@ class TestBuild:
     def test_children_partition_parent(self, graph_system):
         S = graph_system
         for q in S.relevant_ids():
-            c = S.cube(q)
-            if not c.rchildren:
+            children = S.children(q).tolist()
+            if not children:
                 continue
-            child_idx = np.concatenate([S.cube(ch).sample_idx for ch in c.rchildren])
-            assert sorted(child_idx.tolist()) == sorted(c.sample_idx.tolist())
+            child_idx = np.concatenate([S.members(ch) for ch in children])
+            assert sorted(child_idx.tolist()) == sorted(S.members(q).tolist())
 
     def test_bounded_child_count(self, graph_system):
         S = graph_system
         for q in S.relevant_ids():
-            assert len(S.cube(q).rchildren) <= 4
+            assert len(S.children(q)) <= 4
 
     def test_resolution_guard(self):
         E = build_boundary(Hyperplane(), resolution=0.25, window=W2)
@@ -114,10 +115,10 @@ class TestBuild:
     def test_measure_comparable_to_side(self, line_system):
         S = line_system
         for q in S.relevant_ids():
-            c = S.cube(q)
+            a, b = param_range(S, q)
             # sampled window truncates the root; interior cubes are exact
-            if c.param_range[0] >= -4.0 and c.param_range[1] <= 4.0:
-                assert c.measure == pytest.approx(c.side, rel=0.05)
+            if a >= -4.0 and b <= 4.0:
+                assert S.sigma(q) == pytest.approx(S.side[q], rel=0.05)
 
 
 class TestNavigation:
@@ -126,7 +127,7 @@ class TestNavigation:
         chain = S.chain(137)
         sides = [S.side[q] for q in chain]
         assert sides == sorted(sides, reverse=True)
-        sets = [frozenset(S.cube(q).sample_idx.tolist()) for q in chain]
+        sets = [frozenset(S.members(q).tolist()) for q in chain]
         for a, b in zip(sets, sets[1:]):
             assert b <= a
 
@@ -145,7 +146,7 @@ class TestNavigation:
         j = int(np.argmin(np.abs(S.E.points[:, 0] + 0.875)))
         chain = S.chain(j)
         assert len(chain) == S.k_max - S.k_min
-        sets = [frozenset(S.cube(q).sample_idx.tolist()) for q in chain]
+        sets = [frozenset(S.members(q).tolist()) for q in chain]
         for a, b in zip(sets, sets[1:]):
             assert b < a  # strictly decreasing: no set-equal copies survive
 
@@ -155,13 +156,13 @@ class TestSurfaceBall:
         S = line_system
         for q in S.relevant_ids()[::7]:
             _, _, members = surface_ball(S, q, kappa=1.0)
-            assert set(S.cube(q).sample_idx.tolist()) <= set(members.tolist())
+            assert set(S.members(q).tolist()) <= set(members.tolist())
 
     def test_nested_monotonicity(self, graph_system):
         S = graph_system
         for q in S.relevant_ids():
-            p = S.cube(q).rparent
-            if p is None:
+            p = S.rparent[q]
+            if p < 0:
                 continue
             _, _, mq = surface_ball(S, q, 1.0)
             _, _, mp = surface_ball(S, p, 1.0)
@@ -185,4 +186,4 @@ class TestSynthetic:
     def test_partition_per_generation(self):
         S = synthetic_system(depth=4)
         for k in range(5):
-            assert sum(S.sigma(q) for q in S.generations[k]) == 16.0
+            assert sum(S.sigma(q) for q in np.flatnonzero(S.gen == k).tolist()) == 16.0

@@ -16,7 +16,7 @@ from epsapprox.geometry import Hyperplane, Window, build_boundary
 from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
-from conftest import ancestors, box_owners, region
+from conftest import ancestors, box_owners, param_range, region
 
 W2 = Window((-2.0, -2.0), (2.0, 2.0))
 AMBIENT = Window((-2.0, -6.5), (2.0, 6.5))
@@ -115,9 +115,7 @@ class TestNStar:
         inner = [
             q
             for q in fs_t.S.relevant_ids()
-            if fs_t.S.cube(q).param_range is not None
-            and -2 < fs_t.S.cube(q).param_range[0]
-            and fs_t.S.cube(q).param_range[1] < 2
+            if -2 < param_range(fs_t.S, q)[0] and param_range(fs_t.S, q)[1] < 2
         ]
         for q in inner[::5]:
             assert fs_t.aperture_neighbors(1.0, q) == [q]
@@ -167,14 +165,13 @@ def test_owners_match_per_box_loop(fixture, request):
 def _aperture_scan(FS, alpha, qid):
     """Reference: every relevant cube of the generation, in id order."""
     S = FS.S
-    c = S.cube(qid)
-    r = alpha * S.C1 * c.side
+    z = S.z[qid]
+    r = alpha * S.C1 * S.side[qid]
     out = []
-    for p in S.relevant_at_gen(c.k):
-        cp = S.cube(p)
-        if np.linalg.norm(cp.z - c.z) > r + S.C1 * cp.side * 2:
+    for p in S.relevant_at_gen(S.gen[qid]):
+        if np.linalg.norm(S.z[p] - z) > r + S.C1 * S.side[p] * 2:
             continue
-        d = np.linalg.norm(S.E.points[cp.sample_idx] - c.z, axis=1)
+        d = np.linalg.norm(S.E.points[S.members(p)] - z, axis=1)
         if np.min(d) < r:
             out.append(p)
     return out
@@ -216,7 +213,7 @@ def test_cones_match_all_pairs_scan(fixture, request):
     # x-window of radius alpha*C1*l(Q) alone would miss it
     S = fs.S
     assert any(
-        np.linalg.norm(S.cube(p).z - S.cube(q).z) > alpha * S.C1 * S.side[q]
+        np.linalg.norm(S.z[p] - S.z[q]) > alpha * S.C1 * S.side[q]
         for alpha in APERTURES[1:]
         for q in S.relevant_ids()
         for p in fs.aperture_neighbors(alpha, q)
@@ -254,15 +251,15 @@ class TestCubeNumbers:
     def test_constant(self, rc):
         fs = FunctionalSuite(rc, Constant(2.0))
         val, point = fs.cube_numbers()
-        assert all(v == pytest.approx(2.0) for v in val.values())
+        assert all(v == pytest.approx(2.0) for v in val[rc.S.relevant_ids()])
         assert np.allclose(point, 2.0)
 
     def test_monotone_along_chains(self, fs_poisson):
         val, _ = fs_poisson.cube_numbers()
         S = fs_poisson.S
         for q in S.relevant_ids():
-            p = S.cube(q).rparent
-            if p is not None:
+            p = S.rparent[q]
+            if p >= 0:
                 assert val[q] >= val[p] - 1e-15
 
     def test_matches_brute_force(self, fs_poisson):
@@ -273,7 +270,7 @@ class TestCubeNumbers:
         for q in S.relevant_ids()[::13]:
             best = 0.0
             for r in ancestors(S, q):
-                m = S.cube(r).sample_idx
+                m = S.members(r)
                 best = max(best, np.dot(ns[m], w[m]) / S.sigma(r))
             assert val[q] == pytest.approx(best, rel=1e-12)
 
@@ -292,7 +289,7 @@ class TestCarlesonFunctionals:
         q = next(
             q
             for q in S.relevant_ids()
-            if S.cube(q).k == 3 and len(region(RC, q))
+            if S.gen[q] == 3 and len(region(RC, q))
         )
         bid = region(RC, q)[0]
         mass = np.zeros(fs.W.n_boxes)
@@ -320,7 +317,7 @@ class TestCarlesonFunctionals:
             t = fs.RC.carleson_box(q)
             if not len(t):
                 continue
-            z = fs.S.cube(q).z
+            z = fs.S.z[q]
             far = max(
                 max(np.linalg.norm(lo[b] - z), np.linalg.norm(hi[b] - z))
                 for b in t
@@ -333,7 +330,7 @@ def _anc_scatter_loop(fs, mass):
     """Reference: per box in `box_owners` key order, its mass added to each
     ancestor of each of its owners."""
     S = fs.S
-    out = np.zeros(len(S.cubes))
+    out = np.zeros(S.n_cubes)
     for bid, owners in box_owners(fs.RC).items():
         qs = sorted({a for q, _ in owners for a in ancestors(S, q)})
         m = mass[bid]

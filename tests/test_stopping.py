@@ -219,7 +219,7 @@ def generation_oracle(RC, eps, numbers, u):
             out.add(top)
             ref = anchors(top)
             def walk(q):
-                for ch in S.cube(q).rchildren:
+                for ch in S.children(q).tolist():
                     if ch not in reg.cubes:
                         continue
                     a = anchors(ch)
@@ -270,10 +270,10 @@ class TestGeneration:
                 assert S.contains(top, q)
                 if q == top:
                     continue
-                p = S.cube(q).rparent
+                p = S.rparent[q]
                 while p != top:
                     assert p in sub  # intermediate cubes included
-                    p = S.cube(p).rparent
+                    p = S.rparent[p]
 
 
 class TestEpsPacking:

@@ -27,7 +27,7 @@ from epsapprox.whitney import (
     whitney_decompose,
 )
 
-from conftest import region
+from conftest import param_range, region
 
 W2 = Window((-2.0, -2.0), (2.0, 2.0))
 # ambient box for the Whitney complex: tall enough that the top-generation
@@ -271,7 +271,7 @@ class TestCoronaProvider:
     def test_annotated_regime_split_accepted(self, line_setup, tmp_path):
         E, S, W = line_setup
         root = S.roots[0]
-        children = S.cube(root).rchildren
+        children = S.children(root).tolist()
         spec = {
             "bad": [],
             "regimes": [{"cubes": [root]}]
@@ -288,7 +288,7 @@ class TestCoronaProvider:
     def test_annotated_incoherent_rejected(self, line_setup, tmp_path):
         E, S, W = line_setup
         root = S.roots[0]
-        children = S.cube(root).rchildren
+        children = S.children(root).tolist()
         # root plus only one child: split sibling set violates coherency
         bad_spec = {
             "bad": [],
@@ -309,22 +309,22 @@ class TestRegions:
         RC = line_regions
         S, W = RC.S, RC.W
         q = S.relevant_ids()[len(S.relevant_ids()) // 2]
-        c = S.cube(q)
-        pts = S.E.points[c.sample_idx]
+        lq = S.side[q]
+        pts = S.E.points[S.members(q)]
         qlo, qhi = pts.min(axis=0), pts.max(axis=0)
         expect = []
         for b, (lo, hi) in enumerate(zip(W.lo, W.hi)):
             side = hi[0] - lo[0]
             if not (
-                PARAMS.c_w * c.side * (1 - 1e-9)
+                PARAMS.c_w * lq * (1 - 1e-9)
                 <= side
-                <= PARAMS.C_w * c.side * (1 + 1e-9)
+                <= PARAMS.C_w * lq * (1 + 1e-9)
             ):
                 continue
             gap = np.linalg.norm(
                 np.maximum(qlo - hi, 0) + np.maximum(lo - qhi, 0)
             )
-            if gap <= PARAMS.C_d * c.side * (1 + 1e-9):
+            if gap <= PARAMS.C_d * lq * (1 + 1e-9):
                 expect.append(b)
         assert region(RC, q) == sorted(expect)
 
@@ -333,7 +333,7 @@ class TestRegions:
         # the only demotions are the window-edge singleton chains (the
         # inclusive endpoint sample behaves like an isolated point)
         for q in RC.stats["demoted"]:
-            assert len(RC.S.cube(q).sample_idx) == 1
+            assert len(RC.S.members(q)) == 1
         for q in RC.S.relevant_ids():
             if q in RC.stats["demoted"]:
                 continue
@@ -350,17 +350,17 @@ class TestRegions:
         for q in RC.S.relevant_ids():
             if q not in RC.corona.good:
                 continue
-            c = RC.S.cube(q)
+            lq = RC.S.side[q]
             for sign in "+-":
                 X = RC.x_point(q, sign)
                 delta = abs(X[1])
-                assert 0.2 * c.side <= delta <= 16 * c.side
+                assert 0.2 * lq <= delta <= 16 * lq
 
     def test_y_point_is_parent_x(self, line_regions):
         RC = line_regions
         root = RC.S.roots[0]
         assert np.allclose(RC.y_point(root, "+"), RC.x_point(root, "+"))
-        child = RC.S.cube(root).rchildren[0]
+        child = RC.S.children(root)[0]
         assert np.allclose(RC.y_point(child, "+"), RC.x_point(root, "+"))
 
     def test_bounded_overlap_reported(self, line_regions):
@@ -383,24 +383,24 @@ class TestBoxesAndSawtooths:
     def test_carleson_box_monotone(self, line_regions):
         RC = line_regions
         root = RC.S.roots[0]
-        child = RC.S.cube(root).rchildren[0]
+        child = RC.S.children(root)[0]
         assert set(RC.carleson_box(child)) <= set(RC.carleson_box(root))
 
     def test_carleson_box_bounded(self, line_regions):
         RC = line_regions
         worst = 0.0
         for q in RC.S.relevant_ids():
-            c = RC.S.cube(q)
+            zq, lq = RC.S.z[q], RC.S.side[q]
             t = RC.carleson_box(q)
             for b in list(t)[:: max(1, len(t) // 16)]:
                 lo, hi = RC.W.lo[b], RC.W.hi[b]
-                far = max(np.linalg.norm(lo - c.z), np.linalg.norm(hi - c.z))
-                worst = max(worst, far / c.side)
+                far = max(np.linalg.norm(lo - zq), np.linalg.norm(hi - zq))
+                worst = max(worst, far / lq)
         assert worst < 16 * (PARAMS.C_d + PARAMS.C_w)
 
     def test_sawtooth_of_descendants_is_carleson_box(self, line_regions):
         RC = line_regions
-        q = RC.S.cube(RC.S.roots[0]).rchildren[0]
+        q = RC.S.children(RC.S.roots[0])[0]
         assert np.array_equal(RC.sawtooth(RC.S.descendants(q)), RC.carleson_box(q))
 
     def test_sawtooth_single_cube_is_region(self, line_regions):
@@ -413,7 +413,7 @@ class TestBoxesAndSawtooths:
         S = RC.S
         # cube [0,1): T_Q contains probes of [0,1) x (floor, 1)
         q = next(
-            q for q in S.relevant_ids() if S.cube(q).param_range == (0.0, 1.0)
+            q for q in S.relevant_ids() if param_range(S, q) == (0.0, 1.0)
         )
         t = RC.carleson_box(q)
         lo, hi = RC.W.lo[sorted(t)], RC.W.hi[sorted(t)]
@@ -513,17 +513,17 @@ def _region_stats_loop(S, W, regions) -> dict:
     for q, (boxes, comps, _, _, _) in regions.items():
         if not boxes:
             continue
-        c = S.cube(q)
+        lq = float(S.side[q])
         vol = sum(volume[b] for b in boxes)
-        ratio = vol / c.side**2
+        ratio = vol / lq**2
         vol_ratio_lo = min(vol_ratio_lo, ratio)
         vol_ratio_hi = max(vol_ratio_hi, ratio)
         overlap_num += vol
         covered.update(boxes)
         n_comp_max = max(n_comp_max, len(comps))
         for b in boxes[:: max(1, len(boxes) // 8)]:
-            delta_lo = min(delta_lo, dist[b] / c.side)
-            delta_hi = max(delta_hi, (dist[b] + np.sqrt(2.0) * side[b]) / c.side)
+            delta_lo = min(delta_lo, dist[b] / lq)
+            delta_hi = max(delta_hi, (dist[b] + np.sqrt(2.0) * side[b]) / lq)
     union_vol = sum(volume[b] for b in covered)
     return {
         "volume_ratio_range": (float(vol_ratio_lo), float(vol_ratio_hi)),
@@ -546,16 +546,16 @@ def _regions_loop(S, W, corona, params):
         size_index[size] = (ids, W.lo[ids, 0])
     regions, demoted = {}, set()
     for q in sorted(S.relevant_ids()):
-        c = S.cube(q)
-        pts = S.E.points[c.sample_idx]
+        lq = float(S.side[q])
+        pts = S.E.points[S.members(q)]
         qlo, qhi = pts.min(axis=0), pts.max(axis=0)
         members = []
         for size, (ids, lox) in size_index.items():
             side = size * W.unit
-            ratio = side / c.side
+            ratio = side / lq
             if ratio < params.c_w * (1 - 1e-9) or ratio > params.C_w * (1 + 1e-9):
                 continue
-            reach = params.C_d * c.side * (1 + 1e-9)
+            reach = params.C_d * lq * (1 + 1e-9)
             a = np.searchsorted(lox, qlo[0] - reach - side)
             b = np.searchsorted(lox, qhi[0] + reach, side="right")
             ids_w = ids[a:b]
@@ -567,9 +567,9 @@ def _regions_loop(S, W, corona, params):
         comps = _components_loop(members, neighbors)
         reg = corona.regimes[corona.regime_of[q]] if q in corona.regime_of else None
         good = q in corona.good
-        p = c.rparent
+        p = S.rparent[q]
         scale_defect = (
-            p is not None and S.side[p] > params.max_parent_ratio * c.side * (1 + 1e-9)
+            p >= 0 and S.side[p] > params.max_parent_ratio * lq * (1 + 1e-9)
         )
         labels, centers, ok = _label_components_loop(W, comps, reg, good)
         if good and (not ok or scale_defect):
@@ -620,7 +620,7 @@ def test_region_arrays_match_loops(fixture, request):
     regions, stats = _regions_loop(S, W, corona, params)
     assert RC.stats == stats
     owners: dict = {}
-    for q in range(len(S.cubes)):
+    for q in range(S.n_cubes):
         if q not in regions:
             assert not len(region(RC, q)) and not len(RC.comps(q))
             continue
