@@ -48,34 +48,10 @@ class Approximant:
 
 
 def order_good_cubes(RC: RegionComplex, GF: GenerationForest, q0: int) -> list:
-    """Family {Q_k}: subregime tops covering the good cubes under q0,
-    picked by maximal side length with id tie-break."""
-    S = RC.S
-    corona = RC.corona
-    under = set(S.descendants(q0))
-    good_under = {q for q in under if q in corona.good}
-    if not good_under:
-        return []
-    family = []
-    if q0 in corona.good:
-        q1 = GF.subregime_top[q0]
-    else:
-        q1 = min(good_under, key=lambda q: (-S.side[q], q))
-        if GF.subregime_top[q1] != q1:
-            raise RuntimeError(
-                f"maximal good subcube {q1} is not a generation cube"
-            )
-    family.append(q1)
-    remaining = good_under - GF.members[q1]
-    while remaining:
-        qk = min(remaining, key=lambda q: (-S.side[q], q))
-        if GF.subregime_top[qk] != qk:
-            raise RuntimeError(f"family cube {qk} is not a generation cube")
-        family.append(qk)
-        remaining -= GF.members[qk]
-    sides = [S.side[q] for q in family]
-    assert all(a >= b - 1e-15 for a, b in zip(sides, sides[1:]))
-    return family
+    """Family {Q_k}: the subregime tops covering the good cubes under q0,
+    in id order, which is by maximal side length with id tie-break."""
+    good_under = RC.S.subtree(q0) & (RC.corona.regime >= 0)
+    return np.unique(GF.top[good_under]).tolist()
 
 
 def build_partition(
@@ -84,12 +60,15 @@ def build_partition(
     labels: OscillationLabels,
     q0: int,
     family: list,
-    values: dict,
+    values: np.ndarray,
+    u,
 ) -> tuple[list, np.ndarray]:
     """Carve T_{q0} into V cells (oscillation/bad regions, precedence) and
     A cells (subregime sawtooth halves minus what is already taken).
 
-    Returns the cells and the per-box cell index (-1 outside T_{q0}).
+    values[k] holds the '+' and '-' constants of family[k]'s A cells; u
+    gives the blue cells theirs.  Returns the cells and the per-box cell
+    index (-1 outside T_{q0}).
     """
     S, W = RC.S, RC.W
     # `free`: boxes of T_{q0} no cell has taken yet
@@ -109,24 +88,21 @@ def build_partition(
             Cell(idx=len(cells), kind=kind, anchor=anchor, value=value, boxes=boxes.tolist())
         )
 
-    # V cells first (phi_1 has precedence over phi_0 on its closure)
-    under = set(S.descendants(q0))
-    v_enum = sorted(
-        (q for q in under if q in RC.corona.bad or q in labels.cubes),
-        key=lambda q: (-S.side[q], q),
-    )
-    for qm in v_enum:
+    # V cells first (phi_1 has precedence over phi_0 on its closure), by
+    # maximal side length with id tie-break, which is id order
+    v_cubes = S.subtree(q0) & ((RC.corona.regime < 0) | labels.member)
+    for qm in np.flatnonzero(v_cubes).tolist():
         for c in RC.comps(qm):
             if labels.red[c]:
                 add_cell("red", qm, None, RC.comp(c))
             elif free[RC.comp(c)].any():
                 b = RC.comp_center[c]
                 x_i = (W.lo[b] + W.hi[b]) / 2.0
-                add_cell("blue", qm, float(values["u"].eval(x_i[None, :])[0]), RC.comp(c))
+                add_cell("blue", qm, float(u.eval(x_i[None, :])[0]), RC.comp(c))
     # A cells: subregime sawtooth halves minus everything taken so far
-    for qk in family:
-        for sign, half in zip("+-", RC.sawtooth_halves(GF.members[qk])):
-            add_cell("A" + sign, qk, values[(qk, sign)], half)
+    for qk, pm in zip(family, values.tolist()):
+        for sign, value, half in zip("+-", pm, RC.sawtooth_halves(GF.subregime(qk))):
+            add_cell("A" + sign, qk, value, half)
     if free.any():
         raise RuntimeError(
             f"partition does not cover T_q0: {int(free.sum())} boxes left"
@@ -148,12 +124,11 @@ def build_local_approximant(
     """phi on T_{q0}: constants on A/blue cells, u on red cells."""
     RC = FS.RC
     family = order_good_cubes(RC, GF, q0)
-    values: dict = {"u": FS.u}
-    for qk in family:
-        for sign in "+-":
-            y = RC.y_point(qk, sign)
-            values[(qk, sign)] = float(FS.u.eval(y[None, :])[0])
-    cells, cell = build_partition(RC, GF, labels, q0, family, values)
+    # u at Y_{Q_k}^{+/-}, one point per call
+    values = np.array(
+        [[FS.u.eval(RC.y_point(qk, sign)[None, :])[0] for sign in "+-"] for qk in family]
+    ).reshape(-1, 2)
+    cells, cell = build_partition(RC, GF, labels, q0, family, values, FS.u)
     A = Approximant(
         RC=RC,
         u=FS.u,
@@ -364,23 +339,20 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
     is_owner = np.zeros(n + 1, dtype=bool)
     is_q = np.zeros(n + 1, dtype=bool)
     pairs = []
-    good = RC.corona.good
-    for p in sorted(GF.all_cubes):
-        if p not in good:
-            continue
+    regime = RC.corona.regime
+    # every generation cube is good
+    for p in np.flatnonzero(GF.member).tolist():
         # the cubes Q whose Carleson box meets the sawtooth: ancestors of
         # the cubes owning one of its boxes
-        is_owner[owner[csr_rows(indptr, RC.sawtooth(GF.members[p]))]] = True
+        is_owner[owner[csr_rows(indptr, RC.sawtooth(GF.subregime(p)))]] = True
         is_q[anc[np.flatnonzero(is_owner)]] = True
         qs = np.flatnonzero(is_q[:n])
         qs = qs[side[qs] <= side[p]]
         is_owner[:] = is_q[:] = False
-        anchor_boxes = []
+        # the X boxes of P and of a good parent
         pr = S.rparent[p]
-        for sign in "+-":
-            anchor_boxes.append(RC.comp_center[RC.signed_comp(p, sign)])
-            if pr in good:
-                anchor_boxes.append(RC.comp_center[RC.signed_comp(pr, sign)])
+        anchor = [p, pr] if pr >= 0 and regime[pr] >= 0 else [p]
+        anchor_boxes = RC.comp_center[RC.pm_comp[anchor]].ravel()
         pairs.append((qs[:, None].astype(np.int64) * n_boxes + anchor_boxes).ravel())
     if not pairs:
         return 1.0

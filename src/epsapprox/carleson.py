@@ -19,8 +19,11 @@ from .dyadic import CubeSystem
 from .geometry import ball_sums, pair_distances, row_blocks
 
 
-def _as_ids(collection) -> list:
-    return sorted(set(int(i) for i in collection))
+def _as_ids(collection) -> np.ndarray:
+    """The distinct cube ids of a list or array, ascending.  Not np.unique,
+    whose first call (numpy 2.4) imports numpy.ma: about 1 MB of memory."""
+    ids = np.sort(np.asarray(collection, dtype=np.int64))
+    return ids[np.diff(ids, prepend=-1) != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +61,8 @@ def packing_constant(S: CubeSystem, collection, within: int | None = None) -> fl
     candidates = S.relevant
     if within is not None:
         candidates = S.subtree(within)
-        ids = [q for q in ids if candidates[q]]
-    if not ids:
+        ids = ids[candidates[ids]]
+    if not len(ids):
         return 0.0
     return float((subtree_sums(S, ids)[candidates] / S.measure[candidates]).max())
 
@@ -163,7 +166,7 @@ def sparse_witness(S: CubeSystem, collection, lam: float):
     """
     if not (0 < lam <= 1):
         raise ValueError("lambda must be in (0, 1]")
-    ids = _as_ids(collection)
+    ids = _as_ids(collection).tolist()
     if not ids:
         return SparseWitness(lam=lam, assignments={})
     rows = [m.tolist() for m in S.member_rows(ids)]
@@ -213,9 +216,12 @@ def sparse_witness(S: CubeSystem, collection, lam: float):
 # ---------------------------------------------------------------------------
 
 
-def dyadic_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
-    """M_dyadic f: per sample, sup of |f| cube averages along its chain."""
-    avg = S.cube_averages(np.abs(np.asarray(f, dtype=float)))
+def dyadic_maximal(S: CubeSystem, f: np.ndarray, cubes=None) -> np.ndarray:
+    """M_dyadic f: per sample, sup of |f| cube averages along its chain.
+
+    `cubes` limits the averaging to those ids, which is exact at the
+    samples whose chains they hold."""
+    avg = S.cube_averages(np.abs(np.asarray(f, dtype=float)), cubes)
     return S.down_max(avg, -np.inf)[S.sample_leaf]
 
 
@@ -275,14 +281,18 @@ def carleson_embedding_check(
     if np.any(f < 0):
         raise ValueError("f must be nonnegative")
     inside = S.subtree(q0)
-    ids = [q for q in _as_ids(collection) if inside[q]]
+    ids = _as_ids(collection)
+    ids = ids[inside[ids]]
     w = S.E.weights
     lhs = 0.0
     for m in S.member_rows(ids):
         lhs += float(np.dot(f[m], w[m]))
     lam = packing_constant(S, ids, within=q0)
     if md is None:
-        md = dyadic_maximal(S, f)
+        # Q0's samples have chains of Q0's ancestors and subtree cubes only
+        row, chain = S.anc_at[q0], inside.copy()
+        chain[row[row >= 0]] = True
+        md = dyadic_maximal(S, f, np.flatnonzero(chain))
     m0 = S.members(q0)
     rhs = lam * float(np.dot(md[m0], w[m0]))
     holds = lhs <= rhs * (1 + 1e-12) + 1e-15

@@ -56,7 +56,7 @@ def _stage_line(stage: str, out, cfg: RunConfig) -> str:
         return f"grid: {out['S'].n_cubes} cubes, ADR pass={out['adr'].passed}"
     if stage == "regions":
         return (f"regions: {out['W'].n_boxes} boxes, "
-                f"{len(out['RC'].corona.regimes)} regimes")
+                f"{len(out['RC'].corona.top)} regimes")
     n = sum(len(v["A"].cells) for v in out["per_eps"].values())
     return f"approximants: {n} cells over eps grid {cfg.eps_grid}"
 

@@ -102,10 +102,6 @@ class CubeSystem:
             stack.extend(self.children(q).tolist())
         return out
 
-    def contains(self, qid: int, pid: int) -> bool:
-        """True iff cube `pid` is inside cube `qid` (relevant tree)."""
-        return pid == qid or bool(self.anc_at[pid, self.gen[qid] - self.k_min] == qid)
-
     def subtree(self, qid: int) -> np.ndarray:
         """Per cube id: True at relevant cube qid and its relevant descendants."""
         return self.anc_at[:-1, self.gen[qid] - self.k_min] == qid
@@ -113,10 +109,11 @@ class CubeSystem:
     def relevant_at_gen(self, k: int) -> list:
         return np.flatnonzero(self.relevant & (self.gen == k)).tolist()
 
-    def cube_averages(self, f: np.ndarray) -> np.ndarray:
-        """Per cube id: weighted average of f over member samples, 0 off the
-        relevant tree."""
-        w, ids = self.E.weights, self.relevant_ids()
+    def cube_averages(self, f: np.ndarray, ids=None) -> np.ndarray:
+        """Per cube id: weighted average of f over member samples, over the
+        relevant cubes or the cubes `ids`, and 0 elsewhere."""
+        w = self.E.weights
+        ids = self.relevant_ids() if ids is None else ids
         out = np.zeros(self.n_cubes)
         for q, m, sigma in zip(ids, self.member_rows(ids), self.measure[ids].tolist()):
             out[q] = np.dot(f[m], w[m]) / sigma

@@ -303,11 +303,8 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
             "k_min": grid["k_min"],
             "k_max": cfg.k_max,
         },
-        "corona": RC.corona.to_json(),
-        "regions": {
-            k: v for k, v in RC.stats.items() if k != "demoted"
-        }
-        | {"n_demoted": len(RC.stats["demoted"])},
+        "corona": RC.corona.to_json(S),
+        "regions": RC.stats | {"n_demoted": int(RC.corona.demoted.sum())},
     }
     chain = initial_chain(S)
     fam = principal_cubes(S, numbers, chain)
@@ -317,7 +314,7 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     # discrete embedding self-check: f = N_* u against the principal family;
     # M_dyadic(N_* u) is the pointwise cube number
     lhs, rhs, holds = carleson_embedding_check(
-        S, FS.n_star(None), sorted(fam.cubes), S.roots[0], md=approx["m_point"]
+        S, FS.n_star(None), np.flatnonzero(fam.member), S.roots[0], md=approx["m_point"]
     )
     report["embedding"] = {"lhs": lhs, "rhs": rhs, "holds": bool(holds)}
 
@@ -327,10 +324,11 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
         labels, gf, A = st["labels"], st["gf"], st["A"]
         alpha0 = find_alpha0(FS, gf)
         rub = verify_eps_packing(
-            S, labels.cubes | RC.corona.bad, eps, budget=cfg.budgets.eps_packing
+            S, np.flatnonzero(labels.member | RC.corona.bad(S)), eps,
+            budget=cfg.budgets.eps_packing,
         )
         rg = verify_eps_packing(
-            S, gf.all_cubes, eps, budget=cfg.budgets.eps_packing
+            S, np.flatnonzero(gf.member), eps, budget=cfg.budgets.eps_packing
         )
         ver = verify_approximation(
             FS,

@@ -9,11 +9,13 @@ Three constructions drive the approximant:
 * generation cubes: per corona regime, stop when the regime is exited or
   the value of u at the region anchor points drifts more than eps times
   the cube number.
+
+Each family is stored as arrays indexed by cube id.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +32,12 @@ from .whitney import RegionComplex
 
 @dataclass
 class PrincipalFamily:
-    cubes: set
+    """The family as arrays indexed by cube id."""
+
+    member: np.ndarray  # bool
     initial: list  # the increasing chain I
-    projection: dict  # qid -> smallest family cube containing it
-    depth: dict  # family cube -> chain length to the initial collection
+    projection: np.ndarray  # int32: the smallest family cube containing the cube, -1 off the tree
+    depth: np.ndarray  # int32: a family cube's chain length to the initial collection, else -1
 
 
 def initial_chain(S: CubeSystem) -> list:
@@ -60,53 +64,33 @@ def principal_cubes(S: CubeSystem, numbers: np.ndarray, chain: list) -> Principa
     chain = sorted(chain, key=lambda q: S.gen[q])
     if not chain:
         raise ValueError("initial collection is empty")
-    fam = set(chain)
-    proj: dict = {}
-    depth = {q: 0 for q in chain}
-    # (cube, relevant parent or -1) one generation after another
-    tree = [
-        (q, p) for ids, par in S.levels for q, p in zip(ids.tolist(), par.tolist())
-    ]
-
-    def project_all():
-        for q, p in tree:
-            if q in fam:
-                proj[q] = q
-            else:
-                proj[q] = proj[p] if p >= 0 else None
-
-    project_all()
-    changed = True
-    while changed:
-        changed = False
-        # maximal violators only: scan top-down; anything below a violator
-        # added this round is blocked until the next round re-projects it
-        blocked: set = set()
-        added = []
-        for q, p in tree:
-            if p in blocked:
-                blocked.add(q)
-                continue
-            if q in fam or proj[q] is None:
-                continue
-            anchor = proj[q]
-            if numbers[q] > 2 * numbers[anchor]:
-                added.append((q, anchor))
-                blocked.add(q)
-        for q, anchor in added:
-            fam.add(q)
-            depth[q] = depth[anchor] + 1
-            changed = True
-        if changed:
-            project_all()
-    if None in proj.values():
+    n = S.n_cubes
+    member = np.zeros(n, dtype=bool)
+    member[chain] = True
+    depth = np.full(n, -1, dtype=np.int32)
+    depth[chain] = 0
+    # the extra last slots are what a root's parent -1 reads
+    proj = np.full(n + 1, -1, dtype=np.int32)
+    while True:
+        # one top-down pass projects every cube onto the family and takes
+        # the maximal violators only: anything below a violator is blocked
+        # until the next pass re-projects it
+        added = np.zeros(n, dtype=bool)
+        blocked = np.zeros(n + 1, dtype=bool)
+        for ids, par in S.levels:
+            proj[ids] = np.where(member[ids], ids, proj[par])
+            anchor = proj[ids]
+            bad = ~member[ids] & (anchor >= 0) & (numbers[ids] > 2 * numbers[anchor])
+            added[ids] = bad & ~blocked[par]
+            blocked[ids] = blocked[par] | bad
+        if not added.any():
+            break
+        new = np.flatnonzero(added)
+        depth[new] = depth[proj[new]] + 1
+        member[new] = True
+    if (proj[:-1][S.relevant] < 0).any():
         raise ValueError("initial chain does not cover the forest roots")
-    return PrincipalFamily(
-        cubes=fam,
-        initial=list(chain),
-        projection=proj,
-        depth=depth,
-    )
+    return PrincipalFamily(member=member, initial=chain, projection=proj[:-1], depth=depth)
 
 
 def verify_principal_packing(
@@ -118,26 +102,26 @@ def verify_principal_packing(
     family cube carry at most sigma(Q)/2^k (exact in the discrete system),
     and the doubling control numbers[Q] <= 2*numbers[projection(Q)].
     """
+    ids = np.flatnonzero(fam.member)
     lam_chain = packing_constant(S, fam.initial)
-    lam = packing_constant(S, sorted(fam.cubes))
-    level_ok = True
-    for q in fam.cubes:
-        below = [
-            r
-            for r in fam.cubes
-            if r != q and fam.depth[r] > fam.depth[q] and S.contains(q, r)
-        ]
-        by_level: dict = {}
-        for r in below:
-            by_level.setdefault(fam.depth[r] - fam.depth[q], 0.0)
-            by_level[fam.depth[r] - fam.depth[q]] += S.sigma(r)
-        for k, s in by_level.items():
-            if s > S.sigma(q) / 2**k * (1 + 1e-9):
-                level_ok = False
-    doubling_ok = all(
-        numbers[q] <= 2 * numbers[fam.projection[q]] * (1 + 1e-12)
-        for q in S.relevant_ids()
-        if q not in fam.cubes
+    lam = packing_constant(S, ids)
+    # (Q, R) pairs of family cubes, R strictly below Q at a greater depth
+    # (the ancestors of R at every generation), summed per (Q, depth gap)
+    q = S.anc_at[ids].ravel()
+    r = np.repeat(ids, S.anc_at.shape[1])
+    # the trailing slot is what a missing ancestor -1 reads
+    member = np.append(fam.member, False)
+    depth = np.append(fam.depth, -1)
+    keep = member[q] & (q != r) & (depth[r] > depth[q])
+    q, r = q[keep], r[keep]
+    span = int(depth.max()) + 1
+    key, inv = np.unique(q.astype(np.int64) * span + depth[r] - depth[q], return_inverse=True)
+    q, gap = np.divmod(key, span)
+    below = np.bincount(inv, weights=S.measure[r], minlength=len(key))
+    level_ok = bool(np.all(below <= S.measure[q] / 2.0**gap * (1 + 1e-9)))
+    rest = np.flatnonzero(S.relevant & ~fam.member)
+    doubling_ok = bool(
+        np.all(numbers[rest] <= 2 * numbers[fam.projection[rest]] * (1 + 1e-12))
     )
     passed = lam <= budget_factor * lam_chain and level_ok and doubling_ok
     return {
@@ -157,7 +141,7 @@ def verify_principal_packing(
 @dataclass
 class OscillationLabels:
     red: np.ndarray  # per region component: large oscillation
-    cubes: set  # qids with some red component (the collection R)
+    member: np.ndarray  # per cube: some red component (the collection R)
 
 
 def oscillation_cubes(
@@ -170,7 +154,9 @@ def oscillation_cubes(
     comp_cube = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
     bound = eps * numbers[comp_cube]
     red = FS.oscillations() > bound
-    return OscillationLabels(red=red, cubes=set(comp_cube[red].tolist()))
+    member = np.zeros(len(ptr) - 1, dtype=bool)
+    member[comp_cube[red]] = True
+    return OscillationLabels(red=red, member=member)
 
 
 # ---------------------------------------------------------------------------
@@ -180,69 +166,50 @@ def oscillation_cubes(
 
 @dataclass
 class GenerationForest:
-    all_cubes: set  # G*: union over regimes and generations
-    subregime_top: dict  # qid in a regime -> generation cube anchoring it
-    members: dict = field(default_factory=dict)  # gen cube -> its subregime
+    """top[q]: the generation cube anchoring cube q's subregime, -1 outside
+    every regime; the generation cubes G* are its fixed points."""
+
+    top: np.ndarray  # (n_cubes,) int32
+
+    @property
+    def member(self) -> np.ndarray:
+        """Per cube: True at a generation cube."""
+        return self.top == np.arange(len(self.top))
+
+    def subregime(self, t: int) -> np.ndarray:
+        """The cubes of generation cube t's subregime, ascending."""
+        return np.flatnonzero(self.top == t)
 
 
 def generation_cubes(
     RC: RegionComplex, eps: float, numbers: np.ndarray, u
 ) -> GenerationForest:
-    """Per-regime breadth-first stopping on regime exit or anchor drift.
+    """Per-regime stopping on regime exit or anchor drift, one generation at
+    a time.
 
-    Stopping at Q: (1) Q outside the regime, or (2)/(3) the value of u at
-    Y_Q^{+/-} drifts from the current generation cube's anchor by more than
-    eps * numbers[Q].  Cubes without anchor points (demoted) stop via (1).
+    A regime top starts a subregime.  Another cube of the regime joins its
+    parent's subregime unless the value of u at its Y_Q^{+/-} drifts from
+    that subregime top's by more than eps * numbers[Q], in which case it
+    starts one of its own.  Cubes outside every regime (bad or demoted)
+    belong to none.
     """
-    S = RC.S
-    corona = RC.corona
-    subregime_top: dict = {}
-    members: dict = {}
-    all_cubes: set = set()
-
-    # u at Y_Q^{+/-} of every regime cube, in one evaluation
-    cubes = [q for reg in corona.regimes for q in sorted(reg.cubes)]
-    ys = [RC.y_point(q, sign) for q in cubes for sign in "+-"]
-    vals = u.eval(np.array(ys).reshape(-1, 2)).reshape(-1, 2).tolist()
-    anchor = {q: dict(zip("+-", v)) for q, v in zip(cubes, vals)}
-
-    for reg in corona.regimes:
-        all_cubes.add(reg.max_cube)
-        frontier = [reg.max_cube]
-        while frontier:
-            next_gen: set = set()
-            for top in frontier:
-                ref = anchor[top]
-                sub = {top}
-                stack = S.children(top).tolist()
-                while stack:
-                    q = stack.pop()
-                    stopped = False
-                    if q not in reg.cubes:
-                        stopped = True  # condition (1); also demoted cubes
-                    else:
-                        vals = anchor[q]
-                        drift = max(
-                            abs(vals["+"] - ref["+"]), abs(vals["-"] - ref["-"])
-                        )
-                        if drift > eps * numbers[q]:
-                            stopped = True  # conditions (2)/(3)
-                    if stopped:
-                        if q in reg.cubes:
-                            next_gen.add(q)  # stop cube inside the regime
-                        continue
-                    sub.add(q)
-                    stack.extend(S.children(q).tolist())
-                members[top] = sub
-                for q in sub:
-                    subregime_top[q] = top
-            all_cubes.update(next_gen)
-            frontier = sorted(next_gen)
-    return GenerationForest(
-        all_cubes=all_cubes,
-        subregime_top=subregime_top,
-        members=members,
-    )
+    S, regime = RC.S, RC.corona.regime
+    # u at Y_Q^{+/-} of every regime cube, regime by regime, in one evaluation
+    cubes = np.flatnonzero(regime >= 0)
+    cubes = cubes[np.argsort(regime[cubes], kind="stable")]
+    ys = np.stack([RC.y_point(cubes, "+"), RC.y_point(cubes, "-")], axis=1)
+    anchor = np.zeros((S.n_cubes, 2))
+    anchor[cubes] = u.eval(ys.reshape(-1, 2)).reshape(-1, 2)
+    # the extra last slot is what a root's parent -1 reads
+    top = np.full(S.n_cubes + 1, -1, dtype=np.int32)
+    for ids, par in S.levels:
+        good = regime[ids] >= 0
+        ids, par = ids[good], par[good]
+        t = top[par]
+        drift = np.abs(anchor[ids] - anchor[t]).max(axis=1)
+        stop = (t < 0) | (regime[par] != regime[ids]) | (drift > eps * numbers[ids])
+        top[ids] = np.where(stop, ids, t)
+    return GenerationForest(top=top[:-1])
 
 
 # ---------------------------------------------------------------------------

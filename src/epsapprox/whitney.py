@@ -10,7 +10,7 @@ and all total-variation accounting run on the disjoint core boxes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,36 +205,35 @@ def _adjacency(ij, size, unit):
 
 
 @dataclass
-class Regime:
-    idx: int
-    cubes: set
-    max_cube: int
-    graph: object  # descriptor with graph_value()
-
-    def side_of(self, pts: np.ndarray) -> np.ndarray:
-        g = self.graph.graph_value(pts[:, 0])
-        return np.sign(pts[:, -1] - g)
-
-
-@dataclass
 class CoronaDecomposition:
-    good: set
-    bad: set
-    regimes: list
-    regime_of: dict  # qid -> regime idx
+    """Good cubes in coherent regimes, as arrays indexed by cube id.
+
+    regime[q] is cube q's regime, -1 for a bad cube or a cube off the
+    relevant tree.  Regime i has the maximal cube top[i] and the graph
+    descriptor graph[i]; the tops ascend, except in an annotated corona,
+    whose regimes keep the file's order.
+    """
+
+    regime: np.ndarray  # (n_cubes,) int32
+    top: np.ndarray  # (n_regimes,) int64
+    graph: list
     eta: float
     K: float
+    demoted: np.ndarray  # (n_cubes,) bool: good cubes `build_regions` made bad
     packing_measured: float = 0.0
     property3_sup: float = 0.0
-    demoted: set = field(default_factory=set)
 
-    def to_json(self):
+    def bad(self, S: CubeSystem) -> np.ndarray:
+        """Per cube: True at a bad cube of the relevant tree."""
+        return S.relevant & (self.regime < 0)
+
+    def to_json(self, S: CubeSystem):
         return {
             "eta": self.eta,
             "K": self.K,
-            "n_regimes": len(self.regimes),
-            "n_bad": len(self.bad),
-            "n_demoted": len(self.demoted),
+            "n_regimes": len(self.top),
+            "n_bad": int(self.bad(S).sum()),
+            "n_demoted": int(self.demoted.sum()),
             "packing_measured": self.packing_measured,
             "property3_sup": self.property3_sup,
         }
@@ -262,22 +261,16 @@ def corona_provider(
             raise ValueError(
                 f"graph Lipschitz constant {lip} exceeds corona eta {eta}"
             )
-        regimes = []
-        regime_of = {}
+        regime = np.full(S.n_cubes, -1, dtype=np.int32)
         for i, root in enumerate(S.roots):
-            cubes = set(S.descendants(root))
-            regimes.append(
-                Regime(idx=i, cubes=cubes, max_cube=root, graph=E.descriptor)
-            )
-            for q in cubes:
-                regime_of[q] = i
+            regime[S.subtree(root)] = i
         corona = CoronaDecomposition(
-            good=set(S.relevant_ids()),
-            bad=set(),
-            regimes=regimes,
-            regime_of=regime_of,
+            regime=regime,
+            top=np.array(S.roots, dtype=np.int64),
+            graph=[E.descriptor] * len(S.roots),
             eta=eta,
             K=K,
+            demoted=np.zeros(S.n_cubes, dtype=bool),
         )
     elif mode == "annotated":
         with open(path) as fh:
@@ -286,66 +279,73 @@ def corona_provider(
     else:
         raise ValueError(f"unknown corona mode {mode!r}")
 
-    corona.packing_measured = packing_constant(
-        S, list(corona.bad) + [r.max_cube for r in corona.regimes]
-    )
+    corona.packing_measured = _corona_packing(S, corona)
     if corona.packing_measured > CORONA_PACKING_BUDGET:
         raise ValueError(
-            f"corona packing {corona.packing_measured:.3g} exceeds budget"
+            f"corona packing {corona.packing_measured:.6g} exceeds budget "
+            f"{CORONA_PACKING_BUDGET:g} by {corona.packing_measured - CORONA_PACKING_BUDGET:.3g}"
         )
     corona.property3_sup = _property3_sup(E, S, corona)
     return corona
 
 
+def _corona_packing(S, corona) -> float:
+    """Packing constant of the bad cubes and the regime tops."""
+    return packing_constant(S, np.concatenate([np.flatnonzero(corona.bad(S)), corona.top]))
+
+
+def _cube_ids(S, values, what: str) -> np.ndarray:
+    """The cube ids of a JSON list; any that is not a relevant cube id is
+    rejected by name."""
+    ids = [int(q) for q in values]
+    for q in ids:
+        if not (0 <= q < S.n_cubes and S.relevant[q]):
+            raise ValueError(f"{what} {q} is not a relevant cube id")
+    return np.unique(np.array(ids, dtype=np.int64))
+
+
 def _validate_annotated(E, S, spec, eta, K) -> CoronaDecomposition:
-    relevant = set(S.relevant_ids())
-    bad = set(int(q) for q in spec.get("bad", []))
-    regimes = []
-    regime_of = {}
-    seen = set(bad)
+    n_kids = np.diff(S.child_ptr)
+    regime = np.full(S.n_cubes, -1, dtype=np.int32)
+    taken = np.zeros(S.n_cubes, dtype=bool)
+    taken[_cube_ids(S, spec.get("bad", []), "bad cube")] = True
+    tops, graphs = [], []
     for i, r in enumerate(spec["regimes"]):
-        cubes = set(int(q) for q in r["cubes"])
-        if cubes & seen:
+        ids = _cube_ids(S, r["cubes"], f"regime {i} cube")
+        if taken[ids].any():
             raise ValueError(f"regime {i} overlaps earlier cubes")
-        seen |= cubes
-        maxima = [q for q in cubes if S.rparent[q] not in cubes]
+        taken[ids] = True
+        regime[ids] = i
+        # the extra last slot is what a root's parent -1 reads
+        inside = np.append(regime == i, False)
+        maxima = ids[~inside[S.rparent[ids]]]
         if len(maxima) != 1:
-            raise ValueError(f"regime {i} is not coherent: maxima {sorted(maxima)}")
-        top = maxima[0]
-        for q in cubes:
-            # intermediate cubes present (semicoherence)
-            p = S.rparent[q]
-            while p >= 0 and p != top:
-                if p not in cubes and S.contains(top, p):
-                    raise ValueError(
-                        f"regime {i} misses intermediate cube {p} over {q}"
-                    )
-                p = S.rparent[p]
-            # children all-in or all-out (coherence)
-            ch = S.children(q).tolist()
-            inside = [c for c in ch if c in cubes]
-            if inside and len(inside) != len(ch):
-                raise ValueError(
-                    f"regime {i} violates coherency at cube {q}: "
-                    f"children split {sorted(inside)} vs {sorted(ch)}"
-                )
-        graph = descriptor_from_json(r["graph"]) if "graph" in r else E.descriptor
-        regimes.append(Regime(idx=i, cubes=cubes, max_cube=top, graph=graph))
-        for q in cubes:
-            regime_of[q] = i
-    if seen != relevant:
-        missing = sorted(relevant - seen)[:5]
-        raise ValueError(f"decomposition does not cover relevant cubes: {missing}...")
+            raise ValueError(f"regime {i} is not coherent: maxima {maxima.tolist()}")
+        # one maximum puts the parent of every other cube in the regime, so
+        # the regime holds every cube between its top and its members;
+        # children all-in or all-out (coherence)
+        n_in = np.bincount(S.rparent[ids[ids != maxima[0]]], minlength=S.n_cubes)
+        split = ids[(n_in[ids] > 0) & (n_in[ids] < n_kids[ids])]
+        if len(split):
+            ch = S.children(split[0])
+            raise ValueError(
+                f"regime {i} violates coherency at cube {split[0]}: "
+                f"children split {ch[inside[ch]].tolist()} vs {ch.tolist()}"
+            )
+        tops.append(maxima[0])
+        graphs.append(descriptor_from_json(r["graph"]) if "graph" in r else E.descriptor)
+    missing = np.flatnonzero(S.relevant & ~taken)
+    if len(missing):
+        raise ValueError(f"decomposition does not cover relevant cubes: {missing[:5].tolist()}...")
     corona = CoronaDecomposition(
-        good=relevant - bad,
-        bad=bad,
-        regimes=regimes,
-        regime_of=regime_of,
+        regime=regime,
+        top=np.array(tops, dtype=np.int64),
+        graph=graphs,
         eta=eta,
         K=K,
+        demoted=np.zeros(S.n_cubes, dtype=bool),
     )
-    sup = _property3_sup(E, S, corona, reject=True)
-    corona.property3_sup = sup
+    corona.property3_sup = _property3_sup(E, S, corona, reject=True)
     return corona
 
 
@@ -358,11 +358,11 @@ def _property3_sup(E, S, corona, reject: bool = False) -> float:
     id order, so all of them when n < 128 and 64 to 96 otherwise.
     """
     worst = 0.0
-    for reg in corona.regimes:
-        pl = reg.graph.polyline(E.window, E.resolution / 2)
+    for i, graph in enumerate(corona.graph):
+        pl = graph.polyline(E.window, E.resolution / 2)
         if pl is None:
             pl = E.points
-        cubes = sorted(reg.cubes)
+        cubes = np.flatnonzero(corona.regime == i).tolist()
         if not reject:
             cubes = cubes[:: max(1, len(cubes) // 64)]
         for q in cubes:
@@ -378,7 +378,7 @@ def _property3_sup(E, S, corona, reject: bool = False) -> float:
             worst = max(worst, val)
             if reject and val >= 1.0:
                 raise ValueError(
-                    f"regime {reg.idx} violates the graph-approximation "
+                    f"regime {i} violates the graph-approximation "
                     f"property at cube {q}: (sup_dist {a + b:.4g}) >= "
                     f"eta*l(Q) = {corona.eta * side:.4g}"
                 )
@@ -420,8 +420,8 @@ class RegionComplex:
     region_comp_ptr: np.ndarray  # (n_cubes + 1,) int64
     comp_ptr: np.ndarray  # (n_comps + 1,) int64
     comp_box: np.ndarray  # int32
-    comp_sign: np.ndarray  # int8: regime graph side +1/-1 (good cube), else 0
     comp_center: np.ndarray  # int32: the largest box, least id first (the X point)
+    pm_comp: np.ndarray  # (n_cubes, 2) int32: a good cube's '+' and '-' components, else -1
     stats: dict
 
     def comps(self, qid: int) -> range:
@@ -432,26 +432,28 @@ class RegionComplex:
         """The boxes of component c, ascending."""
         return self.comp_box[self.comp_ptr[c] : self.comp_ptr[c + 1]]
 
-    def signed_comp(self, qid: int, sign: str) -> int:
-        """Id of the '+' or '-' component of a good cube's region."""
-        want = 1 if sign == "+" else -1
-        for c in self.comps(qid):
-            if self.comp_sign[c] == want:
-                return c
-        raise ValueError(f"cube {qid} has no {sign!r} component")
+    def signed_comp(self, qid, sign: str):
+        """Id of the '+' or '-' component of a good cube's region (of each
+        cube, for an id array)."""
+        c = self.pm_comp[qid, "+-".index(sign)]
+        if np.any(c < 0):
+            q = np.atleast_1d(qid)[np.atleast_1d(c) < 0][0]
+            raise ValueError(f"cube {q} has no {sign!r} component")
+        return c
 
-    def x_point(self, qid: int, sign: str) -> np.ndarray:
-        """X_Q^{sign}: center of the largest box of the signed component."""
+    def x_point(self, qid, sign: str) -> np.ndarray:
+        """X_Q^{sign}: center of the largest box of the signed component
+        ((n, 2) for an id array)."""
         bid = self.comp_center[self.signed_comp(qid, sign)]
         return (self.W.lo[bid] + self.W.hi[bid]) / 2.0
 
-    def y_point(self, qid: int, sign: str) -> np.ndarray:
-        """Y_Q^{sign} = X of the parent (or of Q itself at a regime top)."""
-        i = self.corona.regime_of.get(qid)
+    def y_point(self, qid, sign: str) -> np.ndarray:
+        """Y_Q^{sign} = X of the parent, or of Q itself at a regime top or
+        a root ((n, 2) for an id array)."""
         p = self.S.rparent[qid]
-        if i is not None and qid == self.corona.regimes[i].max_cube or p < 0:
-            return self.x_point(qid, sign)
-        return self.x_point(p, sign)
+        r = self.corona.regime
+        own = (p < 0) | ((r[qid] >= 0) & (r[p] != r[qid]))
+        return self.x_point(np.where(own, qid, p), sign)
 
     def region_max(self, per_box: np.ndarray, empty: float) -> np.ndarray:
         """Per cube: max of a per-box array over its region, else `empty`."""
@@ -478,14 +480,11 @@ class RegionComplex:
     def sawtooth_halves(self, ids):
         """(+ half, - half) of a sawtooth over good cubes, ascending."""
         ids = np.fromiter(ids, dtype=np.int64)
-        for q in ids.tolist():
-            if q not in self.corona.good:
-                raise ValueError(f"cube {q} has no signed region")
-        lo = self.region_comp_ptr[ids]
-        c = ranges(lo, self.region_comp_ptr[ids + 1] - lo)
+        c = self.pm_comp[ids]
+        if (c < 0).any():
+            raise ValueError(f"cube {ids[(c < 0).any(axis=1)][0]} has no signed region")
         return tuple(
-            _union(self.W.n_boxes, self.comp_box[csr_rows(self.comp_ptr, c[self.comp_sign[c] == s])])
-            for s in (1, -1)
+            _union(self.W.n_boxes, self.comp_box[csr_rows(self.comp_ptr, half)]) for half in c.T
         )
 
 
@@ -529,19 +528,17 @@ def build_regions(
 
     # a component's sign: the side of its cube's regime graph that holds
     # all its box centres (0 for neither, or for a cube without a regime)
-    regime = np.full(n_cubes, -1)
-    regime[list(corona.regime_of)] = list(corona.regime_of.values())
-    at = np.repeat(regime[comp_cube], np.diff(comp_ptr))
+    at = np.repeat(corona.regime[comp_cube], np.diff(comp_ptr))
     side = np.zeros(len(comp_box))
     for i in np.unique(at[at >= 0]).tolist():
         b = np.flatnonzero(at == i)
-        side[b] = corona.regimes[i].side_of((W.lo[comp_box[b]] + W.hi[comp_box[b]]) / 2.0)
+        mid = (W.lo[comp_box[b]] + W.hi[comp_box[b]]) / 2.0
+        side[b] = np.sign(mid[:, 1] - corona.graph[i].graph_value(mid[:, 0]))
     sign = np.zeros(len(head), dtype=np.int8)
     sign[np.minimum.reduceat(side, starts) > 0] = 1
     sign[np.maximum.reduceat(side, starts) < 0] = -1
     # a good cube keeps its labels on two components of opposite signs
-    good = np.zeros(n_cubes, dtype=bool)
-    good[list(corona.good)] = True
+    good = corona.regime >= 0
     region_comp_ptr = np.searchsorted(comp_cube, np.arange(n_cubes + 1))
     two = np.flatnonzero(np.diff(region_comp_ptr) == 2)
     ok = np.zeros(n_cubes, dtype=bool)
@@ -549,16 +546,13 @@ def build_regions(
     parent = S.rparent
     scale_defect = (parent >= 0) & (S.side[parent] > params.max_parent_ratio * S.side * (1 + 1e-9))
     keep = good & ok & ~scale_defect
-    demoted = set(np.flatnonzero(good & ~keep).tolist())
-    comp_sign = np.where(keep[comp_cube], sign, 0).astype(np.int8)
-
-    corona2 = _recohere(S, corona, demoted)
-    stats = _region_stats(S, W, region_ptr, boxes, region_comp_ptr)
-    stats["demoted"] = sorted(demoted)
+    pm_comp = np.full((n_cubes, 2), -1, dtype=np.int32)
+    c = np.flatnonzero(keep[comp_cube])
+    pm_comp[comp_cube[c], (sign[c] < 0).astype(np.int64)] = c
     return RegionComplex(
         S=S,
         W=W,
-        corona=corona2,
+        corona=_recohere(S, corona, good & ~keep),
         params=params,
         region_ptr=region_ptr,
         region_box=boxes,
@@ -567,9 +561,9 @@ def build_regions(
         region_comp_ptr=region_comp_ptr,
         comp_ptr=comp_ptr,
         comp_box=comp_box,
-        comp_sign=comp_sign,
         comp_center=comp_center,
-        stats=stats,
+        pm_comp=pm_comp,
+        stats=_region_stats(S, W, region_ptr, boxes, region_comp_ptr),
     )
 
 
@@ -654,46 +648,35 @@ def _component_labels(W: WhitneyComplex, region_ptr, boxes) -> np.ndarray:
 
 
 def _recohere(S: CubeSystem, corona: CoronaDecomposition, demoted) -> CoronaDecomposition:
-    """Demote cubes and split regimes so coherency survives."""
-    if not demoted and not corona.demoted:
+    """Demote the cubes of the mask `demoted` and split regimes so coherency
+    survives: a good cube joins its parent's new regime when the parent is
+    good, both had the same old regime and all the parent's children are
+    good, and starts a new regime otherwise; the new tops are numbered in id
+    order."""
+    if not demoted.any() and not corona.demoted.any():
         return corona
-    good = corona.good - demoted
-    bad = corona.bad | demoted
-    regimes: list = []
-    regime_of: dict = {}
+    old, parent = corona.regime, S.rparent
+    # the extra last slot is what a root's parent -1 reads
+    good = np.append((old >= 0) & ~demoted, False)
+    kids_good = np.ones(S.n_cubes + 1, dtype=bool)
+    kids_good[parent[S.relevant & ~good[:-1] & (parent >= 0)]] = False
+    joins = good[:-1] & good[parent] & (old[parent] == old) & kids_good[parent]
+    top = np.flatnonzero(good[:-1] & ~joins)
+    regime = np.full(S.n_cubes, -1, dtype=np.int32)
+    regime[top] = np.arange(len(top))
     for ids, par in S.levels:
-        for q, p in zip(ids.tolist(), par.tolist()):
-            if q not in good:
-                continue
-            old = corona.regime_of.get(q)
-            # a root's parent -1 is in no regime
-            joins = (
-                p in regime_of
-                and corona.regime_of.get(p) == old
-                and all(ch in good for ch in S.children(p).tolist())
-            )
-            if joins:
-                i = regime_of[p]
-                regimes[i].cubes.add(q)
-                regime_of[q] = i
-            else:
-                graph = corona.regimes[old].graph if old is not None else None
-                reg = Regime(idx=len(regimes), cubes={q}, max_cube=q, graph=graph)
-                regimes.append(reg)
-                regime_of[q] = reg.idx
-    return CoronaDecomposition(
-        good=good,
-        bad=bad,
-        regimes=regimes,
-        regime_of=regime_of,
+        regime[ids] = np.where(joins[ids], regime[par], regime[ids])
+    out = CoronaDecomposition(
+        regime=regime,
+        top=top,
+        graph=[corona.graph[i] for i in old[top].tolist()],
         eta=corona.eta,
         K=corona.K,
-        packing_measured=packing_constant(
-            S, sorted(bad) + [r.max_cube for r in regimes]
-        ),
+        demoted=demoted | corona.demoted,
         property3_sup=corona.property3_sup,
-        demoted=set(demoted) | corona.demoted,
     )
+    out.packing_measured = _corona_packing(S, out)
+    return out
 
 
 def _region_stats(S, W, region_ptr, boxes, region_comp_ptr) -> dict:

@@ -72,6 +72,11 @@ def ancestors(S, qid):
     return out
 
 
+def contains(S, qid, pid) -> bool:
+    """True iff relevant cube pid is inside relevant cube qid."""
+    return pid == qid or bool(S.anc_at[pid, S.gen[qid] - S.k_min] == qid)
+
+
 def param_range(S, qid) -> tuple:
     """[a, b): the parameter interval of cube qid of a graph system, the one
     of side l(Q) on the root's grid that holds its first member.  The root

@@ -96,9 +96,10 @@ class TestOrderedFamily:
         root = line_rc.S.roots[0]
         fam = order_good_cubes(line_rc, gf, root)
         assert fam[0] == root
-        assert set(fam) == {reg.max_cube for reg in line_rc.corona.regimes}
-        for reg in line_rc.corona.regimes:
-            assert gf.members[reg.max_cube] == reg.cubes
+        corona = line_rc.corona
+        assert fam == corona.top.tolist()
+        for i, top in enumerate(corona.top.tolist()):
+            assert gf.subregime(top).tolist() == np.flatnonzero(corona.regime == i).tolist()
 
     def test_replay_of_maximal_selection(self, line_rc, state_t):
         fs, numbers, labels, gf = state_t
@@ -107,15 +108,15 @@ class TestOrderedFamily:
         fam = order_good_cubes(line_rc, gf, root)
         # independent replay: repeatedly take the maximal-side good cube not
         # yet covered; its generation-forest subregime joins the cover
-        good = set(q for q in S.descendants(root) if q in line_rc.corona.good)
+        good = set(q for q in S.descendants(root) if line_rc.corona.regime[q] >= 0)
         expect = []
         rem = set(good)
         while rem:
             q = min(rem, key=lambda i: (-S.side[i], i))
-            top = gf.subregime_top[q]
+            top = gf.top[q]
             assert top == q
             expect.append(q)
-            rem -= gf.members[q]
+            rem -= set(gf.subregime(q).tolist())
         assert fam == expect
 
     def test_sides_non_increasing(self, line_rc, state_t):
@@ -170,12 +171,12 @@ class TestPartition:
         a_cells = [c for c in local_t.cells if c.kind in ("A+", "A-")]
         assert a_cells
         for c in a_cells:
-            plus, minus = line_rc.sawtooth_halves(gf.members[c.anchor])
+            plus, minus = line_rc.sawtooth_halves(gf.subregime(c.anchor))
             assert set(c.boxes) <= set((plus if c.kind == "A+" else minus).tolist())
 
     def test_red_cells_carved_from_a_cells(self, line_rc, state_t, local_t):
         fs, numbers, labels, gf = state_t
-        if not labels.cubes:
+        if not labels.member.any():
             pytest.skip("no red cubes at this eps")
         red_boxes = {b for c in local_t.cells if c.kind == "red" for b in c.boxes}
         a_boxes = {
@@ -564,12 +565,15 @@ def _alpha0_oracle(fs, gf):
     for bid, owners in owners_of.items():
         box_anc[bid] = sorted({a for q, _ in owners for a in ancestors(S, q)})
     needed = 1.0
-    good = RC.corona.good
-    for p in sorted(gf.all_cubes):
+    good = set(np.flatnonzero(RC.corona.regime >= 0).tolist())
+    subregimes: dict = {}
+    for q, t in enumerate(gf.top.tolist()):
+        subregimes.setdefault(t, []).append(q)
+    for p in sorted(t for t in subregimes if t >= 0):
         if p not in good:
             continue
         qs = set()
-        for b in RC.sawtooth(gf.members[p]).tolist():
+        for b in RC.sawtooth(subregimes[p]).tolist():
             qs.update(box_anc.get(b, ()))
         anchor_boxes = []
         for sign in "+-":
@@ -606,7 +610,7 @@ class TestRemarkLocality:
         S = line_rc.S
         ns = fs.n_star(None)
         rng = np.random.default_rng(12)
-        ids = [q for q in S.relevant_ids() if q in line_rc.corona.good]
+        ids = [q for q in S.relevant_ids() if line_rc.corona.regime[q] >= 0]
         t = {q: set(line_rc.carleson_box(q).tolist()) for q in ids}
         worst = 0.0
         for _ in range(40):

@@ -20,6 +20,8 @@ from epsapprox.stopping import (
 )
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
+from conftest import contains
+
 W2 = Window((-2.0, -2.0), (2.0, 2.0))
 AMBIENT = Window((-2.0, -6.5), (2.0, 6.5))
 PARAMS = RegionParams(tau=0.05, c_w=0.25, C_w=4.0, C_d=4.0)
@@ -35,7 +37,7 @@ def oscillation_square_domination(FS: FunctionalSuite, signs=("+", "-")) -> floa
     mx, mn = FS.box_extrema()
     _, g2 = FS.grad_integrals()  # per box: int |grad u|^2
     worst = 0.0
-    for q in sorted(FS.RC.corona.good):
+    for q in np.flatnonzero(FS.RC.corona.regime >= 0).tolist():
         for sign in signs:
             comp = FS.RC.comp(FS.RC.signed_comp(q, sign))
             osc = float(mx[comp].max() - mn[comp].min())
@@ -80,15 +82,15 @@ def principal_oracle(S, numbers, chain):
             if q in fam:
                 continue
             for big in fam:
-                if big != q and S.contains(big, q) and numbers[q] > 2 * numbers[big]:
+                if big != q and contains(S, big, q) and numbers[q] > 2 * numbers[big]:
                     # (b): no intermediate barrier strictly between q and big
                     barrier = False
                     for mid in S.relevant_ids():
                         if (
                             mid != q
                             and mid != big
-                            and S.contains(big, mid)
-                            and S.contains(mid, q)
+                            and contains(S, big, mid)
+                            and contains(S, mid, q)
                             and (mid in fam or numbers[mid] > 2 * numbers[big])
                         ):
                             barrier = True
@@ -101,20 +103,53 @@ def principal_oracle(S, numbers, chain):
         fam.update(candidates)
 
 
+def family(fam) -> set:
+    return set(np.flatnonzero(fam.member).tolist())
+
+
+def principal_packing_loop(S, fam, numbers, budget_factor=4.0) -> dict:
+    """Reference: the pairwise containment loop of the packing report."""
+    cubes = family(fam)
+    lam_chain = packing_constant(S, fam.initial)
+    lam = packing_constant(S, sorted(cubes))
+    level_ok = True
+    for q in cubes:
+        by_level: dict = {}
+        for r in cubes:
+            if r != q and fam.depth[r] > fam.depth[q] and contains(S, q, r):
+                k = int(fam.depth[r] - fam.depth[q])
+                by_level[k] = by_level.get(k, 0.0) + S.sigma(r)
+        for k, s in by_level.items():
+            if s > S.sigma(q) / 2**k * (1 + 1e-9):
+                level_ok = False
+    doubling_ok = all(
+        numbers[q] <= 2 * numbers[fam.projection[q]] * (1 + 1e-12)
+        for q in S.relevant_ids()
+        if q not in cubes
+    )
+    return {
+        "Lambda": lam,
+        "Lambda_initial": lam_chain,
+        "level_decay_ok": level_ok,
+        "doubling_ok": doubling_ok,
+        "pass": bool(lam <= budget_factor * lam_chain and level_ok and doubling_ok),
+    }
+
+
 class TestPrincipal:
     def test_constant_field_gives_initial_chain(self, rc):
         fs = FunctionalSuite(rc, Constant(1.0))
         numbers, _ = fs.cube_numbers()
         chain = initial_chain(rc.S)
         fam = principal_cubes(rc.S, numbers, chain)
-        assert fam.cubes == set(chain)
+        assert family(fam) == set(chain)
 
     def test_matches_literal_replay(self, fs_poisson):
         S = fs_poisson.S
         numbers, _ = fs_poisson.cube_numbers()
         chain = initial_chain(S)
         fam = principal_cubes(S, numbers, chain)
-        assert fam.cubes == principal_oracle(S, numbers, chain)
+        assert family(fam) == principal_oracle(S, numbers, chain)
 
     def test_projection_idempotent_and_containing(self, fs_poisson):
         S = fs_poisson.S
@@ -123,14 +158,14 @@ class TestPrincipal:
         for q in S.relevant_ids():
             pq = fam.projection[q]
             assert fam.projection[pq] == pq
-            assert S.contains(pq, q)
+            assert contains(S, pq, q)
 
     def test_doubling_control_everywhere(self, fs_poisson):
         S = fs_poisson.S
         numbers, _ = fs_poisson.cube_numbers()
         fam = principal_cubes(S, numbers, initial_chain(S))
         for q in S.relevant_ids():
-            if q not in fam.cubes:
+            if not fam.member[q]:
                 assert numbers[q] <= 2 * numbers[fam.projection[q]] * (1 + 1e-12)
 
     def test_packing_report(self, fs_poisson):
@@ -140,6 +175,7 @@ class TestPrincipal:
         rep = verify_principal_packing(S, fam, numbers)
         assert rep["pass"]
         assert rep["Lambda"] <= 4 * rep["Lambda_initial"]
+        assert rep == principal_packing_loop(S, fam, numbers)
 
     def test_peaked_field_stops_near_peak(self):
         # a dipole concentrated near one boundary point makes N_* spike;
@@ -164,10 +200,12 @@ class TestPrincipal:
         numbers, _ = fs.cube_numbers()
         chain = initial_chain(S)
         fam = principal_cubes(S, numbers, chain)
-        assert fam.cubes > set(chain)
-        assert fam.cubes == principal_oracle(S, numbers, chain)
+        assert family(fam) > set(chain)
+        assert family(fam) == principal_oracle(S, numbers, chain)
+        assert (fam.depth[fam.member] > 0).any()
         rep = verify_principal_packing(S, fam, numbers)
         assert rep["pass"]
+        assert rep == principal_packing_loop(S, fam, numbers)
 
 
 class TestOscillation:
@@ -175,7 +213,7 @@ class TestOscillation:
         fs = FunctionalSuite(rc, Constant(2.0))
         numbers, _ = fs.cube_numbers()
         labels = oscillation_cubes(fs, 0.3, numbers)
-        assert labels.cubes == set()
+        assert not labels.member.any()
         assert not labels.red.any()
 
     def test_height_field_direct_check(self, fs_t):
@@ -189,14 +227,15 @@ class TestOscillation:
                 comp = fs.RC.comp(c)
                 osc = mx[comp].max() - mn[comp].min()
                 assert labels.red[c] == (osc > eps * numbers[q])
+            assert labels.member[q] == any(labels.red[c] for c in fs.RC.comps(q))
 
     def test_threshold_monotone_in_eps(self, fs_poisson):
         fs = fs_poisson
         numbers, _ = fs.cube_numbers()
-        r1 = oscillation_cubes(fs, 0.1, numbers).cubes
-        r2 = oscillation_cubes(fs, 0.2, numbers).cubes
-        r4 = oscillation_cubes(fs, 0.4, numbers).cubes
-        assert r4 <= r2 <= r1
+        r1 = oscillation_cubes(fs, 0.1, numbers).member
+        r2 = oscillation_cubes(fs, 0.2, numbers).member
+        r4 = oscillation_cubes(fs, 0.4, numbers).member
+        assert (r4 <= r2).all() and (r2 <= r1).all()
 
     def test_eps_out_of_range(self, fs_poisson):
         numbers, _ = fs_poisson.cube_numbers()
@@ -208,7 +247,9 @@ def generation_oracle(RC, eps, numbers, u):
     """Independent recursive re-derivation of the generation forest."""
     S = RC.S
     out = set()
-    for reg in RC.corona.regimes:
+    for i, reg_top in enumerate(RC.corona.top.tolist()):
+        reg_cubes = set(np.flatnonzero(RC.corona.regime == i).tolist())
+
         def anchors(q):
             return (
                 float(u.eval(RC.y_point(q, "+")[None, :])[0]),
@@ -220,7 +261,7 @@ def generation_oracle(RC, eps, numbers, u):
             ref = anchors(top)
             def walk(q):
                 for ch in S.children(q).tolist():
-                    if ch not in reg.cubes:
+                    if ch not in reg_cubes:
                         continue
                     a = anchors(ch)
                     if (
@@ -232,7 +273,7 @@ def generation_oracle(RC, eps, numbers, u):
                         walk(ch)
             walk(top)
 
-        recurse(reg.max_cube)
+        recurse(reg_top)
     return out
 
 
@@ -242,37 +283,41 @@ class TestGeneration:
         numbers, _ = fs.cube_numbers()
         gf = generation_cubes(rc, 0.2, numbers, fs.u)
         # no drift for constant u: only the regime tops stop (condition 1)
-        assert gf.all_cubes == {reg.max_cube for reg in rc.corona.regimes}
+        assert np.flatnonzero(gf.member).tolist() == rc.corona.top.tolist()
 
     def test_matches_recursive_replay(self, rc, fs_poisson):
         numbers, _ = fs_poisson.cube_numbers()
         gf = generation_cubes(rc, 0.2, numbers, fs_poisson.u)
-        assert gf.all_cubes == generation_oracle(rc, 0.2, numbers, fs_poisson.u)
+        assert set(np.flatnonzero(gf.member).tolist()) == generation_oracle(
+            rc, 0.2, numbers, fs_poisson.u
+        )
 
     def test_subregimes_partition_regime(self, rc, fs_t):
         numbers, _ = fs_t.cube_numbers()
         gf = generation_cubes(rc, 0.25, numbers, fs_t.u)
-        for reg in rc.corona.regimes:
-            tops = [t for t in gf.members if gf.subregime_top[t] == t and t in reg.cubes]
+        assert (gf.top[rc.corona.regime < 0] == -1).all()
+        for i in range(len(rc.corona.top)):
+            reg_cubes = set(np.flatnonzero(rc.corona.regime == i).tolist())
+            tops = [t for t in np.flatnonzero(gf.member).tolist() if t in reg_cubes]
             union = set()
             for top in tops:
-                sub = gf.members[top]
+                sub = set(gf.subregime(top).tolist())
                 assert not (union & sub)
                 union |= sub
-            assert union == reg.cubes
+            assert union == reg_cubes
 
     def test_subregimes_semicoherent(self, rc, fs_t):
         S = rc.S
         numbers, _ = fs_t.cube_numbers()
         gf = generation_cubes(rc, 0.25, numbers, fs_t.u)
-        for top, sub in gf.members.items():
-            for q in sub:
-                assert S.contains(top, q)
+        for top in np.flatnonzero(gf.member).tolist():
+            for q in gf.subregime(top).tolist():
+                assert contains(S, top, q)
                 if q == top:
                     continue
                 p = S.rparent[q]
                 while p != top:
-                    assert p in sub  # intermediate cubes included
+                    assert gf.top[p] == top  # intermediate cubes included
                     p = S.rparent[p]
 
 
@@ -281,7 +326,7 @@ class TestEpsPacking:
         fs = FunctionalSuite(rc, Constant(1.0))
         numbers, _ = fs.cube_numbers()
         labels = oscillation_cubes(fs, 0.2, numbers)
-        rep = verify_eps_packing(rc.S, labels.cubes, 0.2)
+        rep = verify_eps_packing(rc.S, np.flatnonzero(labels.member), 0.2)
         assert rep["pass"] and rep["Lambda"] == 0.0
 
     def test_height_field_eps_grid(self, rc, fs_t):
@@ -289,7 +334,7 @@ class TestEpsPacking:
         results = []
         for eps in (0.1, 0.2, 0.4):
             labels = oscillation_cubes(fs_t, eps, numbers)
-            fam = labels.cubes | rc.corona.bad
+            fam = np.flatnonzero(labels.member | rc.corona.bad(rc.S))
             rep = verify_eps_packing(rc.S, fam, eps)
             assert rep["pass"]
             results.append(rep)
@@ -303,7 +348,7 @@ class TestEpsPacking:
         numbers, _ = fs_poisson.cube_numbers()
         for eps in (0.1, 0.2, 0.4):
             gf = generation_cubes(rc, eps, numbers, fs_poisson.u)
-            rep = verify_eps_packing(rc.S, gf.all_cubes, eps)
+            rep = verify_eps_packing(rc.S, np.flatnonzero(gf.member), eps)
             assert rep["pass"]
 
     def test_constant_generation_packing_is_one(self):
@@ -321,12 +366,12 @@ class TestEpsPacking:
         rc = build_regions(
             S, W, corona_provider(E, S, "trivial_graph", eta=0.25), PARAMS
         )
-        assert rc.stats["demoted"] == []
+        assert not rc.corona.demoted.any()
         fs = FunctionalSuite(rc, Constant(3.0))
         numbers, _ = fs.cube_numbers()
         gf = generation_cubes(rc, 0.2, numbers, fs.u)
-        assert gf.all_cubes == {S.roots[0]}
-        assert packing_constant(rc.S, gf.all_cubes) == pytest.approx(1.0)
+        assert np.flatnonzero(gf.member).tolist() == [S.roots[0]]
+        assert packing_constant(rc.S, np.flatnonzero(gf.member)) == pytest.approx(1.0)
 
 
 class TestOscillationSquare:

@@ -14,7 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epsapprox.carleson import dyadic_maximal, packing_constant, subtree_sums
+from epsapprox.carleson import (
+    carleson_embedding_check,
+    dyadic_maximal,
+    packing_constant,
+    subtree_sums,
+)
 from epsapprox.config import RunConfig
 from epsapprox.dyadic import build_cube_system, synthetic_system
 from epsapprox.geometry import LipschitzGraph, PointList, Window, build_boundary
@@ -334,13 +339,14 @@ def _bench_grid():
 
 
 @pytest.fixture(
-    scope="module", params=["synthetic", "line_rc", "segment_rc", "bench", "cloud"]
+    scope="module", params=["synthetic", "line_rc", "segment_rc", "sin_rc", "bench", "cloud"]
 )
 def system(request):
     return {
         "synthetic": lambda: synthetic_system(depth=5),
         "line_rc": lambda: request.getfixturevalue("line_rc").S,
         "segment_rc": lambda: request.getfixturevalue("segment_rc").S,
+        "sin_rc": lambda: request.getfixturevalue("sin_rc").S,
         "bench": _bench_grid,
         "cloud": _cloud_system,
     }[request.param]()
@@ -422,10 +428,12 @@ def test_anc_at_chain_and_contains(system):
         assert S.chain(i) == chain_oracle(S, i)
     rng = np.random.default_rng(2)
     probe = rng.choice(ids, size=min(len(ids), 40), replace=False).tolist()
+    below = {p: S.subtree(p) for p in probe}
     for q in ids:
+        inside = S.subtree(q)
         for p in probe:
-            assert S.contains(q, p) == contains_oracle(parent, q, p)
-            assert S.contains(p, q) == contains_oracle(parent, p, q)
+            assert inside[p] == contains_oracle(parent, q, p)
+            assert below[p][q] == contains_oracle(parent, p, q)
 
 
 def test_dyadic_maximal_and_subtree_sums(system):
@@ -435,7 +443,11 @@ def test_dyadic_maximal_and_subtree_sums(system):
     for _ in range(3):
         f = rng.normal(size=S.E.n_samples)
         assert np.array_equal(dyadic_maximal(S, f), dyadic_maximal_oracle(S, f))
-    for coll in ([], ids, [q for q in ids if rng.random() < 0.3]):
+    # the float order of a parent's adds shows only where its children sit
+    # in two generations and their sums round; many random collections
+    # make that likely wherever the weights are not dyadic (cloud, sin_rc)
+    colls = [[q for q in ids if rng.random() < p] for p in np.linspace(0.1, 0.9, 24)]
+    for coll in ([], ids, *colls):
         new, old = subtree_sums(S, coll), subtree_sums_oracle(S, coll)
         assert new[list(old)].tolist() == list(old.values())
         assert not new[~S.relevant].any()
@@ -443,6 +455,33 @@ def test_dyadic_maximal_and_subtree_sums(system):
     for q0 in [S.roots[0], *rng.choice(ids, size=min(len(ids), 10), replace=False)]:
         q0 = int(q0)
         assert packing_constant(S, coll, within=q0) == packing_oracle(S, coll, q0)
+
+
+def test_embedding_check_averages_only_q0s_chains(system):
+    """Without `md`, the embedding check averages f over Q0's ancestors and
+    subtree only; its rhs is still the full M_dyadic f's, bit for bit."""
+    S = system
+    rng = np.random.default_rng(9)
+    ids = S.relevant_ids()
+    f = rng.random(S.E.n_samples) * 3.0
+    md = dyadic_maximal(S, f)
+    for q0 in [*S.roots, *rng.choice(ids, size=min(len(ids), 10), replace=False).tolist()]:
+        coll = [q for q in ids if rng.random() < 0.3] or [q0]
+        assert carleson_embedding_check(S, f, coll, q0) == carleson_embedding_check(
+            S, f, coll, q0, md=md
+        )
+        chain = S.chain(int(S.members(q0)[0]))
+        cubes = np.union1d(chain[: chain.index(q0) + 1], np.flatnonzero(S.subtree(q0)))
+        m0 = S.members(q0)
+        assert np.array_equal(dyadic_maximal(S, f, cubes)[m0], md[m0])
+
+
+def test_sin_grid_has_children_across_generations(sin_rc):
+    # as on the benchmark grid below, but with weights that are not dyadic,
+    # so that a parent's sum can round differently in another add order
+    S = sin_rc.S
+    spans = [q for q in S.relevant_ids() if len(set(S.gen[S.children(q)].tolist())) > 1]
+    assert spans
 
 
 def test_bench_grid_has_children_across_generations():

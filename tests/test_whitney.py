@@ -18,9 +18,9 @@ from epsapprox.geometry import (
     box_distance_many,
     build_boundary,
 )
+from epsapprox import whitney
 from epsapprox.whitney import (
     CoronaDecomposition,
-    Regime,
     _sup_dist,
     build_regions,
     corona_provider,
@@ -250,11 +250,11 @@ class TestCoronaProvider:
     def test_halfplane_single_regime(self, line_setup):
         E, S, W = line_setup
         corona = corona_provider(E, S, "trivial_graph", eta=0.25)
-        assert len(corona.regimes) == 1
-        assert corona.bad == set()
-        assert corona.regimes[0].max_cube == S.roots[0]
-        tops = [r.max_cube for r in corona.regimes]
-        assert packing_constant(S, tops) == pytest.approx(1.0)
+        assert corona.top.tolist() == [S.roots[0]]
+        assert not corona.bad(S).any()
+        assert (corona.regime[S.relevant] == 0).all()
+        assert (corona.regime[~S.relevant] == -1).all()
+        assert packing_constant(S, corona.top) == pytest.approx(1.0)
 
     def test_slope_passes_property3(self):
         E = build_boundary(LipschitzGraph("linear", 0.05), 1 / 64, W2)
@@ -280,9 +280,8 @@ class TestCoronaProvider:
         f = tmp_path / "corona.json"
         f.write_text(json.dumps(spec))
         corona = corona_provider(E, S, "annotated", eta=0.25, path=f)
-        assert len(corona.regimes) == 1 + len(children)
-        tops = [r.max_cube for r in corona.regimes]
-        lam = packing_constant(S, tops)
+        assert corona.top.tolist() == [root, *children]
+        lam = packing_constant(S, corona.top)
         assert lam == pytest.approx(2.0)  # root + its children partition
 
     def test_annotated_incoherent_rejected(self, line_setup, tmp_path):
@@ -301,6 +300,43 @@ class TestCoronaProvider:
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(bad_spec))
         with pytest.raises(ValueError, match="coherency"):
+            corona_provider(E, S, "annotated", eta=0.25, path=f)
+
+    @pytest.mark.parametrize(
+        "where, cube, message",
+        [
+            ("bad", 10**6, "bad cube 1000000 is not a relevant cube id"),
+            ("bad", -1, "bad cube -1 is not a relevant cube id"),
+            ("regime", -1, "regime 0 cube -1 is not a relevant cube id"),
+            ("regime", "irrelevant", "regime 0 cube {} is not a relevant cube id"),
+        ],
+    )
+    def test_annotated_rejects_cube_ids_off_the_tree(self, line_setup, tmp_path, where, cube, message):
+        E, S, W = line_setup
+        if cube == "irrelevant":
+            cube = int(np.flatnonzero(~S.relevant)[0])
+            message = message.format(cube)
+        spec = {"bad": [], "regimes": [{"cubes": S.relevant_ids()}]}
+        if where == "bad":
+            spec["bad"].append(cube)
+        else:
+            spec["regimes"][0]["cubes"].append(cube)
+        f = tmp_path / "corona.json"
+        f.write_text(json.dumps(spec))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            corona_provider(E, S, "annotated", eta=0.25, path=f)
+
+    def test_packing_overrun_names_measure_budget_and_margin(self, line_setup, tmp_path, monkeypatch):
+        E, S, W = line_setup
+        root = S.roots[0]
+        spec = {"bad": [], "regimes": [{"cubes": [root]}] + [
+            {"cubes": S.descendants(c)} for c in S.children(root).tolist()
+        ]}
+        f = tmp_path / "corona.json"
+        f.write_text(json.dumps(spec))
+        monkeypatch.setattr(whitney, "CORONA_PACKING_BUDGET", 1.5)
+        # the root and its children's partition pack at 2
+        with pytest.raises(ValueError, match=r"^corona packing 2 exceeds budget 1\.5 by 0\.5$"):
             corona_provider(E, S, "annotated", eta=0.25, path=f)
 
 
@@ -332,13 +368,13 @@ class TestRegions:
         RC = line_regions
         # the only demotions are the window-edge singleton chains (the
         # inclusive endpoint sample behaves like an isolated point)
-        for q in RC.stats["demoted"]:
+        for q in np.flatnonzero(RC.corona.demoted):
             assert len(RC.S.members(q)) == 1
         for q in RC.S.relevant_ids():
-            if q in RC.stats["demoted"]:
+            if RC.corona.demoted[q]:
                 continue
-            assert q in RC.corona.good
-            assert sorted(RC.comp_sign[list(RC.comps(q))]) == [-1, 1]
+            assert RC.corona.regime[q] >= 0
+            assert sorted(RC.pm_comp[q].tolist()) == list(RC.comps(q))
             plus = RC.comp(RC.signed_comp(q, "+"))
             minus = RC.comp(RC.signed_comp(q, "-"))
             vol_p = sum((RC.W.unit * RC.W.size[b]) ** 2 for b in plus)
@@ -348,7 +384,7 @@ class TestRegions:
     def test_x_points_at_scale(self, line_regions):
         RC = line_regions
         for q in RC.S.relevant_ids():
-            if q not in RC.corona.good:
+            if RC.corona.regime[q] < 0:
                 continue
             lq = RC.S.side[q]
             for sign in "+-":
@@ -426,7 +462,7 @@ class TestBoxesAndSawtooths:
     def test_halves_of_sawtooth(self, line_regions):
         RC = line_regions
         ids = [
-            q for q in RC.S.descendants(RC.S.roots[0]) if q in RC.corona.good
+            q for q in RC.S.descendants(RC.S.roots[0]) if RC.corona.regime[q] >= 0
         ]
         plus, minus = RC.sawtooth_halves(ids)
         assert len(plus) and len(minus) and not set(plus) & set(minus)
@@ -479,16 +515,17 @@ def _components_loop(members, neighbors):
     return comps
 
 
-def _label_components_loop(W, comps, reg, good):
+def _label_components_loop(W, comps, graph, good):
     """Reference: '+'/'-' by the graph side of every box centre (good cubes
     with two components), else 'i<k>'; the X box of each component."""
     centers = [comp[int(np.argmax(W.size[comp]))] for comp in comps]
     indexed = [f"i{k}" for k in range(len(comps))]
-    if not good or reg is None or len(comps) != 2:
+    if not good or graph is None or len(comps) != 2:
         return indexed, centers, False
     labels = []
     for comp in comps:
-        side = reg.side_of((W.lo[comp] + W.hi[comp]) / 2.0)
+        mid = (W.lo[comp] + W.hi[comp]) / 2.0
+        side = np.sign(mid[:, 1] - graph.graph_value(mid[:, 0]))
         if np.all(side > 0):
             labels.append("+")
         elif np.all(side < 0):
@@ -565,19 +602,44 @@ def _regions_loop(S, W, corona, params):
             members.extend(int(i) for i in ids_w[gap <= reach])
         members.sort()
         comps = _components_loop(members, neighbors)
-        reg = corona.regimes[corona.regime_of[q]] if q in corona.regime_of else None
-        good = q in corona.good
+        good = corona.regime[q] >= 0
+        graph = corona.graph[corona.regime[q]] if good else None
         p = S.rparent[q]
         scale_defect = (
             p >= 0 and S.side[p] > params.max_parent_ratio * lq * (1 + 1e-9)
         )
-        labels, centers, ok = _label_components_loop(W, comps, reg, good)
+        labels, centers, ok = _label_components_loop(W, comps, graph, good)
         if good and (not ok or scale_defect):
             demoted.add(q)
             good = False
             labels, centers, _ = _label_components_loop(W, comps, None, False)
         regions[q] = (members, comps, labels, centers, good)
     return regions, _region_stats_loop(S, W, regions) | {"demoted": sorted(demoted)}
+
+
+def _recohere_loop(S, corona, demoted):
+    """Reference: the dict walk over the levels that the regime arrays
+    replaced.  Returns the new regime of every cube (-1 for none), the
+    tops and their graphs."""
+    old_of = {q: r for q, r in enumerate(corona.regime.tolist()) if r >= 0}
+    good = set(old_of) - set(demoted)
+    new_of, tops, graphs = {}, [], []
+    for ids, par in S.levels:
+        for q, p in zip(ids.tolist(), par.tolist()):
+            if q not in good:
+                continue
+            joins = (
+                p in new_of
+                and old_of.get(p) == old_of[q]
+                and all(ch in good for ch in S.children(p).tolist())
+            )
+            if joins:
+                new_of[q] = new_of[p]
+            else:
+                new_of[q] = len(tops)
+                tops.append(q)
+                graphs.append(corona.graph[old_of[q]])
+    return [new_of.get(q, -1) for q in range(S.n_cubes)], tops, graphs
 
 
 def cloud_inputs(height):
@@ -590,17 +652,16 @@ def cloud_inputs(height):
     E = build_boundary(desc, 0.05, Window((-1, -1), (1, 1)))
     S = build_cube_system(E, k_min=0, k_max=3)
     W = whitney_decompose(E, Window((-1.5, -1.5), (1.5, 1.5)), min_side=PARAMS.c_w * 2.0**-3)
-    regimes = [
-        Regime(idx=i, cubes=set(S.descendants(r)), max_cube=r, graph=Hyperplane())
-        for i, r in enumerate(S.roots)
-    ]
+    regime = np.full(S.n_cubes, -1, dtype=np.int32)
+    for i, r in enumerate(S.roots):
+        regime[S.descendants(r)] = i
     corona = CoronaDecomposition(
-        good=set(S.relevant_ids()),
-        bad=set(),
-        regimes=regimes,
-        regime_of={q: reg.idx for reg in regimes for q in reg.cubes},
+        regime=regime,
+        top=np.array(S.roots),
+        graph=[Hyperplane()] * len(S.roots),
         eta=0.25,
         K=4.0,
+        demoted=np.zeros(S.n_cubes, dtype=bool),
     )
     return S, W, corona, PARAMS
 
@@ -618,7 +679,11 @@ def test_region_arrays_match_loops(fixture, request):
     assert facet_rows(W) == facets
     RC = build_regions(S, W, corona, params)
     regions, stats = _regions_loop(S, W, corona, params)
-    assert RC.stats == stats
+    assert RC.stats | {"demoted": np.flatnonzero(RC.corona.demoted).tolist()} == stats
+    regime, tops, graphs = _recohere_loop(S, corona, stats["demoted"])
+    assert RC.corona.regime.tolist() == regime
+    assert RC.corona.top.tolist() == tops
+    assert all(a is b for a, b in zip(RC.corona.graph, graphs, strict=True))
     owners: dict = {}
     for q in range(S.n_cubes):
         if q not in regions:
@@ -628,10 +693,10 @@ def test_region_arrays_match_loops(fixture, request):
         assert region(RC, q) == boxes
         cs = RC.comps(q)
         assert [RC.comp(c).tolist() for c in cs] == comps
-        sign = {1: "+", -1: "-"}
-        assert [sign.get(int(RC.comp_sign[c]), f"i{k}") for k, c in enumerate(cs)] == labels
+        sign = dict(zip(RC.pm_comp[q].tolist(), "+-"))
+        assert [sign.get(c, f"i{k}") for k, c in enumerate(cs)] == labels
         assert RC.comp_center[list(cs)].tolist() == centers
-        assert (q in RC.corona.good) == good
+        assert (RC.corona.regime[q] >= 0) == good
         for b in boxes:
             owners.setdefault(b, []).append(q)
     assert [
@@ -639,6 +704,6 @@ def test_region_arrays_match_loops(fixture, request):
     ] == [owners.get(b, []) for b in range(W.n_boxes)]
     if fixture == "cloud":
         # every region fails the sign test, some on more than two components
-        assert not RC.corona.good and stats["max_components"] > 2
+        assert not (RC.corona.regime >= 0).any() and stats["max_components"] > 2
     if fixture == "flat_cloud":
-        assert stats["demoted"] and RC.corona.good
+        assert stats["demoted"] and (RC.corona.regime >= 0).any()
