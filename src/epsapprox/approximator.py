@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .carleson import hl_maximal
 from .functionals import FunctionalSuite, lp_norm
 from .geometry import csr_rows, pair_distances, row_blocks, row_spans
 from .stopping import GenerationForest, OscillationLabels, initial_chain
@@ -399,7 +398,7 @@ def _owner_ratios(S, own: np.ndarray, anc: np.ndarray, side: np.ndarray) -> np.n
 
 # stride over the certified samples at which the L^p roll-up takes the ball
 # Carleson functional
-_BALL_STRIDE = 8
+BALL_STRIDE = 8
 
 
 def verify_approximation(
@@ -408,6 +407,9 @@ def verify_approximation(
     eps: float,
     alpha0: float,
     certified: np.ndarray,
+    cd: np.ndarray,
+    mm: np.ndarray,
+    cball: np.ndarray,
     p_grid=(1.5, 2.0, 4.0),
     c1_budget: float = 4.0,
 ) -> dict:
@@ -418,6 +420,10 @@ def verify_approximation(
     (ii) dyadic Carleson: C_dyadic(grad phi) <= C2 * eps^{-2} *
         M(M_dyadic(N_*^{alpha0} u));
     (iii) L^p roll-ups of both against ||N_* u||_p.
+    The caller supplies the functionals it shares across the eps grid: `cd`
+    is `FS.carleson_dyadic(A.tv_box)` and `mm` is M(M_dyadic(N_*^{alpha0}
+    u)), per sample, and `cball` is `FS.carleson_ball(A.tv_box, ids)` at
+    every BALL_STRIDE-th certified sample.
     Smallest passing constants are reported; `pass` keys compare C1 to its
     budget (C2 and the L^p constants are reported for cross-eps stability).
     """
@@ -444,17 +450,13 @@ def verify_approximation(
     c_local = float(lr.max()) if len(lr) else 0.0
 
     # (ii) dyadic Carleson functional of the TV measure
-    cd = FS.carleson_dyadic(A.tv_box)
-    _, m_alpha = FS.cube_numbers(alpha0)
-    mm = hl_maximal(S, m_alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = cd[cert] * eps**2 / mm[cert]
     r2 = r2[np.isfinite(r2)]
     c2 = float(r2.max()) if len(r2) else 0.0
 
     # (iii) L^p roll-ups
-    ids = np.nonzero(cert)[0][::_BALL_STRIDE]
-    cball = FS.carleson_ball(A.tv_box, ids)
+    ids = np.nonzero(cert)[0][::BALL_STRIDE]
     ns = FS.n_star(None)
     lp = {}
     for p in p_grid:

@@ -241,26 +241,32 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     bound of the true M f; the grid includes the surface-ball radii C1*l(Q)
     so cube averages are always dominated up to the ball/cube mass ratio.
 
-    Centers run in row blocks of one distance block each.  A sample x lies
-    in B(c, r) for exactly the radii from the first one above |x - c|, so
-    it takes the suffix max of c's ball averages over the radii from there.
+    `f` is one function per sample or a (k, n_samples) stack of them; the
+    result has the same shape, and each row is what that row alone gives.
+    Centers run in row blocks of one distance block each, searched and
+    sorted once for all rows.  A sample x lies in B(c, r) for exactly the
+    radii from the first one above |x - c|, so it takes the suffix max of
+    c's ball averages over the radii from there.
     """
     E = S.E
     f = np.abs(np.asarray(f, dtype=float))
     radii = default_radii(S)
     pts, w = E.points, E.weights
-    fw = f * w
-    out = np.zeros(E.n_samples)
+    # row 0 weighs the balls, rows 1.. weigh f over them
+    stack = np.vstack([w, f * w])
+    out = np.zeros((len(stack) - 1, E.n_samples))
     for rows in row_blocks(E.n_samples, E.n_samples):
         d = pair_distances(pts[rows], pts)
-        count, first, (dw, dfw) = ball_sums(d, radii, w, fw)
-        avg = np.divide(dfw, dw, out=np.zeros_like(dfw), where=count > 0)
-        # best[:, j]: max average over the radii from r_j up; 0 past the last
-        best = np.zeros((len(avg), len(radii) + 1))
-        best[:, :-1] = np.maximum.accumulate(avg[:, ::-1], axis=1)[:, ::-1]
-        hit = np.take_along_axis(best, first, axis=1)
-        out = np.maximum(out, hit.max(axis=0))
-    return out
+        count, first, sums = ball_sums(d, radii, stack)
+        avg = np.divide(
+            sums[1:], sums[0], out=np.zeros_like(sums[1:]), where=count > 0
+        )
+        # best[..., j]: max average over the radii from r_j up; 0 past the last
+        best = np.zeros(avg.shape[:2] + (len(radii) + 1,))
+        best[..., :-1] = np.maximum.accumulate(avg[..., ::-1], axis=-1)[..., ::-1]
+        hit = np.take_along_axis(best, first[None], axis=-1)
+        out = np.maximum(out, hit.max(axis=1))
+    return out.reshape(f.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -355,21 +355,27 @@ class FunctionalSuite:
     def carleson_ball(self, mass: np.ndarray, sample_ids: np.ndarray) -> np.ndarray:
         """C: per listed sample, sup over r of r^{-1} * mass(B(x,r) \\ E).
 
-        Box masses are binned at box centers (midpoint convention).
+        Box masses are binned at box centers (midpoint convention).  `mass`
+        is one nonnegative box measure or a (k, n_boxes) stack of them; the
+        result is one value per listed sample, per row.  The stack runs over
+        the boxes with mass in any row: a box without mass in a row adds
+        +0.0 to that row's ascending-distance prefix sums, and the stable
+        sort keeps the row's own boxes in their order, so each row is what
+        that row alone gives.
         """
         mids = (self.W.lo + self.W.hi) / 2
-        live = np.nonzero(mass)[0]
+        stack = np.atleast_2d(mass)
+        live = np.flatnonzero(stack.any(axis=0))
         radii = self._ball_radii()
-        out = np.zeros(len(sample_ids))
-        if len(live) == 0:
-            return out
-        m = mass[live]
+        out = np.zeros((len(stack), len(sample_ids)))
+        m = stack[:, live]
         pos = mids[live]
         pts = self.E.points[np.asarray(sample_ids, dtype=int)]
-        for rows in row_blocks(len(pts), len(pos)):
-            _, _, (csum,) = ball_sums(pair_distances(pts[rows], pos), radii, m)
-            out[rows] = np.max(csum / radii, axis=1)
-        return out
+        if len(live):
+            for rows in row_blocks(len(pts), len(pos)):
+                _, _, csum = ball_sums(pair_distances(pts[rows], pos), radii, m)
+                out[:, rows] = np.max(csum / radii, axis=-1)
+        return out.reshape(np.shape(mass)[:-1] + (len(sample_ids),))
 
     def _ball_radii(self) -> np.ndarray:
         rs = [

@@ -397,14 +397,17 @@ def pair_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def ball_sums(d: np.ndarray, radii: np.ndarray, *weights: np.ndarray):
+def ball_sums(d: np.ndarray, radii: np.ndarray, weights: np.ndarray):
     """Per row i of a distance block and per radius r_j (ascending):
 
     * ``count[i, j]``, the number of columns with d < r_j;
     * ``first[i, k]``, the index of the first radius above d[i, k];
-    * per weight vector, the weight sum over those columns, accumulated in
-      ascending-distance order (stable), so each equals the prefix sum of a
-      single row sorted on its own; 0.0 where the count is 0.
+    * ``sums[h, i, j]``, per row h of the (k, n_columns) `weights` stack,
+      the weight sum over those columns, accumulated in ascending-distance
+      order (stable), so each equals the prefix sum of a single row sorted
+      on its own; 0.0 where the count is 0.
+
+    The block is searched and sorted once for all k weight rows.
     """
     n, m = d.shape[0], len(radii)
     first = np.searchsorted(radii, d, side="right")
@@ -413,14 +416,8 @@ def ball_sums(d: np.ndarray, radii: np.ndarray, *weights: np.ndarray):
     count = count.cumsum(axis=1)[:, :m]
     order = np.argsort(d, axis=1, kind="stable")
     last = np.maximum(count - 1, 0)
-    sums = [
-        np.where(
-            count > 0,
-            np.take_along_axis(np.cumsum(w[order], axis=1), last, axis=1),
-            0.0,
-        )
-        for w in weights
-    ]
+    csum = np.cumsum(weights[:, order], axis=-1)
+    sums = np.where(count > 0, np.take_along_axis(csum, last[None], axis=-1), 0.0)
     return count, first, sums
 
 
@@ -448,23 +445,29 @@ def _dist_to_polyline(P: np.ndarray, pl: np.ndarray) -> np.ndarray:
     return out
 
 
-# relative widening of the x-window of `box_distance_many`: a bound equal
-# to the distance must keep the nearest target through the rounding of
-# the window edges
+# relative widening of the distance bound of `box_distance_many`: a bound
+# equal to the distance must keep the nearest target through the rounding
+# of the window's half-width and edges
 _WINDOW_SLACK = 1e-9
 
 
 def box_distance_many(
     los: np.ndarray, his: np.ndarray, E: BoundarySet, bound=None
-) -> np.ndarray:
-    """Distances from stacked boxes [los[i], his[i]] (m, 2) to E.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from stacked boxes [los[i], his[i]] (m, 2) to E, and for
+    each box a nearest point of E's targets, (m, 2).
 
-    `bound`, if given, holds for each box an upper bound on its distance.
-    A target within the bound of the box lies in the box's x-range widened by
-    the bound, so only the targets (polyline vertices or cloud points,
-    sorted by x here) in that window are scanned; the nearest target is
-    among them, and each pair distance is the same clip-and-norm as a full
-    scan, so the result is bit-identical to one.
+    The targets are the polyline vertices or cloud points, sorted by x
+    here.  `bound`, if given, holds for each box an upper bound on its
+    distance.  A target within the bound of the box lies at least `gap`
+    away in y, the gap between the box and the targets' y-range, so within
+    sqrt(bound^2 - gap^2) of the box's x-range.  The bound is widened by a
+    relative slack before gap^2 is subtracted, so the cancellation of a
+    target exactly at the bound cannot drop it.  Only the targets in that
+    window are scanned; the nearest target is among them, and each pair
+    distance is the same clip-and-norm as a full scan, so the result is
+    bit-identical to one.  On the hyperplane the distance is closed-form
+    and (lo_x, 0) is a nearest point.
     """
     desc = E.descriptor
     if isinstance(desc, Hyperplane):
@@ -473,7 +476,7 @@ def box_distance_many(
         out = np.zeros(len(los))
         out[below] = -his[below, -1]
         out[above] = los[above, -1]
-        return out
+        return out, np.column_stack([los[:, 0], np.zeros(len(los))])
     targets = E.polyline()
     if targets is None:
         targets = E.points
@@ -481,6 +484,10 @@ def box_distance_many(
     # without a bound the window is the whole line: every target is scanned
     bound = np.full(len(los), np.inf) if bound is None else np.asarray(bound)
     reach = bound + _WINDOW_SLACK * (bound + np.abs(los[:, 0]) + np.abs(his[:, 0]))
+    gap = np.maximum(
+        np.maximum(targets[:, 1].min() - his[:, 1], los[:, 1] - targets[:, 1].max()), 0.0
+    )
+    reach = np.sqrt(np.maximum(reach * reach - gap * gap, 0.0))
     start = np.searchsorted(targets[:, 0], los[:, 0] - reach, side="left")
     stop = np.searchsorted(targets[:, 0], his[:, 0] + reach, side="right")
     count = stop - start
@@ -489,6 +496,7 @@ def box_distance_many(
     total = np.zeros(len(los) + 1, dtype=np.intp)
     np.cumsum(count, out=total[1:])
     out = np.empty(len(los))
+    near = np.empty((len(los), 2))
     i = 0
     while i < len(los):
         j = int(np.searchsorted(total, total[i] + CHUNK, side="right")) - 1
@@ -499,8 +507,11 @@ def box_distance_many(
         t = targets[idx]
         d = np.linalg.norm(t - np.clip(t, los[box], his[box]), axis=1)
         out[i:j] = np.minimum.reduceat(d, offsets)
+        # the first target of each window at its box's minimum
+        hit = np.flatnonzero(d == out[box])
+        near[i:j] = t[hit[np.searchsorted(box[hit], np.arange(i, j))]]
         i = j
-    return out
+    return out, near
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,12 @@ import numpy as np
 
 from . import __version__
 from .approximator import (
+    BALL_STRIDE,
     build_global_approximant,
     find_alpha0,
     verify_approximation,
 )
-from .carleson import carleson_embedding_check
+from .carleson import carleson_embedding_check, hl_maximal
 from .config import RunConfig
 from .dyadic import build_cube_system
 from .functionals import FunctionalSuite, compare_apertures, compare_levelsets
@@ -318,11 +319,22 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     )
     report["embedding"] = {"lhs": lhs, "rhs": rhs, "holds": bool(holds)}
 
+    # the maximal and ball functionals of every eps, each in one call: M of
+    # M_dyadic(N_*^{alpha0} u) per distinct alpha0, and C of every TV
+    # measure at the union of the L^p roll-up and level-set samples
+    runs = [approx["per_eps"][eps] for eps in cfg.eps_grid]
+    alpha0s = [find_alpha0(FS, st["gf"]) for st in runs]
+    alphas = sorted(set(alpha0s))
+    mm = hl_maximal(S, np.stack([FS.cube_numbers(a)[1] for a in alphas]))
+    cert_ids = np.flatnonzero(cert)
+    lp_at = np.arange(0, len(cert_ids), BALL_STRIDE)
+    lev_at = np.arange(0, len(cert_ids), max(1, len(cert_ids) // 256))
+    ball_at = np.union1d(lp_at, lev_at)
+    cb = FS.carleson_ball(np.stack([st["A"].tv_box for st in runs]), cert_ids[ball_at])
+
     report["eps"] = {}
-    for eps in cfg.eps_grid:
-        st = approx["per_eps"][eps]
+    for k, (eps, st, alpha0) in enumerate(zip(cfg.eps_grid, runs, alpha0s)):
         labels, gf, A = st["labels"], st["gf"], st["A"]
-        alpha0 = find_alpha0(FS, gf)
         rub = verify_eps_packing(
             S, np.flatnonzero(labels.member | RC.corona.bad(S)), eps,
             budget=cfg.budgets.eps_packing,
@@ -330,21 +342,23 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
         rg = verify_eps_packing(
             S, np.flatnonzero(gf.member), eps, budget=cfg.budgets.eps_packing
         )
+        cd = FS.carleson_dyadic(A.tv_box)
         ver = verify_approximation(
             FS,
             A,
             eps,
             alpha0,
             cert,
+            cd,
+            mm[alphas.index(alpha0)],
+            cb[k, np.searchsorted(ball_at, lp_at)],
             p_grid=cfg.p_grid,
             c1_budget=cfg.budgets.pointwise_c1,
         )
-        ids = np.nonzero(cert)[0][:: max(1, int(cert.sum()) // 256)]
-        cball = FS.carleson_ball(A.tv_box, ids)
-        cdy = FS.carleson_dyadic(A.tv_box)[ids]
+        ids = cert_ids[lev_at]
         lev = compare_levelsets(
-            cball,
-            cdy,
+            cb[k, np.searchsorted(ball_at, lev_at)],
+            cd[ids],
             E.weights[ids],
             p_grid=cfg.p_grid,
             a1_budget=cfg.budgets.levelset_a1,

@@ -89,10 +89,9 @@ def whitney_decompose(
 
     The quadtree is walked one level at a time: the live candidates of one
     size are integer-lattice arrays, measured by one `box_distance_many`
-    call and accepted or split together.  A child's distance is at most its
-    parent's distance plus the parent's diameter (the parent's nearest
-    point of E is that close to all of the child), and that bound limits
-    the part of E the call scans.
+    call and accepted or split together.  A child is no farther from E than
+    from its parent's nearest target, and that clip-and-norm distance
+    bounds the part of E the call scans.
     """
     span = max(h - l for l, h in zip(window.lo, window.hi))
     n_units = 2 ** int(np.ceil(np.log2(span / min_side)))
@@ -106,15 +105,17 @@ def whitney_decompose(
     levels = []  # (lattice corners, size, dist) of the accepted boxes per level
     size = n_units
     lo = n_units * _CORNERS
-    bound = np.full(len(lo), np.inf)
+    # the parent's nearest target per candidate; none above the roots
+    near = np.full(lo.shape, np.inf)
     while True:
         glo = base + unit * lo.astype(float)
         ghi = glo + unit * size
         live = ~(np.any(glo >= window.hi, axis=1) | np.any(ghi <= window.lo, axis=1))
         if not live.any():
             break
-        lo, glo, ghi, bound = lo[live], glo[live], ghi[live], bound[live]
-        d = box_distance_many(glo, ghi, E, bound)
+        lo, glo, ghi, near = lo[live], glo[live], ghi[live], near[live]
+        bound = np.linalg.norm(near - np.clip(near, glo, ghi), axis=1)
+        d, near = box_distance_many(glo, ghi, E, bound)
         diam = sq2 * unit * size
         ok = d >= diam
         levels.append((lo[ok], np.full(int(ok.sum()), size, dtype=np.int64), d[ok]))
@@ -122,7 +123,7 @@ def whitney_decompose(
             break
         half = size // 2
         lo = (lo[~ok][:, None, :] + half * _CORNERS[None]).reshape(-1, 2)
-        bound = np.repeat(d[~ok] + diam, len(_CORNERS))
+        near = np.repeat(near[~ok], len(_CORNERS), axis=0)
         size = half
 
     ij, sizes, dist = (np.concatenate(a) for a in zip(*levels))

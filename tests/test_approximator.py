@@ -7,6 +7,7 @@ import pytest
 
 from epsapprox import approximator, pipeline
 from epsapprox.approximator import (
+    BALL_STRIDE,
     Approximant,
     build_global_approximant,
     build_local_approximant,
@@ -16,7 +17,7 @@ from epsapprox.approximator import (
     order_good_cubes,
     verify_approximation,
 )
-from epsapprox.carleson import packing_constant
+from epsapprox.carleson import hl_maximal, packing_constant
 from epsapprox.config import RegionParams, RunConfig
 from epsapprox.dyadic import build_cube_system
 from epsapprox.functionals import FunctionalSuite
@@ -400,15 +401,29 @@ class TestGlobalModes:
             build_global_approximant(fs, gf, labels)
 
 
+def verify(fs, A, eps, alpha0, cert, **kw):
+    """`verify_approximation` with the functionals it takes computed for
+    this one approximant, as the verify stage computes them for all."""
+    return verify_approximation(
+        fs,
+        A,
+        eps,
+        alpha0,
+        cert,
+        fs.carleson_dyadic(A.tv_box),
+        hl_maximal(fs.S, fs.cube_numbers(alpha0)[1]),
+        fs.carleson_ball(A.tv_box, np.flatnonzero(cert)[::BALL_STRIDE]),
+        **kw,
+    )
+
+
 class TestVerification:
     def test_constant_field_all_zero(self, line_rc):
         fs, numbers, labels, gf = make_state(line_rc, Constant(3.0), 0.2)
         A = build_global_approximant(fs, gf, labels, gamma0=4.0)
         ndev = nontangential_deviation(fs, deviation_sups(fs, A))
         assert np.all(ndev == 0.0)
-        rep = verify_approximation(
-            fs, A, 0.2, 1.0, certified_mask(line_rc), c1_budget=4.0
-        )
+        rep = verify(fs, A, 0.2, 1.0, certified_mask(line_rc), c1_budget=4.0)
         assert rep["C1"] == 0.0 and rep["C1_pass"] and rep["C_local_pass"]
         assert rep["tv_total"] == 0.0
 
@@ -416,7 +431,7 @@ class TestVerification:
         fs, numbers, labels, gf = state_t
         A = build_global_approximant(fs, gf, labels, gamma0=4.0)
         a0 = find_alpha0(fs, gf)
-        rep = verify_approximation(fs, A, 0.5, a0, certified_mask(line_rc))
+        rep = verify(fs, A, 0.5, a0, certified_mask(line_rc))
         assert rep["C1_pass"]
         assert rep["C2"] > 0
         for p, d in rep["lp"].items():
@@ -460,8 +475,37 @@ class TestVerification:
         monkeypatch.setattr(
             approximator, "deviation_sups", lambda FS, A: calls.append(A) or inner(FS, A)
         )
-        verify_approximation(fs, A, 0.5, 1.0, certified_mask(line_rc))
+        verify(fs, A, 0.5, 1.0, certified_mask(line_rc))
         assert len(calls) == 1 and calls[0] is A
+
+    def test_ball_sums_once_per_verify_stage(self, monkeypatch):
+        # quick_t has two distinct alpha0 over three eps: one maximal call
+        # with two rows, one ball call with three
+        cfg = RunConfig.load(CONFIGS / "quick_t.json")
+        state = pipeline.run(cfg, until="approximate")
+        calls = {"hl": [], "ball": [], "dyadic": 0}
+        hl, ball = pipeline.hl_maximal, FunctionalSuite.carleson_ball
+        dyadic = FunctionalSuite.carleson_dyadic
+
+        def count_dyadic(self, mass):
+            calls["dyadic"] += 1
+            return dyadic(self, mass)
+
+        monkeypatch.setattr(
+            pipeline, "hl_maximal", lambda S, f: calls["hl"].append(f.shape) or hl(S, f)
+        )
+        monkeypatch.setattr(
+            FunctionalSuite,
+            "carleson_ball",
+            lambda self, m, ids: calls["ball"].append(m.shape) or ball(self, m, ids),
+        )
+        monkeypatch.setattr(FunctionalSuite, "carleson_dyadic", count_dyadic)
+        pipeline.stage_verify(cfg, state["grid"], state["regions"], state["approximate"])
+        n = state["grid"]["E"].n_samples
+        n_boxes = state["regions"]["RC"].W.n_boxes
+        assert calls["hl"] == [(2, n)]
+        assert calls["ball"] == [(3, n_boxes)]
+        assert calls["dyadic"] == 3
 
 
 def _assemble_jumps_loop(FS, A):

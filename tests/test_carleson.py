@@ -251,18 +251,35 @@ class TestHLMaximalBlocks:
         f = np.random.default_rng(6).normal(size=S.E.n_samples)
         assert np.array_equal(hl_maximal(S, f), _hl_loop(S, f))
 
+    @pytest.mark.parametrize("chunk", [None, 1])
+    @pytest.mark.parametrize("system", ["line", "segment", "cloud"])
+    def test_stack_matches_single_rows(self, system, chunk, line_system, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(geometry, "CHUNK", chunk)
+        S = {"line": lambda: line_system, "segment": _segment_system,
+             "cloud": _cloud_system}[system]()
+        F = np.random.default_rng(7).normal(size=(3, S.E.n_samples))
+        F[1, ::2] = 0.0  # rows differ in where they vanish
+        stacked = hl_maximal(S, F)
+        assert stacked.shape == F.shape
+        for f, row in zip(F, stacked):
+            assert np.array_equal(row, hl_maximal(S, f))
+            assert np.array_equal(row, _hl_loop(S, f))
+
     def test_transient_memory_bounded(self):
-        # 4097 samples: the full distance matrix alone would be 134 MB
+        # 4097 samples: the full distance matrix alone would be 134 MB; one
+        # row and a stack of three stay under the same bound
         E = build_boundary(Hyperplane(), 1 / 512, Window((-4.0, -4.0), (4.0, 4.0)))
         S = build_cube_system(E, k_min=-4, k_max=4)
-        f = np.random.default_rng(8).random(E.n_samples)
-        tracemalloc.start()
-        try:
-            hl_maximal(S, f)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        for shape in ((E.n_samples,), (3, E.n_samples)):
+            f = np.random.default_rng(8).random(shape)
+            tracemalloc.start()
+            try:
+                hl_maximal(S, f)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
 
 class TestEmbedding:

@@ -402,6 +402,35 @@ def test_carleson_ball_matches_per_sample_loop(fixture, chunk, request, monkeypa
     assert np.array_equal(fs.carleson_ball(mass, ids), ref)
 
 
+@pytest.mark.parametrize("chunk", [None, 200])
+@pytest.mark.parametrize("fixture", ["line_rc", "segment_rc"])
+def test_carleson_ball_stack_matches_single_rows(fixture, chunk, request, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
+    fs = FunctionalSuite(request.getfixturevalue(fixture), Constant(0.0))
+    rng = np.random.default_rng(13)
+    n = fs.W.n_boxes
+    masses = rng.random((4, n)) * (rng.random((4, n)) < 0.3)
+    masses[2] = 0.0  # a row without mass
+    masses[3, ::2] = 0.0
+    live = masses != 0
+    assert not (live[0] == live[1]).all() and live.any(axis=0).sum() > live[3].sum()
+    ids = np.arange(0, fs.E.n_samples, 3)
+    if fixture == "line_rc":
+        # box centres mirror each other about the samples: ties between
+        # boxes live in one row and boxes live only in another
+        mids = ((fs.W.lo + fs.W.hi) / 2)[live.any(axis=0)]
+        d = np.linalg.norm(mids - fs.E.points[ids[len(ids) // 2]], axis=1)
+        assert len(np.unique(d)) < len(d)
+    stacked = fs.carleson_ball(masses, ids)
+    assert stacked.shape == (4, len(ids))
+    for k, (mass, row) in enumerate(zip(masses, stacked)):
+        assert np.array_equal(row, fs.carleson_ball(mass, ids))
+        if k != 2:
+            assert np.array_equal(row, _carleson_ball_loop(fs, mass, ids))
+    assert not stacked[2].any()
+
+
 class TestComparisonLemmas:
     def test_levelsets_trivial(self, fs_t):
         w = fs_t.E.weights

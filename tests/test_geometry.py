@@ -11,6 +11,7 @@ from epsapprox.geometry import (
     Hyperplane,
     LipschitzGraph,
     PointList,
+    Segment,
     Window,
     _distance,
     box_distance_many,
@@ -194,13 +195,18 @@ class TestADR:
             check_adr(line, budget=0.5)
 
 
+def _targets(E):
+    pl = E.polyline()
+    return E.points if pl is None else pl
+
+
 class TestBoxDistance:
     def test_box_touching_line(self, line):
-        d = box_distance_many(np.array([[-0.5, -0.5]]), np.array([[0.5, 0.5]]), line)
+        d, _ = box_distance_many(np.array([[-0.5, -0.5]]), np.array([[0.5, 0.5]]), line)
         assert d[0] == 0.0
 
     def test_box_above_line(self, line):
-        d = box_distance_many(np.array([[0.0, 1.0]]), np.array([[1.0, 2.0]]), line)
+        d, _ = box_distance_many(np.array([[0.0, 1.0]]), np.array([[1.0, 2.0]]), line)
         assert d[0] == pytest.approx(1.0)
 
     def test_box_to_cloud(self):
@@ -208,10 +214,11 @@ class TestBoxDistance:
             CantorSet(level=1), resolution=0.25, window=Window((0, 0), (1, 1))
         )
         # cloud corners at (0,0),(3/4,0),(0,3/4),(3/4,3/4)
-        d = box_distance_many(np.array([[2.0, 2.0]]), np.array([[3.0, 3.0]]), E)
+        d, near = box_distance_many(np.array([[2.0, 2.0]]), np.array([[3.0, 3.0]]), E)
         assert d[0] == pytest.approx(
             np.hypot(2 - 0.75, 2 - 0.75)
         )
+        assert near.tolist() == [[0.75, 0.75]]
 
     def test_bound_equal_to_distance_keeps_nearest_target(self):
         # the only target lies exactly `bound` left of each box, so the
@@ -220,13 +227,52 @@ class TestBoxDistance:
         lo_x = 0.1 + np.linspace(0.01, 3.0, 500)
         los = np.column_stack([lo_x, np.full_like(lo_x, -0.5)])
         his = los + 1.0
-        exact = box_distance_many(los, his, E)
-        assert np.array_equal(box_distance_many(los, his, E, exact), exact)
+        exact, _ = box_distance_many(los, his, E)
+        assert np.array_equal(box_distance_many(los, his, E, exact)[0], exact)
+
+    @pytest.mark.parametrize("y", [1.0, -1.001], ids=["above", "below"])
+    def test_bound_at_the_gap_keeps_nearest_target(self, y):
+        # each box lies a gap of about 1 above (or below) the targets and
+        # just right of the target at the origin, so bound^2 - gap^2 cancels
+        # to 0 or nearly: the bound has to be widened before gap^2 is taken
+        E = build_boundary(PointList(((0.0, 0.0), (5.0, 0.0)), (1.0, 1.0)), 1.0, W2)
+        dx = np.geomspace(1e-12, 1e-4, 400)
+        los = np.column_stack([dx, np.full_like(dx, y)])
+        his = los + 1e-3
+        exact, near = box_distance_many(los, his, E)
+        assert np.all(near == 0.0)
+        d, near_b = box_distance_many(los, his, E, exact)
+        assert np.array_equal(d, exact) and np.array_equal(near_b, near)
+
+    @pytest.mark.parametrize(
+        "desc",
+        [Hyperplane(), Segment(-1.0, 1.0), LipschitzGraph("sin", 0.3), "cloud"],
+        ids=["hyperplane", "segment", "sin_graph", "cloud"],
+    )
+    def test_nearest_target_lies_at_the_distance(self, desc):
+        rng = np.random.default_rng(12)
+        los = rng.uniform(-3.0, 2.5, size=(400, 2))
+        his = los + rng.uniform(0.001, 0.5, size=(400, 1))
+        if desc == "cloud":
+            desc = PointList(tuple(map(tuple, los[:40])), (0.025,) * 40)
+        E = build_boundary(desc, 1 / 64, W2)
+        d, near = box_distance_many(los, his, E)
+        assert np.array_equal(np.linalg.norm(near - np.clip(near, los, his), axis=1), d)
+        if isinstance(desc, Hyperplane):
+            assert np.all(near[:, 1] == 0.0)
+        else:
+            t = _targets(E)
+            assert np.all((near[:, None, :] == t[None]).all(axis=2).any(axis=1))
+        # a bound from any target keeps the distance and the nearest target
+        far = _targets(E)[rng.integers(0, len(_targets(E)), len(los))]
+        bound = np.linalg.norm(far - np.clip(far, los, his), axis=1)
+        d_b, near_b = box_distance_many(los, his, E, bound)
+        assert np.array_equal(d_b, d) and np.array_equal(near_b, near)
 
     @pytest.mark.parametrize("chunk", [1, 37])
     def test_box_blocks_match_one_pass(self, chunk, monkeypatch):
         # boxes taken a few (box, target) pairs at a time give the same
-        # distances as one pass over every pair
+        # distances and nearest targets as one pass over every pair
         rng = np.random.default_rng(9)
         los = rng.uniform(-2.0, 1.5, size=(300, 2))
         his = los + rng.uniform(0.01, 0.5, size=(300, 1))
@@ -234,11 +280,11 @@ class TestBoxDistance:
         for desc in (LipschitzGraph("sin", 0.3), cloud):
             E = build_boundary(desc, 1 / 64, W2)
             monkeypatch.setattr(geometry, "CHUNK", 1 << 40)
-            whole = box_distance_many(los, his, E)
+            whole, near = box_distance_many(los, his, E)
             bound = whole * 1.5 + 0.01
             monkeypatch.setattr(geometry, "CHUNK", chunk)
-            assert np.array_equal(box_distance_many(los, his, E), whole)
-            assert np.array_equal(box_distance_many(los, his, E, bound), whole)
+            for out in (box_distance_many(los, his, E), box_distance_many(los, his, E, bound)):
+                assert np.array_equal(out[0], whole) and np.array_equal(out[1], near)
 
 
 @pytest.mark.parametrize("chunk", [None, 3000])

@@ -180,7 +180,7 @@ class TestWhitneyDecompose:
 
     def test_distance_property(self, line_setup):
         E, S, W = line_setup
-        dists = box_distance_many(W.lo, W.hi, E)
+        dists, _ = box_distance_many(W.lo, W.hi, E)
         for lo, hi, d in zip(W.lo, W.hi, dists):
             diam = float(np.linalg.norm(hi - lo))
             assert diam <= d + 1e-12
@@ -191,7 +191,7 @@ class TestWhitneyDecompose:
         span = max(h - l for l, h in zip(W.window.lo, W.window.hi))
         root = 2 ** int(np.ceil(np.log2(span / W.unit)))
         assert W.n_boxes > 0
-        dists = box_distance_many(W.lo, W.hi, W.E)
+        dists, _ = box_distance_many(W.lo, W.hi, W.E)
         for lo, hi, size, d in zip(W.lo, W.hi, W.size, dists):
             diam = float(np.linalg.norm(hi - lo))
             assert diam <= d + 1e-12
@@ -204,7 +204,7 @@ class TestWhitneyDecompose:
         lo, hi = W.lo[::step], W.hi[::step]
         c = (lo + hi) / 2
         half = (hi - lo) / 2 * (1 + 3 * PARAMS.tau)
-        assert np.all(box_distance_many(c - half, c + half, E) > 0)
+        assert np.all(box_distance_many(c - half, c + half, E)[0] > 0)
 
     @pytest.mark.parametrize(
         "desc, sample_window, ambient",
