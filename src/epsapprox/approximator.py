@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import FunctionalSuite, lp_norm
-from .geometry import csr_rows, pair_distances, row_blocks, row_spans
+from .geometry import csr_rows, pair_distances, row_spans
 from .stopping import GenerationForest, OscillationLabels, initial_chain
 from .whitney import RegionComplex
 
@@ -293,20 +293,17 @@ def deviation_sups(FS: FunctionalSuite, A: Approximant) -> np.ndarray:
 
     phi is evaluated through the owning core box of each grid point, so the
     sup honestly sees across cell boundaries inside the fattened margin.
+    phi is one constant v on each owner segment of `FS.owners`, and
+    fl(a - v) is monotone in a, so the segment's sup of |u - v| is the
+    larger of |max u - v| and |min u - v|, bit for bit.  Segments whose
+    owner's rule is u or lies outside the domain, and empty ones, add 0.
     """
     val, is_u, covered = _box_rules(A)
-    owners = FS.owners()
-    out = np.zeros(FS.W.n_boxes)
-    for size in FS.W.size_groups():
-        ids, uv = FS.fat_values(size)
-        for rows in row_blocks(len(ids), uv.shape[1]):
-            own = owners[size][rows]
-            ok = own >= 0
-            own = np.where(ok, own, 0)
-            dev = np.abs(uv[rows] - val[own])
-            dev[is_u[own] | ~ok | ~covered[own]] = 0.0
-            out[ids[rows]] = dev.max(axis=1)
-    return out
+    ptr, owner, seg_max, seg_min = FS.owners()
+    v = val[owner]
+    dev = np.maximum(np.abs(seg_max - v), np.abs(seg_min - v))
+    dev[is_u[owner] | ~covered[owner] | (seg_max < seg_min)] = 0.0
+    return np.maximum.reduceat(dev, ptr[:-1])
 
 
 def nontangential_deviation(

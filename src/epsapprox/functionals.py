@@ -2,11 +2,15 @@
 
 Per-box sup/quadrature grids are shared by every functional: grids cover the
 triple-fattened box (the cones see slightly past their own boxes), while
-quadratures run on the disjoint core boxes.  All sups are grid sups, hence
-lower bounds; nothing bounds the gap from above yet (ROADMAP item 4).
-Inequalities consuming these sups are either tested with both sides on the
-same grids or at two resolutions.  E is a curve in the plane (n = 1), so
-the square-function weight delta^{1-n} is 1 and l(Q)^n = l(Q).
+quadratures run on the disjoint core boxes.  u is evaluated on the fat grids
+once and only its extrema are kept: per box, and per owner segment (the
+points of a box's grid that one core box holds).  A piecewise-constant phi
+is one value v on a segment and fl(a - v) is monotone in a, so the segment's
+sup of |u - phi| is read exactly off the two extrema.  All sups are grid
+sups, hence lower bounds; nothing bounds the gap from above yet (ROADMAP
+item 4).  Inequalities consuming these sups are either tested with both
+sides on the same grids or at two resolutions.  E is a curve in the plane
+(n = 1), so the square-function weight delta^{1-n} is 1 and l(Q)^n = l(Q).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import CubeSystem
-from .geometry import CHUNK, ball_sums, csr_rows, pair_distances, ranges, row_blocks, row_spans
+from .geometry import ball_sums, csr_rows, pair_distances, ranges, row_blocks, row_spans
 from .harmonic import HarmonicField
 from .whitney import RegionComplex
 
@@ -48,10 +52,9 @@ class FunctionalSuite:
         self.u = u
         self.sample_frac = sample_frac
         self.tau = RC.params.tau
-        self._fat = {}
-        self._owner = None
+        self._extrema = None
+        self._segments = None
         self._pairs = None
-        self._comp_stats: dict | None = None
         self._nstar_cache: dict = {}
         self._numbers_cache: dict = {}
         self._neighbor_cache: dict = {}
@@ -61,10 +64,9 @@ class FunctionalSuite:
         self._grad2_int = None
 
     def __getstate__(self):
-        # the fat-grid values, the owner map and the (box, cube) pairs are
-        # rebuilt from W, the regions and u in a fraction of a second, so a
-        # pickled suite (a cached `approximate` stage) leaves them out
-        return self.__dict__ | {"_fat": {}} | dict.fromkeys(("_owner", "_pairs"))
+        # the (box, cube) pairs are rebuilt from the regions in a fraction of
+        # a second, so a pickled suite (a cached `approximate` stage) drops them
+        return self.__dict__ | {"_pairs": None}
 
     # -- grids --------------------------------------------------------------
 
@@ -77,64 +79,63 @@ class FunctionalSuite:
         off = square_grid(t) * (self.W.unit * size)
         return ids, self.W.lo[ids][:, None, :] + off[None, :, :]
 
-    def fat_values(self, size: int):
-        """(box ids, u on their fat-grid points (nbox, npts)) for one size
-        group, evaluated once."""
-        if size not in self._fat:
-            ids, pts = self.fat_points(size)
-            self._fat[size] = (ids, self.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2]))
-        return self._fat[size]
-
     def box_extrema(self):
         """Per box: (max u, min u) over the fat grid."""
-        if self._comp_stats is None:
-            mx = np.full(self.W.n_boxes, -np.inf)
-            mn = np.full(self.W.n_boxes, np.inf)
-            for size in self.W.size_groups():
-                ids, vals = self.fat_values(size)
-                mx[ids] = vals.max(axis=1)
-                mn[ids] = vals.min(axis=1)
-            self._comp_stats = (mx, mn)
-        return self._comp_stats
+        self.owners()
+        return self._extrema
 
     def owners(self):
-        """Per box: owner box id (int32) of each fat-grid point, -1 if
-        uncovered.
+        """The owner segments of the fat grids: (ptr, owner, max u, min u).
 
-        The candidates of a box are itself, then its neighbours in id
-        order; the first whose half-open core box holds the point wins.
+        A fat-grid point of box b is owned by the first of b's candidates,
+        b itself and then its neighbours in id order, whose half-open core
+        box holds it; a point no candidate holds is uncovered.  Box b's
+        segments are ptr[b]:ptr[b + 1], one per candidate in that order (so
+        `W.nbr_ptr` plus one self slot per box), each with the extrema of u
+        over the points its candidate owns (-inf, +inf if none).  The same
+        pass, one u.eval per size group, takes the per-box extrema over the
+        whole fat grid that `box_extrema` returns.
         """
-        if self._owner is None:
-            owner = {}
+        if self._segments is None:
+            W = self.W
+            ptr = W.nbr_ptr + np.arange(W.n_boxes + 1)
+            owner = np.insert(W.nbr, W.nbr_ptr[:-1], np.arange(W.n_boxes, dtype=np.int32))
+            seg_max, seg_min = np.full(ptr[-1], -np.inf), np.full(ptr[-1], np.inf)
+            mx, mn = np.empty(W.n_boxes), np.empty(W.n_boxes)
             # padding candidate: an empty box, never hit
-            lo_all = np.vstack([self.W.lo, np.full(2, np.inf)])
-            hi_all = np.vstack([self.W.hi, np.full(2, -np.inf)])
-            ptr, nbr = self.W.nbr_ptr, self.W.nbr
-            for size in self.W.size_groups():
+            lo_all = np.vstack([W.lo, np.full(2, np.inf)])
+            hi_all = np.vstack([W.hi, np.full(2, -np.inf)])
+            for size in W.size_groups():
                 ids, pts = self.fat_points(size)
-                deg = ptr[ids + 1] - ptr[ids]
-                cands = np.full((len(ids), 1 + deg.max(initial=0)), -1, dtype=np.int32)
-                cands[:, 0] = ids
-                cands[np.repeat(np.arange(len(ids)), deg), 1 + ranges(0 * deg, deg)] = nbr[
-                    csr_rows(ptr, ids)
-                ]
-                out = np.empty(pts.shape[:2], dtype=np.int32)
-                step = max(1, CHUNK // (cands.shape[1] * pts.shape[1]))
-                for r in range(0, len(ids), step):
-                    c = cands[r : r + step]
-                    x, y = (pts[r : r + step, :, None, k] for k in (0, 1))
-                    lo, hi = lo_all[c][:, None], hi_all[c][:, None]
-                    hit = (
-                        (x >= lo[..., 0])
-                        & (x < hi[..., 0])
-                        & (y >= lo[..., 1])
-                        & (y < hi[..., 1])
-                    )
-                    found = np.take_along_axis(c, hit.argmax(axis=2), axis=1)
-                    out[r : r + step] = np.where(hit.any(axis=2), found, -1)
-                owner[size] = out
-            self._owner = owner
-        return self._owner
+                vals = self.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+                mx[ids] = vals.max(axis=1)
+                mn[ids] = vals.min(axis=1)
+                n_cand = ptr[ids + 1] - ptr[ids]
+                cands = np.full((n_cand.max(), len(ids)), -1, dtype=np.int32)
+                cands[ranges(0 * n_cand, n_cand), np.repeat(np.arange(len(ids)), n_cand)] = (
+                    owner[csr_rows(ptr, ids)]
+                )
+                # the grid is a product: point i*n + j sits at (x_i, y_j), so
+                # a candidate holds it iff it holds x_i and y_j
+                n = round(pts.shape[1] ** 0.5)
+                for rows in row_blocks(len(ids), pts.shape[1]):
+                    c = cands[:, rows]
+                    x, y = pts[rows, ::n, 0], pts[rows, :n, 1]
+                    hx = (x >= lo_all[c, None, 0]) & (x < hi_all[c, None, 0])
+                    hy = (y >= lo_all[c, None, 1]) & (y < hi_all[c, None, 1])
+                    # each point's first hit, -1 where no candidate holds it
+                    slot = np.full((len(x), n, n), -1)
+                    for k in range(len(c) - 1, -1, -1):
+                        np.copyto(slot, k, where=hx[k, :, :, None] & hy[k, :, None, :])
+                    slot = slot.reshape(len(x), -1)
+                    hit = slot >= 0
+                    seg = (ptr[ids[rows], None] + slot)[hit]
+                    np.maximum.at(seg_max, seg, vals[rows][hit])
+                    np.minimum.at(seg_min, seg, vals[rows][hit])
+                del pts, vals  # before the next group's are built
+            self._extrema = (mx, mn)
+            self._segments = (ptr, owner, seg_max, seg_min)
+        return self._segments
 
     # -- gradient quadratures -------------------------------------------------
 

@@ -349,8 +349,8 @@ def _distance(P: np.ndarray, E: BoundarySet) -> np.ndarray:
 
 
 # elements per temporary of every chunked array pass: (row, column) pairs
-# of a distance block, (box, target) pairs in `box_distance_many` and
-# (box, point, candidate) triples in `FunctionalSuite.owners`
+# of a distance block or of the (box, fat-grid point) pairs in
+# `FunctionalSuite.owners`, and (box, target) pairs in `box_distance_many`
 CHUNK = 1 << 16
 
 

@@ -269,8 +269,9 @@ def stage_approximate(cfg: RunConfig, grid, regions):
     u = make_field(cfg.field_desc, grid["E"])
     far = 2.0 if grid["E"].bounded else None
     FS = FunctionalSuite(RC, u, sample_frac=cfg.sample_frac, far_ball_factor=far)
-    # fill the suite's lazy caches here, so a cached artifact carries them
-    FS.box_extrema()
+    # fill the suite's lazy caches here (the fat-grid pass, the gradient
+    # quadratures, the cube numbers), so a cached artifact carries them
+    FS.owners()
     FS.grad_integrals()
     numbers, m_point = FS.cube_numbers(None)
     for a in cfg.alpha_grid:

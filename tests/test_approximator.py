@@ -28,6 +28,7 @@ from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
 from conftest import ancestors, box_owners, certified_mask, region
 from test_dyadic import surface_ball
+from test_functionals import _per_box_owners
 from test_whitney import facet_rows, locate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -561,6 +562,36 @@ def test_jumps_match_facet_loop(mode, request, line_rc, state_t, local_t):
     # u against a constant: red cells in the Poisson field, the outer cell
     # of the bounded mode
     assert n_mixed > 0 or mode == "local"
+
+
+def _deviation_loop(fs, A):
+    """Reference: |u - phi| at every fat-grid point, phi read through the
+    point's owner (0 where the owner's rule is u, the owner is outside the
+    domain or no candidate holds the point), then the max per box."""
+    value = {b: c.value for c in A.cells for b in c.boxes}
+    out = np.zeros(fs.W.n_boxes)
+    for size, own in _per_box_owners(fs).items():
+        ids, pts = fs.fat_points(size)
+        vals = fs.u.eval(pts.reshape(-1, 2)).reshape(own.shape)
+        for row, bid in enumerate(ids.tolist()):
+            dev = [
+                abs(x - value[o]) if value.get(o) is not None else 0.0
+                for x, o in zip(vals[row].tolist(), own[row].tolist())
+            ]
+            out[bid] = max(dev)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["unbounded", "bounded"])
+def test_deviation_sups_match_pointwise_loop(mode, request, state_t):
+    if mode == "bounded":
+        fs, A = request.getfixturevalue("bounded_pole")
+    else:
+        fs, numbers, labels, gf = state_t
+        A = build_global_approximant(fs, gf, labels, gamma0=4.0)
+    dev = deviation_sups(fs, A)
+    assert dev.max() > 0.0
+    assert np.array_equal(dev, _deviation_loop(fs, A))
 
 
 def _ndev_loop(fs, dev, restrict_to=None):

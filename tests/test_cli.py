@@ -10,6 +10,7 @@ import numpy as np
 from epsapprox import pipeline
 from epsapprox.cli import main
 from epsapprox.config import RunConfig
+from epsapprox.functionals import FunctionalSuite
 
 
 def small_config(tmp_path, **overrides):
@@ -166,10 +167,13 @@ class TestSubcommands:
         summary = json.loads((tmp_path / "out" / "acceptance.json").read_text())
         assert summary["first_failure"] == "adr"
 
-    def test_warm_run_shares_upstream_objects(self, tmp_path):
+    def test_warm_run_shares_upstream_objects(self, tmp_path, monkeypatch):
         cfg = RunConfig.load(small_config(tmp_path))
         cache = tmp_path / "cache"
         pipeline.run(cfg, out_dir=tmp_path / "cold", cache_dir=cache)
+        # the owner segments come with the cached `approximate` artifact, so
+        # a warm verify evaluates u on no fat grid
+        monkeypatch.setattr(FunctionalSuite, "fat_points", _must_not_run)
         warm = pipeline.run(cfg, out_dir=tmp_path / "warm", cache_dir=cache)
         FS = warm["approximate"]["FS"]
         assert FS.RC is warm["regions"]["RC"] and FS.W is warm["regions"]["W"]

@@ -153,13 +153,30 @@ class TestSquareFunction:
 
 @pytest.mark.parametrize("fixture", ["line_rc", "segment_rc"])
 def test_owners_match_per_box_loop(fixture, request):
-    fs = FunctionalSuite(request.getfixturevalue(fixture), Constant(0.0))
-    got, ref = fs.owners(), _per_box_owners(fs)
-    assert got.keys() == ref.keys()
-    for size in ref:
-        assert got[size].dtype == ref[size].dtype
-        assert np.array_equal(got[size], ref[size])
-    assert any((ref[size] < 0).any() for size in ref)  # uncovered points occur
+    # the default grid, and one of three points a side that steps over some
+    # neighbours, so their segments are empty
+    uncovered, empty = {}, {}
+    for frac in (0.125, 1.0):
+        fs = FunctionalSuite(request.getfixturevalue(fixture), Coordinate(1), sample_frac=frac)
+        ptr, owner, seg_max, seg_min = fs.owners()
+        ref = _per_box_owners(fs)
+        W = fs.W
+        assert np.array_equal(ptr, W.nbr_ptr + np.arange(W.n_boxes + 1))
+        uncovered[frac] = any((own < 0).any() for own in ref.values())
+        empty[frac] = False
+        for size, own in ref.items():
+            ids, pts = fs.fat_points(size)
+            vals = fs.u.eval(pts.reshape(-1, 2)).reshape(own.shape)
+            for row, bid in enumerate(ids.tolist()):
+                cands = [bid] + W.nbr[W.nbr_ptr[bid] : W.nbr_ptr[bid + 1]].tolist()
+                seg = slice(ptr[bid], ptr[bid + 1])
+                assert owner[seg].tolist() == cands
+                for k, c in enumerate(cands):
+                    on = vals[row][own[row] == c]
+                    empty[frac] |= not len(on)
+                    assert seg_max[seg][k] == on.max(initial=-np.inf)
+                    assert seg_min[seg][k] == on.min(initial=np.inf)
+    assert uncovered[0.125] and empty[1.0]
 
 
 def _aperture_scan(FS, alpha, qid):
