@@ -5,21 +5,43 @@
 
 Run it in a fresh interpreter per measurement, with no stage cache.  Prints
 one JSON object: the wall seconds of the run and of each stage, the peak
-resident set size in MB (`ru_maxrss`) and the sha256 of each output file.
-Pointing PYTHONPATH at another checkout times that tree with the same script.
+resident set size in MB (`ru_maxrss`), the sha256 of each output file, and
+the provenance of the measurement: the git SHA of the timed tree (suffixed
+`-dirty` if its tracked files differ from that commit, null outside a git
+checkout), the numpy version and `os.cpu_count()`.  Pointing PYTHONPATH at
+another checkout times that tree with the same script.
 """
 
 import hashlib
 import json
+import os
 import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from epsapprox import pipeline
 from epsapprox.config import RunConfig
 
 OUTPUTS = ("report.json", "functionals.csv", "tv.csv", "packing.csv", "acceptance.json")
+
+
+def git_sha(tree: Path):
+    """HEAD of the checkout holding `tree`, `-dirty` if its tracked files
+    differ from it; None outside a git checkout."""
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(tree), *args], capture_output=True, text=True
+        )
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def main():
@@ -47,6 +69,9 @@ def main():
                 "stage_s": stage_s,
                 "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                 "sha256": {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS},
+                "git_sha": git_sha(Path(pipeline.__file__).resolve().parent),
+                "numpy": np.__version__,
+                "cpu_count": os.cpu_count(),
             }
         )
     )

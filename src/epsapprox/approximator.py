@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import FunctionalSuite, lp_norm
-from .geometry import csr_rows, pair_distances, row_spans
+from .geometry import csr_rows, distinct, pair_distances, row_spans
 from .stopping import GenerationForest, OscillationLabels, initial_chain
 from .whitney import RegionComplex
 
@@ -50,7 +50,7 @@ def order_good_cubes(RC: RegionComplex, GF: GenerationForest, q0: int) -> list:
     """Family {Q_k}: the subregime tops covering the good cubes under q0,
     in id order, which is by maximal side length with id tie-break."""
     good_under = RC.S.subtree(q0) & (RC.corona.regime >= 0)
-    return np.unique(GF.top[good_under]).tolist()
+    return distinct(GF.top[good_under]).tolist()
 
 
 def build_partition(
@@ -193,7 +193,7 @@ def build_global_approximant(
         fresh[t_k] = False
         # the ring's piece of each local cell, in order of its first box
         li = loc.cell[ring]
-        for j in np.sort(np.unique(li, return_index=True)[1]).tolist():
+        for j in np.sort(distinct(li, return_index=True)[1]).tolist():
             src, boxes = loc.cells[li[j]], ring[li == li[j]]
             cell[boxes] = len(cells)
             cells.append(
@@ -352,7 +352,7 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
         pairs.append((qs[:, None].astype(np.int64) * n_boxes + anchor_boxes).ravel())
     if not pairs:
         return 1.0
-    q, b = np.divmod(np.unique(np.concatenate(pairs)), n_boxes)
+    q, b = np.divmod(distinct(np.concatenate(pairs)), n_boxes)
     n_own = np.diff(indptr)[b]
     gen = S.gen - S.k_min
     spans = row_spans(n_own)
@@ -364,7 +364,7 @@ def find_alpha0(FS: FunctionalSuite, GF: GenerationForest) -> float:
         a = anc[np.repeat(q[lo:hi], n_own[lo:hi]), gen[o]]
         return o * np.int64(n + 1) + (a + 1)
 
-    keys = np.unique(np.concatenate([np.unique(entries(lo, hi)) for lo, hi in spans]))
+    keys = distinct(np.concatenate([distinct(entries(lo, hi)) for lo, hi in spans]))
     own, a = np.divmod(keys, n + 1)
     a -= 1
     ratio = np.full(len(keys), np.inf)

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import CubeSystem
-from .geometry import ball_sums, pair_distances, row_blocks
+from .geometry import ball_sums, distinct, pair_distances, row_blocks
 
 
 def _as_ids(collection) -> np.ndarray:
-    """The distinct cube ids of a list or array, ascending.  Not np.unique,
-    whose first call (numpy 2.4) imports numpy.ma: about 1 MB of memory."""
-    ids = np.sort(np.asarray(collection, dtype=np.int64))
-    return ids[np.diff(ids, prepend=-1) != 0]
+    """The distinct cube ids of a list or array, ascending."""
+    return distinct(np.asarray(collection, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +229,7 @@ def default_radii(S: CubeSystem) -> np.ndarray:
     rs = [S.C1 * 2.0 ** (-k) * S.scale for k in range(S.k_min, S.k_max + 1)]
     lo, hi = min(rs), max(rs)
     grid = np.geomspace(lo / 2, hi * 2, 8)
-    return np.unique(np.concatenate([rs, grid]))
+    return distinct(np.concatenate([rs, grid]))
 
 
 def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:

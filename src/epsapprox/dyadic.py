@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundarySet, PointList, Window, csr_rows
+from .geometry import (
+    BoundarySet,
+    PointList,
+    Window,
+    by_x,
+    csr_rows,
+    nearest_in_window,
+    paired_distances,
+)
 
 
 @dataclass
@@ -264,7 +272,7 @@ def _finalize(E: BoundarySet, gens, k_min, k_max, scale, constants=None) -> Cube
     side = np.ldexp(float(scale), -k)
     tree = _relevant_tree(parent, k, k_min, k_max, member_ptr, member_sample, E.n_samples)
     if constants is None:
-        constants = _inclusion_constants(E, z, side, member_ptr, member_sample, tree)
+        constants = _inclusion_constants(E, z, side, k - k_min, member_ptr, member_sample, tree)
     return CubeSystem(
         E=E,
         scale=scale,
@@ -328,30 +336,52 @@ def _relevant_tree(parent, k, k_min, k_max, member_ptr, member_sample, n_samples
     }
 
 
-def _inclusion_constants(E: BoundarySet, z, side, member_ptr, member_sample, tree) -> tuple:
-    """Measured (c1, C1) for Delta(z_Q, c1 l) subset Q subset Delta(z_Q, C1 l).
+def _cube_reach(E: BoundarySet, z, side, gen, member_ptr, member_sample, tree) -> tuple:
+    """Per relevant cube q, ascending: the distance from z_Q to its farthest
+    member and to the nearest sample outside it (inf if there is none);
+    `gen` is each cube's generation less k_min.
+
+    The farthest member is one max over the member CSR.  The nearest
+    outside sample is searched in x-windows of the x-sorted samples from
+    half-width l(Q) (`nearest_in_window`): a window that holds an outside
+    sample within its half-width holds the nearest one, since any sample
+    left out is farther in x alone, and a window that does not doubles
+    until it holds every sample.  Sample s is in relevant cube q iff q is
+    the ancestor at q's generation of s's finest relevant cube.  Distances
+    keep the arithmetic of a full scan and a min or max does not depend on
+    order, so both are bit-identical to per-cube full scans.
+    """
+    pts = E.points
+    q = np.flatnonzero(tree["relevant"])
+    count = np.diff(member_ptr)[q]
+    members = pts[member_sample[csr_rows(member_ptr, q)]]
+    d = paired_distances(members, np.repeat(z[q], count, axis=0))
+    far = np.maximum.reduceat(d, np.cumsum(count) - count)
+    order, T = by_x(pts)
+    leaf, anc_at, g = tree["sample_leaf"][order], tree["anc_at"], gen[q]
+    outside = nearest_in_window(
+        z[q], T, side[q], skip=lambda row, j: anc_at[leaf[j], g[row]] == q[row]
+    )
+    return q, far, outside
+
+
+def _inclusion_constants(E: BoundarySet, z, side, gen, member_ptr, member_sample, tree) -> tuple:
+    """Measured (c1, C1) for Delta(z_Q, c1 l) subset Q subset Delta(z_Q, C1 l)
+    over the relevant cubes, from `_cube_reach`.
 
     C1 also absorbs the parent-child center drift so that the surface balls
     Delta_Q nest along inclusions.
     """
-    pts = E.points
-    C_member = 0.0
-    C_nest = 0.0
-    c1 = np.inf
-    for q in np.flatnonzero(tree["relevant"]).tolist():
-        m = member_sample[member_ptr[q] : member_ptr[q + 1]]
-        l = float(side[q])
-        d = np.linalg.norm(pts[m] - z[q], axis=1)
-        C_member = max(C_member, float(d.max()) / l)
-        mask = np.ones(len(pts), dtype=bool)
-        mask[m] = False
-        if mask.any():
-            dout = np.min(np.linalg.norm(pts[mask] - z[q], axis=1))
-            c1 = min(c1, float(dout) / l)
-        p = tree["rparent"][q]
-        if p >= 0:
-            drift = float(np.linalg.norm(z[q] - z[p]))
-            C_nest = max(C_nest, drift / (float(side[p]) - l))
+    q, far, outside = _cube_reach(E, z, side, gen, member_ptr, member_sample, tree)
+    C_member = float(np.max(far / side[q]))
+    c1 = float(np.min(outside / side[q]))
+    p = tree["rparent"][q]
+    kid, p = q[p >= 0], p[p >= 0]
+    dz = z[kid] - z[p]
+    # np.linalg.norm of one 2-vector is the sqrt of its dot product (a BLAS
+    # dot); matmul of each stacked row and column vector takes the same dot
+    drift = np.sqrt(np.matmul(dz[:, None, :], dz[:, :, None])[:, 0, 0])
+    C_nest = float(np.max(drift / (side[p] - side[kid]), initial=0.0))
     C1 = max(C_member, C_nest, 0.5)
     c1 = min(c1, C1) if np.isfinite(c1) else C1
     return c1, C1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import CubeSystem
-from .geometry import ball_sums, csr_rows, pair_distances, ranges, row_blocks, row_spans
+from .geometry import ball_sums, csr_rows, distinct, pair_distances, ranges, row_blocks, row_spans
 from .harmonic import HarmonicField
 from .whitney import RegionComplex
 
@@ -253,7 +253,7 @@ class FunctionalSuite:
         """
         g2 = self.grad_integrals()[1].tolist()
         S, RC = self.S, self.RC
-        leaves, inverse = np.unique(S.sample_leaf, return_inverse=True)
+        leaves, inverse = distinct(S.sample_leaf, return_inverse=True)
         per_leaf = np.zeros(len(leaves))
         for i, leaf in enumerate(leaves.tolist()):
             chain = S.anc_at[leaf]
@@ -385,7 +385,7 @@ class FunctionalSuite:
         ]
         span = self.W.window.span
         extra = np.geomspace(min(rs) / 2, 2 * span, 12)
-        return np.unique(np.concatenate([rs, extra]))
+        return distinct(np.concatenate([rs, extra]))
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,26 @@ def csr_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return ranges(start, indptr[ids + 1] - start)
 
 
+def distinct(a, return_index: bool = False, return_inverse: bool = False):
+    """np.unique of a 1-D array by one sort and a diff: the distinct values
+    ascending and, if asked, the index of each one's first occurrence and
+    each entry's position among them.  Not np.unique, whose first call
+    (numpy 2.4) imports numpy.ma: 10-30 ms and about 1 MB."""
+    a = np.asarray(a).ravel()
+    order = np.argsort(a, kind="stable" if return_index else None)
+    s = a[order]
+    head = np.ones(len(s), dtype=bool)
+    head[1:] = s[1:] != s[:-1]
+    out = [s[head]]
+    if return_index:
+        out.append(order[head])
+    if return_inverse:
+        inverse = np.empty(len(a), dtype=np.intp)
+        inverse[order] = np.cumsum(head) - 1
+        out.append(inverse)
+    return out[0] if len(out) == 1 else tuple(out)
+
+
 def row_spans(count: np.ndarray) -> list:
     """(lo, hi) spans of consecutive rows with `count` entries each, holding
     at most CHUNK entries together (or one row, if it alone has more)."""
@@ -421,12 +441,125 @@ def ball_sums(d: np.ndarray, radii: np.ndarray, weights: np.ndarray):
     return count, first, sums
 
 
-def dist_to_cloud(P: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-    """dist(P_i, cloud) per point, in row blocks of one distance block each."""
-    out = np.empty(len(P))
-    for rows in row_blocks(len(P), len(cloud)):
-        out[rows] = pair_distances(P[rows], cloud).min(axis=1)
+# relative widening of the half-width of every x-window below: a target
+# exactly at the bound must stay in the window through the rounding of the
+# half-width and edges
+_WINDOW_SLACK = 1e-9
+
+
+def paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_i| row by row (either may be one broadcast row), with the
+    arithmetic of `pair_distances`."""
+    d = a[:, 0] - b[:, 0]
+    dy = a[:, 1] - b[:, 1]
+    d *= d
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
+
+
+def by_x(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of `points` in stable x order, and the points in that order:
+    the index every x-window search below reads."""
+    order = np.argsort(points[:, 0], kind="stable")
+    return order, points[order]
+
+
+def _x_window(xs: np.ndarray, x, r):
+    """The positions [start, stop) of the sorted `xs` within r of x, widened
+    by the relative slack, so that a point left out is more than r away
+    from x even after the rounding of the window's edges."""
+    reach = r + _WINDOW_SLACK * (r + np.abs(x))
+    return np.searchsorted(xs, x - reach, side="left"), np.searchsorted(xs, x + reach, side="right")
+
+
+def _window_blocks(start: np.ndarray, count: np.ndarray):
+    """Blocks of consecutive windows T[start[i]:start[i] + count[i]] holding
+    at most CHUNK (row, target) pairs together (or one row, if it alone has
+    more): per block its rows i:j, the row and target position of each pair,
+    and each row's first pair."""
+    total = np.zeros(len(start) + 1, dtype=np.intp)
+    np.cumsum(count, out=total[1:])
+    i = 0
+    while i < len(start):
+        j = int(np.searchsorted(total, total[i] + CHUNK, side="right")) - 1
+        j = min(max(j, i + 1), len(start))
+        row = np.repeat(np.arange(i, j), count[i:j])
+        yield i, j, row, ranges(start[i:j], count[i:j]), total[i:j] - total[i]
+        i = j
+
+
+def nearest_in_window(P: np.ndarray, T: np.ndarray, r, skip=None) -> np.ndarray:
+    """Per point P_i, the least |T_j - P_i| over the targets T (sorted by x)
+    that `skip(i, j)` does not mark, or inf if there is none.
+
+    Exact: the targets scanned for P_i are those within r_i of it in x
+    (widened by the slack).  If the least distance found is at most r_i,
+    any other target is more than r_i away in x alone, so it cannot be
+    nearer; otherwise r_i doubles and the point is scanned again, until the
+    window holds every target.  Each pair distance is the same arithmetic as
+    a full scan's, and a min does not depend on scan order, so the result
+    is bit-identical to the all-pairs min.
+    """
+    out = np.full(len(P), np.inf)
+    todo = np.arange(len(P))
+    r = np.broadcast_to(np.asarray(r, dtype=float), (len(P),))
+    while len(todo):
+        p = P[todo]
+        start, stop = _x_window(T[:, 0], p[:, 0], r)
+        count = stop - start
+        best = np.full(len(todo), np.inf)
+        for i, j, row, idx, offsets in _window_blocks(start, count):
+            d = paired_distances(T[idx], p[row])
+            if skip is not None:
+                d[skip(todo[row], idx)] = np.inf
+            live = count[i:j] > 0
+            if live.any():
+                best[i:j][live] = np.minimum.reduceat(d, offsets[live])
+        done = (best <= r) | ((start == 0) & (stop == len(T)))
+        out[todo[done]] = best[done]
+        todo, r = todo[~done], np.where(r[~done] > 0, 2 * r[~done], np.inf)
     return out
+
+
+def balls(order: np.ndarray, T: np.ndarray, centers: np.ndarray, r: np.ndarray):
+    """The closed balls B(centers[i], r[i]) over the points T sorted by x,
+    whose ids are `order` (see `by_x`), as a CSR: ball i holds the points
+    ids[ptr[i]:ptr[i + 1]], ascending, at distances d[ptr[i]:ptr[i + 1]].
+
+    Only each center's x-window of half-width r[i] is scanned: a point
+    outside it is more than r[i] away in x alone.  Each distance is the
+    same arithmetic as a full scan's row, so every ball is the full row
+    filtered by d <= r[i], in index order.
+    """
+    start, stop = _x_window(T[:, 0], centers[:, 0], r)
+    ids, d, rows = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
+    for _, _, row, idx, _ in _window_blocks(start, stop - start):
+        dist = paired_distances(T[idx], centers[row])
+        keep = np.flatnonzero(dist <= r[row])
+        ids.append(order[idx[keep]])
+        d.append(dist[keep])
+        rows.append(row[keep])
+    ids, d, rows = np.concatenate(ids), np.concatenate(d), np.concatenate(rows)
+    s = np.lexsort((ids, rows))
+    ptr = np.zeros(len(centers) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=len(centers)), out=ptr[1:])
+    return ptr, ids[s], d[s]
+
+
+def dist_to_cloud(P: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """dist(P_i, cloud) per point, by the exact x-window search.
+
+    With the cloud sorted by x, the nearer of the two targets beside P_i's
+    x bounds dist(P_i, cloud) by r_i, and every target as near lies within
+    r_i of P_i in x, so `nearest_in_window` finishes in one window per
+    point, bit-identical to the all-pairs min.
+    """
+    T = by_x(cloud)[1]
+    k = np.searchsorted(T[:, 0], P[:, 0])
+    left = paired_distances(T[np.maximum(k - 1, 0)], P)
+    r = np.minimum(left, paired_distances(T[np.minimum(k, len(T) - 1)], P))
+    return nearest_in_window(P, T, r)
 
 
 def _dist_to_polyline(P: np.ndarray, pl: np.ndarray) -> np.ndarray:
@@ -443,12 +576,6 @@ def _dist_to_polyline(P: np.ndarray, pl: np.ndarray) -> np.ndarray:
         proj = a + t[:, None] * ab
         out[i] = np.min(np.linalg.norm(proj - p[None, :], axis=1))
     return out
-
-
-# relative widening of the distance bound of `box_distance_many`: a bound
-# equal to the distance must keep the nearest target through the rounding
-# of the window's half-width and edges
-_WINDOW_SLACK = 1e-9
 
 
 def box_distance_many(
@@ -490,42 +617,21 @@ def box_distance_many(
     reach = np.sqrt(np.maximum(reach * reach - gap * gap, 0.0))
     start = np.searchsorted(targets[:, 0], los[:, 0] - reach, side="left")
     stop = np.searchsorted(targets[:, 0], his[:, 0] + reach, side="right")
-    count = stop - start
-    # window offsets of every box; consecutive boxes are taken in blocks
-    # of at most CHUNK (box, target) pairs (or one box, if it alone has more)
-    total = np.zeros(len(los) + 1, dtype=np.intp)
-    np.cumsum(count, out=total[1:])
     out = np.empty(len(los))
     near = np.empty((len(los), 2))
-    i = 0
-    while i < len(los):
-        j = int(np.searchsorted(total, total[i] + CHUNK, side="right")) - 1
-        j = min(max(j, i + 1), len(los))
-        offsets = total[i:j] - total[i]
-        box = np.repeat(np.arange(i, j), count[i:j])
-        idx = np.arange(len(box)) - offsets[box - i] + start[box]
+    for i, j, box, idx, offsets in _window_blocks(start, stop - start):
         t = targets[idx]
         d = np.linalg.norm(t - np.clip(t, los[box], his[box]), axis=1)
         out[i:j] = np.minimum.reduceat(d, offsets)
         # the first target of each window at its box's minimum
         hit = np.flatnonzero(d == out[box])
         near[i:j] = t[hit[np.searchsorted(box[hit], np.arange(i, j))]]
-        i = j
     return out, near
 
 
 # ---------------------------------------------------------------------------
 # surface measure and ADR certification
 # ---------------------------------------------------------------------------
-
-
-def surface_measure(E: BoundarySet, center, r: float) -> float:
-    """sigma-hat of the surface ball: weight sum of samples inside B(x,r)."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float)
-    d = np.linalg.norm(E.points - center, axis=1)
-    return float(E.weights[d < r].sum())
 
 
 # the ADR sweep: about this many strided centers, each with this many
@@ -562,6 +668,11 @@ def check_adr(E: BoundarySet, budget: float) -> ADRReport:
     all pairs, where q = 2*resolution/r is the quadrature error of the
     weight sum against the continuum surface measure (the ball boundary cuts
     at most two sample-owned segments per sheet).
+
+    sigma-hat(B(x,r)) is the weight sum of the samples with |sample - x| < r,
+    in index order.  Each center takes one distance row, over the samples in
+    its ball of its largest admissible radius (`balls`, in index order), and
+    every radius sums the same masked weights a full row would.
     """
     if budget < 1:
         raise ValueError("ADR budget must be >= 1")
@@ -573,15 +684,21 @@ def check_adr(E: BoundarySet, budget: float) -> ADRReport:
     r_max = (E.diameter if E.bounded else E.window.span) / 2.0
     lo = np.asarray(E.window.lo)
     hi = np.asarray(E.window.hi)
+    grid = np.geomspace(r_min, r_max, _ADR_RADII)
+    if E.bounded:
+        edge = np.full(len(centers), r_max)
+    else:
+        edge = np.minimum(np.min(centers - lo, axis=1), np.min(hi - centers, axis=1))
+    # per center the radii up to its edge, and its ball of the largest one
+    n_radii = np.searchsorted(grid, edge, side="right")
+    ptr, ids, d = balls(*by_x(E.points), centers, grid[np.maximum(n_radii - 1, 0)])
     radii_all, ratios_all = [], []
     passed = True
-    for c in centers:
-        edge = float(min(np.min(c - lo), np.min(hi - c))) if not E.bounded else r_max
+    for k in range(len(centers)):
         rs, ratios = [], []
-        for r in np.geomspace(r_min, r_max, _ADR_RADII):
-            if r > edge:
-                continue
-            m = surface_measure(E, c, r)
+        w, dk = E.weights[ids[ptr[k] : ptr[k + 1]]], d[ptr[k] : ptr[k + 1]]
+        for r in grid[: n_radii[k]]:
+            m = float(w[dk < r].sum())
             if m == 0:
                 warnings.warn("surface ball with zero mass skipped", stacklevel=2)
                 continue

@@ -36,7 +36,7 @@ from .carleson import carleson_embedding_check, hl_maximal
 from .config import RunConfig
 from .dyadic import build_cube_system
 from .functionals import FunctionalSuite, compare_apertures, compare_levelsets
-from .geometry import Window, build_boundary, check_adr, descriptor_from_json
+from .geometry import Window, build_boundary, check_adr, descriptor_from_json, distinct
 from .harmonic import make_field
 from .stopping import (
     eps_scaling_chart,
@@ -330,7 +330,7 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     cert_ids = np.flatnonzero(cert)
     lp_at = np.arange(0, len(cert_ids), BALL_STRIDE)
     lev_at = np.arange(0, len(cert_ids), max(1, len(cert_ids) // 256))
-    ball_at = np.union1d(lp_at, lev_at)
+    ball_at = distinct(np.concatenate([lp_at, lev_at]))
     cb = FS.carleson_ball(np.stack([st["A"].tv_box for st in runs]), cert_ids[ball_at])
 
     report["eps"] = {}

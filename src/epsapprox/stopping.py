@@ -22,6 +22,7 @@ import numpy as np
 from .carleson import packing_constant
 from .dyadic import CubeSystem
 from .functionals import FunctionalSuite
+from .geometry import distinct
 from .whitney import RegionComplex
 
 
@@ -115,7 +116,7 @@ def verify_principal_packing(
     keep = member[q] & (q != r) & (depth[r] > depth[q])
     q, r = q[keep], r[keep]
     span = int(depth.max()) + 1
-    key, inv = np.unique(q.astype(np.int64) * span + depth[r] - depth[q], return_inverse=True)
+    key, inv = distinct(q.astype(np.int64) * span + depth[r] - depth[q], return_inverse=True)
     q, gap = np.divmod(key, span)
     below = np.bincount(inv, weights=S.measure[r], minlength=len(key))
     level_ok = bool(np.all(below <= S.measure[q] / 2.0**gap * (1 + 1e-9)))

@@ -20,10 +20,13 @@ from .dyadic import CubeSystem
 from .geometry import (
     BoundarySet,
     Window,
+    balls,
     box_distance_many,
+    by_x,
     csr_rows,
     descriptor_from_json,
     dist_to_cloud,
+    distinct,
     ranges,
     row_spans,
 )
@@ -71,7 +74,7 @@ class WhitneyComplex:
 
     def size_groups(self) -> dict:
         """Box size -> its ids (a contiguous range), ascending."""
-        sizes, starts = np.unique(self.size, return_index=True)
+        sizes, starts = distinct(self.size, return_index=True)
         stops = [*starts[1:].tolist(), self.n_boxes]
         return {
             s: np.arange(a, b) for s, a, b in zip(sizes.tolist(), starts.tolist(), stops)
@@ -302,7 +305,7 @@ def _cube_ids(S, values, what: str) -> np.ndarray:
     for q in ids:
         if not (0 <= q < S.n_cubes and S.relevant[q]):
             raise ValueError(f"{what} {q} is not a relevant cube id")
-    return np.unique(np.array(ids, dtype=np.int64))
+    return distinct(np.array(ids, dtype=np.int64))
 
 
 def _validate_annotated(E, S, spec, eta, K) -> CoronaDecomposition:
@@ -357,39 +360,61 @@ def _property3_sup(E, S, corona, reject: bool = False) -> float:
     name its cube); for the trivial provider, whose distances vanish by
     construction, strided: every max(1, n // 64)-th of a regime's n cubes in
     id order, so all of them when n < 128 and 64 to 96 otherwise.
+
+    The samples and graph points within K l(Q) of z_Q are taken from
+    x-windows of half-width K l(Q) (`balls`: a point outside is farther in
+    x alone) and put back in index order, since `_sup_dist` strides them;
+    both one-sided sups use the exact window search of `dist_to_cloud`.  So
+    the sup, and the first violating cube, are those of full scans.
     """
     worst = 0.0
+    by_sample = by_x(E.points)
     for i, graph in enumerate(corona.graph):
         pl = graph.polyline(E.window, E.resolution / 2)
         if pl is None:
             pl = E.points
-        cubes = np.flatnonzero(corona.regime == i).tolist()
+        by_graph = by_x(pl)
+        cubes = np.flatnonzero(corona.regime == i)
         if not reject:
             cubes = cubes[:: max(1, len(cubes) // 64)]
-        for q in cubes:
-            z, side = S.z[q], float(S.side[q])
-            r = corona.K * side
-            d = np.linalg.norm(E.points - z, axis=1)
-            near = E.points[d <= r]
-            a = _sup_dist(near, pl) if len(near) else 0.0
-            dg = np.linalg.norm(pl - z, axis=1)
-            on_ball = pl[dg <= r]
-            b = _sup_dist(on_ball, E.points) if len(on_ball) else 0.0
-            val = (a + b) / (corona.eta * side)
-            worst = max(worst, val)
-            if reject and val >= 1.0:
-                raise ValueError(
-                    f"regime {i} violates the graph-approximation "
-                    f"property at cube {q}: (sup_dist {a + b:.4g}) >= "
-                    f"eta*l(Q) = {corona.eta * side:.4g}"
-                )
+        side = S.side[cubes]
+        r = corona.K * side
+        ptr, near, _ = balls(*by_sample, S.z[cubes], r)
+        a = _sup_dist(E.points[near], by_graph[1], ptr)
+        ptr, on_ball, _ = balls(*by_graph, S.z[cubes], r)
+        b = _sup_dist(pl[on_ball], by_sample[1], ptr)
+        val = (a + b) / (corona.eta * side)
+        worst = max(worst, float(val.max(initial=0.0)))
+        bad = np.flatnonzero(val >= 1.0)
+        if reject and len(bad):
+            k = bad[0]
+            raise ValueError(
+                f"regime {i} violates the graph-approximation "
+                f"property at cube {cubes[k]}: (sup_dist {a[k] + b[k]:.4g}) >= "
+                f"eta*l(Q) = {corona.eta * side[k]:.4g}"
+            )
     return worst
 
 
-def _sup_dist(pts: np.ndarray, targets: np.ndarray) -> float:
-    """max over about 64 strided points of their distance to the targets."""
-    near = dist_to_cloud(pts[:: max(1, len(pts) // 64)], targets)
-    return float(near.max(initial=0.0))
+def _sup_dist(pts: np.ndarray, targets: np.ndarray, ptr=None):
+    """max over about 64 strided points of their distance to the targets.
+
+    Without `ptr` over all of `pts`, as a float; with it, per row
+    pts[ptr[k]:ptr[k + 1]] of the CSR, strided on its own (0.0 for an
+    empty row), as an array, with one `dist_to_cloud` for all rows.
+    """
+    one = ptr is None
+    count = np.diff([0, len(pts)] if one else ptr)
+    row = np.repeat(np.arange(len(count)), count)
+    at = np.arange(len(pts)) - np.repeat(np.cumsum(count) - count, count)
+    pick = np.flatnonzero(at % np.maximum(1, count // 64)[row] == 0)
+    near = dist_to_cloud(pts[pick], targets)
+    out = np.zeros(len(count))
+    live = count > 0
+    n_pick = np.bincount(row[pick], minlength=len(count))[live]
+    if live.any():
+        out[live] = np.maximum.reduceat(near, np.cumsum(n_pick) - n_pick)
+    return float(out[0]) if one else out
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +556,7 @@ def build_regions(
     # all its box centres (0 for neither, or for a cube without a regime)
     at = np.repeat(corona.regime[comp_cube], np.diff(comp_ptr))
     side = np.zeros(len(comp_box))
-    for i in np.unique(at[at >= 0]).tolist():
+    for i in distinct(at[at >= 0]).tolist():
         b = np.flatnonzero(at == i)
         mid = (W.lo[comp_box[b]] + W.hi[comp_box[b]]) / 2.0
         side[b] = np.sign(mid[:, 1] - corona.graph[i].graph_value(mid[:, 0]))

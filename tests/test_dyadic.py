@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from epsapprox import dyadic
 from epsapprox.dyadic import build_cube_system, synthetic_system
 from epsapprox.geometry import (
     CantorSet,
     Hyperplane,
     LipschitzGraph,
+    PointList,
+    Segment,
     Window,
     build_boundary,
 )
@@ -187,3 +190,94 @@ class TestSynthetic:
         S = synthetic_system(depth=4)
         for k in range(5):
             assert sum(S.sigma(q) for q in np.flatnonzero(S.gen == k).tolist()) == 16.0
+
+
+def _reach_loop(S):
+    """Reference: per relevant cube, a full scan of its members and of every
+    sample outside it, as the per-cube inclusion loop measured them."""
+    pts = S.E.points
+    far, outside = [], []
+    for q in S.relevant_ids():
+        m = S.members(q)
+        far.append(float(np.linalg.norm(pts[m] - S.z[q], axis=1).max()))
+        mask = np.ones(len(pts), dtype=bool)
+        mask[m] = False
+        d = np.linalg.norm(pts[mask] - S.z[q], axis=1)
+        outside.append(float(d.min()) if mask.any() else np.inf)
+    return far, outside
+
+
+def _inclusion_loop(S):
+    """Reference (c1, C1): the per-cube loop, drift by np.linalg.norm."""
+    far, outside = _reach_loop(S)
+    C_member, C_nest, c1 = 0.0, 0.0, np.inf
+    for q, f, o in zip(S.relevant_ids(), far, outside):
+        l = float(S.side[q])
+        C_member = max(C_member, f / l)
+        c1 = min(c1, o / l)
+        p = S.rparent[q]
+        if p >= 0:
+            drift = float(np.linalg.norm(S.z[q] - S.z[p]))
+            C_nest = max(C_nest, drift / (float(S.side[p]) - l))
+    C1 = max(C_member, C_nest, 0.5)
+    return (min(c1, C1) if np.isfinite(c1) else C1), C1
+
+
+def _stacked_columns():
+    """Samples on vertical columns: many share one x, and a cube's members
+    are not a run of the x-sorted samples."""
+    xs = np.repeat(np.linspace(0.0, 1.0, 6), 5)
+    ys = np.tile(np.linspace(0.0, 0.5, 5), 6)
+    pts = np.column_stack([xs, ys])
+    return build_boundary(
+        PointList(points=tuple(map(tuple, pts)), weights=tuple([1.0 / 30] * 30)),
+        resolution=1 / 16,
+        window=Window((0.0, 0.0), (1.0, 1.0)),
+    )
+
+
+REACH_SYSTEMS = {
+    "graph": lambda: build_cube_system(
+        build_boundary(LipschitzGraph("sin", 0.2), 1 / 64, W2), k_min=-4, k_max=4
+    ),
+    "segment": lambda: build_cube_system(
+        build_boundary(Segment(-1.0, 1.0), 1 / 64, Window((-1, -1), (1, 1))), k_min=-1, k_max=4
+    ),
+    "cantor": lambda: build_cube_system(
+        build_boundary(CantorSet(level=3), 1 / 64, Window((0, 0), (1, 1))),
+        k_min=-1, k_max=4, scale=np.sqrt(2.0),
+    ),
+    "stacked_x": lambda: build_cube_system(_stacked_columns(), k_min=0, k_max=2),
+}
+
+
+class TestInclusionConstants:
+    @pytest.mark.parametrize("name", sorted(REACH_SYSTEMS))
+    def test_per_cube_reach_matches_full_scans(self, name):
+        S = REACH_SYSTEMS[name]()
+        q, far, outside = dyadic._cube_reach(
+            S.E, S.z, S.side, S.gen - S.k_min, S.member_ptr, S.member_sample, vars(S)
+        )
+        ref_far, ref_outside = _reach_loop(S)
+        assert q.tolist() == S.relevant_ids()
+        assert far.tolist() == ref_far
+        assert outside.tolist() == ref_outside
+        assert np.isfinite(outside).sum() > len(q) // 2
+        assert (S.c1, S.C1) == _inclusion_loop(S)
+
+    def test_no_outside_sample_falls_back_to_C1(self):
+        # one generation whose one cube, [0, 4), holds every sample
+        E = build_boundary(Hyperplane(), resolution=1 / 16, window=Window((0.5, -1.0), (3.5, 1.0)))
+        S = build_cube_system(E, k_min=-2, k_max=-2)
+        assert S.relevant_ids() == S.roots == [0]
+        assert _reach_loop(S)[1] == [np.inf]
+        assert S.c1 == S.C1 == _inclusion_loop(S)[1]
+
+    def test_drift_is_the_norm_of_each_vector(self):
+        # the centre drift is taken by a stacked matmul and must keep the bits
+        # of np.linalg.norm on each 2-vector (a BLAS dot, which may fuse the
+        # multiply-add where squaring and adding elementwise would not)
+        rng = np.random.default_rng(0)
+        dz = rng.standard_normal((5000, 2)) * rng.uniform(0.0, 8.0, (5000, 1))
+        ref = [float(np.linalg.norm(v)) for v in dz]
+        assert np.sqrt(np.matmul(dz[:, None, :], dz[:, :, None])[:, 0, 0]).tolist() == ref

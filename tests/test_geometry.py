@@ -16,12 +16,23 @@ from epsapprox.geometry import (
     _distance,
     box_distance_many,
     build_boundary,
+    by_x,
     check_adr,
     descriptor_from_json,
-    surface_measure,
+    dist_to_cloud,
+    distinct,
+    nearest_in_window,
+    pair_distances,
 )
 
 W2 = Window((-4.0, -4.0), (4.0, 4.0))
+
+
+def surface_measure(E, center, r):
+    """Reference sigma-hat(B(center, r)): the weight sum of the samples with
+    |sample - center| < r over one full distance row, in index order."""
+    d = np.linalg.norm(E.points - np.asarray(center, dtype=float), axis=1)
+    return float(E.weights[d < r].sum())
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +204,142 @@ class TestADR:
     def test_budget_below_one_rejected(self, line):
         with pytest.raises(ValueError):
             check_adr(line, budget=0.5)
+
+
+def _adr_loop(E, budget):
+    """Reference ADR sweep: one full distance row per (center, radius)."""
+    centers = E.points[:: max(1, E.n_samples // geometry._ADR_CENTERS)]
+    r_max = (E.diameter if E.bounded else E.window.span) / 2.0
+    lo, hi = np.asarray(E.window.lo), np.asarray(E.window.hi)
+    radii_all, ratios_all, passed = [], [], True
+    for c in centers:
+        edge = float(min(np.min(c - lo), np.min(hi - c))) if not E.bounded else r_max
+        rs, ratios = [], []
+        for r in np.geomspace(8 * E.resolution, r_max, geometry._ADR_RADII):
+            if r > edge:
+                continue
+            m = surface_measure(E, c, r)
+            if m == 0:
+                continue
+            rs.append(float(r))
+            ratios.append(m / r)
+            q = 2 * E.resolution / r
+            passed &= bool(1.0 / budget - q <= ratios[-1] <= budget + q)
+        radii_all.append(rs)
+        ratios_all.append(ratios)
+    return radii_all, ratios_all, passed
+
+
+def shuffled(E, seed=0):
+    """E's samples as a PointList in a random order with jittered weights,
+    so index order is not x order and summation order shows in the bits."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(E.n_samples)
+    w = E.weights[perm] * rng.uniform(0.5, 1.5, E.n_samples)
+    return build_boundary(
+        PointList(tuple(map(tuple, E.points[perm])), tuple(w)), E.resolution, E.window
+    )
+
+
+@pytest.mark.parametrize(
+    "case, budget",
+    [
+        ("line", 2.0),
+        ("kink", 2.5),
+        ("two_lines", 3.0),
+        ("cantor", 4.0),
+        ("segment", 2.0),
+        ("shuffled_kink", 3.0),
+    ],
+)
+def test_adr_sweep_matches_full_rows(case, budget, line, kink):
+    E = {
+        "line": lambda: line,
+        "kink": lambda: kink,
+        "two_lines": two_lines,
+        "cantor": lambda: build_boundary(CantorSet(level=4), 1 / 256, Window((0, 0), (1, 1))),
+        "segment": lambda: build_boundary(Segment(-1.0, 1.0), 1 / 128, W2),
+        "shuffled_kink": lambda: shuffled(kink),
+    }[case]()
+    rep = check_adr(E, budget)
+    radii, ratios, passed = _adr_loop(E, budget)
+    assert sum(map(len, radii)) > 2 * len(radii)
+    assert rep.tested_radii == radii
+    assert rep.ratios == ratios
+    assert rep.passed == passed
+
+
+# half-integer coordinates: exact distances, so targets tie at a bound
+# equal to the distance, and many targets share one x
+_coord = st.integers(-6, 6).map(lambda v: v / 2)
+_points = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cloud=_points,
+    probes=_points,
+    radius=st.sampled_from(["tie", "half", "zero", "one"]),
+    modulus=st.sampled_from([0, 2, 3]),
+    chunk=st.sampled_from([1, 7, 1 << 16]),
+)
+def test_window_search_matches_all_pairs_min(cloud, probes, radius, modulus, chunk):
+    cloud, P = np.array(cloud, dtype=float), np.array(probes, dtype=float)
+    d = pair_distances(P, cloud)
+    if modulus:
+        d[(np.arange(len(P))[:, None] + np.arange(len(cloud))) % modulus == 0] = np.inf
+    want = d.min(axis=1)
+    r = {
+        "tie": np.where(np.isfinite(want), want, 1.0),
+        "half": np.where(np.isfinite(want), want / 2, 1.0),
+        "zero": 0.0,
+        "one": 1.0,
+    }[radius]
+    order, T = by_x(cloud)
+    skip = (lambda i, j: (i + order[j]) % modulus == 0) if modulus else None
+    old = geometry.CHUNK
+    geometry.CHUNK = chunk
+    try:
+        got = nearest_in_window(P, T, r, skip)
+        near = dist_to_cloud(P, cloud)
+    finally:
+        geometry.CHUNK = old
+    assert got.tolist() == want.tolist()
+    assert near.tolist() == pair_distances(P, cloud).min(axis=1).tolist()
+
+
+@pytest.mark.parametrize("chunk", [None, 50])
+def test_balls_match_full_rows(chunk, monkeypatch):
+    # radii equal to a point's distance, on one horizontal line at x offsets
+    # that do not round exactly: the window edge must not drop the point
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    pts = np.column_stack([0.1 + rng.uniform(-3.0, 3.0, 300), np.zeros(300)])
+    centers = np.column_stack([0.1 + rng.uniform(-3.0, 3.0, 1000), np.zeros(1000)])
+    rows = np.linalg.norm(pts[None] - centers[:, None], axis=2)
+    r = rows[np.arange(1000), rng.integers(0, 300, 1000)]
+    r[::4] = rng.uniform(0.0, 2.0, 250)
+    ptr, ids, d = geometry.balls(*by_x(pts), centers, r)
+    for k in range(1000):
+        inside = rows[k] <= r[k]
+        assert ids[ptr[k] : ptr[k + 1]].tolist() == np.flatnonzero(inside).tolist()
+        assert d[ptr[k] : ptr[k + 1]].tolist() == rows[k][inside].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.integers(-5, 5), max_size=40),
+    as_float=st.booleans(),
+)
+def test_distinct_matches_np_unique(values, as_float):
+    a = np.array(values, dtype=float if as_float else np.int64)
+    want = np.unique(a, return_index=True, return_inverse=True)
+    got = distinct(a, return_index=True, return_inverse=True)
+    for w, g in zip(want, got):
+        assert g.tolist() == w.tolist()
+    assert distinct(a).tolist() == want[0].tolist()
+    assert distinct(a, return_inverse=True)[1].tolist() == want[2].tolist()
 
 
 def _targets(E):

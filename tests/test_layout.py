@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,3 +133,20 @@ def test_benchmark_tracer_installs():
     finally:
         t.uninstall()
     assert bindings() == before
+
+
+def test_pipeline_run_does_not_import_numpy_ma(tmp_path):
+    """np.unique (and the set operations built on it) import numpy.ma on
+    their first call, 10-30 ms and about 1 MB; a run uses `distinct`."""
+    script = (
+        "import sys; from epsapprox import pipeline; "
+        "from epsapprox.config import RunConfig; "
+        f"pipeline.run(RunConfig.load({str(ROOT / 'configs' / 'quick_t.json')!r}), "
+        f"out_dir={str(tmp_path)!r}); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"

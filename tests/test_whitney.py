@@ -246,6 +246,120 @@ def test_sup_dist_matches_per_point_loop(n_pts, chunk, monkeypatch):
     assert _sup_dist(pts, targets) == _sup_dist_loop(pts, targets)
 
 
+def _property3_loop(E, S, corona, reject=False):
+    """Reference: per cube, full distance rows pick the samples and graph
+    points within K l(Q), and each one-sided sup is a per-point loop."""
+    worst = 0.0
+    for i, graph in enumerate(corona.graph):
+        pl = graph.polyline(E.window, E.resolution / 2)
+        if pl is None:
+            pl = E.points
+        cubes = np.flatnonzero(corona.regime == i).tolist()
+        if not reject:
+            cubes = cubes[:: max(1, len(cubes) // 64)]
+        for q in cubes:
+            z, side = S.z[q], float(S.side[q])
+            r = corona.K * side
+            near = E.points[np.linalg.norm(E.points - z, axis=1) <= r]
+            a = _sup_dist_loop(near, pl) if len(near) else 0.0
+            on_ball = pl[np.linalg.norm(pl - z, axis=1) <= r]
+            b = _sup_dist_loop(on_ball, E.points) if len(on_ball) else 0.0
+            val = (a + b) / (corona.eta * side)
+            worst = max(worst, val)
+            if reject and val >= 1.0:
+                raise ValueError(
+                    f"regime {i} violates the graph-approximation "
+                    f"property at cube {q}: (sup_dist {a + b:.4g}) >= "
+                    f"eta*l(Q) = {corona.eta * side:.4g}"
+                )
+    return worst
+
+
+def _one_regime(S, graph):
+    """Every relevant cube in one regime with the given graph."""
+    return CoronaDecomposition(
+        regime=np.where(S.relevant, 0, -1).astype(np.int32),
+        top=np.array(S.roots, dtype=np.int64),
+        graph=[graph],
+        eta=0.25,
+        K=4.0,
+        demoted=np.zeros(S.n_cubes, dtype=bool),
+    )
+
+
+def _columns_cloud():
+    """Samples stacked on vertical columns, so many share one x."""
+    xs = np.repeat(np.linspace(-1.0, 1.0, 9), 4)
+    ys = np.tile(np.linspace(-0.01, 0.02, 4), 9)
+    pts = np.column_stack([xs, ys])
+    return build_boundary(
+        PointList(points=tuple(map(tuple, pts)), weights=tuple([1.0 / 36] * 36)),
+        resolution=1 / 16,
+        window=Window((-1.0, -1.0), (1.0, 1.0)),
+    )
+
+
+def _shuffled_graph():
+    E = build_boundary(LipschitzGraph("sin", 0.2), 1 / 32, Window((-2, -2), (2, 2)))
+    perm = np.random.default_rng(1).permutation(E.n_samples)
+    return build_boundary(
+        PointList(tuple(map(tuple, E.points[perm])), tuple(E.weights[perm])),
+        E.resolution,
+        E.window,
+    )
+
+
+PROPERTY3_CASES = {
+    # strided: more than 128 cubes in the one regime
+    "graph": lambda: (
+        build_boundary(LipschitzGraph("sin", 0.2), 1 / 64, Window((-4, -4), (4, 4))),
+        dict(k_min=-4, k_max=4),
+        None,
+    ),
+    "segment": lambda: (
+        build_boundary(Segment(-1.0, 1.0), 1 / 64, Window((-1, -1), (1, 1))),
+        dict(k_min=-1, k_max=4),
+        None,
+    ),
+    # graph points against a cloud with stacked x values
+    "columns": lambda: (_columns_cloud(), dict(k_min=-1, k_max=2), Hyperplane()),
+    # a graph's samples in random order: index order is not x order, and a
+    # cube's ball holds more than 64 samples, so the stride picks among them
+    "shuffled": lambda: (_shuffled_graph(), dict(k_min=-2, k_max=1), LipschitzGraph("sin", 0.2)),
+}
+
+
+@pytest.mark.parametrize("reject", [False, True])
+@pytest.mark.parametrize("case", sorted(PROPERTY3_CASES))
+def test_property3_sup_matches_full_scans(case, reject):
+    E, gens, graph = PROPERTY3_CASES[case]()
+    S = build_cube_system(E, **gens)
+    corona = _one_regime(S, graph or E.descriptor)
+    if case == "graph":
+        assert corona.regime.max() == 0 and (corona.regime == 0).sum() >= 128
+
+    def outcome(f):
+        try:
+            return f(E, S, corona, reject)
+        except ValueError as e:
+            return str(e)
+
+    assert outcome(whitney._property3_sup) == outcome(_property3_loop)
+
+
+def test_property3_violation_names_the_same_cube(line_setup):
+    E, S, W = line_setup
+    # the regime graph tilts away from E: small cubes far from the origin fail
+    corona = _one_regime(S, LipschitzGraph("linear", 0.2))
+    with pytest.raises(ValueError) as ref:
+        _property3_loop(E, S, corona, reject=True)
+    assert f"cube {S.roots[0]}:" not in str(ref.value)
+    with pytest.raises(ValueError) as got:
+        whitney._property3_sup(E, S, corona, reject=True)
+    assert str(got.value) == str(ref.value)
+    assert whitney._property3_sup(E, S, corona) == _property3_loop(E, S, corona)
+
+
 class TestCoronaProvider:
     def test_halfplane_single_regime(self, line_setup):
         E, S, W = line_setup
