@@ -1,22 +1,36 @@
 """Packing constants, sparse witnesses, maximal operators, discrete embedding.
 
-The sparse witness is produced by an exact max-flow (Dinic) on the bipartite
-graph (cubes) x (samples): source -> cube with capacity lambda*sigma(Q),
-cube -> member sample with unbounded capacity, sample -> sink with capacity
-equal to its quadrature weight.  Feasibility of the flow at lambda = 1/Lambda
-is the constructive face of the sparse <=> Carleson equivalence; witnesses
-are fractional (sample weights may be split between cubes).
+Sparse witnesses.  A collection of cubes of one CubeSystem is laminar: two
+of its cubes are disjoint or nested.  For a laminar family, Hall's
+condition for disjoint E_Q inside Q with sigma(E_Q) >= lam*sigma(Q) reduces
+to one inequality per cube,
+
+    sum of lam*sigma(Q') over collection cubes Q' inside Q  <=  sigma(Q),
+
+which is the packing bound at lam = 1/Lambda: the constructive face of the
+sparse <=> Carleson equivalence.  `sparse_witness` builds E_Q finest first,
+one generation at a time (the cubes of one generation hold disjoint
+samples): each cube takes what is left of its members' weights, in member
+order, up to its demand.  Every later cube that meets Q contains Q, so it
+does not matter which of Q's samples the cubes inside Q used, and the pass
+meets every demand whenever the inequalities hold.  A set-equal copy of a
+cube is nested with it both ways, so it needs no special case.  Witnesses
+are fractional: a sample's weight may be split between cubes.
+
+If a cube Q falls short, the pass has used all of Q's members, and every
+collection cube inside Q took at most its demand, so Q with the collection
+cubes inside it demands more than sigma(Q), the mass of their union: that
+subfamily is the returned cut.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import CubeSystem
-from .geometry import ball_sums, distinct, pair_distances, row_blocks
+from .geometry import ball_sums, csr_rows, distinct, pair_distances, row_blocks
 
 
 def _as_ids(collection) -> np.ndarray:
@@ -66,75 +80,8 @@ def packing_constant(S: CubeSystem, collection, within: int | None = None) -> fl
 
 
 # ---------------------------------------------------------------------------
-# max-flow (Dinic) and sparse witnesses
+# sparse witnesses
 # ---------------------------------------------------------------------------
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list = []
-        self.cap: list = []
-        self.head: list = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, c: float) -> int:
-        e = len(self.to)
-        self.to += [v, u]
-        self.cap += [c, 0.0]
-        self.head[u].append(e)
-        self.head[v].append(e + 1)
-        return e
-
-    def maxflow(self, s: int, t: int, eps: float) -> float:
-        flow = 0.0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            dq = deque([s])
-            while dq:
-                u = dq.popleft()
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > eps and level[v] < 0:
-                        level[v] = level[u] + 1
-                        dq.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, f: float) -> float:
-                if u == t:
-                    return f
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > eps and level[v] == level[u] + 1:
-                        d = dfs(v, min(f, self.cap[e]))
-                        if d > eps:
-                            self.cap[e] -= d
-                            self.cap[e ^ 1] += d
-                            return d
-                    it[u] += 1
-                return 0.0
-
-            while True:
-                f = dfs(s, float("inf"))
-                if f <= eps:
-                    break
-                flow += f
-
-    def source_side(self, s: int, eps: float) -> set:
-        """Nodes reachable from s in the residual graph (a min cut)."""
-        seen = {s}
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for e in self.head[u]:
-                v = self.to[e]
-                if self.cap[e] > eps and v not in seen:
-                    seen.add(v)
-                    dq.append(v)
-        return seen
 
 
 @dataclass
@@ -159,53 +106,59 @@ class InfeasibleCut:
 def sparse_witness(S: CubeSystem, collection, lam: float):
     """Disjoint major subsets E_Q with sigma(E_Q) >= lam*sigma(Q), or a cut.
 
-    Decided exactly by max-flow; witnesses are fractional in the sample
-    weights.  Infeasibility returns the violating subfamily from the min cut.
+    One finest-first pass over the distinct ids (see the module docstring);
+    witnesses are fractional in the sample weights.  The cube furthest
+    short of its demand gives the cut: it and the collection cubes inside it.
     """
     if not (0 < lam <= 1):
         raise ValueError("lambda must be in (0, 1]")
-    ids = _as_ids(collection).tolist()
-    if not ids:
+    ids = _as_ids(collection)
+    if not len(ids):
         return SparseWitness(lam=lam, assignments={})
-    rows = [m.tolist() for m in S.member_rows(ids)]
-    samples = sorted(set(i for row in rows for i in row))
-    samp_node = {s: 1 + len(ids) + j for j, s in enumerate(samples)}
-    src = 0
-    sink = 1 + len(ids) + len(samples)
-    net = _Dinic(sink + 1)
-    w = S.E.weights
-    demand = 0.0
-    src_edges = []
-    mid_edges: dict = {}
-    for a, (q, sigma) in enumerate(zip(ids, S.measure[ids].tolist())):
-        d = lam * sigma
-        demand += d
-        src_edges.append(net.add(src, 1 + a, d))
-        mid_edges[q] = [(net.add(1 + a, samp_node[i], float("inf")), i) for i in rows[a]]
-    for s, ws in zip(samples, w[samples].tolist()):
-        net.add(samp_node[s], sink, ws)
-    eps = 1e-12 * max(demand, 1.0)
-    flow = net.maxflow(src, sink, eps)
-    if flow >= demand - 1e-9 * max(demand, 1.0):
-        assignments = {}
-        for q in ids:
-            rows = []
-            for e, i in mid_edges[q]:
-                used = net.cap[e ^ 1]  # flow pushed = reverse capacity
-                if used > eps:
-                    rows.append((i, float(used)))
-            assignments[q] = rows
-        return SparseWitness(lam=lam, assignments=assignments)
-    side = net.source_side(src, eps)
-    cut = [q for a, q in enumerate(ids) if (1 + a) in side]
-    members = set()
-    for q in cut:
-        members.update(S.members(q).tolist())
+    need = lam * S.measure[ids]
+    count = np.diff(S.member_ptr)[ids]
+    start = np.cumsum(count) - count
+    sample = S.member_sample[csr_rows(S.member_ptr, ids)]
+    take = np.empty(len(sample))
+    rem = S.E.weights.copy()
+    # ids ascend, so generations do: one run of ids per generation, and the
+    # cubes of one generation hold disjoint samples
+    runs = np.flatnonzero(np.diff(S.gen[ids])) + 1
+    bounds = [0, *runs.tolist(), len(ids)]
+    for lo, hi in reversed(list(zip(bounds[:-1], bounds[1:]))):
+        a, b = start[lo], start[hi - 1] + count[hi - 1]
+        s = sample[a:b]
+        r = rem[s]
+        # the weight left before each entry within its row
+        before = np.cumsum(r) - r
+        before -= np.repeat(before[start[lo:hi] - a], count[lo:hi])
+        t = np.clip(np.repeat(need[lo:hi], count[lo:hi]) - before, 0.0, r)
+        take[a:b] = t
+        rem[s] = r - t
+    demand = float(need.sum())
+    if float(take.sum()) >= demand - 1e-9 * max(demand, 1.0):
+        kept = take > 0
+        ends = np.cumsum(kept)[start + count - 1].tolist()
+        pairs = list(zip(sample[kept].tolist(), take[kept].tolist()))
+        return SparseWitness(
+            lam=lam,
+            assignments={
+                q: pairs[lo:hi] for q, lo, hi in zip(ids.tolist(), [0] + ends[:-1], ends)
+            },
+        )
+    # any short cube gives a cut; the furthest short one is short by at least
+    # the total shortfall over len(ids), far above rounding
+    q = ids[np.argmax(need - np.add.reduceat(take, start))]
+    m = S.members(q)
+    inside = np.zeros(S.E.n_samples, dtype=bool)
+    inside[m] = True
+    # a collection cube meeting Q is nested with it, so inside it if no larger
+    cut = inside[sample[start]] & (count <= len(m))
     return InfeasibleCut(
         lam=lam,
-        cut_cubes=cut,
-        demand=float(sum(lam * S.sigma(q) for q in cut)),
-        capacity=float(sum(w[i] for i in members)),
+        cut_cubes=ids[cut].tolist(),
+        demand=float(need[cut].sum()),
+        capacity=float(S.E.weights[m].sum()),
     )
 
 

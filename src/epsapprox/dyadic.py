@@ -28,6 +28,7 @@ from .geometry import (
     csr_rows,
     nearest_in_window,
     paired_distances,
+    row_spans,
 )
 
 
@@ -341,7 +342,8 @@ def _cube_reach(E: BoundarySet, z, side, gen, member_ptr, member_sample, tree) -
     member and to the nearest sample outside it (inf if there is none);
     `gen` is each cube's generation less k_min.
 
-    The farthest member is one max over the member CSR.  The nearest
+    The farthest member is a max over the member CSR, taken over
+    `row_spans` blocks of at most CHUNK (cube, member) pairs.  The nearest
     outside sample is searched in x-windows of the x-sorted samples from
     half-width l(Q) (`nearest_in_window`): a window that holds an outside
     sample within its half-width holds the nearest one, since any sample
@@ -354,9 +356,11 @@ def _cube_reach(E: BoundarySet, z, side, gen, member_ptr, member_sample, tree) -
     pts = E.points
     q = np.flatnonzero(tree["relevant"])
     count = np.diff(member_ptr)[q]
-    members = pts[member_sample[csr_rows(member_ptr, q)]]
-    d = paired_distances(members, np.repeat(z[q], count, axis=0))
-    far = np.maximum.reduceat(d, np.cumsum(count) - count)
+    far = np.empty(len(q))
+    for lo, hi in row_spans(count):
+        members = pts[member_sample[csr_rows(member_ptr, q[lo:hi])]]
+        d = paired_distances(members, np.repeat(z[q[lo:hi]], count[lo:hi], axis=0))
+        far[lo:hi] = np.maximum.reduceat(d, np.cumsum(count[lo:hi]) - count[lo:hi])
     order, T = by_x(pts)
     leaf, anc_at, g = tree["sample_leaf"][order], tree["anc_at"], gen[q]
     outside = nearest_in_window(

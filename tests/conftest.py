@@ -16,6 +16,15 @@ from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
 
 @pytest.fixture(scope="session")
+def sparse_bench_system():
+    """The cube system of the benchmark's carleson_sparse workload."""
+    E = build_boundary(
+        LipschitzGraph("abs", 0.1), resolution=2.0**-7, window=Window((-4, -4), (4, 4))
+    )
+    return build_cube_system(E, k_min=-4, k_max=6)
+
+
+@pytest.fixture(scope="session")
 def line_rc():
     """Half-plane region complex: window [-2,2], generations -3..3."""
     params = RegionParams(tau=0.05, c_w=0.25, C_w=4.0, C_d=4.0)

@@ -1,6 +1,7 @@
 """Packing constants, sparse witnesses, maximal operators, embedding."""
 
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -56,6 +57,162 @@ def check_witness(S, ids, wit: SparseWitness):
         assert mass >= lam * S.sigma(q) * (1 - 1e-9)
     for i, m in used.items():
         assert m <= S.E.weights[i] * (1 + 1e-9)  # disjoint in measure
+
+
+# ---------------------------------------------------------------------------
+# max-flow: the independent oracle of the sparse witness
+# ---------------------------------------------------------------------------
+
+
+class _Dinic:
+    def __init__(self, n: int):
+        self.n = n
+        self.to: list = []
+        self.cap: list = []
+        self.head: list = [[] for _ in range(n)]
+
+    def add(self, u: int, v: int, c: float) -> int:
+        e = len(self.to)
+        self.to += [v, u]
+        self.cap += [c, 0.0]
+        self.head[u].append(e)
+        self.head[v].append(e + 1)
+        return e
+
+    def maxflow(self, s: int, t: int, eps: float) -> float:
+        flow = 0.0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            dq = deque([s])
+            while dq:
+                u = dq.popleft()
+                for e in self.head[u]:
+                    v = self.to[e]
+                    if self.cap[e] > eps and level[v] < 0:
+                        level[v] = level[u] + 1
+                        dq.append(v)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+
+            def dfs(u: int, f: float) -> float:
+                if u == t:
+                    return f
+                while it[u] < len(self.head[u]):
+                    e = self.head[u][it[u]]
+                    v = self.to[e]
+                    if self.cap[e] > eps and level[v] == level[u] + 1:
+                        d = dfs(v, min(f, self.cap[e]))
+                        if d > eps:
+                            self.cap[e] -= d
+                            self.cap[e ^ 1] += d
+                            return d
+                    it[u] += 1
+                return 0.0
+
+            while True:
+                f = dfs(s, float("inf"))
+                if f <= eps:
+                    break
+                flow += f
+
+    def source_side(self, s: int, eps: float) -> set:
+        """Nodes reachable from s in the residual graph (a min cut)."""
+        seen = {s}
+        dq = deque([s])
+        while dq:
+            u = dq.popleft()
+            for e in self.head[u]:
+                v = self.to[e]
+                if self.cap[e] > eps and v not in seen:
+                    seen.add(v)
+                    dq.append(v)
+        return seen
+
+
+def maxflow_oracle(S, ids, lam):
+    """(flow, demand, cut) of the exact max-flow on (cubes) x (samples):
+    source -> cube with capacity lam*sigma(Q), cube -> member sample
+    unbounded, sample -> sink with capacity its weight.  `cut` holds the
+    cubes on the source side of a min cut."""
+    ids = sorted(set(ids))
+    rows = [m.tolist() for m in S.member_rows(ids)]
+    samples = sorted(set(i for row in rows for i in row))
+    samp_node = {s: 1 + len(ids) + j for j, s in enumerate(samples)}
+    src, sink = 0, 1 + len(ids) + len(samples)
+    net = _Dinic(sink + 1)
+    demand = 0.0
+    for a, q in enumerate(ids):
+        d = lam * S.sigma(q)
+        demand += d
+        net.add(src, 1 + a, d)
+        for i in rows[a]:
+            net.add(1 + a, samp_node[i], float("inf"))
+    for s, ws in zip(samples, S.E.weights[samples].tolist()):
+        net.add(samp_node[s], sink, ws)
+    eps = 1e-12 * max(demand, 1.0)
+    flow = net.maxflow(src, sink, eps)
+    side = net.source_side(src, eps)
+    return flow, demand, [q for a, q in enumerate(ids) if (1 + a) in side]
+
+
+def tolerance(demand):
+    return 1e-9 * max(demand, 1.0)
+
+
+def union_weight(S, ids):
+    members = set()
+    for q in ids:
+        members.update(S.members(q).tolist())
+    return float(sum(S.E.weights[i] for i in members))
+
+
+def check_pairs(S, wit):
+    """Every id maps to (member sample, mass > 0) pairs of Python numbers."""
+    for q, rows in wit.assignments.items():
+        members = set(S.members(q).tolist())
+        for i, m in rows:
+            assert type(i) is int and type(m) is float
+            assert i in members and m > 0
+
+
+def check_cut(S, coll, cut: InfeasibleCut):
+    """The cut is a subfamily of the collection, closed under the collection
+    cubes inside each of its cubes, demanding more than its union holds."""
+    coll = set(coll)
+    cut_ids = set(cut.cut_cubes)
+    assert cut_ids and cut_ids <= coll
+    for c in cut_ids:
+        inside = set(S.members(c).tolist())
+        for q in coll:
+            if set(S.members(q).tolist()) <= inside:
+                assert q in cut_ids
+    assert cut.capacity == pytest.approx(union_weight(S, cut_ids), rel=1e-12)
+    assert cut.demand == pytest.approx(
+        cut.lam * sum(S.sigma(q) for q in cut_ids), rel=1e-12
+    )
+    assert cut.demand > cut.capacity
+
+
+def check_against_maxflow(S, coll, lam):
+    """The witness decides as max-flow does; a witness carries the whole
+    demand and a cut is a certificate."""
+    ids = sorted(set(coll))
+    wit = sparse_witness(S, coll, lam)
+    flow, demand, oracle_cut = maxflow_oracle(S, ids, lam)
+    assert wit.feasible == (flow >= demand - tolerance(demand))
+    if wit.feasible:
+        assert sorted(wit.assignments) == ids
+        check_witness(S, ids, wit)
+        check_pairs(S, wit)
+        total = sum(wit.mass(q) for q in ids)
+        assert total == pytest.approx(demand, rel=1e-9)
+    else:
+        check_cut(S, coll, wit)
+        # the min cut certifies the same verdict
+        assert lam * sum(S.sigma(q) for q in oracle_cut) > union_weight(S, oracle_cut)
+    return wit
 
 
 class TestPacking:
@@ -363,3 +520,111 @@ class TestEquivalence:
         wit = sparse_witness(S, ids, lam)
         if isinstance(wit, SparseWitness):
             assert packing_constant(S, ids) <= 1.0 / lam + 1e-9
+
+
+def draw_lambda(draw, Lambda):
+    """1/Lambda exactly, just below or above it, or uniform in [0.05, 1]."""
+    kind = draw(st.sampled_from(["exact", "below", "above", "uniform"]))
+    if kind == "uniform":
+        return draw(st.floats(min_value=0.05, max_value=1.0))
+    factor = {"exact": 1.0, "below": 1 - 1e-6, "above": 1 + 1e-6}[kind]
+    return min(1.0, 1.0 / Lambda * factor)
+
+
+@st.composite
+def synthetic_collections(draw):
+    """(system, collection with duplicates, lambda) on a full binary tree."""
+    depth, mask = draw(tree_collections())
+    S = synthetic_system(depth=depth)
+    ids = [q for q, t in zip(S.relevant_ids(), mask) if t]
+    coll = ids + draw(st.lists(st.sampled_from(ids), max_size=4))
+    return S, draw(st.permutations(coll)), draw_lambda(draw, packing_constant(S, ids))
+
+
+def relevant_copy(S, q):
+    """The relevant cube set-equal to cube q."""
+    first, n = int(S.members(q)[0]), len(S.members(q))
+    return next(c for c in S.chain(first) if len(S.members(c)) == n)
+
+
+@st.composite
+def bench_collections(draw, S):
+    """(collection, lambda) as the benchmark draws them: the cubes under a
+    cube of a drawn generation, kept at a drawn density, with duplicates
+    and, half the time, a non-relevant cube and its relevant set-equal copy."""
+    gen = draw(st.integers(S.k_min, S.k_max))
+    root = draw(st.sampled_from(S.relevant_at_gen(gen)))
+    desc = S.descendants(root)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coll = [q for q, t in zip(desc, rng.random(len(desc)) < draw(st.floats(0, 1))) if t]
+    coll = coll or [root]
+    coll += draw(st.lists(st.sampled_from(coll), max_size=3))
+    if draw(st.booleans()):
+        copy = draw(st.sampled_from(np.flatnonzero(~S.relevant).tolist()))
+        coll += [copy, relevant_copy(S, copy)]
+    return coll, draw_lambda(draw, packing_constant(S, coll))
+
+
+class TestWitnessAgainstMaxFlow:
+    """The finest-first witness against the max-flow oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(synthetic_collections())
+    def test_synthetic_trees(self, case):
+        S, coll, lam = case
+        check_against_maxflow(S, coll, lam)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_benchmark_system(self, sparse_bench_system, data):
+        S = sparse_bench_system
+        coll, lam = data.draw(bench_collections(S))
+        check_against_maxflow(S, coll, lam)
+
+    def test_non_relevant_copies(self, sparse_bench_system):
+        # a cube and its set-equal copy share its mass: tight at lambda 1/2
+        S = sparse_bench_system
+        copies = np.flatnonzero(~S.relevant).tolist()
+        assert copies
+        for q in copies:
+            pair = [q, relevant_copy(S, q)]
+            assert check_against_maxflow(S, pair, 0.5).feasible
+            cut = check_against_maxflow(S, pair, 0.5 * (1 + 1e-6))
+            assert sorted(cut.cut_cubes) == sorted(pair)
+        # every cube: each generation covers the root once, so only the
+        # root is overfull, and its cut holds the copies inside it too
+        (root,) = S.roots
+        lam = S.measure[root] / S.measure.sum() * (1 + 1e-6)
+        cut = check_against_maxflow(S, range(S.n_cubes), lam)
+        assert sorted(cut.cut_cubes) == list(range(S.n_cubes))
+
+    def test_duplicates_decide_as_distinct(self, sparse_bench_system):
+        S = sparse_bench_system
+        coll = S.descendants(S.roots[0])[::7]
+        lam = 1.0 / packing_constant(S, coll)
+        for c in (coll, coll + coll[::2], coll[::-1] + coll[:5]):
+            wit = check_against_maxflow(S, c, lam)
+            assert wit.feasible
+            assert wit.assignments == sparse_witness(S, coll, lam).assignments
+
+
+class TestInfeasibleCut:
+    @pytest.mark.parametrize("depth", [1, 3, 5])
+    def test_full_tree_above_threshold(self, depth):
+        S = synthetic_system(depth=depth)
+        ids = S.relevant_ids()
+        cut = sparse_witness(S, ids, 1.0 / (depth + 1) * (1 + 1e-6))
+        assert isinstance(cut, InfeasibleCut)
+        check_cut(S, ids, cut)
+
+    def test_cut_under_a_deep_cube(self, sparse_bench_system):
+        # only the subtree of one fine cube is overfull
+        S = sparse_bench_system
+        q = S.relevant_at_gen(3)[5]
+        deep = S.descendants(q)
+        coll = S.roots + deep
+        lam = 1.0 / packing_constant(S, deep) * (1 + 1e-6)
+        cut = sparse_witness(S, coll, lam)
+        assert isinstance(cut, InfeasibleCut)
+        check_cut(S, coll, cut)
+        assert set(cut.cut_cubes) <= set(deep)

@@ -1,9 +1,11 @@
 """Dyadic cube systems: nesting, partition, inclusions, navigation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from epsapprox import dyadic
+from epsapprox import dyadic, geometry
 from epsapprox.dyadic import build_cube_system, synthetic_system
 from epsapprox.geometry import (
     CantorSet,
@@ -281,3 +283,31 @@ class TestInclusionConstants:
         dz = rng.standard_normal((5000, 2)) * rng.uniform(0.0, 8.0, (5000, 1))
         ref = [float(np.linalg.norm(v)) for v in dz]
         assert np.sqrt(np.matmul(dz[:, None, :], dz[:, :, None])[:, 0, 0]).tolist() == ref
+
+
+def _reach_args(S):
+    return S.E, S.z, S.side, S.gen - S.k_min, S.member_ptr, S.member_sample, vars(S)
+
+
+class TestCubeReachBlocks:
+    @pytest.mark.parametrize("name", sorted(REACH_SYSTEMS))
+    def test_blocks_keep_the_bits(self, name, monkeypatch):
+        S = REACH_SYSTEMS[name]()
+        whole = dyadic._cube_reach(*_reach_args(S))
+        monkeypatch.setattr(geometry, "CHUNK", 7)
+        for a, b in zip(whole, dyadic._cube_reach(*_reach_args(S)), strict=True):
+            assert a.tolist() == b.tolist()
+
+    def test_transient_memory_bounded(self):
+        # 16 385 samples in 15 generations: 245 775 (cube, member) pairs,
+        # which taken in one block traced a 12.5 MB peak
+        E = build_boundary(Hyperplane(), 2.0**-10, Window((-8.0, -8.0), (8.0, 8.0)))
+        S = build_cube_system(E, k_min=-5, k_max=9)
+        args = _reach_args(S)
+        tracemalloc.start()
+        try:
+            dyadic._cube_reach(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20

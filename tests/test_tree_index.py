@@ -22,7 +22,7 @@ from epsapprox.carleson import (
 )
 from epsapprox.config import RunConfig
 from epsapprox.dyadic import build_cube_system, synthetic_system
-from epsapprox.geometry import LipschitzGraph, PointList, Window, build_boundary
+from epsapprox.geometry import PointList, Window, build_boundary
 from epsapprox.pipeline import stage_grid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -352,15 +352,6 @@ def system(request):
     }[request.param]()
 
 
-@pytest.fixture(scope="module")
-def sparse_bench_system():
-    """The cube system of the benchmark's carleson_sparse workload."""
-    E = build_boundary(
-        LipschitzGraph("abs", 0.1), resolution=2.0**-7, window=Window((-4, -4), (4, 4))
-    )
-    return build_cube_system(E, k_min=-4, k_max=6)
-
-
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
@@ -391,7 +382,7 @@ def test_arrays_match_object_builder(system, request):
 def test_benchmark_lists_keep_their_order(sparse_bench_system):
     """relevant_at_gen and descendants return today's lists in today's order
     (the benchmark draws its collections by zipping over them), and sigma a
-    Python float (the max-flow runs on them)."""
+    Python float (the benchmark's witness checks compare against it)."""
     S = sparse_bench_system
     cubes, generations, _ = old_build(S, synthetic=False)
     for k in range(S.k_min - 1, S.k_max + 2):
