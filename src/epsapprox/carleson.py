@@ -43,24 +43,30 @@ def _as_ids(collection) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def relevant_copy(S: CubeSystem, ids: np.ndarray) -> np.ndarray:
+    """Per cube id: the relevant cube with the same members, the cube itself
+    if relevant.  It is the first relevant cube at or below the cube's
+    generation on its first member's chain: a cube there holds that member,
+    so it is nested with the cube and its relevant copy, hence set-equal to
+    both, and only the deepest set-equal copy is relevant."""
+    row = S.anc_at[S.sample_leaf[S.member_sample[S.member_ptr[ids]]]]
+    below = np.arange(row.shape[1]) >= (S.gen[ids] - S.k_min)[:, None]
+    return row[np.arange(len(ids)), np.argmax(below & (row >= 0), axis=1)]
+
+
 def subtree_sums(S: CubeSystem, collection) -> np.ndarray:
     """Per cube Q0: sum of sigma(Q) over collection cubes inside Q0, 0 off
     the relevant tree.
 
-    Children add into their parents one parent generation at a time,
-    finest first, so each child's sum is whole; `add.at` applies a
-    parent's adds in ascending child id, after its own sigma.  A
-    generation's ids are consecutive, so its cubes' children are one
-    stretch of the child CSR.
+    A cube counts at every relevant ancestor of its relevant copy, so a
+    non-relevant cube counts where its set-equal copy does.  One `bincount`
+    adds each sum's sigmas in ascending collection id.
     """
     ids = _as_ids(collection)
-    sums = np.zeros(S.n_cubes)
-    sums[ids] = S.measure[ids]
-    for level, _ in reversed(S.levels):
-        if len(level):
-            ch = S.child_cube[S.child_ptr[level[0]] : S.child_ptr[level[-1] + 1]]
-            np.add.at(sums, S.rparent[ch], sums[ch])
-    return sums
+    anc = S.anc_at[relevant_copy(S, ids)]
+    live = anc >= 0
+    sigma = np.broadcast_to(S.measure[ids][:, None], anc.shape)
+    return np.bincount(anc[live], weights=sigma[live], minlength=S.n_cubes)
 
 
 def packing_constant(S: CubeSystem, collection, within: int | None = None) -> float:
@@ -73,7 +79,7 @@ def packing_constant(S: CubeSystem, collection, within: int | None = None) -> fl
     candidates = S.relevant
     if within is not None:
         candidates = S.subtree(within)
-        ids = ids[candidates[ids]]
+        ids = ids[candidates[relevant_copy(S, ids)]]
     if not len(ids):
         return 0.0
     return float((subtree_sums(S, ids)[candidates] / S.measure[candidates]).max())
@@ -194,8 +200,8 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
 
     `f` is one function per sample or a (k, n_samples) stack of them; the
     result has the same shape, and each row is what that row alone gives.
-    Centers run in row blocks of one distance block each, searched and
-    sorted once for all rows.  A sample x lies in B(c, r) for exactly the
+    Centers run in row blocks of one distance block each, binned once for
+    all rows (`ball_sums`).  A sample x lies in B(c, r) for exactly the
     radii from the first one above |x - c|, so it takes the suffix max of
     c's ball averages over the radii from there.
     """
@@ -208,9 +214,10 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     out = np.zeros((len(stack) - 1, E.n_samples))
     for rows in row_blocks(E.n_samples, E.n_samples):
         d = pair_distances(pts[rows], pts)
-        count, first, sums = ball_sums(d, radii, stack)
+        first, sums = ball_sums(d, radii, stack)
+        # the weights are positive: a ball with mass holds a sample
         avg = np.divide(
-            sums[1:], sums[0], out=np.zeros_like(sums[1:]), where=count > 0
+            sums[1:], sums[0], out=np.zeros_like(sums[1:]), where=sums[0] > 0
         )
         # best[..., j]: max average over the radii from r_j up; 0 past the last
         best = np.zeros(avg.shape[:2] + (len(radii) + 1,))
@@ -239,11 +246,10 @@ def carleson_embedding_check(
         raise ValueError("f must be nonnegative")
     inside = S.subtree(q0)
     ids = _as_ids(collection)
-    ids = ids[inside[ids]]
+    ids = ids[inside[relevant_copy(S, ids)]]
     w = S.E.weights
-    lhs = 0.0
-    for m in S.member_rows(ids):
-        lhs += float(np.dot(f[m], w[m]))
+    m = S.member_sample[csr_rows(S.member_ptr, ids)]
+    lhs = float((f[m] * w[m]).sum())
     lam = packing_constant(S, ids, within=q0)
     if md is None:
         # Q0's samples have chains of Q0's ancestors and subtree cubes only

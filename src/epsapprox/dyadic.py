@@ -80,11 +80,6 @@ class CubeSystem:
         """The member samples of cube qid, ascending."""
         return self.member_sample[self.member_ptr[qid] : self.member_ptr[qid + 1]]
 
-    def member_rows(self, ids) -> list:
-        """The member samples of each cube of `ids`, ascending."""
-        ptr = self.member_ptr.tolist()
-        return [self.member_sample[ptr[q] : ptr[q + 1]] for q in ids]
-
     def children(self, qid: int) -> np.ndarray:
         """The relevant children of cube qid, ascending."""
         return self.child_cube[self.child_ptr[qid] : self.child_ptr[qid + 1]]
@@ -120,12 +115,13 @@ class CubeSystem:
 
     def cube_averages(self, f: np.ndarray, ids=None) -> np.ndarray:
         """Per cube id: weighted average of f over member samples, over the
-        relevant cubes or the cubes `ids`, and 0 elsewhere."""
-        w = self.E.weights
-        ids = self.relevant_ids() if ids is None else ids
-        out = np.zeros(self.n_cubes)
-        for q, m, sigma in zip(ids, self.member_rows(ids), self.measure[ids].tolist()):
-            out[q] = np.dot(f[m], w[m]) / sigma
+        relevant cubes or the cubes `ids`, and 0 elsewhere.  One `bincount`
+        adds each cube's f*w in ascending member order."""
+        ids = np.flatnonzero(self.relevant) if ids is None else np.asarray(ids, dtype=np.int64)
+        m = self.member_sample[csr_rows(self.member_ptr, ids)]
+        cube = np.repeat(ids, np.diff(self.member_ptr)[ids])
+        out = np.bincount(cube, weights=f[m] * self.E.weights[m], minlength=self.n_cubes)
+        out[ids] /= self.measure[ids]
         return out
 
     def down_max(self, own: np.ndarray, start: float) -> np.ndarray:

@@ -247,19 +247,27 @@ class FunctionalSuite:
     def square_function(self) -> np.ndarray:
         """S u per sample: quadrature of |grad u|^2 over the cone.
 
-        Samples of one finest cube share their cone.  Its boxes are summed
-        in the iteration order of a set filled region by region along the
-        chain, each region's boxes ascending.
+        Samples of one finest cube share their cone: the distinct region
+        boxes over the cube's chain, each summed once, in ascending box id.
+        A box may lie in two regions of one chain, so the (leaf, box) pairs
+        run in blocks of whole leaves.
         """
-        g2 = self.grad_integrals()[1].tolist()
+        g2 = self.grad_integrals()[1]
         S, RC = self.S, self.RC
+        n = self.W.n_boxes
         leaves, inverse = distinct(S.sample_leaf, return_inverse=True)
-        per_leaf = np.zeros(len(leaves))
-        for i, leaf in enumerate(leaves.tolist()):
-            chain = S.anc_at[leaf]
-            seen = set(RC.region_box[csr_rows(RC.region_ptr, chain[chain >= 0])].tolist())
-            per_leaf[i] = np.sqrt(sum(g2[b] for b in seen))
-        return per_leaf[inverse]
+        chain = S.anc_at[leaves]
+        # per (leaf, generation): its chain cube's region size, 0 where the
+        # chain has no cube (the -1 reads the appended 0)
+        size = np.append(np.diff(RC.region_ptr), 0)[chain]
+        per_leaf = np.empty(len(leaves))
+        for lo, hi in row_spans(size.sum(axis=1)):
+            cubes = chain[lo:hi]
+            live = cubes >= 0
+            leaf = np.repeat(np.nonzero(live)[0], size[lo:hi][live])
+            key = distinct(leaf * n + RC.region_box[csr_rows(RC.region_ptr, cubes[live])])
+            per_leaf[lo:hi] = np.bincount(key // n, weights=g2[key % n], minlength=hi - lo)
+        return np.sqrt(per_leaf)[inverse]
 
     def oscillations(self) -> np.ndarray:
         """Per component: grid oscillation of u over its boxes."""
@@ -286,31 +294,25 @@ class FunctionalSuite:
         """(box ids, cube ids), int32: every (b, Q) with box b inside T_Q.
 
         T_Q holds b iff Q is an ancestor of one of b's owners.  The pairs
-        come one generation of Q after another and, within one, in the key
-        order of b, so each cube's boxes follow that order.  The owner
-        entries are read in blocks of whole boxes.
+        come one generation of Q after another and, within one, in
+        ascending box id, so each cube's boxes ascend.  The owner entries
+        are read in blocks of whole boxes.
         """
         if self._pairs is None:
             indptr, owner = self.RC.owner_ptr, self.RC.owner_cube
-            key_order = self.RC.box_order()
             anc = self.S.anc_at
             n = self.S.n_cubes
-            count = np.diff(indptr)[key_order]
+            count = np.diff(indptr)
             cols = [[] for _ in range(anc.shape[1])]
             for lo, hi in row_spans(count):
-                own = owner[csr_rows(indptr, key_order[lo:hi])]
-                pos = np.repeat(np.arange(lo, hi), count[lo:hi])
+                own = owner[indptr[lo] : indptr[hi]]
+                box = np.repeat(np.arange(lo, hi), count[lo:hi])
                 for g, col in enumerate(cols):
                     a = anc[own, g]
                     live = a >= 0
-                    # positions ascend, so the sort only orders each box's
-                    # ancestors; then one pair per distinct (b, Q)
-                    key = pos[live] * n + a[live]
-                    key.sort(kind="stable")
-                    first = np.ones(len(key), dtype=bool)
-                    first[1:] = key[1:] != key[:-1]
-                    key = key[first]
-                    col.append((key_order[key // n], (key % n).astype(np.int32)))
+                    # one pair per distinct (b, Q)
+                    key = distinct(box[live] * n + a[live])
+                    col.append(((key // n).astype(np.int32), (key % n).astype(np.int32)))
             parts = [part for col in cols for part in col]
             self._pairs = tuple(np.concatenate(x) for x in zip(*parts))
         return self._pairs
@@ -318,8 +320,8 @@ class FunctionalSuite:
     def anc_scatter(self, mass: np.ndarray) -> np.ndarray:
         """Per cube Q: total mass of boxes inside T_Q (0 off the tree).
 
-        `bincount` adds in pair order, so each sum takes its boxes in the
-        order of `RegionComplex.box_order`.
+        `bincount` adds in pair order, so each sum takes its boxes in
+        ascending box id.
         """
         boxes, cubes = self._anc_pairs()
         return np.bincount(cubes, weights=mass[boxes], minlength=self.S.n_cubes)
@@ -358,11 +360,11 @@ class FunctionalSuite:
 
         Box masses are binned at box centers (midpoint convention).  `mass`
         is one nonnegative box measure or a (k, n_boxes) stack of them; the
-        result is one value per listed sample, per row.  The stack runs over
-        the boxes with mass in any row: a box without mass in a row adds
-        +0.0 to that row's ascending-distance prefix sums, and the stable
-        sort keeps the row's own boxes in their order, so each row is what
-        that row alone gives.
+        result is one value per listed sample, per row.  Each ball mass is
+        a `ball_sums` sum, O(boxes) per sample with no sort.  The stack runs
+        over the boxes with mass in any row: a box without mass in a row
+        adds +0.0 to that row's sums, so each row is what that row alone
+        gives.
         """
         mids = (self.W.lo + self.W.hi) / 2
         stack = np.atleast_2d(mass)
@@ -374,7 +376,7 @@ class FunctionalSuite:
         pts = self.E.points[np.asarray(sample_ids, dtype=int)]
         if len(live):
             for rows in row_blocks(len(pts), len(pos)):
-                _, _, csum = ball_sums(pair_distances(pts[rows], pos), radii, m)
+                _, csum = ball_sums(pair_distances(pts[rows], pos), radii, m)
                 out[:, rows] = np.max(csum / radii, axis=-1)
         return out.reshape(np.shape(mass)[:-1] + (len(sample_ids),))
 

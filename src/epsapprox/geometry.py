@@ -417,28 +417,31 @@ def pair_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
+def radius_sums(cells: np.ndarray, weights: np.ndarray, n_rows: int, m: int) -> np.ndarray:
+    """(n_rows, m): per row and per radius r_j of m, the weights of the
+    entries with d < r_j summed.  An entry's cell is row * (m + 1) + the
+    index of the first radius above its d.  Each cell adds its weights in
+    entry order and the cells add in radius order: O(entries), no sort."""
+    binned = np.bincount(cells, weights=weights, minlength=n_rows * (m + 1))
+    return binned.reshape(n_rows, m + 1).cumsum(axis=1)[:, :m]
+
+
 def ball_sums(d: np.ndarray, radii: np.ndarray, weights: np.ndarray):
     """Per row i of a distance block and per radius r_j (ascending):
 
-    * ``count[i, j]``, the number of columns with d < r_j;
-    * ``first[i, k]``, the index of the first radius above d[i, k];
+    * ``first[i, c]``, the index of the first radius above d[i, c];
     * ``sums[h, i, j]``, per row h of the (k, n_columns) `weights` stack,
-      the weight sum over those columns, accumulated in ascending-distance
-      order (stable), so each equals the prefix sum of a single row sorted
-      on its own; 0.0 where the count is 0.
+      the weight sum over the columns with d < r_j (`radius_sums`).
 
-    The block is searched and sorted once for all k weight rows.
+    The block is searched once for all k weight rows, and a zero weight adds
+    +0.0 to its cell, so each row of a stack gets the bits of that row alone.
     """
     n, m = d.shape[0], len(radii)
     first = np.searchsorted(radii, d, side="right")
-    cells = (np.arange(n)[:, None] * (m + 1) + first).ravel()
-    count = np.bincount(cells, minlength=n * (m + 1)).reshape(n, m + 1)
-    count = count.cumsum(axis=1)[:, :m]
-    order = np.argsort(d, axis=1, kind="stable")
-    last = np.maximum(count - 1, 0)
-    csum = np.cumsum(weights[:, order], axis=-1)
-    sums = np.where(count > 0, np.take_along_axis(csum, last[None], axis=-1), 0.0)
-    return count, first, sums
+    k = len(weights)
+    cells = np.arange(k * n).reshape(k, n, 1) * (m + 1) + first
+    w = np.broadcast_to(weights[:, None, :], cells.shape)
+    return first, radius_sums(cells.ravel(), w.ravel(), k * n, m).reshape(k, n, m)
 
 
 # relative widening of the half-width of every x-window below: a target
@@ -669,10 +672,10 @@ def check_adr(E: BoundarySet, budget: float) -> ADRReport:
     weight sum against the continuum surface measure (the ball boundary cuts
     at most two sample-owned segments per sheet).
 
-    sigma-hat(B(x,r)) is the weight sum of the samples with |sample - x| < r,
-    in index order.  Each center takes one distance row, over the samples in
-    its ball of its largest admissible radius (`balls`, in index order), and
-    every radius sums the same masked weights a full row would.
+    sigma-hat(B(x,r)) is the weight sum of the samples with |sample - x| < r.
+    Each center takes the samples in its ball of its largest admissible
+    radius (`balls`, in index order), and `radius_sums` gives every radius's
+    sum from them at once.
     """
     if budget < 1:
         raise ValueError("ADR budget must be >= 1")
@@ -692,33 +695,24 @@ def check_adr(E: BoundarySet, budget: float) -> ADRReport:
     # per center the radii up to its edge, and its ball of the largest one
     n_radii = np.searchsorted(grid, edge, side="right")
     ptr, ids, d = balls(*by_x(E.points), centers, grid[np.maximum(n_radii - 1, 0)])
-    radii_all, ratios_all = [], []
-    passed = True
-    for k in range(len(centers)):
-        rs, ratios = [], []
-        w, dk = E.weights[ids[ptr[k] : ptr[k + 1]]], d[ptr[k] : ptr[k + 1]]
-        for r in grid[: n_radii[k]]:
-            m = float(w[dk < r].sum())
-            if m == 0:
-                warnings.warn("surface ball with zero mass skipped", stacklevel=2)
-                continue
-            rs.append(float(r))
-            ratios.append(m / r)
-            q = 2 * E.resolution / r
-            if not (1.0 / budget - q <= ratios[-1] <= budget + q):
-                passed = False
-        radii_all.append(rs)
-        ratios_all.append(ratios)
-    flat = [x for row in ratios_all for x in row]
-    if not flat:
+    m = len(grid)
+    center = np.repeat(np.arange(len(centers)), np.diff(ptr))
+    cells = center * (m + 1) + np.searchsorted(grid, d, side="right")
+    mass = radius_sums(cells, E.weights[ids], len(centers), m)
+    tested = np.arange(m) < n_radii[:, None]
+    if (tested & (mass == 0)).any():
+        warnings.warn("surface ball with zero mass skipped", stacklevel=2)
+    tested &= mass > 0
+    if not tested.any():
         raise ValueError("no admissible (center, radius) pairs inside the window")
-    lower = float(min(flat))
-    upper = float(max(flat))
+    ratio = mass / grid
+    q = 2 * E.resolution / grid
+    passed = bool(((1.0 / budget - q <= ratio) & (ratio <= budget + q))[tested].all())
     return ADRReport(
-        tested_radii=radii_all,
-        ratios=ratios_all,
-        lower_constant=lower,
-        upper_constant=upper,
+        tested_radii=[grid[t].tolist() for t in tested],
+        ratios=[r[t].tolist() for r, t in zip(ratio, tested)],
+        lower_constant=float(ratio[tested].min()),
+        upper_constant=float(ratio[tested].max()),
         budget=budget,
         passed=passed,
     )

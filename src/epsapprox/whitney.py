@@ -488,12 +488,6 @@ class RegionComplex:
         out[live] = np.maximum.reduceat(per_box[self.region_box], self.region_ptr[live])
         return out
 
-    def box_order(self) -> np.ndarray:
-        """Boxes of some region, in order of first appearance over the components."""
-        first = np.full(self.W.n_boxes, len(self.comp_box))
-        np.minimum.at(first, self.comp_box, np.arange(len(self.comp_box)))
-        return self.comp_box[np.sort(first[first < len(self.comp_box)])]
-
     def carleson_box(self, qid: int) -> np.ndarray:
         """T_Q: member boxes over the relevant descendants of Q, ascending."""
         return self.sawtooth(np.flatnonzero(self.S.subtree(qid)))

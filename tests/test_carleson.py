@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsapprox import geometry
+from epsapprox import carleson, geometry
 from epsapprox.carleson import (
     InfeasibleCut,
     SparseWitness,
@@ -137,7 +137,7 @@ def maxflow_oracle(S, ids, lam):
     unbounded, sample -> sink with capacity its weight.  `cut` holds the
     cubes on the source side of a min cut."""
     ids = sorted(set(ids))
-    rows = [m.tolist() for m in S.member_rows(ids)]
+    rows = [S.members(q).tolist() for q in ids]
     samples = sorted(set(i for row in rows for i in row))
     samp_node = {s: 1 + len(ids) + j for j, s in enumerate(samples)}
     src, sink = 0, 1 + len(ids) + len(samples)
@@ -233,6 +233,29 @@ class TestPacking:
 
     def test_empty_collection(self, line_system):
         assert packing_constant(line_system, []) == 0.0
+
+    def test_non_relevant_copies_count(self, sparse_bench_system):
+        # a non-relevant cube counts where its relevant set-equal copy does:
+        # the pair is 2-Carleson, sparse at 1/2 and not above it
+        S = sparse_bench_system
+        every = np.arange(S.n_cubes)
+        want = [relevant_copy(S, q) for q in every.tolist()]
+        assert carleson.relevant_copy(S, every).tolist() == want
+        copies = np.flatnonzero(~S.relevant).tolist()
+        assert copies
+        f = np.random.default_rng(1).random(S.E.n_samples)
+        for q in copies:
+            pair = [q, relevant_copy(S, q)]
+            lam = packing_constant(S, pair)
+            assert lam == 2.0
+            assert packing_constant(S, pair, within=pair[1]) == 2.0
+            wit = sparse_witness(S, pair, 1.0 / lam)
+            assert wit.feasible
+            check_witness(S, pair, wit)
+            assert isinstance(sparse_witness(S, pair, (1 + 1e-6) / lam), InfeasibleCut)
+            lhs, _, holds = carleson_embedding_check(S, f, pair, S.roots[0])
+            one, _, _ = carleson_embedding_check(S, f, pair[1:], S.roots[0])
+            assert holds and lhs == pytest.approx(2 * one, rel=1e-12)
 
 
 class TestSparseWitness:
@@ -359,7 +382,9 @@ class TestHLMaximal:
 
 
 def _hl_loop(S, f):
-    """Reference: one sorted distance scan per center, radius by radius."""
+    """Reference: one full distance row per center; per radius, the weights
+    binned by the first radius above their distance (in index order) and
+    the bins summed in radius order."""
     E = S.E
     f = np.abs(np.asarray(f, dtype=float))
     radii = default_radii(S)
@@ -368,15 +393,15 @@ def _hl_loop(S, f):
     out = np.zeros(E.n_samples)
     for c in pts:
         d = np.linalg.norm(pts - c, axis=1)
-        order = np.argsort(d, kind="stable")
-        dw = np.cumsum(w[order])
-        dfw = np.cumsum(fw[order])
-        pos = np.searchsorted(d[order], radii, side="left")
+        first = np.searchsorted(radii, d, side="right")
+        dw, dfw = np.zeros(len(radii) + 1), np.zeros(len(radii) + 1)
+        np.add.at(dw, first, w)
+        np.add.at(dfw, first, fw)
+        dw, dfw = np.cumsum(dw), np.cumsum(dfw)
         for j, r in enumerate(radii):
-            k = pos[j]
-            if k == 0:
+            if dw[j] == 0:
                 continue
-            avg = dfw[k - 1] / dw[k - 1]
+            avg = dfw[j] / dw[j]
             inside = d < r
             out[inside] = np.maximum(out[inside], avg)
     return out

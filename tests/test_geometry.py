@@ -207,19 +207,24 @@ class TestADR:
 
 
 def _adr_loop(E, budget):
-    """Reference ADR sweep: one full distance row per (center, radius)."""
+    """Reference ADR sweep: one full distance row per center; per radius,
+    the weights binned by the first radius above their distance, one at a
+    time in index order, and the bins added in radius order."""
     centers = E.points[:: max(1, E.n_samples // geometry._ADR_CENTERS)]
     r_max = (E.diameter if E.bounded else E.window.span) / 2.0
     lo, hi = np.asarray(E.window.lo), np.asarray(E.window.hi)
+    grid = np.geomspace(8 * E.resolution, r_max, geometry._ADR_RADII)
     radii_all, ratios_all, passed = [], [], True
     for c in centers:
         edge = float(min(np.min(c - lo), np.min(hi - c))) if not E.bounded else r_max
-        rs, ratios = [], []
-        for r in np.geomspace(8 * E.resolution, r_max, geometry._ADR_RADII):
-            if r > edge:
-                continue
-            m = surface_measure(E, c, r)
-            if m == 0:
+        d = np.linalg.norm(E.points - c, axis=1)
+        bins = [0.0] * (len(grid) + 1)
+        for j, wi in zip(np.searchsorted(grid, d, side="right").tolist(), E.weights.tolist()):
+            bins[j] += wi
+        rs, ratios, m = [], [], 0.0
+        for j, r in enumerate(grid):
+            m += bins[j]
+            if r > edge or m == 0:
                 continue
             rs.append(float(r))
             ratios.append(m / r)

@@ -3,8 +3,8 @@ object builder they replaced and against rparent-walk oracles.
 
 The old builder (one `Cube` object per cube, parent and child lists, the
 `generations` dict) is copied here as the oracle; the walks read only plain
-per-cube arrays.  Every comparison is exact (`==`), since the arrays must not
-move a float.
+per-cube arrays.  Every comparison is exact (`==`): each oracle adds its
+floats in the order the array passes do.
 """
 
 import json
@@ -278,15 +278,24 @@ def contains_oracle(parent, qid: int, pid: int) -> bool:
     return False
 
 
+def relevant_copies(S) -> list:
+    """Per cube id: the relevant cube with the same member set."""
+    by_members = {
+        S.members(q).tobytes(): q for q in np.flatnonzero(S.relevant).tolist()
+    }
+    return [by_members[S.members(q).tobytes()] for q in range(S.n_cubes)]
+
+
 def subtree_sums_oracle(S, collection) -> dict:
-    ids = set(int(i) for i in collection)
-    kids, measure, gen = _rchildren(S), S.measure.tolist(), S.gen.tolist()
-    sums: dict = {}
-    for q in sorted(np.flatnonzero(S.relevant).tolist(), key=lambda q: -gen[q]):
-        s = measure[q] if q in ids else 0.0
-        for ch in kids[q]:
-            s += sums[ch]
-        sums[q] = s
+    """Per relevant cube Q0: sigma(Q) added one at a time, in ascending id,
+    over the collection cubes Q whose relevant copy lies inside Q0."""
+    parent, copy, measure = _rparent(S), relevant_copies(S), S.measure.tolist()
+    sums = {q: 0.0 for q in np.flatnonzero(S.relevant).tolist()}
+    for q in sorted(set(int(i) for i in collection)):
+        a = copy[q]
+        while a is not None:
+            sums[a] += measure[q]
+            a = parent[a]
     return sums
 
 
@@ -296,7 +305,8 @@ def dyadic_maximal_oracle(S, f: np.ndarray) -> np.ndarray:
     parent, kids, gen = _rparent(S), _rchildren(S), S.gen.tolist()
     rel = np.flatnonzero(S.relevant).tolist()
     members = {q: S.member_sample[S.member_ptr[q] : S.member_ptr[q + 1]] for q in rel}
-    avg = {q: float(np.dot(f[members[q]], w[members[q]]) / S.measure[q]) for q in rel}
+    # f*w added one member at a time, in ascending sample id
+    avg = {q: sum((f[members[q]] * w[members[q]]).tolist()) / S.measure[q] for q in rel}
     best: dict = {}
     out = np.zeros(S.E.n_samples)
     order = sorted(rel, key=lambda q: gen[q])
@@ -310,9 +320,9 @@ def dyadic_maximal_oracle(S, f: np.ndarray) -> np.ndarray:
 
 
 def packing_oracle(S, collection, within) -> float:
-    parent = _rparent(S)
+    parent, copy = _rparent(S), relevant_copies(S)
     inside = {q for q in np.flatnonzero(S.relevant).tolist() if contains_oracle(parent, within, q)}
-    ids = sorted(q for q in set(collection) if q in inside)
+    ids = sorted(q for q in set(collection) if copy[q] in inside)
     if not ids:
         return 0.0
     sums = subtree_sums_oracle(S, ids)
@@ -434,15 +444,17 @@ def test_dyadic_maximal_and_subtree_sums(system):
     for _ in range(3):
         f = rng.normal(size=S.E.n_samples)
         assert np.array_equal(dyadic_maximal(S, f), dyadic_maximal_oracle(S, f))
-    # the float order of a parent's adds shows only where its children sit
-    # in two generations and their sums round; many random collections
-    # make that likely wherever the weights are not dyadic (cloud, sin_rc)
+    # each sum adds its sigmas in ascending collection id, which a sum over
+    # the tree (children into parents) would round differently wherever
+    # the weights are not dyadic (cloud, sin_rc); the last collections hold
+    # non-relevant cubes, which count where their relevant copies do
     colls = [[q for q in ids if rng.random() < p] for p in np.linspace(0.1, 0.9, 24)]
+    colls += [[q for q in range(S.n_cubes) if rng.random() < p] for p in (0.2, 0.6)]
     for coll in ([], ids, *colls):
         new, old = subtree_sums(S, coll), subtree_sums_oracle(S, coll)
         assert new[list(old)].tolist() == list(old.values())
         assert not new[~S.relevant].any()
-    coll = [q for q in ids if rng.random() < 0.4]
+    coll = [q for q in range(S.n_cubes) if rng.random() < 0.4]
     for q0 in [S.roots[0], *rng.choice(ids, size=min(len(ids), 10), replace=False)]:
         q0 = int(q0)
         assert packing_constant(S, coll, within=q0) == packing_oracle(S, coll, q0)
@@ -469,15 +481,18 @@ def test_embedding_check_averages_only_q0s_chains(system):
 
 def test_sin_grid_has_children_across_generations(sin_rc):
     # as on the benchmark grid below, but with weights that are not dyadic,
-    # so that a parent's sum can round differently in another add order
+    # so that a sum over the tree, child by child, would round differently
+    # from the ascending-id sums of subtree_sums
     S = sin_rc.S
     spans = [q for q in S.relevant_ids() if len(set(S.gen[S.children(q)].tolist())) > 1]
     assert spans
 
 
 def test_bench_grid_has_children_across_generations():
-    # the float order of subtree_sums matters only where a parent's
-    # children sit in two generations; the benchmark grid has such parents
+    # a tree sum taken one generation at a time adds a child before its
+    # sibling's subtree is whole only where a parent's children sit in two
+    # generations; the benchmark grid has such parents, and the ascending-id
+    # oracle above matches subtree_sums on it too
     S = _bench_grid()
     spans = [q for q in S.relevant_ids() if len(set(S.gen[S.children(q)].tolist())) > 1]
     assert spans
