@@ -35,10 +35,11 @@ class Approximant:
     mode: str  # 'local', 'bounded', 'unbounded'
     cells: list
     cell: np.ndarray  # per box: its cell index, -1 outside the domain
-    jump_facets: list  # (a, b, axis, area, mass)
-    tv_box: np.ndarray  # per-box binned TV measure (grad + half jumps)
     q0: int | None = None
     rings: list = field(default_factory=list)
+    # set by `_assemble_jumps`
+    jump_facets: list = field(default_factory=list)  # (a, b, axis, area, mass)
+    tv_box: np.ndarray | None = None  # per-box binned TV measure (grad + half jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -114,30 +115,28 @@ def build_partition(
 # ---------------------------------------------------------------------------
 
 
-def build_local_approximant(
+def local_cells(
     FS: FunctionalSuite,
     GF: GenerationForest,
     labels: OscillationLabels,
     q0: int,
-) -> Approximant:
-    """phi on T_{q0}: constants on A/blue cells, u on red cells."""
+) -> tuple[list, np.ndarray]:
+    """The cells of phi on T_{q0} (constants on A/blue cells, u on red
+    cells) and the per-box cell index, -1 outside T_{q0}."""
     RC = FS.RC
     family = order_good_cubes(RC, GF, q0)
     # u at Y_{Q_k}^{+/-}, one point per call
     values = np.array(
         [[FS.u.eval(RC.y_point(qk, sign)[None, :])[0] for sign in "+-"] for qk in family]
     ).reshape(-1, 2)
-    cells, cell = build_partition(RC, GF, labels, q0, family, values, FS.u)
-    A = Approximant(
-        RC=RC,
-        u=FS.u,
-        mode="local",
-        cells=cells,
-        cell=cell,
-        jump_facets=[],
-        tv_box=np.zeros(RC.W.n_boxes),
-        q0=q0,
-    )
+    return build_partition(RC, GF, labels, q0, family, values, FS.u)
+
+
+def assemble_approximant(
+    FS: FunctionalSuite, mode: str, cells: list, cell: np.ndarray, q0: int, rings=()
+) -> Approximant:
+    """The approximant of the given cells, its jumps assembled."""
+    A = Approximant(FS.RC, FS.u, mode, cells, cell, q0, list(rings))
     _assemble_jumps(FS, A)
     return A
 
@@ -151,67 +150,42 @@ def build_global_approximant(
     """Glue local approximants: bounded mode patches u outside T_{root};
     unbounded mode tiles rings W_k = T_{Q_k} \\ T_{Q_{k-1}} along a
     gamma0-spaced chain of cubes up to the root; the mode follows from
-    whether E is bounded."""
+    whether E is bounded.  Jumps are assembled once, on the glued cells."""
     RC = FS.RC
     S = RC.S
     root = S.roots[0]
     if S.E.bounded:
-        local = build_local_approximant(FS, GF, labels, root)
-        cells = list(local.cells)
-        cell = local.cell
+        cells, cell = local_cells(FS, GF, labels, root)
         outer = np.flatnonzero(cell < 0)
         cell[outer] = len(cells)
         cells.append(
             Cell(idx=len(cells), kind="outer", anchor=None, value=None, boxes=outer.tolist())
         )
-        A = Approximant(
-            RC=RC,
-            u=FS.u,
-            mode="bounded",
-            cells=cells,
-            cell=cell,
-            jump_facets=[],
-            tv_box=np.zeros(RC.W.n_boxes),
-            q0=root,
-        )
-        _assemble_jumps(FS, A)
-        return A
+        return assemble_approximant(FS, "bounded", cells, cell, root)
     rings = _ring_chain(S, gamma0)
     if len(rings) < 2:
         raise ValueError(
             "window too small for >= 2 gamma0-spaced ring cubes; "
             "decrease gamma0 or extend the generation range"
         )
-    locals_ = [build_local_approximant(FS, GF, labels, q) for q in rings]
     cells: list[Cell] = []
     cell = np.full(RC.W.n_boxes, -1)
     # `fresh`: boxes of no earlier ring
     fresh = np.ones(RC.W.n_boxes, dtype=bool)
-    for q, loc in zip(rings, locals_):
+    for q in rings:
+        loc_cells, loc_cell = local_cells(FS, GF, labels, q)
         t_k = RC.carleson_box(q)
-        ring = t_k[fresh[t_k] & (loc.cell[t_k] >= 0)]
+        ring = t_k[fresh[t_k] & (loc_cell[t_k] >= 0)]
         fresh[t_k] = False
         # the ring's piece of each local cell, in order of its first box
-        li = loc.cell[ring]
+        li = loc_cell[ring]
         for j in np.sort(distinct(li, return_index=True)[1]).tolist():
-            src, boxes = loc.cells[li[j]], ring[li == li[j]]
+            src, boxes = loc_cells[li[j]], ring[li == li[j]]
             cell[boxes] = len(cells)
             cells.append(
                 Cell(len(cells), src.kind, src.anchor, src.value, boxes=boxes.tolist())
             )
-    A = Approximant(
-        RC=RC,
-        u=FS.u,
-        mode="unbounded",
-        cells=cells,
-        cell=cell,
-        jump_facets=[],
-        tv_box=np.zeros(RC.W.n_boxes),
-        q0=root,
-        rings=rings,
-    )
-    _assemble_jumps(FS, A)
-    return A
+    return assemble_approximant(FS, "unbounded", cells, cell, root, rings)
 
 
 def _ring_chain(S, gamma0: float) -> list:

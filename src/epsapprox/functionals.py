@@ -7,8 +7,8 @@ once and only its extrema are kept: per box, and per owner segment (the
 points of a box's grid that one core box holds).  A piecewise-constant phi
 is one value v on a segment and fl(a - v) is monotone in a, so the segment's
 sup of |u - phi| is read exactly off the two extrema.  All sups are grid
-sups, hence lower bounds; nothing bounds the gap from above yet (ROADMAP
-item 4).  Inequalities consuming these sups are either tested with both
+sups, hence lower bounds; nothing bounds the gap from above yet (a ROADMAP
+item).  Inequalities consuming these sups are either tested with both
 sides on the same grids or at two resolutions.  E is a curve in the plane
 (n = 1), so the square-function weight delta^{1-n} is 1 and l(Q)^n = l(Q).
 """
@@ -18,7 +18,17 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import CubeSystem
-from .geometry import ball_sums, csr_rows, distinct, pair_distances, ranges, row_blocks, row_spans
+from .geometry import (
+    ball_sums,
+    balls,
+    by_x,
+    csr_rows,
+    distinct,
+    pair_distances,
+    ranges,
+    row_blocks,
+    row_spans,
+)
 from .harmonic import HarmonicField
 from .whitney import RegionComplex
 
@@ -33,7 +43,7 @@ class FunctionalSuite:
     """Shared evaluation state for one (boundary, regions, field) triple.
 
     The cone index lives here: the relevant cubes of a sample's chain
-    realize its default cone, `aperture_neighbors` the widened ones; both
+    realize its default cone, the `apertures` CSR the widened ones; both
     resolve to region box sets of the complex.  Tree sweeps read the
     relevant-tree index of the cube system.
     """
@@ -57,8 +67,7 @@ class FunctionalSuite:
         self._pairs = None
         self._nstar_cache: dict = {}
         self._numbers_cache: dict = {}
-        self._neighbor_cache: dict = {}
-        self._gen_x: dict = {}
+        self._apertures: dict = {}
         self.far_ball_factor = far_ball_factor
         self._grad_int = None
         self._grad2_int = None
@@ -168,43 +177,39 @@ class FunctionalSuite:
         mx, mn = self.box_extrema()
         return self.RC.region_max(np.maximum(np.abs(mx), np.abs(mn)), -np.inf)
 
-    def aperture_neighbors(self, alpha: float, qid: int) -> list:
-        """Same-generation cubes P with alpha*Delta_Q meeting P.
+    def apertures(self, alpha: float):
+        """The alpha-aperture cone index: a CSR (ptr, nbr) whose row Q holds,
+        ascending, the same-generation relevant cubes P with alpha*Delta_Q
+        meeting P.
 
         The surface ball is open (strict inequality), so alpha = 1 with
-        centered cubes reproduces the default cones exactly.  A candidate
-        passes the centre test only within r + 2*C1*l(P) of z_Q in x, so
-        only the generation's cubes in that x-window (widened against
-        rounding) are tested, in ascending id order.
+        centered cubes reproduces the default cones exactly.  P meets it iff
+        one of P's samples lies in it, and sample s lies in the relevant
+        cube of generation k that is the k-th entry of `anc_at` at s's
+        finest cube (-1 where the generation's cube is a non-relevant copy).
+        So one `balls` pass per generation lists every (Q, P) pair; ids run
+        generation after generation, so the generations' keys ascend.
         """
-        key = (alpha, qid)
-        if key not in self._neighbor_cache:
+        if alpha not in self._apertures:
             S = self.S
-            z = S.z[qid]
-            r = alpha * S.C1 * S.side[qid]
-            ids, xs, side = self._gen_index(S.gen[qid])
-            reach = (r + 2 * S.C1 * side) * (1 + 1e-9) + 1e-9 * abs(z[0])
-            lo = np.searchsorted(xs, z[0] - reach, side="left")
-            hi = np.searchsorted(xs, z[0] + reach, side="right")
-            cand = np.sort(ids[lo:hi])
-            cand = cand[np.linalg.norm(S.z[cand] - z, axis=1) <= r + S.C1 * S.side[cand] * 2]
-            # the member test, on the candidates the centre test keeps
-            count = S.member_ptr[cand + 1] - S.member_ptr[cand]
-            pts = S.E.points[S.member_sample[ranges(S.member_ptr[cand], count)]]
-            d = np.linalg.norm(pts - z, axis=1)
-            near = np.minimum.reduceat(d, np.cumsum(count) - count) < r
-            self._neighbor_cache[key] = cand[near].tolist()
-        return self._neighbor_cache[key]
+            order, T = by_x(S.E.points)
+            n = S.n_cubes
+            keys = []
+            for g, (q, _) in enumerate(S.levels):
+                r = alpha * S.C1 * S.side[q]
+                ptr, ids, d = balls(order, T, S.z[q], r)
+                count = np.diff(ptr)
+                p = S.anc_at[S.sample_leaf[ids], g]
+                keep = (d < np.repeat(r, count)) & (p >= 0)
+                keys.append(distinct(np.repeat(q.astype(np.int64), count)[keep] * n + p[keep]))
+            key = np.concatenate(keys)
+            self._apertures[alpha] = (np.searchsorted(key // n, np.arange(n + 1)), key % n)
+        return self._apertures[alpha]
 
-    def _gen_index(self, k: int):
-        """Relevant cube ids of generation k sorted by centre x, their
-        centre xs, and their largest side."""
-        if k not in self._gen_x:
-            ids = np.asarray(self.S.relevant_at_gen(k), dtype=int)
-            xs = self.S.z[ids, 0]
-            order = np.argsort(xs, kind="stable")
-            self._gen_x[k] = (ids[order], xs[order], self.S.side[ids].max())
-        return self._gen_x[k]
+    def aperture_neighbors(self, alpha: float, qid: int) -> list:
+        """Row qid of `apertures(alpha)`, as a list."""
+        ptr, nbr = self.apertures(alpha)
+        return nbr[ptr[qid] : ptr[qid + 1]].tolist()
 
     def n_star(self, alpha: float | None = None) -> np.ndarray:
         """N_* u (default cones) or the alpha-aperture variant, per sample.
@@ -220,9 +225,10 @@ class FunctionalSuite:
         sup = self.region_sup()
         own = sup
         if alpha is not None:
+            ptr, nbr = self.apertures(alpha)
+            live = np.flatnonzero(np.diff(ptr))
             own = np.full(self.S.n_cubes, -np.inf)
-            for q in self.S.relevant_ids():
-                own[q] = sup[self.aperture_neighbors(alpha, q)].max(initial=-np.inf)
+            own[live] = np.maximum.reduceat(sup[nbr], ptr[live])
         out = self.S.down_max(own, self._far_sup())[self.S.sample_leaf]
         empty = np.nonzero(out == -np.inf)[0]
         if len(empty):

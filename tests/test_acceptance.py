@@ -104,7 +104,9 @@ def test_criterion_01_discrete_embedding():
 def test_criterion_02_sparse_carleson_equivalence():
     rng = np.random.default_rng(202)
     systems = {d: synthetic_system(depth=d) for d in range(1, 6)}
-    t0 = time.time()
+    # CPU time of this process: the 60 s budget is the decisions' cost, not
+    # the machine's load
+    t0 = time.process_time()
     n = 100_000
     counterexamples = 0
     for i in range(n):
@@ -136,7 +138,7 @@ def test_criterion_02_sparse_carleson_equivalence():
                 assert isinstance(w2, InfeasibleCut)
                 if lam <= 1.0 / lam_pack * (1 - 1e-9):
                     counterexamples += 1
-    dt = time.time() - t0
+    dt = time.process_time() - t0
     ok = counterexamples == 0 and dt < 60.0
     assert verdict(
         2, ok, f"{n} collections, {counterexamples} counterexamples, {dt:.1f}s"

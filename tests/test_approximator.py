@@ -9,10 +9,11 @@ from epsapprox import approximator, pipeline
 from epsapprox.approximator import (
     BALL_STRIDE,
     Approximant,
+    assemble_approximant,
     build_global_approximant,
-    build_local_approximant,
     deviation_sups,
     find_alpha0,
+    local_cells,
     nontangential_deviation,
     order_good_cubes,
     verify_approximation,
@@ -78,6 +79,12 @@ def make_state(rc, u, eps, far=None):
     labels = oscillation_cubes(fs, eps, numbers)
     gf = generation_cubes(rc, eps, numbers, fs.u)
     return fs, numbers, labels, gf
+
+
+def build_local_approximant(fs, gf, labels, q0) -> Approximant:
+    """phi on T_{q0} alone, its jumps assembled: the local approximant that
+    the glued ones are cut from."""
+    return assemble_approximant(fs, "local", *local_cells(fs, gf, labels, q0), q0)
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +569,26 @@ def test_jumps_match_facet_loop(mode, request, line_rc, state_t, local_t):
     # u against a constant: red cells in the Poisson field, the outer cell
     # of the bounded mode
     assert n_mixed > 0 or mode == "local"
+
+
+@pytest.mark.parametrize(
+    "rc, u, far",
+    [
+        ("line_rc", PoissonIndicator(-0.5, 0.5), None),
+        ("segment_rc", FundamentalPole((0.0, 0.0)), 4.0),
+    ],
+    ids=["unbounded", "bounded"],
+)
+def test_global_approximant_assembles_jumps_once(rc, u, far, request, monkeypatch):
+    fs, numbers, labels, gf = make_state(request.getfixturevalue(rc), u, 0.3, far=far)
+    modes = []
+    inner = approximator._assemble_jumps
+    monkeypatch.setattr(
+        approximator, "_assemble_jumps", lambda FS, A: modes.append(A.mode) or inner(FS, A)
+    )
+    A = build_global_approximant(fs, gf, labels)
+    # no local approximant is assembled on the way
+    assert modes == [A.mode]
 
 
 def _deviation_loop(fs, A):

@@ -13,7 +13,7 @@ from epsapprox.functionals import (
     compare_levelsets,
     lp_norm,
 )
-from epsapprox import geometry
+from epsapprox import functionals, geometry
 from epsapprox.geometry import Hyperplane, Window, build_boundary
 from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
@@ -260,8 +260,16 @@ def _n_star_loop(FS, alpha):
 APERTURES = [None, 1.0, 4.0, 3.7]
 
 
-@pytest.mark.parametrize("fixture", ["line_rc", "segment_rc", "sin_rc"])
-def test_cones_match_all_pairs_scan(fixture, request):
+@pytest.mark.parametrize(
+    "fixture, copies",
+    [
+        # line_rc is quick_t's grid
+        pytest.param("line_rc", True, id="line_rc"),
+        pytest.param("segment_rc", False, id="segment_rc"),
+        pytest.param("sin_rc", True, id="sin_rc"),
+    ],
+)
+def test_cones_match_all_pairs_scan(fixture, copies, request):
     rc = request.getfixturevalue(fixture)
     far = 2.0 if rc.S.E.bounded else None
     fs = FunctionalSuite(rc, PoissonIndicator(-0.5, 0.7), far_ball_factor=far)
@@ -279,19 +287,34 @@ def test_cones_match_all_pairs_scan(fixture, request):
         for q in S.relevant_ids()
         for p in fs.aperture_neighbors(alpha, q)
     )
+    # some sample sits exactly on the sphere of a ball alpha*Delta_Q, so the
+    # ball's openness decides; where the system has non-relevant copies,
+    # some sample inside a ball has no relevant cube at Q's generation
+    on_sphere, uncovered = False, False
+    leaf = S.sample_leaf
+    for alpha in APERTURES[1:]:
+        for q in S.relevant_ids():
+            r = alpha * S.C1 * S.side[q]
+            d = np.linalg.norm(S.E.points - S.z[q], axis=1)
+            on_sphere |= bool((d == r).any())
+            uncovered |= bool((S.anc_at[leaf[d < r], S.gen[q] - S.k_min] < 0).any())
+    assert on_sphere
+    assert bool((~S.relevant).any()) == copies == uncovered
 
 
-def test_aperture_calls_once_per_cube(line_rc, monkeypatch):
+def test_n_star_builds_each_aperture_index_once(line_rc, monkeypatch):
     fs = FunctionalSuite(line_rc, Coordinate(1))
-    calls = []
-    inner = FunctionalSuite.aperture_neighbors
-    monkeypatch.setattr(
-        FunctionalSuite,
-        "aperture_neighbors",
-        lambda self, a, q: calls.append(q) or inner(self, a, q),
-    )
-    fs.n_star(4.0)
-    assert sorted(calls) == sorted(fs.S.relevant_ids())
+    passes, calls = [], []
+    inner = functionals.balls
+    monkeypatch.setattr(functionals, "balls", lambda *a: passes.append(1) or inner(*a))
+    monkeypatch.setattr(FunctionalSuite, "aperture_neighbors", lambda self, a, q: calls.append(q))
+    for alpha in [4.0, 1.0, 4.0]:
+        fs.n_star(alpha)
+        fs.cube_numbers(alpha)
+        fs.apertures(alpha)
+    # one `balls` pass per generation per distinct alpha, no per-cube call
+    assert len(passes) == 2 * len(fs.S.levels)
+    assert calls == []
 
 
 def test_empty_cone_names_first_sample(line_rc, monkeypatch):
