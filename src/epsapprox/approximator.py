@@ -47,35 +47,34 @@ class Approximant:
 # ---------------------------------------------------------------------------
 
 
-def order_good_cubes(RC: RegionComplex, GF: GenerationForest, q0: int) -> list:
-    """Family {Q_k}: the subregime tops covering the good cubes under q0,
-    in id order, which is by maximal side length with id tie-break."""
-    good_under = RC.S.subtree(q0) & (RC.corona.regime >= 0)
-    return distinct(GF.top[good_under]).tolist()
+def order_good_cubes(RC: RegionComplex, GF: GenerationForest, cubes: np.ndarray) -> list:
+    """Family {Q_k}: the subregime tops covering the good cubes of the mask
+    `cubes`, in id order, which is by maximal side length with id tie-break."""
+    return distinct(GF.top[cubes & (RC.corona.regime >= 0)]).tolist()
 
 
 def build_partition(
-    RC: RegionComplex,
+    FS: FunctionalSuite,
     GF: GenerationForest,
     labels: OscillationLabels,
-    q0: int,
-    family: list,
-    values: np.ndarray,
-    u,
-) -> tuple[list, np.ndarray]:
-    """Carve T_{q0} into V cells (oscillation/bad regions, precedence) and
-    A cells (subregime sawtooth halves minus what is already taken).
+    cubes: np.ndarray,
+    cells: list,
+    cell: np.ndarray,
+) -> None:
+    """Carve the boxes of the sawtooth over the cube mask `cubes` that no
+    cell holds yet into V cells (oscillation/bad regions, precedence) and
+    A cells (subregime sawtooth halves minus what is already taken),
+    appending them to `cells` and marking them in the per-box `cell`.
 
-    values[k] holds the '+' and '-' constants of family[k]'s A cells; u
-    gives the blue cells theirs.  Returns the cells and the per-box cell
-    index (-1 outside T_{q0}).
+    An A cell of Q_k is frozen at u(Y_{Q_k}^{+/-}), a blue cell at u at
+    its component's largest box, and a red cell's rule is u itself.
     """
-    S, W = RC.S, RC.W
-    # `free`: boxes of T_{q0} no cell has taken yet
+    RC, u = FS.RC, FS.u
+    W = RC.W
+    # `free`: boxes of this sawtooth no cell has taken yet
     free = np.zeros(W.n_boxes, dtype=bool)
-    free[RC.carleson_box(q0)] = True
-    cells: list[Cell] = []
-    cell = np.full(W.n_boxes, -1)
+    free[RC.sawtooth(np.flatnonzero(cubes))] = True
+    free &= cell < 0
 
     def add_cell(kind, anchor, value, boxes):
         """A cell of the free boxes among `boxes` (ascending), which it takes."""
@@ -90,7 +89,7 @@ def build_partition(
 
     # V cells first (phi_1 has precedence over phi_0 on its closure), by
     # maximal side length with id tie-break, which is id order
-    v_cubes = S.subtree(q0) & ((RC.corona.regime < 0) | labels.member)
+    v_cubes = cubes & ((RC.corona.regime < 0) | labels.member)
     for qm in np.flatnonzero(v_cubes).tolist():
         for c in RC.comps(qm):
             if labels.red[c]:
@@ -99,37 +98,22 @@ def build_partition(
                 b = RC.comp_center[c]
                 x_i = (W.lo[b] + W.hi[b]) / 2.0
                 add_cell("blue", qm, float(u.eval(x_i[None, :])[0]), RC.comp(c))
-    # A cells: subregime sawtooth halves minus everything taken so far
-    for qk, pm in zip(family, values.tolist()):
-        for sign, value, half in zip("+-", pm, RC.sawtooth_halves(GF.subregime(qk))):
+    # A cells: subregime sawtooth halves minus everything taken so far, at
+    # u(Y_{Q_k}^{+/-}), one point per call
+    for qk in order_good_cubes(RC, GF, cubes):
+        for sign, half in zip("+-", RC.sawtooth_halves(GF.subregime(qk))):
+            value = float(u.eval(RC.y_point(qk, sign)[None, :])[0])
             add_cell("A" + sign, qk, value, half)
     if free.any():
         raise RuntimeError(
-            f"partition does not cover T_q0: {int(free.sum())} boxes left"
+            f"partition leaves {int(free.sum())} boxes of the ring uncovered, "
+            f"the first box {int(np.argmax(free))}"
         )
-    return cells, cell
 
 
 # ---------------------------------------------------------------------------
 # approximants
 # ---------------------------------------------------------------------------
-
-
-def local_cells(
-    FS: FunctionalSuite,
-    GF: GenerationForest,
-    labels: OscillationLabels,
-    q0: int,
-) -> tuple[list, np.ndarray]:
-    """The cells of phi on T_{q0} (constants on A/blue cells, u on red
-    cells) and the per-box cell index, -1 outside T_{q0}."""
-    RC = FS.RC
-    family = order_good_cubes(RC, GF, q0)
-    # u at Y_{Q_k}^{+/-}, one point per call
-    values = np.array(
-        [[FS.u.eval(RC.y_point(qk, sign)[None, :])[0] for sign in "+-"] for qk in family]
-    ).reshape(-1, 2)
-    return build_partition(RC, GF, labels, q0, family, values, FS.u)
 
 
 def assemble_approximant(
@@ -150,42 +134,32 @@ def build_global_approximant(
     """Glue local approximants: bounded mode patches u outside T_{root};
     unbounded mode tiles rings W_k = T_{Q_k} \\ T_{Q_{k-1}} along a
     gamma0-spaced chain of cubes up to the root; the mode follows from
-    whether E is bounded.  Jumps are assembled once, on the glued cells."""
+    whether E is bounded.
+
+    Each ring is carved once, from its own cubes C_k = subtree(Q_k) \\
+    subtree(Q_{k-1}): T_{Q_k} is the sawtooth over C_k joined to
+    T_{Q_{k-1}}, so W_k is the part of that sawtooth no earlier ring took,
+    and each of its boxes gets the cell that carving all of T_{Q_k} would
+    give it.  Jumps are assembled once, on the glued cells."""
     RC = FS.RC
     S = RC.S
     root = S.roots[0]
-    if S.E.bounded:
-        cells, cell = local_cells(FS, GF, labels, root)
-        outer = np.flatnonzero(cell < 0)
-        cell[outer] = len(cells)
-        cells.append(
-            Cell(idx=len(cells), kind="outer", anchor=None, value=None, boxes=outer.tolist())
-        )
-        return assemble_approximant(FS, "bounded", cells, cell, root)
-    rings = _ring_chain(S, gamma0)
-    if len(rings) < 2:
-        raise ValueError(
-            "window too small for >= 2 gamma0-spaced ring cubes; "
-            "decrease gamma0 or extend the generation range"
-        )
+    rings = [root] if S.E.bounded else _ring_chain(S, gamma0)
     cells: list[Cell] = []
     cell = np.full(RC.W.n_boxes, -1)
-    # `fresh`: boxes of no earlier ring
-    fresh = np.ones(RC.W.n_boxes, dtype=bool)
+    done = np.zeros(S.n_cubes, dtype=bool)
     for q in rings:
-        loc_cells, loc_cell = local_cells(FS, GF, labels, q)
-        t_k = RC.carleson_box(q)
-        ring = t_k[fresh[t_k] & (loc_cell[t_k] >= 0)]
-        fresh[t_k] = False
-        # the ring's piece of each local cell, in order of its first box
-        li = loc_cell[ring]
-        for j in np.sort(distinct(li, return_index=True)[1]).tolist():
-            src, boxes = loc_cells[li[j]], ring[li == li[j]]
-            cell[boxes] = len(cells)
-            cells.append(
-                Cell(len(cells), src.kind, src.anchor, src.value, boxes=boxes.tolist())
-            )
-    return assemble_approximant(FS, "unbounded", cells, cell, root, rings)
+        ring = S.subtree(q) & ~done
+        done |= ring
+        build_partition(FS, GF, labels, ring, cells, cell)
+    if not S.E.bounded:
+        return assemble_approximant(FS, "unbounded", cells, cell, root, rings)
+    outer = np.flatnonzero(cell < 0)
+    cell[outer] = len(cells)
+    cells.append(
+        Cell(idx=len(cells), kind="outer", anchor=None, value=None, boxes=outer.tolist())
+    )
+    return assemble_approximant(FS, "bounded", cells, cell, root)
 
 
 def _ring_chain(S, gamma0: float) -> list:
@@ -198,6 +172,11 @@ def _ring_chain(S, gamma0: float) -> list:
             out.append(q)
     if out[-1] != chain[-1]:
         out.append(chain[-1])  # always end at the root
+    if len(out) < 2:
+        raise ValueError(
+            "window too small for >= 2 gamma0-spaced ring cubes; "
+            "decrease gamma0 or extend the generation range"
+        )
     return out
 
 

@@ -11,9 +11,9 @@ from epsapprox.approximator import (
     Approximant,
     assemble_approximant,
     build_global_approximant,
+    build_partition,
     deviation_sups,
     find_alpha0,
-    local_cells,
     nontangential_deviation,
     order_good_cubes,
     verify_approximation,
@@ -25,7 +25,7 @@ from epsapprox.functionals import FunctionalSuite
 from epsapprox.geometry import Hyperplane, Window, build_boundary
 from epsapprox.harmonic import Constant, Coordinate, FundamentalPole, PoissonIndicator
 from epsapprox.stopping import generation_cubes, oscillation_cubes
-from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
+from epsapprox.whitney import RegionComplex, build_regions, corona_provider, whitney_decompose
 
 from conftest import ancestors, box_owners, certified_mask, region
 from test_dyadic import surface_ball
@@ -81,10 +81,17 @@ def make_state(rc, u, eps, far=None):
     return fs, numbers, labels, gf
 
 
+def partition_of(fs, gf, labels, q0):
+    """The cells of phi on all of T_{q0} and the per-box cell index, -1
+    outside T_{q0}."""
+    cells, cell = [], np.full(fs.W.n_boxes, -1)
+    build_partition(fs, gf, labels, fs.S.subtree(q0), cells, cell)
+    return cells, cell
+
+
 def build_local_approximant(fs, gf, labels, q0) -> Approximant:
-    """phi on T_{q0} alone, its jumps assembled: the local approximant that
-    the glued ones are cut from."""
-    return assemble_approximant(fs, "local", *local_cells(fs, gf, labels, q0), q0)
+    """phi on T_{q0} alone, its jumps assembled."""
+    return assemble_approximant(fs, "local", *partition_of(fs, gf, labels, q0), q0)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +110,7 @@ class TestOrderedFamily:
         # constant u: one subregime per (re-cohered) regime, whole regimes
         fs, numbers, labels, gf = make_state(line_rc, Constant(1.0), 0.3)
         root = line_rc.S.roots[0]
-        fam = order_good_cubes(line_rc, gf, root)
+        fam = order_good_cubes(line_rc, gf, line_rc.S.subtree(root))
         assert fam[0] == root
         corona = line_rc.corona
         assert fam == corona.top.tolist()
@@ -114,7 +121,7 @@ class TestOrderedFamily:
         fs, numbers, labels, gf = state_t
         S = line_rc.S
         root = S.roots[0]
-        fam = order_good_cubes(line_rc, gf, root)
+        fam = order_good_cubes(line_rc, gf, S.subtree(root))
         # independent replay: repeatedly take the maximal-side good cube not
         # yet covered; its generation-forest subregime joins the cover
         good = set(q for q in S.descendants(root) if line_rc.corona.regime[q] >= 0)
@@ -130,7 +137,7 @@ class TestOrderedFamily:
 
     def test_sides_non_increasing(self, line_rc, state_t):
         fs, numbers, labels, gf = state_t
-        fam = order_good_cubes(line_rc, gf, line_rc.S.roots[0])
+        fam = order_good_cubes(line_rc, gf, line_rc.S.subtree(line_rc.S.roots[0]))
         sides = [line_rc.S.side[q] for q in fam]
         assert sides == sorted(sides, reverse=True)
 
@@ -589,6 +596,92 @@ def test_global_approximant_assembles_jumps_once(rc, u, far, request, monkeypatc
     A = build_global_approximant(fs, gf, labels)
     # no local approximant is assembled on the way
     assert modes == [A.mode]
+
+
+GLUE_CASES = {
+    "t-0.5": ("line_rc", Coordinate(1), 0.5, None),
+    "t-0.2": ("line_rc", Coordinate(1), 0.2, None),
+    "poisson-0.3": ("line_rc", PoissonIndicator(-0.5, 0.5), 0.3, None),
+    "poisson-0.2": ("line_rc", PoissonIndicator(-0.5, 0.5), 0.2, None),
+    "bounded": ("segment_rc", FundamentalPole((0.0, 0.0)), 0.3, 4.0),
+}
+
+
+@pytest.fixture(scope="module")
+def glued(request):
+    """Per GLUE_CASES name: the suite, generation forest, labels and glued
+    approximant (gamma0 = 4)."""
+    out = {}
+    for name, (rc, u, eps, far) in GLUE_CASES.items():
+        fs, _, labels, gf = make_state(request.getfixturevalue(rc), u, eps, far=far)
+        out[name] = fs, gf, labels, build_global_approximant(fs, gf, labels)
+    return out
+
+
+def _glue_rings(S):
+    """The ring cubes of the glued approximant, innermost first."""
+    return [S.roots[0]] if S.E.bounded else approximator._ring_chain(S, 4.0)
+
+
+def _ring_loop_rules(fs, gf, labels):
+    """Reference: per box phi's (kind, anchor, value), or None outside the
+    domain.  Per ring cube Q_k, the partition of all of T_{Q_k}, cut to the
+    boxes of T_{Q_k} outside every earlier Carleson box; u outside T_root
+    in bounded mode."""
+    RC = fs.RC
+    rules = [None] * RC.W.n_boxes
+    earlier = set()
+    for q in _glue_rings(fs.S):
+        cells, cell = partition_of(fs, gf, labels, q)
+        t_k = RC.carleson_box(q).tolist()
+        for b in set(t_k) - earlier:
+            c = cells[cell[b]]
+            rules[b] = (c.kind, c.anchor, c.value)
+        earlier.update(t_k)
+    if fs.S.E.bounded:
+        rules = [("outer", None, None) if r is None else r for r in rules]
+    return rules
+
+
+@pytest.mark.parametrize("case", list(GLUE_CASES))
+def test_glued_cells_match_ring_loop(case, glued):
+    fs, gf, labels, A = glued[case]
+    got = [
+        None if i < 0 else (A.cells[i].kind, A.cells[i].anchor, A.cells[i].value)
+        for i in A.cell.tolist()
+    ]
+    assert got == _ring_loop_rules(fs, gf, labels)
+
+
+def test_some_subregime_spans_two_rings(glued):
+    # the glue drops a ring's tops whose good cubes all lie in earlier
+    # rings; a subregime with good cubes in two rings must stay in both
+    spans = []
+    for fs, gf, _, _ in glued.values():
+        S = fs.S
+        ring_of = np.full(S.n_cubes, -1)
+        for k, q in reversed(list(enumerate(_glue_rings(S)))):
+            ring_of[S.subtree(q)] = k
+        good = (fs.RC.corona.regime >= 0) & (ring_of >= 0)
+        pairs = set(zip(gf.top[good].tolist(), ring_of[good].tolist()))
+        spans.append(len(pairs) > len({t for t, _ in pairs}))
+    assert any(spans)
+
+
+@pytest.mark.parametrize("case", ["poisson-0.3", "bounded"])
+def test_global_approximant_carves_each_cube_once(case, glued, monkeypatch):
+    fs, gf, labels, _ = glued[case]
+    boxes, comps = [], []
+    carleson_box, cube_comps = RegionComplex.carleson_box, RegionComplex.comps
+    monkeypatch.setattr(
+        RegionComplex, "carleson_box", lambda self, q: boxes.append(q) or carleson_box(self, q)
+    )
+    monkeypatch.setattr(
+        RegionComplex, "comps", lambda self, q: comps.append(q) or cube_comps(self, q)
+    )
+    build_global_approximant(fs, gf, labels)
+    assert boxes == []
+    assert comps and len(comps) == len(set(comps))
 
 
 def _deviation_loop(fs, A):
