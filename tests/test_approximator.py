@@ -684,6 +684,21 @@ def test_global_approximant_carves_each_cube_once(case, glued, monkeypatch):
     assert comps and len(comps) == len(set(comps))
 
 
+def test_partition_names_uncovered_boxes(line_rc, state_t, monkeypatch):
+    # A cells that take nothing leave every box no V cell took
+    fs, _, labels, gf = state_t
+    empty = np.zeros(0, dtype=np.int64)
+    monkeypatch.setattr(RegionComplex, "sawtooth_halves", lambda self, ids: (empty, empty))
+    cells, cell = [], np.full(fs.W.n_boxes, -1)
+    with pytest.raises(RuntimeError) as err:
+        build_partition(fs, gf, labels, fs.S.subtree(fs.S.roots[0]), cells, cell)
+    t_root = line_rc.carleson_box(fs.S.roots[0])
+    left = t_root[cell[t_root] < 0]
+    assert len(left) and str(err.value) == (
+        f"partition leaves {len(left)} boxes of the ring uncovered, the first box {left[0]}"
+    )
+
+
 def _deviation_loop(fs, A):
     """Reference: |u - phi| at every fat-grid point, phi read through the
     point's owner (0 where the owner's rule is u, the owner is outside the
