@@ -88,22 +88,25 @@ def build_partition(
         )
 
     # V cells first (phi_1 has precedence over phi_0 on its closure), by
-    # maximal side length with id tie-break, which is id order
-    v_cubes = cubes & ((RC.corona.regime < 0) | labels.member)
-    for qm in np.flatnonzero(v_cubes).tolist():
+    # maximal side length with id tie-break, which is id order; u at every
+    # component's largest box in one call
+    v = np.flatnonzero(cubes & ((RC.corona.regime < 0) | labels.member))
+    comps = csr_rows(RC.region_comp_ptr, v)
+    b = RC.comp_center[comps]
+    blue = dict(zip(comps.tolist(), u.eval((W.lo[b] + W.hi[b]) / 2.0).tolist()))
+    for qm in v.tolist():
         for c in RC.comps(qm):
             if labels.red[c]:
                 add_cell("red", qm, None, RC.comp(c))
             elif free[RC.comp(c)].any():
-                b = RC.comp_center[c]
-                x_i = (W.lo[b] + W.hi[b]) / 2.0
-                add_cell("blue", qm, float(u.eval(x_i[None, :])[0]), RC.comp(c))
+                add_cell("blue", qm, blue[c], RC.comp(c))
     # A cells: subregime sawtooth halves minus everything taken so far, at
-    # u(Y_{Q_k}^{+/-}), one point per call
-    for qk in order_good_cubes(RC, GF, cubes):
+    # u(Y_{Q_k}^{+/-}), one call per sign over the whole family
+    tops = order_good_cubes(RC, GF, cubes)
+    y = {s: u.eval(RC.y_point(np.array(tops, dtype=np.intp), s)).tolist() for s in "+-"}
+    for k, qk in enumerate(tops):
         for sign, half in zip("+-", RC.sawtooth_halves(GF.subregime(qk))):
-            value = float(u.eval(RC.y_point(qk, sign)[None, :])[0])
-            add_cell("A" + sign, qk, value, half)
+            add_cell("A" + sign, qk, y[sign][k], half)
     if free.any():
         raise RuntimeError(
             f"partition leaves {int(free.sum())} boxes of the ring uncovered, "

@@ -25,6 +25,7 @@ from .geometry import (
     csr_rows,
     distinct,
     pair_distances,
+    paired_distances,
     ranges,
     row_blocks,
     row_spans,
@@ -160,9 +161,7 @@ class FunctionalSuite:
                 pts = self.W.lo[ids][:, None, :] + (mid * side)[None, :, :]
                 vol = (side / m) ** 2
                 flat = pts.reshape(-1, 2)
-                gr = np.linalg.norm(self.u.grad(flat), axis=1).reshape(
-                    pts.shape[:2]
-                )
+                gr = paired_distances(self.u.grad(flat), np.zeros((1, 2))).reshape(len(ids), -1)
                 g1[ids] = gr.sum(axis=1) * vol
                 g2[ids] = (gr**2).sum(axis=1) * vol
             self._grad_int = g1
@@ -243,7 +242,7 @@ class FunctionalSuite:
         z0 = self.E.points[0]
         R = self.far_ball_factor * self.E.diameter
         mids = (self.W.lo + self.W.hi) / 2
-        outside = np.linalg.norm(mids - z0, axis=1) > R
+        outside = paired_distances(mids, z0[None, :]) > R
         if not outside.any():
             return -np.inf
         mx, mn = self.box_extrema()
@@ -348,12 +347,12 @@ class FunctionalSuite:
     def _tower_sup(self, mass: np.ndarray) -> float:
         z0 = self.E.points[0]
         lo, hi = self.W.lo, self.W.hi
-        far = np.maximum(np.linalg.norm(lo - z0, axis=1), np.linalg.norm(hi - z0, axis=1))
+        far = np.maximum(paired_distances(lo, z0[None, :]), paired_distances(hi, z0[None, :]))
         t_root = far[self.RC.carleson_box(self.S.roots[0])].max(initial=0.0)
         d = self.E.diameter
         lam0 = max(0, int(np.ceil(np.log2(max(t_root, d) / d))))
         mids = (lo + hi) / 2
-        dist_mid = np.linalg.norm(mids - z0, axis=1)
+        dist_mid = paired_distances(mids, z0[None, :])
         best = 0.0
         for k in range(lam0, lam0 + 5):
             R = 2.0**k * d

@@ -129,7 +129,7 @@ class LipschitzGraph(Descriptor):
         n = int(round((hi - lo) / resolution)) + 1
         xs = np.linspace(lo, hi, n)
         pts = np.column_stack([xs, self.graph_value(xs)])
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)  # secant lengths
+        seg = paired_distances(pts[1:], pts[:-1])  # secant lengths
         h = (hi - lo) / (n - 1)
         s = np.empty(n)
         s[1:-1] = (seg[:-1] + seg[1:]) / (2 * h)
@@ -451,8 +451,9 @@ _WINDOW_SLACK = 1e-9
 
 
 def paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_i - b_i| row by row (either may be one broadcast row), with the
-    arithmetic of `pair_distances`."""
+    """|a_i - b_i| row by row (either may be one broadcast row): the bits of
+    ``np.linalg.norm(a - b, axis=1)`` (see `pair_distances`) without its
+    (n, 2) temporaries.  The package's one row-norm kernel."""
     d = a[:, 0] - b[:, 0]
     dy = a[:, 1] - b[:, 1]
     d *= d
@@ -577,7 +578,7 @@ def _dist_to_polyline(P: np.ndarray, pl: np.ndarray) -> np.ndarray:
         ap = p[None, :] - a
         t = np.clip(np.einsum("ij,ij->i", ap, ab) / den, 0.0, 1.0)
         proj = a + t[:, None] * ab
-        out[i] = np.min(np.linalg.norm(proj - p[None, :], axis=1))
+        out[i] = np.min(paired_distances(proj, p[None, :]))
     return out
 
 
@@ -585,10 +586,17 @@ def box_distance_many(
     los: np.ndarray, his: np.ndarray, E: BoundarySet, bound=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances from stacked boxes [los[i], his[i]] (m, 2) to E, and for
-    each box a nearest point of E's targets, (m, 2).
+    each box a nearest point of E, (m, 2).
 
-    The targets are the polyline vertices or cloud points, sorted by x
-    here.  `bound`, if given, holds for each box an upper bound on its
+    Flat E, [a, b] x {0} (a, b = -inf, inf for the line), is closed-form and
+    exact: sqrt(dx^2 + dy^2) with dx = max(a - hi_x, lo_x - b, 0), dy =
+    max(lo_y, -hi_y, 0), and (clip(lo_x, a, b), 0) nearest.  A scan of the
+    segment's polyline vertices gives the same bits on boxes aligned to its
+    step with sides a multiple of it (every Whitney box of a shipped config),
+    and overestimates the distance of a box that falls between two vertices.
+
+    Otherwise the targets are the polyline vertices or cloud points, sorted
+    by x here.  `bound`, if given, holds for each box an upper bound on its
     distance.  A target within the bound of the box lies at least `gap`
     away in y, the gap between the box and the targets' y-range, so within
     sqrt(bound^2 - gap^2) of the box's x-range.  The bound is widened by a
@@ -596,17 +604,15 @@ def box_distance_many(
     target exactly at the bound cannot drop it.  Only the targets in that
     window are scanned; the nearest target is among them, and each pair
     distance is the same clip-and-norm as a full scan, so the result is
-    bit-identical to one.  On the hyperplane the distance is closed-form
-    and (lo_x, 0) is a nearest point.
+    bit-identical to one.
     """
     desc = E.descriptor
-    if isinstance(desc, Hyperplane):
-        below = his[:, -1] < 0
-        above = los[:, -1] > 0
-        out = np.zeros(len(los))
-        out[below] = -his[below, -1]
-        out[above] = los[above, -1]
-        return out, np.column_stack([los[:, 0], np.zeros(len(los))])
+    if isinstance(desc, (Hyperplane, Segment)):
+        a, b = (desc.a, desc.b) if isinstance(desc, Segment) else (-np.inf, np.inf)
+        dx = np.maximum(np.maximum(a - his[:, 0], los[:, 0] - b), 0.0)
+        dy = np.maximum(np.maximum(los[:, 1], -his[:, 1]), 0.0)
+        near = np.column_stack([np.clip(los[:, 0], a, b), np.zeros(len(los))])
+        return np.sqrt(dx * dx + dy * dy), near
     targets = E.polyline()
     if targets is None:
         targets = E.points
@@ -624,7 +630,7 @@ def box_distance_many(
     near = np.empty((len(los), 2))
     for i, j, box, idx, offsets in _window_blocks(start, stop - start):
         t = targets[idx]
-        d = np.linalg.norm(t - np.clip(t, los[box], his[box]), axis=1)
+        d = paired_distances(t, np.clip(t, los[box], his[box]))
         out[i:j] = np.minimum.reduceat(d, offsets)
         # the first target of each window at its box's minimum
         hit = np.flatnonzero(d == out[box])

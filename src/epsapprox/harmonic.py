@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GEOM_TOL, BoundarySet, _distance
+from .geometry import GEOM_TOL, BoundarySet, _distance, paired_distances
 
 
 class HarmonicField:
@@ -87,7 +87,7 @@ class FundamentalPole(HarmonicField):
     pole: tuple
 
     def eval(self, P):
-        return np.log(np.linalg.norm(P - np.asarray(self.pole), axis=1))
+        return np.log(paired_distances(P, np.asarray(self.pole)[None, :]))
 
     def grad(self, P):
         d = P - np.asarray(self.pole)
@@ -123,7 +123,8 @@ class PoissonQuadrature(HarmonicField):
     """Poisson extension of sampled boundary data f(y_i) with weights w_i.
 
     Quadrature of P(x,t;y) = t / (pi ((x-y)^2 + t^2)); harmonic in each open
-    half-plane because every kernel slice is.
+    half-plane because every kernel slice is.  The quadratures are row sums,
+    not BLAS mat-vecs, whose bits for a point depend on the batch it is in.
     """
 
     data_y: tuple
@@ -136,7 +137,7 @@ class PoissonQuadrature(HarmonicField):
         w = np.asarray(self.data_w)
         x, t = P[:, 0:1], np.abs(P[:, 1:2])
         ker = t / ((x - y[None, :]) ** 2 + t**2) / np.pi
-        return ker @ (f * w)
+        return (ker * (f * w)).sum(axis=1)
 
     def grad(self, P):
         y = np.asarray(self.data_y)
@@ -147,7 +148,7 @@ class PoissonQuadrature(HarmonicField):
         den = (dx**2 + t**2) ** 2
         kx = -2 * t * dx / den / np.pi
         kt = (dx**2 - t**2) / den / np.pi
-        return np.column_stack([kx @ fw, s * (kt @ fw)])
+        return np.column_stack([(kx * fw).sum(axis=1), s * (kt * fw).sum(axis=1)])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from .carleson import packing_constant
 from .dyadic import CubeSystem
 from .functionals import FunctionalSuite
-from .geometry import distinct
+from .geometry import distinct, paired_distances
 from .whitney import RegionComplex
 
 
@@ -51,7 +51,7 @@ def initial_chain(S: CubeSystem) -> list:
     center = np.asarray(
         [(l + h) / 2 for l, h in zip(S.E.window.lo, S.E.window.hi)]
     )
-    i = int(np.argmin(np.linalg.norm(S.E.points - center, axis=1)))
+    i = int(np.argmin(paired_distances(S.E.points, center[None, :])))
     return S.chain(i)
 
 

@@ -27,6 +27,7 @@ from .geometry import (
     descriptor_from_json,
     dist_to_cloud,
     distinct,
+    paired_distances,
     ranges,
     row_spans,
 )
@@ -117,7 +118,7 @@ def whitney_decompose(
         if not live.any():
             break
         lo, glo, ghi, near = lo[live], glo[live], ghi[live], near[live]
-        bound = np.linalg.norm(near - np.clip(near, glo, ghi), axis=1)
+        bound = paired_distances(near, np.clip(near, glo, ghi))
         d, near = box_distance_many(glo, ghi, E, bound)
         diam = sq2 * unit * size
         ok = d >= diam

@@ -347,6 +347,19 @@ def test_distinct_matches_np_unique(values, as_float):
     assert distinct(a, return_inverse=True)[1].tolist() == want[2].tolist()
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300], ids=["random", "huge", "tiny"])
+def test_paired_distances_match_norm_rows(scale):
+    rng = np.random.default_rng(2)
+    a, b = scale * rng.normal(size=(2, 500, 2))
+    # rows with one coordinate equal, and signed zeros
+    b[:50, 0] = a[:50, 0]
+    a[50:60], b[50:60] = -0.0, 0.0
+    a[60:70, 1], b[60:70, 1] = 0.0, -0.0
+    with np.errstate(over="ignore", under="ignore"):
+        for b in (b, b[:1]):  # a row per row, and one broadcast row
+            assert np.array_equal(geometry.paired_distances(a, b), np.linalg.norm(a - b, axis=1))
+
+
 def _targets(E):
     pl = E.polyline()
     return E.points if pl is None else pl
@@ -410,8 +423,11 @@ class TestBoxDistance:
         E = build_boundary(desc, 1 / 64, W2)
         d, near = box_distance_many(los, his, E)
         assert np.array_equal(np.linalg.norm(near - np.clip(near, los, his), axis=1), d)
-        if isinstance(desc, Hyperplane):
+        if isinstance(desc, (Hyperplane, Segment)):
+            # flat E: the nearest point lies on E, not necessarily at a vertex
+            a, b = (desc.a, desc.b) if isinstance(desc, Segment) else (-np.inf, np.inf)
             assert np.all(near[:, 1] == 0.0)
+            assert np.all((a <= near[:, 0]) & (near[:, 0] <= b))
         else:
             t = _targets(E)
             assert np.all((near[:, None, :] == t[None]).all(axis=2).any(axis=1))
@@ -420,6 +436,28 @@ class TestBoxDistance:
         bound = np.linalg.norm(far - np.clip(far, los, his), axis=1)
         d_b, near_b = box_distance_many(los, his, E, bound)
         assert np.array_equal(d_b, d) and np.array_equal(near_b, near)
+
+    def test_segment_matches_the_vertex_scan_on_lattice_boxes(self):
+        # the closed form against a full scan of the polyline vertices (the
+        # clip-and-norm of every (box, vertex) pair): the same bits on boxes
+        # aligned to the polyline step with sides that are multiples of it,
+        # and never more on any box, since E holds the vertices
+        E = build_boundary(Segment(-1.0, 1.0), 1 / 64, W2)
+        pl = E.polyline()
+        step = pl[1, 0] - pl[0, 0]
+
+        def scan(los, his):
+            d = [np.linalg.norm(pl - np.clip(pl, lo, hi), axis=1).min() for lo, hi in zip(los, his)]
+            return np.array(d)
+
+        rng = np.random.default_rng(4)
+        los = step * rng.integers(-700, 700, size=(2000, 2)).astype(float)
+        his = los + step * rng.integers(1, 64, size=(2000, 1))
+        assert np.array_equal(box_distance_many(los, his, E)[0], scan(los, his))
+        los = rng.uniform(-3.0, 2.5, size=(2000, 2))
+        his = los + rng.uniform(1e-4, 0.5, size=(2000, 1))
+        d, want = box_distance_many(los, his, E)[0], scan(los, his)
+        assert np.all(d <= want) and np.any(d < want)
 
     @pytest.mark.parametrize("chunk", [1, 37])
     def test_box_blocks_match_one_pass(self, chunk, monkeypatch):

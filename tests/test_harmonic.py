@@ -213,6 +213,44 @@ class TestGradients:
         assert grad_check(u, PROBES) < 1e-6
 
 
+# one field of each catalog type (and both parts of every polynomial)
+CATALOG = [
+    Constant(2.5),
+    Coordinate(0),
+    Coordinate(1),
+    *(HarmonicPolynomial(m, part) for m in range(1, 5) for part in ("re", "im")),
+    FundamentalPole((0.5, 0.0)),
+    PoissonIndicator(-1.0, 1.0),
+    poisson_quadrature_indicator(n=1001, half=10.0),
+    make_field(
+        {
+            "type": "linear_combination",
+            "params": {
+                "coeffs": [2.0, -0.5],
+                "fields": [
+                    {"type": "poisson_indicator", "params": {"a": -0.5, "b": 1.5}},
+                    {"type": "fundamental_pole", "params": {"pole": [-1.0, 0.0]}},
+                ],
+            },
+        }
+    ),
+]
+
+
+@pytest.mark.parametrize("u", CATALOG, ids=lambda u: type(u).__name__)
+def test_values_do_not_depend_on_the_batch(u):
+    # a point's eval and grad bits are the same in one batch, one point at
+    # a time and in 13-point slices, so a pass may be blocked at any size
+    rng = np.random.default_rng(31)
+    t = rng.choice([-1.0, 1.0], 300) * rng.uniform(0.01, 3, 300)
+    P = np.column_stack([rng.uniform(-3, 3, 300), t])
+    for f in (u.eval, u.grad):
+        whole = f(P)
+        for step in (1, 13):
+            parts = np.concatenate([f(P[i : i + step]) for i in range(0, len(P), step)])
+            assert np.array_equal(parts, whole)
+
+
 class TestResiduals:
     def test_constant_residual_exactly_zero(self):
         res = laplacian_residual(Constant(2.5), PROBES, h=1e-3)
