@@ -5,11 +5,12 @@
 
 Run it in a fresh interpreter per measurement, with no stage cache.  Prints
 one JSON object: the wall seconds of the run and of each stage, the peak
-resident set size in MB (`ru_maxrss`), the sha256 of each output file, and
-the provenance of the measurement: the git SHA of the timed tree (suffixed
-`-dirty` if its tracked files differ from that commit, null outside a git
-checkout), the numpy version and `os.cpu_count()`.  Pointing PYTHONPATH at
-another checkout times that tree with the same script.
+resident set size in MB (`ru_maxrss`) of the run and as it stands at the end
+of each stage (so the stage that raises it shows), the sha256 of each output
+file, and the provenance of the measurement: the git SHA of the timed tree
+(suffixed `-dirty` if its tracked files differ from that commit, null outside
+a git checkout), the numpy version and `os.cpu_count()`.  Pointing PYTHONPATH
+at another checkout times that tree with the same script.
 """
 
 import hashlib
@@ -44,10 +45,15 @@ def git_sha(tree: Path):
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
+def maxrss_mb() -> float:
+    """Peak resident set size of this process so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main():
     cfg_path, out = sys.argv[1], Path(sys.argv[2])
     cfg = RunConfig.from_json(json.loads(Path(cfg_path).read_text()))
-    stage_s = {}
+    stage_s, stage_rss_mb = {}, {}
     for name, st in pipeline.STAGES.items():
         fn = getattr(pipeline, st.fn)
 
@@ -55,6 +61,7 @@ def main():
             t0 = time.perf_counter()
             result = _fn(*args)
             stage_s[_name] = time.perf_counter() - t0
+            stage_rss_mb[_name] = maxrss_mb()
             return result
 
         # the stage graph looks its functions up at call time
@@ -67,7 +74,8 @@ def main():
             {
                 "run_s": total,
                 "stage_s": stage_s,
-                "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "stage_rss_mb": stage_rss_mb,
+                "ru_maxrss_mb": maxrss_mb(),
                 "sha256": {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS},
                 "git_sha": git_sha(Path(pipeline.__file__).resolve().parent),
                 "numpy": np.__version__,

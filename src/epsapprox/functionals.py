@@ -80,14 +80,19 @@ class FunctionalSuite:
 
     # -- grids --------------------------------------------------------------
 
-    def fat_points(self, size: int):
-        """(box ids, points array (nbox, npts, 2)) for one size group: a grid
-        over each box widened by 1.5 tau of its side all round."""
-        pad = 1.5 * self.tau
-        t = np.linspace(-pad, 1 + pad, int(np.ceil((1 + 2 * pad) / self.sample_frac)) + 1)
-        ids = self.W.size_groups()[size]
-        off = square_grid(t) * (self.W.unit * size)
+    def fat_points(self, size: int, ids=None):
+        """(box ids, points array (nbox, npts, 2)) for the boxes `ids` of one
+        size group (default: the whole group): a grid over each box widened
+        by 1.5 tau of its side all round."""
+        if ids is None:
+            ids = self.W.size_groups()[size]
+        off = square_grid(self._fat_axis()) * (self.W.unit * size)
         return ids, self.W.lo[ids][:, None, :] + off[None, :, :]
+
+    def _fat_axis(self) -> np.ndarray:
+        """The fat grid's coordinates along one side, in units of the side."""
+        pad = 1.5 * self.tau
+        return np.linspace(-pad, 1 + pad, int(np.ceil((1 + 2 * pad) / self.sample_frac)) + 1)
 
     def box_extrema(self):
         """Per box: (max u, min u) over the fat grid."""
@@ -103,8 +108,10 @@ class FunctionalSuite:
         segments are ptr[b]:ptr[b + 1], one per candidate in that order (so
         `W.nbr_ptr` plus one self slot per box), each with the extrema of u
         over the points its candidate owns (-inf, +inf if none).  The same
-        pass, one u.eval per size group, takes the per-box extrema over the
-        whole fat grid that `box_extrema` returns.
+        pass takes the per-box extrema over the whole fat grid that
+        `box_extrema` returns.  Points and values are built in row blocks of
+        at most CHUNK (box, point) pairs; every reduction is per row, so the
+        blocks do not move a bit.
         """
         if self._segments is None:
             W = self.W
@@ -115,34 +122,32 @@ class FunctionalSuite:
             # padding candidate: an empty box, never hit
             lo_all = np.vstack([W.lo, np.full(2, np.inf)])
             hi_all = np.vstack([W.hi, np.full(2, -np.inf)])
-            for size in W.size_groups():
-                ids, pts = self.fat_points(size)
-                vals = self.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-                mx[ids] = vals.max(axis=1)
-                mn[ids] = vals.min(axis=1)
-                n_cand = ptr[ids + 1] - ptr[ids]
-                cands = np.full((n_cand.max(), len(ids)), -1, dtype=np.int32)
-                cands[ranges(0 * n_cand, n_cand), np.repeat(np.arange(len(ids)), n_cand)] = (
-                    owner[csr_rows(ptr, ids)]
-                )
-                # the grid is a product: point i*n + j sits at (x_i, y_j), so
-                # a candidate holds it iff it holds x_i and y_j
-                n = round(pts.shape[1] ** 0.5)
-                for rows in row_blocks(len(ids), pts.shape[1]):
-                    c = cands[:, rows]
-                    x, y = pts[rows, ::n, 0], pts[rows, :n, 1]
+            n = len(self._fat_axis())
+            for size, group in W.size_groups().items():
+                for rows in row_blocks(len(group), n * n):
+                    ids, pts = self.fat_points(size, group[rows])
+                    vals = self.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+                    mx[ids] = vals.max(axis=1)
+                    mn[ids] = vals.min(axis=1)
+                    n_cand = ptr[ids + 1] - ptr[ids]
+                    c = np.full((n_cand.max(), len(ids)), -1, dtype=np.int32)
+                    c[ranges(0 * n_cand, n_cand), np.repeat(np.arange(len(ids)), n_cand)] = (
+                        owner[csr_rows(ptr, ids)]
+                    )
+                    # the grid is a product: point i*n + j sits at (x_i, y_j),
+                    # so a candidate holds it iff it holds x_i and y_j
+                    x, y = pts[:, ::n, 0], pts[:, :n, 1]
                     hx = (x >= lo_all[c, None, 0]) & (x < hi_all[c, None, 0])
                     hy = (y >= lo_all[c, None, 1]) & (y < hi_all[c, None, 1])
                     # each point's first hit, -1 where no candidate holds it
-                    slot = np.full((len(x), n, n), -1)
+                    slot = np.full((len(ids), n, n), -1)
                     for k in range(len(c) - 1, -1, -1):
                         np.copyto(slot, k, where=hx[k, :, :, None] & hy[k, :, None, :])
-                    slot = slot.reshape(len(x), -1)
+                    slot = slot.reshape(len(ids), -1)
                     hit = slot >= 0
-                    seg = (ptr[ids[rows], None] + slot)[hit]
-                    np.maximum.at(seg_max, seg, vals[rows][hit])
-                    np.minimum.at(seg_min, seg, vals[rows][hit])
-                del pts, vals  # before the next group's are built
+                    seg = (ptr[ids, None] + slot)[hit]
+                    np.maximum.at(seg_max, seg, vals[hit])
+                    np.minimum.at(seg_min, seg, vals[hit])
             self._extrema = (mx, mn)
             self._segments = (ptr, owner, seg_max, seg_min)
         return self._segments
@@ -150,20 +155,23 @@ class FunctionalSuite:
     # -- gradient quadratures -------------------------------------------------
 
     def grad_integrals(self):
-        """Per box: (int |grad u|, int |grad u|^2) on core grids."""
+        """Per box: (int |grad u|, int |grad u|^2) on core grids, built in
+        row blocks of at most CHUNK (box, point) pairs."""
         if self._grad_int is None:
             g1 = np.zeros(self.W.n_boxes)
             g2 = np.zeros(self.W.n_boxes)
             m = max(2, int(np.ceil(1.0 / self.sample_frac)))
             mid = square_grid((np.arange(m) + 0.5) / m)
-            for size, ids in self.W.size_groups().items():
+            for size, group in self.W.size_groups().items():
                 side = self.W.unit * size
-                pts = self.W.lo[ids][:, None, :] + (mid * side)[None, :, :]
                 vol = (side / m) ** 2
-                flat = pts.reshape(-1, 2)
-                gr = paired_distances(self.u.grad(flat), np.zeros((1, 2))).reshape(len(ids), -1)
-                g1[ids] = gr.sum(axis=1) * vol
-                g2[ids] = (gr**2).sum(axis=1) * vol
+                for rows in row_blocks(len(group), m * m):
+                    ids = group[rows]
+                    pts = self.W.lo[ids][:, None, :] + (mid * side)[None, :, :]
+                    flat = pts.reshape(-1, 2)
+                    gr = paired_distances(self.u.grad(flat), np.zeros((1, 2))).reshape(len(ids), -1)
+                    g1[ids] = gr.sum(axis=1) * vol
+                    g2[ids] = (gr**2).sum(axis=1) * vol
             self._grad_int = g1
             self._grad2_int = g2
         return self._grad_int, self._grad2_int
@@ -326,10 +334,20 @@ class FunctionalSuite:
         """Per cube Q: total mass of boxes inside T_Q (0 off the tree).
 
         `bincount` adds in pair order, so each sum takes its boxes in
-        ascending box id.
+        ascending box id.  The pairs run in blocks of CHUNK: a block's
+        `bincount` over the id range [a, b) of its cubes starts each sum
+        from the sum so far (0 + s is s), so the blocks move no bit.
         """
         boxes, cubes = self._anc_pairs()
-        return np.bincount(cubes, weights=mass[boxes], minlength=self.S.n_cubes)
+        out = np.zeros(self.S.n_cubes)
+        for rows in row_blocks(len(cubes), 1):
+            c = cubes[rows]
+            a, b = int(c.min()), int(c.max()) + 1
+            out[a:b] = np.bincount(
+                np.concatenate([np.arange(b - a), c - a]),
+                weights=np.concatenate([out[a:b], mass[boxes[rows]]]),
+            )
+        return out
 
     def carleson_dyadic(self, mass: np.ndarray) -> np.ndarray:
         """C_dyadic: per sample, sup over containing cubes of T_Q-mass/l(Q).

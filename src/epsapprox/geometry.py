@@ -349,8 +349,12 @@ def _distance(P: np.ndarray, E: BoundarySet) -> np.ndarray:
 
 
 # elements per temporary of every chunked array pass: (row, column) pairs
-# of a distance block or of the (box, fat-grid point) pairs in
-# `FunctionalSuite.owners`, and (box, target) pairs in `box_distance_many`
+# of a distance block, (box, target) pairs in `box_distance_many`, (box,
+# grid point) pairs in `FunctionalSuite.owners` (the fat-grid pass) and
+# `FunctionalSuite.grad_integrals`, (box, cube) pairs in
+# `FunctionalSuite.anc_scatter`, neighbour entries of whole cubes in
+# `whitney._component_labels`, and members of whole components in the
+# region signs and X boxes of `whitney.build_regions`
 CHUNK = 1 << 16
 
 
@@ -433,15 +437,18 @@ def ball_sums(d: np.ndarray, radii: np.ndarray, weights: np.ndarray):
     * ``sums[h, i, j]``, per row h of the (k, n_columns) `weights` stack,
       the weight sum over the columns with d < r_j (`radius_sums`).
 
-    The block is searched once for all k weight rows, and a zero weight adds
-    +0.0 to its cell, so each row of a stack gets the bits of that row alone.
+    The block is searched once for all k weight rows and binned one weight
+    row at a time, so no temporary holds more entries than the block.  A
+    zero weight adds +0.0 to its cell, so each row of a stack gets the bits
+    of that row alone.
     """
     n, m = d.shape[0], len(radii)
     first = np.searchsorted(radii, d, side="right")
-    k = len(weights)
-    cells = np.arange(k * n).reshape(k, n, 1) * (m + 1) + first
-    w = np.broadcast_to(weights[:, None, :], cells.shape)
-    return first, radius_sums(cells.ravel(), w.ravel(), k * n, m).reshape(k, n, m)
+    cells = (np.arange(n)[:, None] * (m + 1) + first).ravel()
+    sums = np.empty((len(weights), n, m))
+    for h, row in enumerate(weights):
+        sums[h] = radius_sums(cells, np.broadcast_to(row, d.shape).ravel(), n, m)
+    return first, sums
 
 
 # relative widening of the half-width of every x-window below: a target

@@ -285,6 +285,14 @@ def stage_approximate(cfg: RunConfig, grid, regions):
     return state
 
 
+class Report(dict):
+    """The verify stage's output: the content of report.json, plus, as the
+    attribute `cd`, the first eps's C_dyadic per sample, which
+    functionals.csv lists and the report does not."""
+
+    cd: np.ndarray
+
+
 def stage_verify(cfg: RunConfig, grid, regions, approx):
     E, S = grid["E"], grid["S"]
     RC = regions["RC"]
@@ -293,7 +301,7 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     cert = certified_mask(cfg, E)
     cfg_echo = cfg.to_json()
     del cfg_echo["out_dir"]  # where a report is written is not part of it
-    report: dict = {
+    report = Report({
         "version": __version__,
         "config": cfg_echo,
         "adr": grid["adr"].to_json(),
@@ -307,7 +315,7 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
         },
         "corona": RC.corona.to_json(S),
         "regions": RC.stats | {"n_demoted": int(RC.corona.demoted.sum())},
-    }
+    })
     chain = initial_chain(S)
     fam = principal_cubes(S, numbers, chain)
     report["principal"] = verify_principal_packing(
@@ -344,6 +352,8 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
             S, np.flatnonzero(gf.member), eps, budget=cfg.budgets.eps_packing
         )
         cd = FS.carleson_dyadic(A.tv_box)
+        if k == 0:
+            report.cd = cd
         ver = verify_approximation(
             FS,
             A,
@@ -476,11 +486,10 @@ def write_outputs(cfg: RunConfig, grid, approx, report):
     FS = approx["FS"]
     E = grid["E"]
     first_eps = cfg.eps_grid[0]
-    A0 = approx["per_eps"][first_eps]["A"]
     ns = FS.n_star(None)
     nsa = {a: FS.n_star(a) for a in cfg.alpha_grid}
     sq = FS.square_function()
-    cd = FS.carleson_dyadic(A0.tv_box)
+    cd = report.cd
     header = (
         ["sample", "x0", "x1", "n_star"]
         + [f"n_star_a{a}" for a in cfg.alpha_grid]

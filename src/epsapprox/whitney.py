@@ -532,32 +532,45 @@ def build_regions(
     """
     n_cubes = S.n_cubes
     cubes, boxes = _memberships(S, W, params)
-    by_box = np.sort(boxes.astype(np.int64) * n_cubes + cubes)
     # CSR row pointers: rows are ascending ids
     region_ptr = np.searchsorted(cubes, np.arange(n_cubes + 1))
-    # a component's least member comes first in (cube, box) order, so
-    # ordering members by that label orders components by (cube, least box)
-    lab = _component_labels(W, region_ptr, boxes)
-    order = np.argsort(lab, kind="stable")
-    head = np.flatnonzero(lab == np.arange(len(lab)))
-    comp_ptr = np.append(np.searchsorted(lab[order], head), len(lab)).astype(np.int64)
-    comp_box, comp_cube, starts = boxes[order], cubes[head], comp_ptr[:-1]
-    # X box: the largest box of each component, least id first
-    size = W.size[comp_box]
-    big = size == np.repeat(np.maximum.reduceat(size, starts), np.diff(comp_ptr))
-    comp_center = comp_box[np.minimum.reduceat(np.where(big, np.arange(len(size)), len(size)), starts)]
+    # the owners of each box: the members in (box, cube) order
+    owner_ptr = np.append(0, np.cumsum(np.bincount(boxes, minlength=W.n_boxes)))
+    key = boxes.astype(np.int64)
+    key *= n_cubes
+    key += cubes
+    key.sort()
+    owner_cube = np.remainder(key, n_cubes, out=key).astype(np.int32)
+    del key
+    order, starts = _component_labels(W, region_ptr, boxes)
+    comp_ptr = np.append(starts, len(boxes))
+    comp_box, comp_cube = boxes[order], cubes[order[starts]]
+    del order
 
-    # a component's sign: the side of its cube's regime graph that holds
-    # all its box centres (0 for neither, or for a cube without a regime)
-    at = np.repeat(corona.regime[comp_cube], np.diff(comp_ptr))
-    side = np.zeros(len(comp_box))
-    for i in distinct(at[at >= 0]).tolist():
-        b = np.flatnonzero(at == i)
-        mid = (W.lo[comp_box[b]] + W.hi[comp_box[b]]) / 2.0
-        side[b] = np.sign(mid[:, 1] - corona.graph[i].graph_value(mid[:, 0]))
-    sign = np.zeros(len(head), dtype=np.int8)
-    sign[np.minimum.reduceat(side, starts) > 0] = 1
-    sign[np.maximum.reduceat(side, starts) < 0] = -1
+    # per block of whole components: the X box, the largest box of each
+    # component, least id first; and the sign, the side of its cube's
+    # regime graph that holds all its box centres (0 for neither, or for a
+    # cube without a regime)
+    regime = corona.regime[comp_cube]
+    comp_center = np.empty(len(starts), dtype=comp_box.dtype)
+    sign = np.zeros(len(starts), dtype=np.int8)
+    for c0, c1 in row_spans(np.diff(comp_ptr)):
+        lo = comp_ptr[c0]
+        count = np.diff(comp_ptr[c0 : c1 + 1])
+        cut = comp_ptr[c0:c1] - lo
+        box = comp_box[lo : comp_ptr[c1]]
+        size = W.size[box]
+        big = size == np.repeat(np.maximum.reduceat(size, cut), count)
+        first = np.minimum.reduceat(np.where(big, np.arange(len(box)), len(box)), cut)
+        comp_center[c0:c1] = box[first]
+        at = np.repeat(regime[c0:c1], count)
+        side = np.zeros(len(box))
+        for i in distinct(at[at >= 0]).tolist():
+            b = np.flatnonzero(at == i)
+            mid = (W.lo[box[b]] + W.hi[box[b]]) / 2.0
+            side[b] = np.sign(mid[:, 1] - corona.graph[i].graph_value(mid[:, 0]))
+        sign[c0:c1][np.minimum.reduceat(side, cut) > 0] = 1
+        sign[c0:c1][np.maximum.reduceat(side, cut) < 0] = -1
     # a good cube keeps its labels on two components of opposite signs
     good = corona.regime >= 0
     region_comp_ptr = np.searchsorted(comp_cube, np.arange(n_cubes + 1))
@@ -577,8 +590,8 @@ def build_regions(
         params=params,
         region_ptr=region_ptr,
         region_box=boxes,
-        owner_ptr=np.searchsorted(by_box // n_cubes, np.arange(W.n_boxes + 1)),
-        owner_cube=(by_box % n_cubes).astype(np.int32),
+        owner_ptr=owner_ptr,
+        owner_cube=owner_cube,
         region_comp_ptr=region_comp_ptr,
         comp_ptr=comp_ptr,
         comp_box=comp_box,
@@ -623,39 +636,50 @@ def _memberships(S: CubeSystem, W: WhitneyComplex, params: RegionParams):
             gap = np.sqrt(((gap_lo + gap_hi) ** 2).sum(axis=1))
             keep = gap <= reach[k]
             pairs.append(rel[k[keep]] * W.n_boxes + cand[keep])
-    pairs = np.sort(np.concatenate(pairs))
-    return (pairs // W.n_boxes).astype(np.int32), (pairs % W.n_boxes).astype(np.int32)
+    pairs = np.concatenate(pairs)
+    pairs.sort()
+    cubes = (pairs // W.n_boxes).astype(np.int32)
+    return cubes, np.remainder(pairs, W.n_boxes, out=pairs).astype(np.int32)
 
 
-def _component_labels(W: WhitneyComplex, region_ptr, boxes) -> np.ndarray:
-    """Per member (cube, box), in (cube, box) order: the position of the
-    least member of its component, the members of one cube being linked by
-    the neighbour CSR.
+def _component_labels(W: WhitneyComplex, region_ptr, boxes):
+    """The members, in (cube, box) order, grouped into the components of
+    their cube's region, the members of one cube being linked by the
+    neighbour CSR: (order, starts), int64, with the members of component c
+    at order[starts[c]:starts[c + 1]] ascending (the last up to the end).
+    Components come in (cube, least box) order.
 
-    Min-label propagation with pointer jumping, on whole cubes at a time:
-    about CHUNK neighbour entries, and at most about 64 CHUNK slots of the
-    dense (cube, box) -> member table that finds the linked members.
+    Min-label propagation with pointer jumping, on whole cubes at a time,
+    about CHUNK neighbour entries together: a member's label ends as the
+    position of the least member of its component.  A span's members, keyed
+    (rank of the cube in the span, box), are in ascending key order, so a
+    neighbour entry finds its linked member, if any, by binary search.
     """
-    deg = W.nbr_ptr[boxes + 1] - W.nbr_ptr[boxes]
+    deg = np.diff(W.nbr_ptr).astype(np.int32)[boxes]
     live = np.flatnonzero(np.diff(region_ptr))
     bounds = np.append(region_ptr[live], len(boxes))
     count = np.diff(bounds)
-    lab = np.arange(len(boxes))
-    spans = row_spans(np.maximum(np.add.reduceat(deg, bounds[:-1]), W.n_boxes // 64))
-    table = np.full(max((c1 - c0 for c0, c1 in spans), default=0) * W.n_boxes, -1, dtype=np.int32)
-    for c0, c1 in spans:
+    order = np.empty(len(boxes), dtype=np.int64)
+    starts = [order[:0]]
+    for c0, c1 in row_spans(np.add.reduceat(deg, bounds[:-1], dtype=np.int64)):
         lo, hi = bounds[c0], bounds[c1]
         rank = np.repeat(np.arange(c1 - c0), count[c0:c1])
         slot = rank * W.n_boxes + boxes[lo:hi]
-        table[slot] = np.arange(hi - lo)
         src = np.repeat(np.arange(hi - lo), deg[lo:hi])
-        dst = table[rank[src] * W.n_boxes + W.nbr[csr_rows(W.nbr_ptr, boxes[lo:hi])]]
-        table[slot] = -1
-        src, dst = src[dst >= 0], dst[dst >= 0]
+        nbr = W.nbr[csr_rows(W.nbr_ptr, boxes[lo:hi])]
+        # each contact is searched once, from its lesser box, and
+        # propagates both ways
+        up = nbr > boxes[lo:hi][src]
+        src = src[up]
+        key = rank[src] * W.n_boxes + nbr[up]
+        dst = np.minimum(np.searchsorted(slot, key), hi - lo - 1)
+        hit = slot[dst] == key
+        src, dst = src[hit], dst[hit]
         part = np.arange(hi - lo)
         while True:
             new = part.copy()
             np.minimum.at(new, src, part[dst])
+            np.minimum.at(new, dst, part[src])
             while True:
                 jump = new[new]
                 if np.array_equal(jump, new):
@@ -664,8 +688,11 @@ def _component_labels(W: WhitneyComplex, region_ptr, boxes) -> np.ndarray:
             if np.array_equal(new, part):
                 break
             part = new
-        lab[lo:hi] += part - np.arange(hi - lo)
-    return lab
+        # a component's least member is its label and sorts first
+        o = np.argsort(part, kind="stable")
+        order[lo:hi] = o + lo
+        starts.append(lo + np.flatnonzero(part[o] == o))
+    return order, np.concatenate(starts)
 
 
 def _recohere(S: CubeSystem, corona: CoronaDecomposition, demoted) -> CoronaDecomposition:

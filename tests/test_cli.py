@@ -6,11 +6,13 @@ import pickle
 from dataclasses import fields
 
 import numpy as np
+import pytest
 
 from epsapprox import pipeline
 from epsapprox.cli import main
 from epsapprox.config import RunConfig
 from epsapprox.functionals import FunctionalSuite
+from epsapprox.harmonic import Coordinate
 
 
 def small_config(tmp_path, **overrides):
@@ -166,6 +168,27 @@ class TestSubcommands:
         assert main(["verify", "--config", str(cfgp), "--cache-dir", cache]) == 1
         summary = json.loads((tmp_path / "out" / "acceptance.json").read_text())
         assert summary["first_failure"] == "adr"
+
+    def test_write_reuses_the_verify_carleson_dyadic(self, tmp_path, monkeypatch):
+        # functionals.csv lists the first eps's C_dyadic, which the verify
+        # stage has computed: one call per eps in the whole run
+        cfg = RunConfig.load(small_config(tmp_path))
+        calls = []
+        dyadic = FunctionalSuite.carleson_dyadic
+        monkeypatch.setattr(
+            FunctionalSuite, "carleson_dyadic", lambda self, m: calls.append(1) or dyadic(self, m)
+        )
+        pipeline.run(cfg)
+        assert len(calls) == len(cfg.eps_grid)
+
+    def test_cold_owners_reach_fat_points(self, tmp_path, monkeypatch):
+        # positive control of the warm-run guard below: patching
+        # `fat_points` out stops a cold fat-grid pass
+        cfg = RunConfig.load(small_config(tmp_path))
+        RC = pipeline.run(cfg, until="regions")["regions"]["RC"]
+        monkeypatch.setattr(FunctionalSuite, "fat_points", _must_not_run)
+        with pytest.raises(AssertionError, match="recomputed"):
+            FunctionalSuite(RC, Coordinate(1)).owners()
 
     def test_warm_run_shares_upstream_objects(self, tmp_path, monkeypatch):
         cfg = RunConfig.load(small_config(tmp_path))

@@ -15,7 +15,7 @@ from epsapprox.functionals import (
 )
 from epsapprox import functionals, geometry
 from epsapprox.geometry import Hyperplane, Window, build_boundary
-from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
+from epsapprox.harmonic import Constant, Coordinate, FundamentalPole, PoissonIndicator
 from epsapprox.whitney import build_regions, corona_provider, whitney_decompose
 
 from conftest import ancestors, box_owners, param_range, region
@@ -177,22 +177,69 @@ def test_square_function_matches_per_sample_loop(line_rc, chunk, monkeypatch):
     assert np.array_equal(fs.square_function(), _square_loop(fs))
 
 
-def test_square_function_transient_memory_bounded():
-    # 4097 samples and 927 922 (leaf, box) pairs: one pass over all pairs
-    # at once peaks at ~33 MiB, blocks of whole leaves at ~3 MiB
+@pytest.fixture(scope="module")
+def fine_line():
+    """(S, W, corona) of the line at 4097 samples, generations -3..7."""
     E = build_boundary(Hyperplane(), resolution=2.0**-10, window=W2)
     S = build_cube_system(E, k_min=-3, k_max=7)
     W = whitney_decompose(E, AMBIENT, min_side=PARAMS.c_w * 2.0**-7)
-    corona = corona_provider(E, S, "trivial_graph", eta=0.25)
-    fs = FunctionalSuite(build_regions(S, W, corona, PARAMS), Coordinate(1))
-    fs.grad_integrals()
+    return S, W, corona_provider(E, S, "trivial_graph", eta=0.25)
+
+
+def _traced_peak(f) -> int:
+    """Peak traced bytes while f() runs."""
     tracemalloc.start()
     try:
-        fs.square_function()
-        _, peak = tracemalloc.get_traced_memory()
+        f()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+
+
+def test_square_function_transient_memory_bounded(fine_line):
+    # 4097 samples and 927 922 (leaf, box) pairs: one pass over all pairs
+    # at once peaks at ~33 MiB, blocks of whole leaves at ~3 MiB
+    fs = FunctionalSuite(build_regions(*fine_line, PARAMS), Coordinate(1))
+    fs.grad_integrals()
+    assert _traced_peak(fs.square_function) < 8 * 2**20
+
+
+def test_fat_grid_passes_transient_memory_bounded(fine_line):
+    # 16 376 boxes: whole size groups of fat-grid points and core-grid
+    # gradients peaked at 31.3 MiB; blocks of CHUNK (box, point) pairs peak
+    # at 7.7 MiB, most of it the 4.1 MiB of owner-segment extrema returned
+    fs = FunctionalSuite(build_regions(*fine_line, PARAMS), Coordinate(1))
+    assert _traced_peak(lambda: (fs.owners(), fs.grad_integrals())) < 10 * 2**20
+
+
+def test_build_regions_transient_memory_bounded(fine_line):
+    # 251 908 (cube, box) members: whole-member int64 keys and tables, a
+    # dense (cube, box) -> member table and whole-member sign floats peaked
+    # at 24.4 MiB; with the component and sign passes in CHUNK blocks the
+    # peak is 9.2 MiB
+    assert _traced_peak(lambda: build_regions(*fine_line, PARAMS)) < 12 * 2**20
+
+
+@pytest.mark.parametrize(
+    "fixture, u",
+    [("line_rc", PoissonIndicator(-1.0, 1.0)), ("segment_rc", FundamentalPole((0.0, 0.0)))],
+)
+def test_blocked_passes_do_not_depend_on_chunk(fixture, u, request, monkeypatch):
+    # the fat-grid and gradient passes run in blocks of CHUNK (box, point)
+    # pairs and every reduction is per box; the T_Q sums run in blocks of
+    # CHUNK (box, cube) pairs, each sum carried from block to block
+    rc = request.getfixturevalue(fixture)
+    mass = np.random.default_rng(5).random(rc.W.n_boxes)
+
+    def passes():
+        fs = FunctionalSuite(rc, u)
+        return (*fs.owners(), *fs.box_extrema(), *fs.grad_integrals(), fs.anc_scatter(mass))
+
+    want = passes()
+    for chunk in (1, 200):
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
+        for a, b in zip(want, passes(), strict=True):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 @pytest.mark.parametrize("fixture", ["line_rc", "segment_rc"])

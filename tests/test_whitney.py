@@ -821,3 +821,27 @@ def test_region_arrays_match_loops(fixture, request):
         assert not (RC.corona.regime >= 0).any() and stats["max_components"] > 2
     if fixture == "flat_cloud":
         assert stats["demoted"] and (RC.corona.regime >= 0).any()
+
+
+@pytest.mark.parametrize("fixture", ["line_rc", "segment_rc", "sin_rc", "flat_cloud"])
+def test_region_arrays_do_not_depend_on_chunk(fixture, request, monkeypatch):
+    # the membership, component and sign passes run in CHUNK blocks
+    if fixture == "flat_cloud":
+        S, W, corona, params = cloud_inputs(0.1)
+    else:
+        rc = request.getfixturevalue(fixture)
+        S, W, params = rc.S, rc.W, rc.params
+        corona = corona_provider(S.E, S, "trivial_graph", eta=0.25)
+
+    def arrays():
+        RC = build_regions(S, W, corona, params)
+        return (
+            RC.region_ptr, RC.region_box, RC.owner_ptr, RC.owner_cube, RC.comp_ptr,
+            RC.comp_box, RC.comp_center, RC.pm_comp, RC.corona.regime,
+        )
+
+    want = arrays()
+    for chunk in (1, 200):
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
+        for a, b in zip(want, arrays(), strict=True):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
