@@ -19,13 +19,9 @@ from .stopping import GenerationForest, OscillationLabels, initial_chain
 from .whitney import RegionComplex
 
 
-@dataclass
-class Cell:
-    idx: int
-    kind: str  # 'A+', 'A-', 'blue', 'red', 'outer'
-    anchor: int | None  # owning cube id (None for 'outer')
-    value: float | None  # None => the rule is u itself
-    boxes: list
+# one record per cell: its kind ('A+', 'A-', 'blue', 'red', 'outer'), its
+# owning cube id (-1 for 'outer') and its constant (nan where the rule is u)
+CELL = np.dtype([("kind", "U5"), ("anchor", np.int64), ("value", np.float64)])
 
 
 @dataclass
@@ -33,12 +29,12 @@ class Approximant:
     RC: RegionComplex
     u: object
     mode: str  # 'local', 'bounded', 'unbounded'
-    cells: list
-    cell: np.ndarray  # per box: its cell index, -1 outside the domain
+    cells: np.ndarray  # CELL records, indexed by cell id
+    cell: np.ndarray  # per box: its cell id, -1 outside the domain
     q0: int | None = None
     rings: list = field(default_factory=list)
     # set by `_assemble_jumps`
-    jump_facets: list = field(default_factory=list)  # (a, b, axis, area, mass)
+    jump_facets: tuple = ()  # arrays (a, b, axis, area, mass)
     tv_box: np.ndarray | None = None  # per-box binned TV measure (grad + half jumps)
 
 
@@ -64,7 +60,7 @@ def build_partition(
     """Carve the boxes of the sawtooth over the cube mask `cubes` that no
     cell holds yet into V cells (oscillation/bad regions, precedence) and
     A cells (subregime sawtooth halves minus what is already taken),
-    appending them to `cells` and marking them in the per-box `cell`.
+    appending (kind, anchor, value) to `cells` and their ids to `cell`.
 
     An A cell of Q_k is frozen at u(Y_{Q_k}^{+/-}), a blue cell at u at
     its component's largest box, and a red cell's rule is u itself.
@@ -83,23 +79,18 @@ def build_partition(
             return
         free[boxes] = False
         cell[boxes] = len(cells)
-        cells.append(
-            Cell(idx=len(cells), kind=kind, anchor=anchor, value=value, boxes=boxes.tolist())
-        )
+        cells.append((kind, anchor, value))
 
     # V cells first (phi_1 has precedence over phi_0 on its closure), by
     # maximal side length with id tie-break, which is id order; u at every
-    # component's largest box in one call
+    # component's largest box in one call, drawn in loop order
     v = np.flatnonzero(cubes & ((RC.corona.regime < 0) | labels.member))
-    comps = csr_rows(RC.region_comp_ptr, v)
-    b = RC.comp_center[comps]
-    blue = dict(zip(comps.tolist(), u.eval((W.lo[b] + W.hi[b]) / 2.0).tolist()))
+    b = RC.comp_center[csr_rows(RC.region_comp_ptr, v)]
+    at = iter(u.eval((W.lo[b] + W.hi[b]) / 2.0).tolist())
     for qm in v.tolist():
-        for c in RC.comps(qm):
-            if labels.red[c]:
-                add_cell("red", qm, None, RC.comp(c))
-            elif free[RC.comp(c)].any():
-                add_cell("blue", qm, blue[c], RC.comp(c))
+        for c, x in zip(RC.comps(qm), at):
+            red = labels.red[c]
+            add_cell("red" if red else "blue", qm, np.nan if red else x, RC.comp(c))
     # A cells: subregime sawtooth halves minus everything taken so far, at
     # u(Y_{Q_k}^{+/-}), one call per sign over the whole family
     tops = order_good_cubes(RC, GF, cubes)
@@ -122,8 +113,8 @@ def build_partition(
 def assemble_approximant(
     FS: FunctionalSuite, mode: str, cells: list, cell: np.ndarray, q0: int, rings=()
 ) -> Approximant:
-    """The approximant of the given cells, its jumps assembled."""
-    A = Approximant(FS.RC, FS.u, mode, cells, cell, q0, list(rings))
+    """The approximant of the (kind, anchor, value) cells, jumps assembled."""
+    A = Approximant(FS.RC, FS.u, mode, np.array(cells, dtype=CELL), cell, q0, list(rings))
     _assemble_jumps(FS, A)
     return A
 
@@ -148,7 +139,7 @@ def build_global_approximant(
     S = RC.S
     root = S.roots[0]
     rings = [root] if S.E.bounded else _ring_chain(S, gamma0)
-    cells: list[Cell] = []
+    cells = []
     cell = np.full(RC.W.n_boxes, -1)
     done = np.zeros(S.n_cubes, dtype=bool)
     for q in rings:
@@ -157,11 +148,8 @@ def build_global_approximant(
         build_partition(FS, GF, labels, ring, cells, cell)
     if not S.E.bounded:
         return assemble_approximant(FS, "unbounded", cells, cell, root, rings)
-    outer = np.flatnonzero(cell < 0)
-    cell[outer] = len(cells)
-    cells.append(
-        Cell(idx=len(cells), kind="outer", anchor=None, value=None, boxes=outer.tolist())
-    )
+    cell[cell < 0] = len(cells)
+    cells.append(("outer", -1, np.nan))
     return assemble_approximant(FS, "bounded", cells, cell, root)
 
 
@@ -196,26 +184,30 @@ def _assemble_jumps(FS: FunctionalSuite, A: Approximant):
     """
     W = A.RC.W
     g1, _ = FS.grad_integrals()
-    value, is_u, _ = _box_rules(A)
+    # per box: its cell's constant, nan where the rule is u or (the trailing
+    # entry, read through the -1) outside the domain
+    value = np.append(A.cells["value"], np.nan)[A.cell]
+    nan = np.isnan(value)
     a, b, axis = W.facets.T
     ia, ib = A.cell[a], A.cell[b]
     # inside the approximant's domain, across two cells, not u on both sides
-    live = (ia >= 0) & (ib >= 0) & (ia != ib) & ~(is_u[a] & is_u[b])
+    live = (ia >= 0) & (ib >= 0) & (ia != ib) & ~(nan[a] & nan[b])
     a, b, axis, area = a[live], b[live], axis[live], W.facet_area[live]
     mass = np.abs(value[a] - value[b]) * area
-    mixed = np.flatnonzero(is_u[a] | is_u[b])
+    mixed = np.flatnonzero(nan[a] | nan[b])
     if len(mixed):
-        const = np.where(is_u[a[mixed]], value[b[mixed]], value[a[mixed]])
+        const = np.where(nan[a[mixed]], value[b[mixed]], value[a[mixed]])
         nodes = _facet_nodes(W, a[mixed], b[mixed], axis[mixed], _FACET_NODES)
         uv = A.u.eval(nodes.reshape(-1, 2)).reshape(len(mixed), _FACET_NODES)
         mass[mixed] = np.mean(np.abs(uv - const[:, None]), axis=1) * area[mixed]
     jump = mass > 0.0
     a, b, axis, area, mass = a[jump], b[jump], axis[jump], area[jump], mass[jump]
     tv = np.zeros(W.n_boxes)
-    tv[is_u] += g1[is_u]  # red or outer: the rule is u
+    is_u = nan & (A.cell >= 0)  # red or outer: the rule is u
+    tv[is_u] += g1[is_u]
     # half of each jump to either side, facet by facet
     np.add.at(tv, np.column_stack([a, b]).ravel(), np.repeat(mass / 2, 2))
-    A.jump_facets = list(zip(*(x.tolist() for x in (a, b, axis, area, mass))))
+    A.jump_facets = (a, b, axis, area, mass)
     A.tv_box = tv
 
 
@@ -235,15 +227,6 @@ def _facet_nodes(W, a, b, axis, m):
 # ---------------------------------------------------------------------------
 
 
-def _box_rules(A: Approximant):
-    """Per box: phi's constant (nan elsewhere), whether the rule is u, and
-    whether the box is in the approximant's domain."""
-    # the trailing entry is read through the -1 of boxes outside the domain
-    value = np.array([np.nan if c.value is None else c.value for c in A.cells] + [np.nan])
-    is_u = np.array([c.value is None for c in A.cells] + [False])
-    return value[A.cell], is_u[A.cell], A.cell >= 0
-
-
 def deviation_sups(FS: FunctionalSuite, A: Approximant) -> np.ndarray:
     """Per box: grid sup of |u - phi| over the fattened grid.
 
@@ -254,11 +237,10 @@ def deviation_sups(FS: FunctionalSuite, A: Approximant) -> np.ndarray:
     larger of |max u - v| and |min u - v|, bit for bit.  Segments whose
     owner's rule is u or lies outside the domain, and empty ones, add 0.
     """
-    val, is_u, covered = _box_rules(A)
     ptr, owner, seg_max, seg_min = FS.owners()
-    v = val[owner]
+    v = np.append(A.cells["value"], np.nan)[A.cell[owner]]
     dev = np.maximum(np.abs(seg_max - v), np.abs(seg_min - v))
-    dev[is_u[owner] | ~covered[owner] | (seg_max < seg_min)] = 0.0
+    dev[np.isnan(v) | (seg_max < seg_min)] = 0.0
     return np.maximum.reduceat(dev, ptr[:-1])
 
 
@@ -429,6 +411,6 @@ def verify_approximation(
         "C_local_pass": bool(c_local <= 1.0 + 1e-9),
         "C2": c2,
         "lp": lp,
-        "n_jump_facets": len(A.jump_facets),
+        "n_jump_facets": len(A.jump_facets[0]),
         "tv_total": float(A.tv_box.sum()),
     }

@@ -91,6 +91,11 @@ class RunConfig:
     def __post_init__(self):
         if not all(0 < e < 1 for e in self.eps_grid):
             raise ValueError("eps grid must lie in (0,1)")
+        # the L^p roll-ups are for finite p > 1
+        if not all(1 < p < float("inf") for p in self.p_grid):
+            raise ValueError("p_grid must lie in (1, inf)")
+        if not self.sample_frac > 0:
+            raise ValueError("sample_frac must be positive")
         for name in ("adr", "eps_packing", "pointwise_c1"):
             if getattr(self.budgets, name) <= 0:
                 raise ValueError(f"budget {name} must be positive")

@@ -698,6 +698,11 @@ def check_adr(E: BoundarySet, budget: float) -> ADRReport:
     centers = E.points[::stride]
     r_min = 8 * E.resolution
     r_max = (E.diameter if E.bounded else E.window.span) / 2.0
+    if r_min >= r_max:
+        raise ValueError(
+            f"empty ADR radius range: 8 * resolution = {r_min!r} is not below "
+            f"r_max = {r_max!r}; refine the resolution"
+        )
     lo = np.asarray(E.window.lo)
     hi = np.asarray(E.window.hi)
     grid = np.geomspace(r_min, r_max, _ADR_RADII)

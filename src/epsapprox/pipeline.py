@@ -508,7 +508,7 @@ def write_outputs(cfg: RunConfig, grid, approx, report):
     rows = ["eps,box_a,box_b,axis,area,jump_mass"]
     for e in cfg.eps_grid:
         A = approx["per_eps"][e]["A"]
-        for a, b, axis, area, mass in A.jump_facets:
+        for a, b, axis, area, mass in zip(*(x.tolist() for x in A.jump_facets)):
             rows.append(f"{e!r},{a},{b},{axis},{area!r},{mass!r}")
     (out / "tv.csv").write_text("\n".join(rows) + "\n")
 

@@ -307,7 +307,7 @@ def test_criterion_09_trivial_exactness(line_rc):
     gf = generation_cubes(line_rc, 0.5, numbers, FS.u)
     A = build_global_approximant(FS, gf, labels, gamma0=4.0)
     ok = not labels.member.any()
-    ok &= float(A.tv_box.sum()) == 0.0 and len(A.jump_facets) == 0
+    ok &= float(A.tv_box.sum()) == 0.0 and len(A.jump_facets[0]) == 0
     rng = np.random.default_rng(9)
     for _ in range(50):
         X = rng.uniform([-1.5, 0.2], [1.5, 2.0])

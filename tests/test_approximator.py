@@ -44,13 +44,28 @@ def eval_approximant(A: Approximant, X) -> float:
         raise ValueError(f"point {X} is outside the box complex")
     if A.cell[bid] < 0:
         raise ValueError(f"point {X} is outside the approximant's cells")
-    cell = A.cells[A.cell[bid]]
+    value = A.cells[A.cell[bid]]["value"]
     lo, hi = W.lo[bid], W.hi[bid]
     if np.any(X == lo) or np.any(X == hi):
         return float(A.u.eval(X[None, :])[0])
-    if cell.value is None:
+    if np.isnan(value):
         return float(A.u.eval(X[None, :])[0])
-    return cell.value
+    return float(value)
+
+
+def boxes_of(A: Approximant, i: int) -> np.ndarray:
+    """The boxes of cell i, ascending."""
+    return np.flatnonzero(A.cell == i)
+
+
+def cell_rows(A: Approximant) -> list:
+    """(kind, anchor, value, boxes) per cell, in id order."""
+    return [(*A.cells[i].tolist(), boxes_of(A, i)) for i in range(len(A.cells))]
+
+
+def jump_rows(A: Approximant) -> list:
+    """The jump facets as (a, b, axis, area, mass) tuples of Python scalars."""
+    return list(zip(*(x.tolist() for x in A.jump_facets)))
 
 
 def total_variation(FS: FunctionalSuite, A: Approximant, boxset) -> dict:
@@ -62,13 +77,13 @@ def total_variation(FS: FunctionalSuite, A: Approximant, boxset) -> dict:
     """
     boxset = set(boxset)
     jump = 0.0
-    for a, b, _, _, mass in A.jump_facets:
+    for a, b, _, _, mass in jump_rows(A):
         if a in boxset and b in boxset:
             jump += mass
     grad = 0.0
     g1, _ = FS.grad_integrals()
     for b in boxset:
-        if A.cell[b] >= 0 and A.cells[A.cell[b]].value is None:
+        if A.cell[b] >= 0 and np.isnan(A.cells[A.cell[b]]["value"]):
             grad += g1[b]
     return {"jump": jump, "grad": grad, "total": jump + grad}
 
@@ -82,8 +97,8 @@ def make_state(rc, u, eps, far=None):
 
 
 def partition_of(fs, gf, labels, q0):
-    """The cells of phi on all of T_{q0} and the per-box cell index, -1
-    outside T_{q0}."""
+    """The (kind, anchor, value) cells of phi on all of T_{q0} and the
+    per-box cell id, -1 outside T_{q0}."""
     cells, cell = [], np.full(fs.W.n_boxes, -1)
     build_partition(fs, gf, labels, fs.S.subtree(q0), cells, cell)
     return cells, cell
@@ -147,12 +162,12 @@ class TestPartition:
         fs, numbers, labels, gf = make_state(line_rc, Constant(2.0), 0.3)
         root = line_rc.S.roots[0]
         A = build_local_approximant(fs, gf, labels, root)
-        kinds = {c.kind for c in A.cells}
+        kinds = set(A.cells["kind"].tolist())
         # one A pair over the single subregime; demoted edge cubes appear as
         # (all-blue) V cells since u is constant
         assert {"A+", "A-"} <= kinds <= {"A+", "A-", "blue"}
         t_boxes = line_rc.carleson_box(root)
-        assert sum(len(c.boxes) for c in A.cells) == len(t_boxes)
+        assert sum(len(boxes) for *_, boxes in cell_rows(A)) == len(t_boxes)
 
     def test_volume_bookkeeping_exact(self, line_rc, local_t):
         # integer dyadic volumes: cell volumes sum exactly to |T_{Q0}|
@@ -160,13 +175,13 @@ class TestPartition:
         W = line_rc.W
         t_boxes = line_rc.carleson_box(A.q0)
         total = sum(int(W.size[b]) ** 2 for b in t_boxes)
-        cells = sum(int(W.size[b]) ** 2 for c in A.cells for b in c.boxes)
+        cells = sum(int(W.size[b]) ** 2 for *_, boxes in cell_rows(A) for b in boxes)
         assert cells == total
 
     def test_cells_disjoint(self, local_t):
         seen = set()
-        for c in local_t.cells:
-            for b in c.boxes:
+        for *_, boxes in cell_rows(local_t):
+            for b in boxes.tolist():
                 assert b not in seen
                 seen.add(b)
 
@@ -184,22 +199,23 @@ class TestPartition:
 
     def test_a_cells_inside_sawtooth_halves(self, line_rc, state_t, local_t):
         gf = state_t[3]
-        a_cells = [c for c in local_t.cells if c.kind in ("A+", "A-")]
+        a_cells = [c for c in cell_rows(local_t) if c[0] in ("A+", "A-")]
         assert a_cells
-        for c in a_cells:
-            plus, minus = line_rc.sawtooth_halves(gf.subregime(c.anchor))
-            assert set(c.boxes) <= set((plus if c.kind == "A+" else minus).tolist())
+        for kind, anchor, _, boxes in a_cells:
+            plus, minus = line_rc.sawtooth_halves(gf.subregime(anchor))
+            assert set(boxes.tolist()) <= set((plus if kind == "A+" else minus).tolist())
 
     def test_red_cells_carved_from_a_cells(self, line_rc, state_t, local_t):
         fs, numbers, labels, gf = state_t
         if not labels.member.any():
             pytest.skip("no red cubes at this eps")
-        red_boxes = {b for c in local_t.cells if c.kind == "red" for b in c.boxes}
+        rows = cell_rows(local_t)
+        red_boxes = {b for kind, *_, boxes in rows if kind == "red" for b in boxes.tolist()}
         a_boxes = {
             b
-            for c in local_t.cells
-            if c.kind in ("A+", "A-")
-            for b in c.boxes
+            for kind, *_, boxes in rows
+            if kind in ("A+", "A-")
+            for b in boxes.tolist()
         }
         assert red_boxes and not (red_boxes & a_boxes)
 
@@ -208,29 +224,30 @@ class TestValues:
     def test_constant_field_phi_equals_u_exactly(self, line_rc):
         fs, numbers, labels, gf = make_state(line_rc, Constant(2.5), 0.3)
         A = build_local_approximant(fs, gf, labels, line_rc.S.roots[0])
-        assert all(c.value == 2.5 for c in A.cells if c.value is not None)
-        assert len(A.jump_facets) == 0
+        value = A.cells["value"]
+        assert np.all(value[~np.isnan(value)] == 2.5)
+        assert len(A.jump_facets[0]) == 0
         assert float(A.tv_box.sum()) == 0.0
 
     def test_a_cell_values_are_anchor_heights(self, line_rc, local_t):
         # u = t: the frozen constant of an A-cell is the height of Y_{Q_k}
         RC = line_rc
-        for c in local_t.cells:
-            if c.kind in ("A+", "A-"):
-                y = RC.y_point(c.anchor, c.kind[1])
-                assert c.value == pytest.approx(y[1], rel=1e-12)
+        for kind, anchor, value in local_t.cells.tolist():
+            if kind in ("A+", "A-"):
+                y = RC.y_point(anchor, kind[1])
+                assert value == pytest.approx(y[1], rel=1e-12)
 
     def test_blue_cell_value_is_largest_box_center(self, line_rc, state_t, local_t):
         fs = state_t[0]
-        for c in local_t.cells:
-            if c.kind == "blue":
+        for kind, anchor, value, boxes in cell_rows(local_t):
+            if kind == "blue":
                 found = False
-                for ci in line_rc.comps(c.anchor):
-                    if set(c.boxes) <= set(line_rc.comp(ci).tolist()):
+                for ci in line_rc.comps(anchor):
+                    if set(boxes.tolist()) <= set(line_rc.comp(ci).tolist()):
                         W = line_rc.W
                         b = line_rc.comp_center[ci]
                         x_i = (W.lo[b] + W.hi[b]) / 2
-                        assert c.value == pytest.approx(x_i[1], rel=1e-12)
+                        assert value == pytest.approx(x_i[1], rel=1e-12)
                         found = True
                 assert found
 
@@ -240,34 +257,34 @@ class TestValues:
         fs, numbers, labels, gf = state_t
         mx, mn = fs.box_extrema()
         eps = 0.5
-        for c in local_t.cells:
-            if not c.boxes or c.value is None:
+        for kind, anchor, value, boxes in cell_rows(local_t):
+            if not len(boxes) or np.isnan(value):
                 continue
-            dev = max(abs(mx[c.boxes].max() - c.value), abs(c.value - mn[c.boxes].min()))
-            if c.kind == "blue":
-                assert dev <= eps * numbers[c.anchor] * (1 + 1e-9)
+            dev = max(abs(mx[boxes].max() - value), abs(value - mn[boxes].min()))
+            if kind == "blue":
+                assert dev <= eps * numbers[anchor] * (1 + 1e-9)
             else:
-                assert dev <= 2 * eps * numbers[c.anchor] * (1 + 1e-9)
+                assert dev <= 2 * eps * numbers[anchor] * (1 + 1e-9)
 
 
 class TestEval:
     def test_a_cell_rule(self, line_rc, local_t):
-        c = next(c for c in local_t.cells if c.kind == "A+" and c.boxes)
-        X = (line_rc.W.lo[c.boxes[0]] + line_rc.W.hi[c.boxes[0]]) / 2
-        assert eval_approximant(local_t, X) == c.value
+        _, _, value, boxes = next(c for c in cell_rows(local_t) if c[0] == "A+" and len(c[3]))
+        X = (line_rc.W.lo[boxes[0]] + line_rc.W.hi[boxes[0]]) / 2
+        assert eval_approximant(local_t, X) == value
 
     def test_red_cell_rule_returns_u(self, line_rc, state_t, local_t):
         fs = state_t[0]
-        reds = [c for c in local_t.cells if c.kind == "red" and c.boxes]
+        reds = [boxes for kind, *_, boxes in cell_rows(local_t) if kind == "red" and len(boxes)]
         if not reds:
             pytest.skip("no red cells")
-        b = reds[0].boxes[0]
+        b = reds[0][0]
         X = (line_rc.W.lo[b] + line_rc.W.hi[b]) / 2
         assert eval_approximant(local_t, X) == float(fs.u.eval(X[None, :])[0])
 
     def test_facet_point_returns_u(self, line_rc, state_t, local_t):
         fs = state_t[0]
-        b = local_t.cells[0].boxes[0]
+        b = boxes_of(local_t, 0)[0]
         lo, hi = line_rc.W.lo[b], line_rc.W.hi[b]
         X = np.array([lo[0], (lo[1] + hi[1]) / 2])  # on the left face
         assert eval_approximant(local_t, X) == float(fs.u.eval(X[None, :])[0])
@@ -276,40 +293,41 @@ class TestEval:
         W = line_rc.W
         rng = np.random.default_rng(9)
         t_boxes = sorted(line_rc.carleson_box(local_t.q0))
+        rows = cell_rows(local_t)
         for _ in range(200):
             b = t_boxes[rng.integers(len(t_boxes))]
             X = rng.uniform(W.lo[b] + 1e-9, W.hi[b] - 1e-9)
             fast = eval_approximant(local_t, X)
             # slow path: scan all cells for the box containing X
             hit = [
-                c
-                for c in local_t.cells
-                for bb in c.boxes
+                value
+                for _, _, value, boxes in rows
+                for bb in boxes
                 if np.all(X >= W.lo[bb]) and np.all(X < W.hi[bb])
             ]
             assert len(hit) == 1
-            c = hit[0]
+            value = hit[0]
             slow = (
-                float(local_t.u.eval(X[None, :])[0]) if c.value is None else c.value
+                float(local_t.u.eval(X[None, :])[0]) if np.isnan(value) else value
             )
             assert fast == slow
 
 
 class TestTotalVariation:
     def test_single_jump_exact(self, line_rc, local_t):
-        a, b, axis, area, mass = local_t.jump_facets[0]
-        ca, cb = (local_t.cells[local_t.cell[x]] for x in (a, b))
-        if ca.value is not None and cb.value is not None:
-            assert mass == abs(ca.value - cb.value) * area
+        a, b, axis, area, mass = jump_rows(local_t)[0]
+        va, vb = (local_t.cells[local_t.cell[x]]["value"] for x in (a, b))
+        if not np.isnan(va) and not np.isnan(vb):
+            assert mass == abs(va - vb) * area
 
     def test_red_cell_contribution_is_volume(self, line_rc, state_t, local_t):
         # |grad t| = 1: the gradient part over a red cell equals its volume
-        reds = [c for c in local_t.cells if c.kind == "red" and c.boxes]
+        reds = [boxes for kind, *_, boxes in cell_rows(local_t) if kind == "red" and len(boxes)]
         if not reds:
             pytest.skip("no red cells")
         W = line_rc.W
-        tv = total_variation(state_t[0], local_t, set(reds[0].boxes))
-        vol = sum((W.unit * W.size[b]) ** 2 for b in reds[0].boxes)
+        tv = total_variation(state_t[0], local_t, set(reds[0].tolist()))
+        vol = sum((W.unit * W.size[b]) ** 2 for b in reds[0])
         assert tv["grad"] == pytest.approx(vol, rel=1e-12)
 
     def test_monotone_under_inclusion(self, line_rc, state_t, local_t):
@@ -353,12 +371,36 @@ def test_cell_array_indexes_cells(mode, request, line_rc, state_t, local_t):
         A = build_global_approximant(fs, gf, labels, gamma0=4.0)
     assert A.mode == mode
     in_cell = np.zeros(A.RC.W.n_boxes, dtype=bool)
-    for c in A.cells:
-        assert np.all(A.cell[c.boxes] == c.idx)
-        in_cell[c.boxes] = True
+    for i in range(len(A.cells)):
+        boxes = boxes_of(A, i)
+        # every cell id holds a box
+        assert len(boxes) and np.all(A.cell[boxes] == i)
+        in_cell[boxes] = True
     assert np.all(A.cell[~in_cell] == -1)
     if mode == "bounded":
         assert np.all(A.cell >= 0)
+    # ids run 0..n-1 in carving order: ring by ring (the first ring cube's
+    # Carleson box holding the cell's boxes; the outer cell last), in each
+    # ring the V cells by anchor, then the A cells by anchor, A+ before A-
+    assert set(A.cell[A.cell >= 0].tolist()) == set(range(len(A.cells)))
+    kind, anchor, value = (A.cells[f] for f in ("kind", "anchor", "value"))
+    rings = A.rings or [A.q0]
+    ring_of = np.full(A.RC.W.n_boxes, len(rings))
+    for k in reversed(range(len(rings))):
+        ring_of[A.RC.carleson_box(rings[k])] = k
+    keys = []
+    for i in range(len(A.cells)):
+        ring = set(ring_of[boxes_of(A, i)].tolist())
+        assert len(ring) == 1
+        keys.append((ring.pop(), kind[i][0] == "A", int(anchor[i]), kind[i] == "A-"))
+    assert keys == sorted(keys)
+    assert (kind == "outer").sum() == (mode == "bounded")
+    if mode == "bounded":
+        assert kind[-1] == "outer"
+    # nan exactly where the rule is u, -1 exactly at the outer cell
+    assert np.array_equal(np.isnan(value), np.isin(kind, ["red", "outer"]))
+    assert np.array_equal(anchor == -1, kind == "outer")
+    assert set(kind.tolist()) <= {"A+", "A-", "blue", "red", "outer"}
 
 
 class TestGlobalModes:
@@ -379,8 +421,8 @@ class TestGlobalModes:
             assert b >= 4.0 * a - 1e-12
         # rings tile: every covered box belongs to exactly one cell
         seen = set()
-        for c in A.cells:
-            for b in c.boxes:
+        for *_, boxes in cell_rows(A):
+            for b in boxes.tolist():
                 assert b not in seen
                 seen.add(b)
         # and the union covers the root Carleson box
@@ -530,7 +572,8 @@ def _assemble_jumps_loop(FS, A):
     u-against-constant facets."""
     W, u = A.RC.W, A.u
     g1, _ = FS.grad_integrals()
-    is_u = np.array([c.value is None for c in A.cells] + [False])[A.cell]
+    values = [None if np.isnan(v) else v for v in A.cells["value"].tolist()]
+    is_u = np.array([v is None for v in values] + [False])[A.cell]
     tv = np.zeros(W.n_boxes)
     tv[is_u] += g1[is_u]
     jumps, n_mixed = [], 0
@@ -539,7 +582,7 @@ def _assemble_jumps_loop(FS, A):
         ia, ib = cell[a], cell[b]
         if ia < 0 or ib < 0 or ia == ib:
             continue
-        va, vb = A.cells[ia].value, A.cells[ib].value
+        va, vb = values[ia], values[ib]
         if va is None and vb is None:
             continue
         if va is not None and vb is not None:
@@ -571,7 +614,7 @@ def test_jumps_match_facet_loop(mode, request, line_rc, state_t, local_t):
         fs, numbers, labels, gf = make_state(line_rc, PoissonIndicator(-0.5, 0.5), 0.2)
         A = build_global_approximant(fs, gf, labels, gamma0=4.0)
     jumps, tv, n_mixed = _assemble_jumps_loop(fs, A)
-    assert A.jump_facets == jumps
+    assert jump_rows(A) == jumps
     assert np.array_equal(A.tv_box, tv)
     # u against a constant: red cells in the Poisson field, the outer cell
     # of the bounded mode
@@ -623,6 +666,12 @@ def _glue_rings(S):
     return [S.roots[0]] if S.E.bounded else approximator._ring_chain(S, 4.0)
 
 
+def _rule(kind, anchor, value):
+    """A cell's (kind, anchor, value), None for a nan value (the rule is u),
+    so that rules compare with ==."""
+    return (kind, int(anchor), None if np.isnan(value) else float(value))
+
+
 def _ring_loop_rules(fs, gf, labels):
     """Reference: per box phi's (kind, anchor, value), or None outside the
     domain.  Per ring cube Q_k, the partition of all of T_{Q_k}, cut to the
@@ -635,21 +684,17 @@ def _ring_loop_rules(fs, gf, labels):
         cells, cell = partition_of(fs, gf, labels, q)
         t_k = RC.carleson_box(q).tolist()
         for b in set(t_k) - earlier:
-            c = cells[cell[b]]
-            rules[b] = (c.kind, c.anchor, c.value)
+            rules[b] = _rule(*cells[cell[b]])
         earlier.update(t_k)
     if fs.S.E.bounded:
-        rules = [("outer", None, None) if r is None else r for r in rules]
+        rules = [("outer", -1, None) if r is None else r for r in rules]
     return rules
 
 
 @pytest.mark.parametrize("case", list(GLUE_CASES))
 def test_glued_cells_match_ring_loop(case, glued):
     fs, gf, labels, A = glued[case]
-    got = [
-        None if i < 0 else (A.cells[i].kind, A.cells[i].anchor, A.cells[i].value)
-        for i in A.cell.tolist()
-    ]
+    got = [None if i < 0 else _rule(*A.cells[i].tolist()) for i in A.cell.tolist()]
     assert got == _ring_loop_rules(fs, gf, labels)
 
 
@@ -703,7 +748,8 @@ def _deviation_loop(fs, A):
     """Reference: |u - phi| at every fat-grid point, phi read through the
     point's owner (0 where the owner's rule is u, the owner is outside the
     domain or no candidate holds the point), then the max per box."""
-    value = {b: c.value for c in A.cells for b in c.boxes}
+    values = [None if np.isnan(v) else v for v in A.cells["value"].tolist()]
+    value = {b: values[i] for b, i in enumerate(A.cell.tolist()) if i >= 0}
     out = np.zeros(fs.W.n_boxes)
     for size, own in _per_box_owners(fs).items():
         ids, pts = fs.fat_points(size)

@@ -103,6 +103,23 @@ class TestRun:
         assert main(["run", "--config", str(cfgp)]) == 2
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p_grid", [0.0, 2.0]),
+            ("p_grid", [-1.0]),
+            ("p_grid", [1.0]),
+            ("p_grid", [float("inf")]),
+            ("sample_frac", 0),
+            ("sample_frac", -0.125),
+        ],
+    )
+    def test_bad_p_grid_or_sample_frac_errors(self, field, value, tmp_path, capsys, monkeypatch):
+        cfgp = small_config(tmp_path, **{field: value})
+        monkeypatch.setattr(pipeline, "stage_grid", _must_not_run)
+        assert main(["run", "--config", str(cfgp)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_eps_ratio_budget_failure_nonzero_exit(self, tmp_path):
         cfgp = small_config(tmp_path, budgets={"eps_ratio_slack": 1e-6})
         assert main(["run", "--config", str(cfgp)]) == 1

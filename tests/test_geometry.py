@@ -205,6 +205,19 @@ class TestADR:
         with pytest.raises(ValueError):
             check_adr(line, budget=0.5)
 
+    @pytest.mark.parametrize("resolution", [1 / 16, 1 / 8])
+    def test_empty_radius_range_named(self, resolution):
+        # half the diameter of [-0.5, 0.5] is 0.5: 8 * resolution reaches it
+        # at 1/16 and passes it at 1/8
+        E = build_boundary(Segment(-0.5, 0.5), resolution, W2)
+        r_min = 8 * resolution
+        with pytest.raises(ValueError) as err:
+            check_adr(E, budget=4.0)
+        assert str(err.value) == (
+            f"empty ADR radius range: 8 * resolution = {r_min!r} is not below "
+            f"r_max = 0.5; refine the resolution"
+        )
+
 
 def _adr_loop(E, budget):
     """Reference ADR sweep: one full distance row per center; per radius,

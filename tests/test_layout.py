@@ -108,9 +108,14 @@ def test_tree_sweeps_read_the_levels():
     assert not found, "generation sorts of relevant_ids(): " + ", ".join(found)
 
 
-def test_benchmark_tracer_installs():
+def test_benchmark_tracer_installs(tmp_path):
     """`benchmark/run.py --trace 1` wraps its targets by module and name, so
-    a moved or renamed one fails here; uninstall restores every binding."""
+    a moved or renamed one fails here; uninstall restores every binding.  A
+    traced quick_t run and one witness decision record every result counter,
+    so a renamed attribute a counter reads fails here too."""
+    from epsapprox import carleson, pipeline
+    from epsapprox.config import RunConfig
+
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmark" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -130,9 +135,17 @@ def test_benchmark_tracer_installs():
     try:
         assert len(t._restore) >= len(tracer.FUNCTIONS)
         assert bindings() != before
+        t.active = True
+        out = pipeline.run(RunConfig.load(ROOT / "configs" / "quick_t.json"), out_dir=tmp_path)
+        S = out["grid"]["S"]
+        carleson.sparse_witness(S, S.roots[:1], 1.0)
+        t.active = False
     finally:
         t.uninstall()
     assert bindings() == before
+    assert set(t.counters) == {key for key, _ in tracer.RESULT_COUNTERS.values()}
+    per_eps = out["approximate"]["per_eps"].values()
+    assert t.counters["approximator.n_cells"] == sum(len(st["A"].cells) for st in per_eps)
 
 
 def test_pipeline_run_does_not_import_numpy_ma(tmp_path):
