@@ -6,7 +6,9 @@
 Run it in a fresh interpreter per measurement, with no stage cache.  Prints
 one JSON object: the wall seconds of the run and of each stage, the peak
 resident set size in MB (`ru_maxrss`) of the run and as it stands at the end
-of each stage (so the stage that raises it shows), the sha256 of each output
+of each stage (so the stage that raises it shows), the minor page faults
+(`ru_minflt`) of the run and as they stand at the end of each stage (so the
+stages that churn freshly mapped memory show), the sha256 of each output
 file, and the provenance of the measurement: the git SHA of the timed tree
 (suffixed `-dirty` if its tracked files differ from that commit, null outside
 a git checkout), the numpy version and `os.cpu_count()`.  Pointing PYTHONPATH
@@ -50,10 +52,15 @@ def maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def minflt() -> int:
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main():
     cfg_path, out = sys.argv[1], Path(sys.argv[2])
     cfg = RunConfig.from_json(json.loads(Path(cfg_path).read_text()))
-    stage_s, stage_rss_mb = {}, {}
+    stage_s, stage_rss_mb, stage_minflt = {}, {}, {}
     for name, st in pipeline.STAGES.items():
         fn = getattr(pipeline, st.fn)
 
@@ -62,6 +69,7 @@ def main():
             result = _fn(*args)
             stage_s[_name] = time.perf_counter() - t0
             stage_rss_mb[_name] = maxrss_mb()
+            stage_minflt[_name] = minflt()
             return result
 
         # the stage graph looks its functions up at call time
@@ -76,6 +84,8 @@ def main():
                 "stage_s": stage_s,
                 "stage_rss_mb": stage_rss_mb,
                 "ru_maxrss_mb": maxrss_mb(),
+                "stage_minflt": stage_minflt,
+                "ru_minflt": minflt(),
                 "sha256": {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS},
                 "git_sha": git_sha(Path(pipeline.__file__).resolve().parent),
                 "numpy": np.__version__,

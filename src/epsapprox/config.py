@@ -94,6 +94,8 @@ class RunConfig:
         # the L^p roll-ups are for finite p > 1
         if not all(1 < p < float("inf") for p in self.p_grid):
             raise ValueError("p_grid must lie in (1, inf)")
+        if not all(0 < a < float("inf") for a in self.alpha_grid):
+            raise ValueError("alpha_grid apertures must be positive and finite")
         if not self.sample_frac > 0:
             raise ValueError("sample_frac must be positive")
         for name in ("adr", "eps_packing", "pointwise_c1"):

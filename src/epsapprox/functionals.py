@@ -40,6 +40,44 @@ def square_grid(t: np.ndarray) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
+def _corner_plus(lo: np.ndarray, off: np.ndarray, out=None) -> np.ndarray:
+    """lo[r] + off[p] as an (len(lo), len(off), 2) array.  It is a view of
+    coordinate planes (2, len(lo), len(off)), the leading rows of `out` if
+    given, so each coordinate is written, and read, at unit stride."""
+    planes = np.empty((2, len(lo), len(off))) if out is None else out[:, : len(lo)]
+    for a in (0, 1):
+        np.add(lo[:, a, None], off[None, :, a], out=planes[a])
+    return planes.transpose(1, 2, 0)
+
+
+def _first_hits(x, y, lo, hi, out, word) -> np.ndarray:
+    """For each row r and grid point (x[r, i], y[r, j]), i major, the least k
+    whose half-open box [lo[k, r], hi[k, r]) holds the point, written into
+    `out` (len(x), n*n); 32 * ceil(K / 32) where no box holds it.
+
+    Each axis is tested once per box and packed into a uint32 bitmask per
+    coordinate, bit k for box k, in words of 32 boxes; the first hit is the
+    lowest set bit of bx[i] & by[j].  The words run last first, so an earlier
+    word's hit overwrites a later one's.  `word` is an (len(x), n, n) uint32
+    buffer.
+    """
+    top = 32 * ((len(lo) - 1) // 32)
+    for k0 in range(top, -1, -32):
+        bx, by = (np.zeros(t.shape, dtype=np.uint32) for t in (x, y))
+        for a, (t, bits) in enumerate(((x, bx), (y, by))):
+            held = t >= lo[k0 : k0 + 32, :, None, a]
+            held &= t < hi[k0 : k0 + 32, :, None, a]
+            for k, h in enumerate(held):
+                bits |= np.left_shift(h, k, dtype=np.uint32)
+        np.bitwise_and(bx[:, :, None], by[:, None, :], out=word)
+        # the lowest set bit's index is the count of the bits below it, 32
+        # for an empty word
+        np.bitwise_and(word, -word, out=word)
+        first = np.bitwise_count(np.subtract(word, 1, out=word)).reshape(len(x), -1)
+        np.add(first, np.intp(k0), out=out, where=True if k0 == top else first < 32)
+    return out
+
+
 class FunctionalSuite:
     """Shared evaluation state for one (boundary, regions, field) triple.
 
@@ -80,14 +118,15 @@ class FunctionalSuite:
 
     # -- grids --------------------------------------------------------------
 
-    def fat_points(self, size: int, ids=None):
+    def fat_points(self, size: int, ids=None, out=None):
         """(box ids, points array (nbox, npts, 2)) for the boxes `ids` of one
         size group (default: the whole group): a grid over each box widened
-        by 1.5 tau of its side all round."""
+        by 1.5 tau of its side all round.  The points are written one
+        coordinate at a time, into the leading rows of `out` if given."""
         if ids is None:
             ids = self.W.size_groups()[size]
         off = square_grid(self._fat_axis()) * (self.W.unit * size)
-        return ids, self.W.lo[ids][:, None, :] + off[None, :, :]
+        return ids, _corner_plus(self.W.lo[ids], off, out)
 
     def _fat_axis(self) -> np.ndarray:
         """The fat grid's coordinates along one side, in units of the side."""
@@ -109,9 +148,17 @@ class FunctionalSuite:
         `W.nbr_ptr` plus one self slot per box), each with the extrema of u
         over the points its candidate owns (-inf, +inf if none).  The same
         pass takes the per-box extrema over the whole fat grid that
-        `box_extrema` returns.  Points and values are built in row blocks of
-        at most CHUNK (box, point) pairs; every reduction is per row, so the
-        blocks do not move a bit.
+        `box_extrema` returns.
+
+        The grid is a product: point i*n + j sits at (x_i, y_j), and a
+        candidate holds it iff its core interval along each axis holds that
+        coordinate.  So each axis is tested once per candidate and packed
+        into one bitmask per coordinate, bit k for the k-th candidate; the
+        owner of (x_i, y_j) is the lowest set bit of bx[i] & by[j]
+        (`_first_hits`).  No disjointness of the core boxes is assumed.
+        Points and values are built in row blocks of at most CHUNK (box,
+        point) pairs, into buffers allocated once per pass; every reduction
+        is per row, so the blocks do not move a bit.
         """
         if self._segments is None:
             W = self.W
@@ -123,31 +170,34 @@ class FunctionalSuite:
             lo_all = np.vstack([W.lo, np.full(2, np.inf)])
             hi_all = np.vstack([W.hi, np.full(2, -np.inf)])
             n = len(self._fat_axis())
+            top = row_blocks(W.n_boxes, n * n)[0].stop if W.n_boxes else 0
+            pts_buf = np.empty((2, top, n * n))
+            word_buf = np.empty((top, n, n), dtype=np.uint32)
+            slot_buf = np.empty((top, n * n), dtype=np.int64)
             for size, group in W.size_groups().items():
                 for rows in row_blocks(len(group), n * n):
-                    ids, pts = self.fat_points(size, group[rows])
+                    ids, pts = self.fat_points(size, group[rows], pts_buf)
                     vals = self.u.eval(pts.reshape(-1, 2)).reshape(pts.shape[:2])
                     mx[ids] = vals.max(axis=1)
                     mn[ids] = vals.min(axis=1)
                     n_cand = ptr[ids + 1] - ptr[ids]
-                    c = np.full((n_cand.max(), len(ids)), -1, dtype=np.int32)
-                    c[ranges(0 * n_cand, n_cand), np.repeat(np.arange(len(ids)), n_cand)] = (
-                        owner[csr_rows(ptr, ids)]
+                    # the candidates as (k, row) slots, -1 padding
+                    seg = csr_rows(ptr, ids)
+                    k, row = ranges(0 * n_cand, n_cand), np.repeat(np.arange(len(ids)), n_cand)
+                    c = np.full((int(n_cand.max()), len(ids)), -1, dtype=np.int32)
+                    c[k, row] = owner[seg]
+                    slot = _first_hits(
+                        pts[:, ::n, 0].copy(), pts[:, :n, 1].copy(), lo_all[c], hi_all[c],
+                        slot_buf[: len(ids)], word_buf[: len(ids)],
                     )
-                    # the grid is a product: point i*n + j sits at (x_i, y_j),
-                    # so a candidate holds it iff it holds x_i and y_j
-                    x, y = pts[:, ::n, 0], pts[:, :n, 1]
-                    hx = (x >= lo_all[c, None, 0]) & (x < hi_all[c, None, 0])
-                    hy = (y >= lo_all[c, None, 1]) & (y < hi_all[c, None, 1])
-                    # each point's first hit, -1 where no candidate holds it
-                    slot = np.full((len(ids), n, n), -1)
-                    for k in range(len(c) - 1, -1, -1):
-                        np.copyto(slot, k, where=hx[k, :, :, None] & hy[k, :, None, :])
-                    slot = slot.reshape(len(ids), -1)
-                    hit = slot >= 0
-                    seg = (ptr[ids, None] + slot)[hit]
-                    np.maximum.at(seg_max, seg, vals[hit])
-                    np.minimum.at(seg_min, seg, vals[hit])
+                    # per (row, slot) extrema, the last column taking the
+                    # uncovered points; each slot sees its points in order
+                    width = 32 * ((len(c) + 31) // 32) + 1
+                    np.add(slot, np.arange(0, len(ids) * width, width)[:, None], out=slot)
+                    for at, fill, out in ((np.maximum.at, -np.inf, seg_max), (np.minimum.at, np.inf, seg_min)):
+                        tab = np.full((len(ids), width), fill)
+                        at(tab.reshape(-1), slot.reshape(-1), vals.reshape(-1))
+                        out[seg] = tab[row, k]
             self._extrema = (mx, mn)
             self._segments = (ptr, owner, seg_max, seg_min)
         return self._segments
@@ -156,22 +206,25 @@ class FunctionalSuite:
 
     def grad_integrals(self):
         """Per box: (int |grad u|, int |grad u|^2) on core grids, built in
-        row blocks of at most CHUNK (box, point) pairs."""
+        row blocks of at most CHUNK (box, point) pairs into one point
+        buffer."""
         if self._grad_int is None:
             g1 = np.zeros(self.W.n_boxes)
             g2 = np.zeros(self.W.n_boxes)
             m = max(2, int(np.ceil(1.0 / self.sample_frac)))
             mid = square_grid((np.arange(m) + 0.5) / m)
+            top = row_blocks(self.W.n_boxes, m * m)[0].stop if self.W.n_boxes else 0
+            pts_buf = np.empty((2, top, m * m))
             for size, group in self.W.size_groups().items():
                 side = self.W.unit * size
                 vol = (side / m) ** 2
                 for rows in row_blocks(len(group), m * m):
                     ids = group[rows]
-                    pts = self.W.lo[ids][:, None, :] + (mid * side)[None, :, :]
-                    flat = pts.reshape(-1, 2)
-                    gr = paired_distances(self.u.grad(flat), np.zeros((1, 2))).reshape(len(ids), -1)
+                    pts = _corner_plus(self.W.lo[ids], mid * side, pts_buf)
+                    gr = paired_distances(self.u.grad(pts.reshape(-1, 2)), np.zeros((1, 2)))
+                    gr = gr.reshape(len(ids), -1)
                     g1[ids] = gr.sum(axis=1) * vol
-                    g2[ids] = (gr**2).sum(axis=1) * vol
+                    g2[ids] = np.multiply(gr, gr, out=gr).sum(axis=1) * vol
             self._grad_int = g1
             self._grad2_int = g2
         return self._grad_int, self._grad2_int
@@ -309,25 +362,43 @@ class FunctionalSuite:
         T_Q holds b iff Q is an ancestor of one of b's owners.  The pairs
         come one generation of Q after another and, within one, in
         ascending box id, so each cube's boxes ascend.  The owner entries
-        are read in blocks of whole boxes.
+        are read in blocks of whole boxes, twice: the first pass counts each
+        (generation, block) part, the second writes it at its place in the
+        preallocated arrays.  A pair's key is (b << bits) | Q; a block's keys
+        come box by box, so a stable sort (runs of one box's owners) puts
+        them in order.
         """
         if self._pairs is None:
             indptr, owner = self.RC.owner_ptr, self.RC.owner_cube
-            anc = self.S.anc_at
-            n = self.S.n_cubes
+            # per generation, each cube's ancestor there (-1 for none)
+            anc = np.ascontiguousarray(self.S.anc_at.T)
+            bits = int(self.S.n_cubes).bit_length()
             count = np.diff(indptr)
-            cols = [[] for _ in range(anc.shape[1])]
-            for lo, hi in row_spans(count):
-                own = owner[indptr[lo] : indptr[hi]]
-                box = np.repeat(np.arange(lo, hi), count[lo:hi])
-                for g, col in enumerate(cols):
-                    a = anc[own, g]
-                    live = a >= 0
-                    # one pair per distinct (b, Q)
-                    key = distinct(box[live] * n + a[live])
-                    col.append(((key // n).astype(np.int32), (key % n).astype(np.int32)))
-            parts = [part for col in cols for part in col]
-            self._pairs = tuple(np.concatenate(x) for x in zip(*parts))
+            spans = row_spans(count)
+
+            def parts():
+                """(generation, block, sorted keys, first-of-a-run mask)."""
+                for j, (lo, hi) in enumerate(spans):
+                    box = np.repeat(np.arange(lo, hi, dtype=np.int64) << bits, count[lo:hi])
+                    own = owner[indptr[lo] : indptr[hi]].astype(np.intp)
+                    for g, a in enumerate(np.take(anc, own, axis=1)):
+                        key = np.sort((box + a)[a >= 0], kind="stable")
+                        head = np.ones(len(key), dtype=bool)
+                        np.not_equal(key[1:], key[:-1], out=head[1:])
+                        yield g, j, key, head
+
+            size = np.zeros((len(anc), len(spans)), dtype=np.int64)
+            for g, j, _, head in parts():
+                size[g, j] = np.count_nonzero(head)
+            start = (np.cumsum(size) - size.ravel()).reshape(size.shape)
+            boxes, cubes = (np.empty(size.sum(), dtype=np.int32) for _ in range(2))
+            for g, j, key, head in parts():
+                # one pair per distinct (b, Q)
+                key = key[head]
+                at = slice(start[g, j], start[g, j] + len(key))
+                np.right_shift(key, bits, out=boxes[at])
+                np.bitwise_and(key, (1 << bits) - 1, out=cubes[at])
+            self._pairs = (boxes, cubes)
         return self._pairs
 
     def anc_scatter(self, mass: np.ndarray) -> np.ndarray:

@@ -495,14 +495,11 @@ def write_outputs(cfg: RunConfig, grid, approx, report):
         + [f"n_star_a{a}" for a in cfg.alpha_grid]
         + ["square", f"cd_tv_eps{first_eps}"]
     )
-    rows = [",".join(header)]
-    for i in range(E.n_samples):
-        vals = (
-            [i, E.points[i, 0], E.points[i, 1], ns[i]]
-            + [nsa[a][i] for a in cfg.alpha_grid]
-            + [sq[i], cd[i]]
-        )
-        rows.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in vals))
+    # column by column: `tolist` gives each float64 as the Python float whose
+    # repr a per-value float() would give
+    floats = [E.points[:, 0], E.points[:, 1], ns, *(nsa[a] for a in cfg.alpha_grid), sq, cd]
+    cols = [map(str, range(E.n_samples)), *(map(repr, c.tolist()) for c in floats)]
+    rows = [",".join(header), *map(",".join, zip(*cols))]
     (out / "functionals.csv").write_text("\n".join(rows) + "\n")
 
     rows = ["eps,box_a,box_b,axis,area,jump_mass"]

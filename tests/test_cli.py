@@ -120,6 +120,15 @@ class TestRun:
         assert main(["run", "--config", str(cfgp)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [[-1.0], [0.0], [1.0, 0.0], [float("inf")], [float("nan")]])
+    def test_bad_alpha_grid_errors(self, value, tmp_path, capsys, monkeypatch):
+        # -1 used to die in the aperture search with "negative dimensions are
+        # not allowed", and 0 with an empty cone blamed on the window edge
+        cfgp = small_config(tmp_path, alpha_grid=value)
+        monkeypatch.setattr(pipeline, "stage_grid", _must_not_run)
+        assert main(["run", "--config", str(cfgp)]) == 2
+        assert "alpha_grid" in capsys.readouterr().err
+
     def test_eps_ratio_budget_failure_nonzero_exit(self, tmp_path):
         cfgp = small_config(tmp_path, budgets={"eps_ratio_slack": 1e-6})
         assert main(["run", "--config", str(cfgp)]) == 1

@@ -1,6 +1,7 @@
 """Cone functionals: N_*, S, Carleson functionals, comparison estimates."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,19 +243,52 @@ def test_blocked_passes_do_not_depend_on_chunk(fixture, u, request, monkeypatch)
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
+@pytest.mark.parametrize("K", [1, 5, 32, 33, 70])
+def test_first_hits_match_a_per_point_scan(K):
+    # overlapping boxes on a grid of dyadic coordinates, many points on box
+    # edges, and more boxes than one 32-bit word holds: each point's first
+    # box in order wins, and a point no box holds reads 32 * ceil(K / 32)
+    rng = np.random.default_rng(K)
+    m, n = 7, 9
+    x = np.sort(rng.integers(0, 16, (m, n)), axis=1) / 8.0
+    y = np.sort(rng.integers(0, 16, (m, n)), axis=1) / 8.0
+    lo = rng.integers(0, 12, (K, m, 2)) / 8.0
+    hi = lo + rng.integers(1, 8, (K, m, 2)) / 8.0
+    hi[rng.random((K, m)) < 0.2] = -np.inf  # padding: an empty box
+    got = functionals._first_hits(
+        x, y, lo, hi, np.empty((m, n * n), dtype=np.intp), np.empty((m, n, n), dtype=np.uint32)
+    )
+    none = 32 * -(-K // 32)
+    want = np.full((m, n * n), none)
+    for r in range(m):
+        for i in range(n):
+            for j in range(n):
+                for k in range(K):
+                    if lo[k, r, 0] <= x[r, i] < hi[k, r, 0] and lo[k, r, 1] <= y[r, j] < hi[k, r, 1]:
+                        want[r, i * n + j] = k
+                        break
+    assert np.array_equal(got, want)
+    assert (want == none).any() and (want < K).any()
+
+
 @pytest.mark.parametrize("fixture", ["line_rc", "segment_rc"])
 def test_owners_match_per_box_loop(fixture, request):
-    # the default grid, and one of three points a side that steps over some
-    # neighbours, so their segments are empty
-    uncovered, empty = {}, {}
-    for frac in (0.125, 1.0):
-        fs = FunctionalSuite(request.getfixturevalue(fixture), Coordinate(1), sample_frac=frac)
+    # the default grid; one of three points a side that steps over some
+    # neighbours, so their segments are empty; and a pad of a quarter side
+    # (tau = 1/6) with points a quarter side apart, so grid coordinates fall
+    # exactly on the edges of the box and of its half-size neighbours, where
+    # the half-open first-hit rule decides
+    rc = request.getfixturevalue(fixture)
+    quarter = replace(rc, params=replace(rc.params, tau=1 / 6))
+    uncovered, empty, on_edge = {}, {}, 0
+    for key, RC, frac in (("default", rc, 0.125), ("sparse", rc, 1.0), ("edges", quarter, 0.25)):
+        fs = FunctionalSuite(RC, Coordinate(1), sample_frac=frac)
         ptr, owner, seg_max, seg_min = fs.owners()
         ref = _per_box_owners(fs)
         W = fs.W
         assert np.array_equal(ptr, W.nbr_ptr + np.arange(W.n_boxes + 1))
-        uncovered[frac] = any((own < 0).any() for own in ref.values())
-        empty[frac] = False
+        uncovered[key] = any((own < 0).any() for own in ref.values())
+        empty[key] = False
         for size, own in ref.items():
             ids, pts = fs.fat_points(size)
             vals = fs.u.eval(pts.reshape(-1, 2)).reshape(own.shape)
@@ -264,10 +298,14 @@ def test_owners_match_per_box_loop(fixture, request):
                 assert owner[seg].tolist() == cands
                 for k, c in enumerate(cands):
                     on = vals[row][own[row] == c]
-                    empty[frac] |= not len(on)
+                    empty[key] |= not len(on)
                     assert seg_max[seg][k] == on.max(initial=-np.inf)
                     assert seg_min[seg][k] == on.min(initial=np.inf)
-    assert uncovered[0.125] and empty[1.0]
+                    if key == "edges" and 2 * W.size[c] == W.size[bid]:
+                        hit = (pts[row] == W.lo[c]) | (pts[row] == W.hi[c])
+                        on_edge += int(hit.any(axis=1).sum())
+    assert uncovered["default"] and empty["sparse"] and on_edge
+    assert 0.5 in FunctionalSuite(quarter, Coordinate(1), sample_frac=0.25)._fat_axis()
 
 
 def _aperture_scan(FS, alpha, qid):

@@ -251,6 +251,28 @@ def test_values_do_not_depend_on_the_batch(u):
             assert np.array_equal(parts, whole)
 
 
+@pytest.mark.parametrize("u", CATALOG, ids=lambda u: type(u).__name__)
+def test_values_do_not_depend_on_the_layout(u):
+    # the fat-grid and core-grid passes hand u a view of coordinate planes;
+    # a point's eval and grad bits are the same in a C-contiguous (N, 2)
+    # array, a column-strided view, a Fortran-ordered copy and an (m, k, 2)
+    # block of planes reshaped to (N, 2)
+    rng = np.random.default_rng(37)
+    t = rng.choice([-1.0, 1.0], 300) * rng.uniform(0.01, 3, 300)
+    P = np.column_stack([rng.uniform(-3, 3, 300), t])
+    wide = np.zeros((300, 5))
+    wide[:, 1], wide[:, 3] = P[:, 0], P[:, 1]
+    planes = np.empty((2, 20, 15))
+    planes[0], planes[1] = P[:, 0].reshape(20, 15), P[:, 1].reshape(20, 15)
+    block = planes.transpose(1, 2, 0).reshape(-1, 2)
+    assert not block.flags.c_contiguous and np.shares_memory(block, planes)
+    for f in (u.eval, u.grad):
+        whole = f(P)
+        for Q in (wide[:, 1::2], np.asfortranarray(P), block):
+            assert np.array_equal(Q, P)
+            assert np.array_equal(f(Q), whole)
+
+
 class TestResiduals:
     def test_constant_residual_exactly_zero(self):
         res = laplacian_residual(Constant(2.5), PROBES, h=1e-3)
