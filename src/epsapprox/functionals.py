@@ -70,10 +70,12 @@ def _first_hits(x, y, lo, hi, out, word) -> np.ndarray:
             for k, h in enumerate(held):
                 bits |= np.left_shift(h, k, dtype=np.uint32)
         np.bitwise_and(bx[:, :, None], by[:, None, :], out=word)
-        # the lowest set bit's index is the count of the bits below it, 32
-        # for an empty word
+        # the lowest set bit 2^i is exact as a float32, whose bits are
+        # (127 + i) << 23; an empty word gives 0 and wraps above 32
         np.bitwise_and(word, -word, out=word)
-        first = np.bitwise_count(np.subtract(word, 1, out=word)).reshape(len(x), -1)
+        np.copyto(word.view(np.float32), word, casting="unsafe")
+        np.subtract(np.right_shift(word, 23, out=word), 127, out=word)
+        first = np.minimum(word, 32, out=word).reshape(len(x), -1)
         np.add(first, np.intp(k0), out=out, where=True if k0 == top else first < 32)
     return out
 

@@ -90,14 +90,8 @@ class FundamentalPole(HarmonicField):
         return np.log(paired_distances(P, np.asarray(self.pole)[None, :]))
 
     def grad(self, P):
-        # column by column: an (N, 2) - (2,) broadcast runs a length-2 loop
-        d = np.empty((len(P), 2))
-        for a in (0, 1):
-            np.subtract(P[:, a], self.pole[a], out=d[:, a])
-        s = np.einsum("ij,ij->i", d, d)
-        for a in (0, 1):
-            np.divide(d[:, a], s, out=d[:, a])
-        return d
+        d = P - np.asarray(self.pole)
+        return d / np.einsum("ij,ij->i", d, d)[:, None]
 
 
 @dataclass(frozen=True)
