@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Budgets, RunConfig
 from .functionals import FunctionalSuite, lp_norm
 from .geometry import csr_rows, distinct, pair_distances, row_spans
 from .stopping import GenerationForest, OscillationLabels, initial_chain
@@ -123,7 +124,7 @@ def build_global_approximant(
     FS: FunctionalSuite,
     GF: GenerationForest,
     labels: OscillationLabels,
-    gamma0: float = 4.0,
+    gamma0: float = RunConfig.gamma0,
 ) -> Approximant:
     """Glue local approximants: bounded mode patches u outside T_{root};
     unbounded mode tiles rings W_k = T_{Q_k} \\ T_{Q_{k-1}} along a
@@ -345,8 +346,8 @@ def verify_approximation(
     cd: np.ndarray,
     mm: np.ndarray,
     cball: np.ndarray,
-    p_grid=(1.5, 2.0, 4.0),
-    c1_budget: float = 4.0,
+    p_grid=RunConfig.p_grid,
+    c1_budget: float = Budgets.pointwise_c1,
 ) -> dict:
     """The three certification sweeps for one approximant.
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import CubeSystem
-from .geometry import ball_sums, csr_rows, distinct, pair_distances, row_blocks
+from .geometry import ball_sums, csr_rows, distinct
 
 
 def _as_ids(collection) -> np.ndarray:
@@ -200,10 +200,10 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
 
     `f` is one function per sample or a (k, n_samples) stack of them; the
     result has the same shape, and each row is what that row alone gives.
-    Centers run in row blocks of one distance block each, binned once for
-    all rows (`ball_sums`).  A sample x lies in B(c, r) for exactly the
-    radii from the first one above |x - c|, so it takes the suffix max of
-    c's ball averages over the radii from there.
+    The ball sums of a block of centers serve all rows (`ball_sums`).  A
+    sample x lies in B(c, r) for exactly the radii from the first one above
+    |x - c|, so it takes the suffix max of c's ball averages over the radii
+    from there.
     """
     E = S.E
     f = np.abs(np.asarray(f, dtype=float))
@@ -212,9 +212,7 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     # row 0 weighs the balls, rows 1.. weigh f over them
     stack = np.vstack([w, f * w])
     out = np.zeros((len(stack) - 1, E.n_samples))
-    for rows in row_blocks(E.n_samples, E.n_samples):
-        d = pair_distances(pts[rows], pts)
-        first, sums = ball_sums(d, radii, stack)
+    for _, cell, sums in ball_sums(pts, pts, radii, stack):
         # the weights are positive: a ball with mass holds a sample
         avg = np.divide(
             sums[1:], sums[0], out=np.zeros_like(sums[1:]), where=sums[0] > 0
@@ -222,8 +220,8 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
         # best[..., j]: max average over the radii from r_j up; 0 past the last
         best = np.zeros(avg.shape[:2] + (len(radii) + 1,))
         best[..., :-1] = np.maximum.accumulate(avg[..., ::-1], axis=-1)[..., ::-1]
-        hit = np.take_along_axis(best, first[None], axis=-1)
-        out = np.maximum(out, hit.max(axis=1))
+        for row, b in zip(out, best):
+            np.maximum(row, np.take(b, cell).max(axis=0), out=row)
     return out.reshape(f.shape)
 
 

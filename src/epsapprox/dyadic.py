@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Budgets
 from .geometry import (
     BoundarySet,
     PointList,
@@ -146,7 +147,7 @@ def build_cube_system(
     k_min: int,
     k_max: int,
     scale: float = 1.0,
-    inclusion_budget: tuple = (1e-6, 64.0),
+    inclusion_budget: tuple = Budgets.inclusion,
 ) -> CubeSystem:
     """Build the dyadic forest on E between generations k_min and k_max.
 

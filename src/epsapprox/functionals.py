@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import Budgets, RunConfig
 from .dyadic import CubeSystem
 from .geometry import (
     ball_sums,
@@ -24,7 +25,6 @@ from .geometry import (
     by_x,
     csr_rows,
     distinct,
-    pair_distances,
     paired_distances,
     ranges,
     row_blocks,
@@ -93,7 +93,7 @@ class FunctionalSuite:
         self,
         RC: RegionComplex,
         u: HarmonicField,
-        sample_frac: float = 0.125,
+        sample_frac: float = RunConfig.sample_frac,
         far_ball_factor: float | None = None,
     ):
         self.RC = RC
@@ -466,14 +466,10 @@ class FunctionalSuite:
         stack = np.atleast_2d(mass)
         live = np.flatnonzero(stack.any(axis=0))
         radii = self._ball_radii()
-        out = np.zeros((len(stack), len(sample_ids)))
-        m = stack[:, live]
-        pos = mids[live]
+        out = np.empty((len(stack), len(sample_ids)))
         pts = self.E.points[np.asarray(sample_ids, dtype=int)]
-        if len(live):
-            for rows in row_blocks(len(pts), len(pos)):
-                _, csum = ball_sums(pair_distances(pts[rows], pos), radii, m)
-                out[:, rows] = np.max(csum / radii, axis=-1)
+        for rows, _, sums in ball_sums(pts, mids[live], radii, stack[:, live]):
+            out[:, rows] = np.max(sums / radii, axis=-1)
         return out.reshape(np.shape(mass)[:-1] + (len(sample_ids),))
 
     def _ball_radii(self) -> np.ndarray:
@@ -499,9 +495,9 @@ def compare_levelsets(
     cball: np.ndarray,
     cdyadic: np.ndarray,
     weights: np.ndarray,
-    p_grid=(1.5, 2.0, 4.0),
-    a1_budget: float = 32.0,
-    a2_budget: float = 8.0,
+    p_grid=RunConfig.p_grid,
+    a1_budget: float = Budgets.levelset_a1,
+    a2_budget: float = Budgets.levelset_a2,
 ):
     """Weak-type domination sigma{C > A1*l} <= A2*sigma{C_dyadic > l}.
 

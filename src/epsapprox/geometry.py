@@ -10,11 +10,9 @@ arclength/area element times the sample spacing.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-GEOM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class Window:
 class Descriptor:
     """Analytic boundary description. Subclasses fill in sampling/distance."""
 
-    kind = "abstract"
     lipschitz = 0.0
 
     def sample(self, window: Window, resolution: float):
@@ -65,15 +62,10 @@ class Descriptor:
     def diameter(self, window: Window) -> float:
         return float("inf")
 
-    def to_json(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Hyperplane(Descriptor):
     """The x-axis {y = 0} of the plane."""
-
-    kind: str = field(default="hyperplane", init=False)
 
     lipschitz = 0.0
 
@@ -94,9 +86,6 @@ class Hyperplane(Descriptor):
         xs = np.linspace(lo, hi, n)
         return np.column_stack([xs, np.zeros_like(xs)])
 
-    def to_json(self):
-        return {"type": "hyperplane", "params": {}}
-
 
 _PROFILES = {
     "linear": (lambda x, s: s * x, lambda s: abs(s)),
@@ -111,7 +100,6 @@ class LipschitzGraph(Descriptor):
 
     profile: str
     slope: float
-    kind: str = field(default="lipschitz_graph", init=False)
 
     def __post_init__(self):
         if self.profile not in _PROFILES:
@@ -143,12 +131,6 @@ class LipschitzGraph(Descriptor):
         xs = np.linspace(lo, hi, n)
         return np.column_stack([xs, self.graph_value(xs)])
 
-    def to_json(self):
-        return {
-            "type": "lipschitz_graph",
-            "params": {"profile": self.profile, "slope": self.slope},
-        }
-
 
 @dataclass(frozen=True)
 class Segment(Descriptor):
@@ -156,7 +138,6 @@ class Segment(Descriptor):
 
     a: float
     b: float
-    kind: str = field(default="segment", init=False)
 
     lipschitz = 0.0
 
@@ -181,9 +162,6 @@ class Segment(Descriptor):
     def diameter(self, window: Window) -> float:
         return float(self.b - self.a)
 
-    def to_json(self):
-        return {"type": "segment", "params": {"a": self.a, "b": self.b}}
-
 
 @dataclass(frozen=True)
 class CantorSet(Descriptor):
@@ -194,7 +172,6 @@ class CantorSet(Descriptor):
     """
 
     level: int
-    kind: str = field(default="cantor_set", init=False)
 
     def corners(self) -> np.ndarray:
         pts = np.zeros((1, 2))
@@ -212,9 +189,6 @@ class CantorSet(Descriptor):
     def diameter(self, window: Window) -> float:
         return float(np.sqrt(2.0))
 
-    def to_json(self):
-        return {"type": "cantor_set", "params": {"level": self.level}}
-
 
 @dataclass(frozen=True)
 class PointList(Descriptor):
@@ -222,7 +196,6 @@ class PointList(Descriptor):
 
     points: tuple
     weights: tuple
-    kind: str = field(default="point_list", init=False)
 
     def sample(self, window: Window, resolution: float):
         pts = np.asarray(self.points, dtype=float)
@@ -233,15 +206,6 @@ class PointList(Descriptor):
         pts = np.asarray(self.points, dtype=float)
         blocks = row_blocks(len(pts), len(pts))
         return max((float(pair_distances(pts[r], pts).max()) for r in blocks), default=0.0)
-
-    def to_json(self):
-        return {
-            "type": "point_list",
-            "params": {
-                "points": [list(p) for p in self.points],
-                "weights": list(self.weights),
-            },
-        }
 
 
 def descriptor_from_json(obj) -> Descriptor:
@@ -334,22 +298,8 @@ def build_boundary(
 # ---------------------------------------------------------------------------
 
 
-def _distance(P: np.ndarray, E: BoundarySet) -> np.ndarray:
-    """Vectorized dist(P_i, E)."""
-    desc = E.descriptor
-    if isinstance(desc, Hyperplane):
-        return np.abs(P[:, -1])
-    if isinstance(desc, LipschitzGraph) and desc.profile == "linear":
-        s = desc.slope
-        return np.abs(P[:, 1] - s * P[:, 0]) / np.sqrt(1 + s * s)
-    pl = E.polyline()
-    if pl is not None:
-        return _dist_to_polyline(P, pl)
-    return dist_to_cloud(P, E.points)
-
-
-# elements per temporary of every chunked array pass: (row, column) pairs
-# of a distance block, (box, target) pairs in `box_distance_many`, (box,
+# elements per temporary of every chunked array pass: (center, point) pairs
+# in `ball_sums`, (box, target) pairs in `box_distance_many`, (box,
 # grid point) pairs in `FunctionalSuite.owners` (the fat-grid pass) and
 # `FunctionalSuite.grad_integrals`, (box, cube) pairs in
 # `FunctionalSuite.anc_scatter`, neighbour entries of whole cubes in
@@ -407,48 +357,65 @@ def row_spans(count: np.ndarray) -> list:
     return out
 
 
-def pair_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """|Q_j - P_i| as a (len(P), len(Q)) block.
+def pair_distances(P: np.ndarray, Q: np.ndarray, out=None) -> np.ndarray:
+    """|Q_j - P_i| as a (len(P), len(Q)) block, written into out[0] (with
+    out[1] as scratch) if a (2, len(P), len(Q)) buffer is given.
 
     Row i is bit-identical to ``np.linalg.norm(Q - P[i], axis=1)``, which
     also squares each coordinate difference and adds the two squares.
     """
-    d = Q[None, :, 0] - P[:, None, 0]
-    dy = Q[None, :, 1] - P[:, None, 1]
+    d, dy = np.empty((2, len(P), len(Q))) if out is None else out
+    np.subtract(Q[None, :, 0], P[:, None, 0], out=d)
+    np.subtract(Q[None, :, 1], P[:, None, 1], out=dy)
     d *= d
     dy *= dy
     d += dy
     return np.sqrt(d, out=d)
 
 
-def radius_sums(cells: np.ndarray, weights: np.ndarray, n_rows: int, m: int) -> np.ndarray:
-    """(n_rows, m): per row and per radius r_j of m, the weights of the
-    entries with d < r_j summed.  An entry's cell is row * (m + 1) + the
-    index of the first radius above its d.  Each cell adds its weights in
-    entry order and the cells add in radius order: O(entries), no sort."""
-    binned = np.bincount(cells, weights=weights, minlength=n_rows * (m + 1))
-    return binned.reshape(n_rows, m + 1).cumsum(axis=1)[:, :m]
+def ball_sums(centers: np.ndarray, points: np.ndarray, radii: np.ndarray, weights: np.ndarray):
+    """Weight sums over the balls B(centers[i], r_j), radii ascending, per
+    block of centers: yields ``(rows, cell, sums)`` with
 
+    * `rows`, the slice of centers in the block;
+    * ``cell[i, c]``, the bin of the pair (i, c): i * (m + 1) for the m radii
+      plus the index of the first radius above d = |points[c] - centers[i]|
+      (`pair_distances`);
+    * ``sums[h, i, j]``, per row h of the (k, len(points)) `weights` stack,
+      the weight sum over the points with d < r_j.
 
-def ball_sums(d: np.ndarray, radii: np.ndarray, weights: np.ndarray):
-    """Per row i of a distance block and per radius r_j (ascending):
-
-    * ``first[i, c]``, the index of the first radius above d[i, c];
-    * ``sums[h, i, j]``, per row h of the (k, n_columns) `weights` stack,
-      the weight sum over the columns with d < r_j (`radius_sums`).
-
-    The block is searched once for all k weight rows and binned one weight
-    row at a time, so no temporary holds more entries than the block.  A
-    zero weight adds +0.0 to its cell, so each row of a stack gets the bits
+    A block holds at most CHUNK (center, point) pairs (`row_blocks`), and
+    its bins serve all k weight rows.  Each row's weights are binned adding
+    in point order, and the bins add in radius order: O(pairs), no sort.  A
+    zero weight adds +0.0 to its bin, so each row of a stack gets the bits
     of that row alone.
+
+    The block arrays are views of buffers allocated once per call and
+    refilled block after block, so no block array outlives its block or
+    depends on how the caller holds one: read a block before taking the
+    next.
     """
-    n, m = d.shape[0], len(radii)
-    first = np.searchsorted(radii, d, side="right")
-    cells = (np.arange(n)[:, None] * (m + 1) + first).ravel()
-    sums = np.empty((len(weights), n, m))
-    for h, row in enumerate(weights):
-        sums[h] = radius_sums(cells, np.broadcast_to(row, d.shape).ravel(), n, m)
-    return first, sums
+    n, m = len(points), len(radii)
+    blocks = row_blocks(len(centers), n)
+    top = blocks[0].stop if blocks else 0
+    dist = np.empty((2, top, n))
+    cells = np.empty((top, n), dtype=np.intp)
+    sums = np.empty((len(weights), top, m))
+    for rows in blocks:
+        k = rows.stop - rows.start
+        d = pair_distances(centers[rows], points, dist[:, :k])
+        cell = np.add(
+            np.searchsorted(radii, d, side="right"),
+            np.arange(0, k * (m + 1), m + 1)[:, None],
+            out=cells[:k],
+        )
+        # the distances are binned: their scratch plane takes each weight row
+        row_w = dist[1, :k]
+        for h, w in enumerate(weights):
+            np.copyto(row_w, w)
+            binned = np.bincount(cell.ravel(), weights=row_w.ravel(), minlength=k * (m + 1))
+            np.cumsum(binned.reshape(k, m + 1)[:, :m], axis=1, out=sums[h, :k])
+        yield rows, cell, sums[:, :k]
 
 
 # relative widening of the half-width of every x-window below: a target
@@ -484,20 +451,14 @@ def _x_window(xs: np.ndarray, x, r):
     return np.searchsorted(xs, x - reach, side="left"), np.searchsorted(xs, x + reach, side="right")
 
 
-def _window_blocks(start: np.ndarray, count: np.ndarray):
+def window_blocks(start: np.ndarray, count: np.ndarray):
     """Blocks of consecutive windows T[start[i]:start[i] + count[i]] holding
-    at most CHUNK (row, target) pairs together (or one row, if it alone has
-    more): per block its rows i:j, the row and target position of each pair,
-    and each row's first pair."""
-    total = np.zeros(len(start) + 1, dtype=np.intp)
-    np.cumsum(count, out=total[1:])
-    i = 0
-    while i < len(start):
-        j = int(np.searchsorted(total, total[i] + CHUNK, side="right")) - 1
-        j = min(max(j, i + 1), len(start))
-        row = np.repeat(np.arange(i, j), count[i:j])
-        yield i, j, row, ranges(start[i:j], count[i:j]), total[i:j] - total[i]
-        i = j
+    at most CHUNK (row, target) pairs together (`row_spans`): per block its
+    rows i:j, the row and target position of each pair, and each row's
+    first pair."""
+    for i, j in row_spans(count):
+        c = count[i:j]
+        yield i, j, np.repeat(np.arange(i, j), c), ranges(start[i:j], c), np.cumsum(c) - c
 
 
 def nearest_in_window(P: np.ndarray, T: np.ndarray, r, skip=None) -> np.ndarray:
@@ -520,7 +481,7 @@ def nearest_in_window(P: np.ndarray, T: np.ndarray, r, skip=None) -> np.ndarray:
         start, stop = _x_window(T[:, 0], p[:, 0], r)
         count = stop - start
         best = np.full(len(todo), np.inf)
-        for i, j, row, idx, offsets in _window_blocks(start, count):
+        for i, j, row, idx, offsets in window_blocks(start, count):
             d = paired_distances(T[idx], p[row])
             if skip is not None:
                 d[skip(todo[row], idx)] = np.inf
@@ -545,7 +506,7 @@ def balls(order: np.ndarray, T: np.ndarray, centers: np.ndarray, r: np.ndarray):
     """
     start, stop = _x_window(T[:, 0], centers[:, 0], r)
     ids, d, rows = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
-    for _, _, row, idx, _ in _window_blocks(start, stop - start):
+    for _, _, row, idx, _ in window_blocks(start, stop - start):
         dist = paired_distances(T[idx], centers[row])
         keep = np.flatnonzero(dist <= r[row])
         ids.append(order[idx[keep]])
@@ -571,22 +532,6 @@ def dist_to_cloud(P: np.ndarray, cloud: np.ndarray) -> np.ndarray:
     left = paired_distances(T[np.maximum(k - 1, 0)], P)
     r = np.minimum(left, paired_distances(T[np.minimum(k, len(T) - 1)], P))
     return nearest_in_window(P, T, r)
-
-
-def _dist_to_polyline(P: np.ndarray, pl: np.ndarray) -> np.ndarray:
-    """Distance from points to a polyline, exact per segment."""
-    a = pl[:-1]
-    b = pl[1:]
-    ab = b - a
-    den = np.einsum("ij,ij->i", ab, ab)
-    out = np.empty(len(P))
-    # chunk over query points; segment arrays are shared
-    for i, p in enumerate(P):
-        ap = p[None, :] - a
-        t = np.clip(np.einsum("ij,ij->i", ap, ab) / den, 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        out[i] = np.min(paired_distances(proj, p[None, :]))
-    return out
 
 
 def box_distance_many(
@@ -635,7 +580,7 @@ def box_distance_many(
     stop = np.searchsorted(targets[:, 0], his[:, 0] + reach, side="right")
     out = np.empty(len(los))
     near = np.empty((len(los), 2))
-    for i, j, box, idx, offsets in _window_blocks(start, stop - start):
+    for i, j, box, idx, offsets in window_blocks(start, stop - start):
         t = targets[idx]
         d = paired_distances(t, np.clip(t, los[box], his[box]))
         out[i:j] = np.minimum.reduceat(d, offsets)
@@ -685,10 +630,8 @@ def check_adr(E: BoundarySet, budget: float) -> ADRReport:
     weight sum against the continuum surface measure (the ball boundary cuts
     at most two sample-owned segments per sheet).
 
-    sigma-hat(B(x,r)) is the weight sum of the samples with |sample - x| < r.
-    Each center takes the samples in its ball of its largest admissible
-    radius (`balls`, in index order), and `radius_sums` gives every radius's
-    sum from them at once.
+    sigma-hat(B(x,r)) is the weight sum of the samples with |sample - x| < r,
+    every radius's sum read off one `ball_sums` row per center.
     """
     if budget < 1:
         raise ValueError("ADR budget must be >= 1")
@@ -710,14 +653,11 @@ def check_adr(E: BoundarySet, budget: float) -> ADRReport:
         edge = np.full(len(centers), r_max)
     else:
         edge = np.minimum(np.min(centers - lo, axis=1), np.min(hi - centers, axis=1))
-    # per center the radii up to its edge, and its ball of the largest one
-    n_radii = np.searchsorted(grid, edge, side="right")
-    ptr, ids, d = balls(*by_x(E.points), centers, grid[np.maximum(n_radii - 1, 0)])
-    m = len(grid)
-    center = np.repeat(np.arange(len(centers)), np.diff(ptr))
-    cells = center * (m + 1) + np.searchsorted(grid, d, side="right")
-    mass = radius_sums(cells, E.weights[ids], len(centers), m)
-    tested = np.arange(m) < n_radii[:, None]
+    mass = np.empty((len(centers), len(grid)))
+    for rows, _, sums in ball_sums(centers, E.points, grid, E.weights[None]):
+        mass[rows] = sums[0]
+    # per center the radii up to its edge
+    tested = grid <= edge[:, None]
     if (tested & (mass == 0)).any():
         warnings.warn("surface ball with zero mass skipped", stacklevel=2)
     tested &= mass > 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GEOM_TOL, BoundarySet, _distance, paired_distances
+from .geometry import BoundarySet, Hyperplane, box_distance_many, paired_distances
 
 
 class HarmonicField:
@@ -173,7 +173,11 @@ def make_field(desc, E: BoundarySet | None = None) -> HarmonicField:
     """Build a field from a JSON-style descriptor {type, params}.
 
     Poles must lie on E (checked when E is given) so u is harmonic on the
-    complement.
+    complement: within the resolution, by the distance of the degenerate box
+    at the pole (`box_distance_many`).  It is exact on the line, a segment
+    or a cloud; on a graph it is at most half a polyline segment (resolution
+    / 8 in x) above the exact one, so no pole on E is refused and no pole is
+    accepted that the exact distance would refuse.
     """
     if isinstance(desc, HarmonicField):
         return desc
@@ -188,14 +192,15 @@ def make_field(desc, E: BoundarySet | None = None) -> HarmonicField:
     if t == "fundamental_pole":
         pole = tuple(p["pole"])
         if E is not None:
-            d = _distance(np.asarray([pole], dtype=float), E)[0]
-            if d > max(GEOM_TOL, E.resolution):
+            P = np.asarray([pole], dtype=float)
+            d = box_distance_many(P, P, E)[0][0]
+            if d > E.resolution:
                 raise ValueError(f"pole {pole} lies off the boundary (dist {d:.3g})")
         return FundamentalPole(pole)
     if t in ("poisson_indicator", "poisson_quadrature"):
         # the mirrored kernel is kinked across the whole line {t=0}; only
         # for the hyperplane does that kink stay inside E
-        if E is not None and E.descriptor.kind != "hyperplane":
+        if E is not None and not isinstance(E.descriptor, Hyperplane):
             raise ValueError(
                 "Poisson extensions are only harmonic on complements of the "
                 "hyperplane boundary"

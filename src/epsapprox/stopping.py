@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleson import packing_constant
+from .config import Budgets
 from .dyadic import CubeSystem
 from .functionals import FunctionalSuite
 from .geometry import distinct, paired_distances
@@ -95,7 +96,10 @@ def principal_cubes(S: CubeSystem, numbers: np.ndarray, chain: list) -> Principa
 
 
 def verify_principal_packing(
-    S: CubeSystem, fam: PrincipalFamily, numbers: np.ndarray, budget_factor: float = 4.0
+    S: CubeSystem,
+    fam: PrincipalFamily,
+    numbers: np.ndarray,
+    budget_factor: float = Budgets.principal_packing_factor,
 ) -> dict:
     """Packing of the family against factor * Lambda(initial chain).
 
@@ -219,7 +223,7 @@ def generation_cubes(
 
 
 def verify_eps_packing(
-    S: CubeSystem, collection, eps: float, budget: float = 64.0
+    S: CubeSystem, collection, eps: float, budget: float = Budgets.eps_packing
 ) -> dict:
     """Lambda = packing constant; pass iff Lambda <= budget / eps^2."""
     lam = packing_constant(S, collection)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleson import packing_constant
-from .config import RegionParams
+from .config import RegionParams, RunConfig
 from .dyadic import CubeSystem
 from .geometry import (
     BoundarySet,
@@ -30,6 +30,7 @@ from .geometry import (
     paired_distances,
     ranges,
     row_spans,
+    window_blocks,
 )
 
 # packing bound of the corona's bad cubes and regime tops: checked when the
@@ -248,8 +249,8 @@ def corona_provider(
     E: BoundarySet,
     S: CubeSystem,
     mode: str = "trivial_graph",
-    eta: float = 0.25,
-    K: float = 4.0,
+    eta: float = RunConfig.eta,
+    K: float = RunConfig.K,
     path=None,
 ) -> CoronaDecomposition:
     """Good/bad cube partition into coherent regimes with Lipschitz graphs.
@@ -358,9 +359,13 @@ def _property3_sup(E, S, corona, reject: bool = False) -> float:
     """sup over regime cubes of the two one-sided graph distances / (eta l(Q)).
 
     Exhaustive when validating an annotated decomposition (a violation must
-    name its cube); for the trivial provider, whose distances vanish by
-    construction, strided: every max(1, n // 64)-th of a regime's n cubes in
-    id order, so all of them when n < 128 and 64 to 96 otherwise.
+    name its cube); for the trivial provider, which is not rejected,
+    strided: every max(1, n // 64)-th of a regime's n cubes in id order, so
+    all of them when n < 128 and 64 to 96 otherwise.  Its distances do not
+    vanish: the graph is sampled at half the resolution, so a graph point
+    midway between two samples lies about resolution / 2 from the sample
+    cloud, which is eta l(Q) at a finest cube of side 2 * resolution with
+    eta = 1/4.
 
     The samples and graph points within K l(Q) of z_Q are taken from
     x-windows of half-width K l(Q) (`balls`: a point outside is farther in
@@ -626,15 +631,11 @@ def _memberships(S: CubeSystem, W: WhitneyComplex, params: RegionParams):
         )
         a = np.searchsorted(lox, qlo[sel, 0] - reach[sel] - side)
         b = np.searchsorted(lox, qhi[sel, 0] + reach[sel], side="right")
-        count = np.maximum(b - a, 0)
-        for lo, hi in row_spans(count):
-            k = np.repeat(sel[lo:hi], count[lo:hi])
-            cand = ids[ranges(a[lo:hi], count[lo:hi])]
+        for _, _, row, at, _ in window_blocks(a, np.maximum(b - a, 0)):
+            k, cand = sel[row], ids[at]
             # distance from box to the sample bbox of Q
-            gap_lo = np.maximum(qlo[k] - W.hi[cand], 0.0)
-            gap_hi = np.maximum(W.lo[cand] - qhi[k], 0.0)
-            gap = np.sqrt(((gap_lo + gap_hi) ** 2).sum(axis=1))
-            keep = gap <= reach[k]
+            gap = np.maximum(qlo[k] - W.hi[cand], 0.0) + np.maximum(W.lo[cand] - qhi[k], 0.0)
+            keep = paired_distances(gap, np.zeros((1, 2))) <= reach[k]
             pairs.append(rel[k[keep]] * W.n_boxes + cand[keep])
     pairs = np.concatenate(pairs)
     pairs.sort()

@@ -13,12 +13,10 @@ from epsapprox.geometry import (
     PointList,
     Segment,
     Window,
-    _distance,
     box_distance_many,
     build_boundary,
     by_x,
     check_adr,
-    descriptor_from_json,
     dist_to_cloud,
     distinct,
     nearest_in_window,
@@ -90,27 +88,39 @@ class TestBuildBoundary:
         with pytest.raises(ValueError, match="budget"):
             build_boundary(LipschitzGraph("linear", 0.9), 0.01, W2, lip_budget=0.5)
 
-    def test_descriptor_json_roundtrip(self, kink):
-        d = descriptor_from_json(kink.descriptor.to_json())
-        assert d == kink.descriptor
+
+def point_distance(P, E):
+    """dist(P_i, E) as the distance of the degenerate box [P_i, P_i]."""
+    return box_distance_many(P, P, E)[0]
 
 
 class TestDistance:
     def test_line_above(self, line):
-        assert _distance(np.array([[0.5, 0.7]]), line)[0] == pytest.approx(0.7)
+        assert point_distance(np.array([[0.5, 0.7]]), line)[0] == pytest.approx(0.7)
 
     def test_line_below(self, line):
-        assert _distance(np.array([[3.0, -2.0]]), line)[0] == pytest.approx(2.0)
+        assert point_distance(np.array([[3.0, -2.0]]), line)[0] == pytest.approx(2.0)
 
-    def test_tilted_line_closed_form(self):
+    def test_tilted_line_within_half_a_polyline_step(self):
+        # the nearest polyline vertex overestimates the distance to the
+        # graph by at most half a polyline segment (resolution / 8 in x)
         E = build_boundary(LipschitzGraph("linear", 0.1), 0.01, W2)
-        assert _distance(np.array([[0.0, 1.0]]), E)[0] == pytest.approx(
-            1 / np.sqrt(1.01), rel=1e-12
-        )
+        pl = E.polyline()
+        half_step = pair_distances(pl[:1], pl[1:2])[0, 0] / 2
+        assert half_step == pytest.approx(E.resolution / 8 * np.sqrt(1.01))
+        rng = np.random.default_rng(3)
+        P = np.column_stack([rng.uniform(-3, 3, 200), rng.uniform(-1, 1, 200)])
+        # on the line at the midpoints of two segments, and off it
+        P = np.vstack([(pl[[40, 900]] + pl[[41, 901]]) / 2, P])
+        exact = np.abs(P[:, 1] - 0.1 * P[:, 0]) / np.sqrt(1.01)
+        d = point_distance(P, E)
+        assert np.all(exact - 1e-12 <= d)
+        assert np.all(d <= exact + half_step * (1 + 1e-9))
+        assert d[:2] == pytest.approx(half_step)
 
     def test_kink_distance_matches_resolution(self, kink):
         # nearest point to (0, 1) on g=0.1|x| is found numerically
-        d = _distance(np.array([[0.0, 1.0]]), kink)[0]
+        d = point_distance(np.array([[0.0, 1.0]]), kink)[0]
         assert d == pytest.approx(1 / np.sqrt(1.01), rel=1e-3)
 
     @settings(max_examples=100, deadline=None)
@@ -122,7 +132,7 @@ class TestDistance:
     def test_distance_is_lipschitz(self, xyab):
         x, y, a, b = xyab
         E = _MODULE_LINE
-        d1, d2 = _distance(np.array([[x, y], [a, b]]), E)
+        d1, d2 = point_distance(np.array([[x, y], [a, b]]), E)
         assert abs(d1 - d2) <= np.hypot(x - a, y - b) + 1e-12
 
 
@@ -260,17 +270,26 @@ def shuffled(E, seed=0):
 
 
 @pytest.mark.parametrize(
-    "case, budget",
+    "case, budget, chunk",
     [
-        ("line", 2.0),
-        ("kink", 2.5),
-        ("two_lines", 3.0),
-        ("cantor", 4.0),
-        ("segment", 2.0),
-        ("shuffled_kink", 3.0),
+        # the default CHUNK keeps the case's plain id
+        pytest.param(
+            case, budget, chunk, id=f"{case}-{budget}" + (f"-chunk{chunk}" if chunk else "")
+        )
+        for case, budget in [
+            ("line", 2.0),
+            ("kink", 2.5),
+            ("two_lines", 3.0),
+            ("cantor", 4.0),
+            ("segment", 2.0),
+            ("shuffled_kink", 3.0),
+        ]
+        for chunk in (None, 1, 50)
     ],
 )
-def test_adr_sweep_matches_full_rows(case, budget, line, kink):
+def test_adr_sweep_matches_full_rows(case, budget, chunk, line, kink, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
     E = {
         "line": lambda: line,
         "kink": lambda: kink,

@@ -6,8 +6,10 @@ import pytest
 from epsapprox.geometry import (
     BoundarySet,
     Hyperplane,
+    LipschitzGraph,
+    Segment,
     Window,
-    _distance,
+    box_distance_many,
     build_boundary,
 )
 from epsapprox.harmonic import (
@@ -57,7 +59,7 @@ def laplacian_residual(
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if E is not None:
-        d = _distance(probes, E)
+        d = box_distance_many(probes, probes, E)[0]
         if np.any(d < 3 * h):
             raise ValueError("probes must keep distance >= 3h from the boundary")
     else:
@@ -189,6 +191,25 @@ class TestValues:
             make_field(
                 {"type": "fundamental_pole", "params": {"pole": [0.0, 1.0]}}, LINE
             )
+
+    def test_pole_check_on_graph_and_segment(self):
+        def pole(p):
+            return {"type": "fundamental_pole", "params": {"pole": list(p)}}
+
+        # a tilted graph's polyline vertices lie resolution / 4 apart: a pole
+        # midway between two of them is on E but off every vertex
+        E = build_boundary(LipschitzGraph("linear", 0.1), 0.01, W2)
+        a, b = E.polyline()[100:102]
+        assert isinstance(make_field(pole((a + b) / 2), E), FundamentalPole)
+        # 2 * resolution off the graph along its unit normal
+        normal = np.array([-0.1, 1.0]) / np.sqrt(1.01)
+        with pytest.raises(ValueError, match="off the boundary"):
+            make_field(pole((a + b) / 2 + 2 * E.resolution * normal), E)
+        # on a segment the distance is closed-form: exactly 0 at (x0, 0)
+        E = build_boundary(Segment(-1.0, 1.0), 1 / 512, W2)
+        P = np.column_stack([np.linspace(-0.5, 0.5, 17), np.zeros(17)])
+        assert not box_distance_many(P, P, E)[0].any()
+        assert isinstance(make_field(pole(P[3]), E), FundamentalPole)
 
     def test_mirrored_poisson_symmetric(self):
         u = PoissonIndicator(-1.0, 1.0)

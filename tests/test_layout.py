@@ -163,3 +163,79 @@ def test_pipeline_run_does_not_import_numpy_ma(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+# numpy names that do not exist on the declared floor (pyproject.toml:
+# numpy>=1.24), with the release that added each one
+NUMPY2_NAMES = {
+    "bitwise_count": "2.0",
+    "concat": "2.0",
+    "permute_dims": "2.0",
+    "pow": "2.0",
+    "acos": "2.0",
+    "asin": "2.0",
+    "atan": "2.0",
+    "atan2": "2.0",
+    "acosh": "2.0",
+    "asinh": "2.0",
+    "atanh": "2.0",
+    "bitwise_invert": "2.0",
+    "bitwise_left_shift": "2.0",
+    "bitwise_right_shift": "2.0",
+    "isdtype": "2.0",
+    "astype": "2.0",
+    "bool": "2.0",  # removed in 1.24, added back in 2.0
+    "long": "2.0",
+    "ulong": "2.0",
+    "unique_all": "2.0",
+    "unique_counts": "2.0",
+    "unique_inverse": "2.0",
+    "unique_values": "2.0",
+    "matrix_transpose": "2.0",
+    "vecdot": "2.0",
+    "cumulative_sum": "2.1",
+    "cumulative_prod": "2.1",
+    "unstack": "2.1",
+    "matvec": "2.2",
+    "vecmat": "2.2",
+    "linalg.vector_norm": "2.0",
+    "linalg.matrix_norm": "2.0",
+}
+
+
+def _numpy2_uses(source: str) -> list:
+    """(line, name) of every np.<name> or np.linalg.<name> in NUMPY2_NAMES."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if not isinstance(n, ast.Attribute):
+            continue
+        base = n.value
+        if isinstance(base, ast.Name) and base.id in ("np", "numpy"):
+            name = n.attr
+        elif (
+            isinstance(base, ast.Attribute)
+            and base.attr == "linalg"
+            and isinstance(base.value, ast.Name)
+            and base.value.id in ("np", "numpy")
+        ):
+            name = f"linalg.{n.attr}"
+        else:
+            continue
+        if name in NUMPY2_NAMES:
+            found.append((n.lineno, name))
+    return found
+
+
+def test_src_runs_on_the_declared_numpy_floor():
+    """The suite runs on numpy 2.x only, so a name numpy 1.x lacks would
+    pass every other test: no src/ module may use one."""
+    assert _numpy2_uses("np.bitwise_count(x); np.linalg.vector_norm(x)") == [
+        (1, "bitwise_count"),
+        (1, "linalg.vector_norm"),
+    ]
+    found = [
+        f"{path.name}:{line} np.{name} (numpy {NUMPY2_NAMES[name]})"
+        for path in SRC
+        for line, name in _numpy2_uses(path.read_text())
+    ]
+    assert not found, "numpy names missing below numpy 2: " + ", ".join(found)

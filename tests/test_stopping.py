@@ -7,7 +7,7 @@ from epsapprox.carleson import packing_constant
 from epsapprox.config import RegionParams
 from epsapprox.dyadic import build_cube_system
 from epsapprox.functionals import FunctionalSuite
-from epsapprox.geometry import Hyperplane, Window, _distance, build_boundary
+from epsapprox.geometry import Hyperplane, Window, box_distance_many, build_boundary
 from epsapprox.harmonic import Constant, Coordinate, PoissonIndicator
 from epsapprox.stopping import (
     eps_scaling_chart,
@@ -46,7 +46,7 @@ def oscillation_square_domination(FS: FunctionalSuite, signs=("+", "-")) -> floa
             integral = 0.0
             for b in comp:
                 mids = (FS.W.lo[b] + FS.W.hi[b]) / 2.0
-                delta = float(_distance(mids[None, :], FS.E)[0])
+                delta = float(box_distance_many(mids[None, :], mids[None, :], FS.E)[0][0])
                 # weight the box integral by delta at the box center
                 integral += g2[b] * delta
             if integral > 0:
