@@ -11,8 +11,9 @@ of each stage (so the stage that raises it shows), the minor page faults
 stages that churn freshly mapped memory show), the sha256 of each output
 file, and the provenance of the measurement: the git SHA of the timed tree
 (suffixed `-dirty` if its tracked files differ from that commit, null outside
-a git checkout), the numpy version and `os.cpu_count()`.  Pointing PYTHONPATH
-at another checkout times that tree with the same script.
+a git checkout), its line count (`src_lines`, the `wc -l` total of
+`src/epsapprox/*.py`), the numpy version and `os.cpu_count()`.  Pointing
+PYTHONPATH at another checkout times that tree with the same script.
 """
 
 import hashlib
@@ -47,6 +48,11 @@ def git_sha(tree: Path):
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
+def src_lines(package: Path) -> int:
+    """Lines of the package's modules, as `wc -l` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in package.glob("*.py"))
+
+
 def maxrss_mb() -> float:
     """Peak resident set size of this process so far, in MB."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -77,6 +83,7 @@ def main():
     t0 = time.perf_counter()
     pipeline.run(cfg, out_dir=out)
     total = time.perf_counter() - t0
+    package = Path(pipeline.__file__).resolve().parent
     print(
         json.dumps(
             {
@@ -87,7 +94,8 @@ def main():
                 "stage_minflt": stage_minflt,
                 "ru_minflt": minflt(),
                 "sha256": {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in OUTPUTS},
-                "git_sha": git_sha(Path(pipeline.__file__).resolve().parent),
+                "git_sha": git_sha(package),
+                "src_lines": src_lines(package),
                 "numpy": np.__version__,
                 "cpu_count": os.cpu_count(),
             }

@@ -25,9 +25,8 @@ from .geometry import (
     BoundarySet,
     PointList,
     Window,
-    by_x,
     csr_rows,
-    nearest_in_window,
+    nearest,
     paired_distances,
     row_spans,
 )
@@ -341,11 +340,8 @@ def _cube_reach(E: BoundarySet, z, side, gen, member_ptr, member_sample, tree) -
 
     The farthest member is a max over the member CSR, taken over
     `row_spans` blocks of at most CHUNK (cube, member) pairs.  The nearest
-    outside sample is searched in x-windows of the x-sorted samples from
-    half-width l(Q) (`nearest_in_window`): a window that holds an outside
-    sample within its half-width holds the nearest one, since any sample
-    left out is farther in x alone, and a window that does not doubles
-    until it holds every sample.  Sample s is in relevant cube q iff q is
+    outside sample is the `nearest` one that the cube does not hold, searched
+    from a window of half-width l(Q).  Sample s is in relevant cube q iff q is
     the ancestor at q's generation of s's finest relevant cube.  Distances
     keep the arithmetic of a full scan and a min or max does not depend on
     order, so both are bit-identical to per-cube full scans.
@@ -358,11 +354,10 @@ def _cube_reach(E: BoundarySet, z, side, gen, member_ptr, member_sample, tree) -
         members = pts[member_sample[csr_rows(member_ptr, q[lo:hi])]]
         d = paired_distances(members, np.repeat(z[q[lo:hi]], count[lo:hi], axis=0))
         far[lo:hi] = np.maximum.reduceat(d, np.cumsum(count[lo:hi]) - count[lo:hi])
-    order, T = by_x(pts)
-    leaf, anc_at, g = tree["sample_leaf"][order], tree["anc_at"], gen[q]
-    outside = nearest_in_window(
-        z[q], T, side[q], skip=lambda row, j: anc_at[leaf[j], g[row]] == q[row]
-    )
+    zq, leaf, anc_at, g = z[q], tree["sample_leaf"], tree["anc_at"], gen[q]
+    outside = nearest(
+        zq, zq, pts, side[q], skip=lambda row, j: anc_at[leaf[j], g[row]] == q[row]
+    )[0]
     return q, far, outside
 
 

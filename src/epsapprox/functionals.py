@@ -7,8 +7,8 @@ once and only its extrema are kept: per box, and per owner segment (the
 points of a box's grid that one core box holds).  A piecewise-constant phi
 is one value v on a segment and fl(a - v) is monotone in a, so the segment's
 sup of |u - phi| is read exactly off the two extrema.  All sups are grid
-sups, hence lower bounds; nothing bounds the gap from above yet (a ROADMAP
-item).  Inequalities consuming these sups are either tested with both
+sups, hence lower bounds; nothing bounds the gap from above yet (ROADMAP
+item 4).  Inequalities consuming these sups are either tested with both
 sides on the same grids or at two resolutions.  E is a curve in the plane
 (n = 1), so the square-function weight delta^{1-n} is 1 and l(Q)^n = l(Q).
 """
@@ -22,7 +22,6 @@ from .dyadic import CubeSystem
 from .geometry import (
     ball_sums,
     balls,
-    by_x,
     csr_rows,
     distinct,
     paired_distances,
@@ -254,12 +253,11 @@ class FunctionalSuite:
         """
         if alpha not in self._apertures:
             S = self.S
-            order, T = by_x(S.E.points)
             n = S.n_cubes
             keys = []
             for g, (q, _) in enumerate(S.levels):
                 r = alpha * S.C1 * S.side[q]
-                ptr, ids, d = balls(order, T, S.z[q], r)
+                ptr, ids, d = balls(S.E.points, S.z[q], r)
                 count = np.diff(ptr)
                 p = S.anc_at[S.sample_leaf[ids], g]
                 keep = (d < np.repeat(r, count)) & (p >= 0)

@@ -56,8 +56,14 @@ class Descriptor:
         return None
 
     def polyline(self, window: Window, step: float):
-        """Dense polyline approximation of E inside the window (graph-like)."""
-        return None
+        """Dense polyline of the graph over the window's x-range, None if E
+        is not graph-like."""
+        if self.graph_value(0.0) is None:
+            return None
+        lo, hi = window.lo[0], window.hi[0]
+        n = max(2, int(np.ceil((hi - lo) / step)) + 1)
+        xs = np.linspace(lo, hi, n)
+        return np.column_stack([xs, self.graph_value(xs)])
 
     def diameter(self, window: Window) -> float:
         return float("inf")
@@ -79,12 +85,6 @@ class Hyperplane(Descriptor):
         pts = np.column_stack([xs, np.zeros_like(xs)])
         w = np.full(n, resolution)
         return pts, w, xs
-
-    def polyline(self, window: Window, step: float):
-        lo, hi = window.lo[0], window.hi[0]
-        n = max(2, int(np.ceil((hi - lo) / step)) + 1)
-        xs = np.linspace(lo, hi, n)
-        return np.column_stack([xs, np.zeros_like(xs)])
 
 
 _PROFILES = {
@@ -125,12 +125,6 @@ class LipschitzGraph(Descriptor):
         s[-1] = seg[-1] / h
         return pts, h * s, xs
 
-    def polyline(self, window: Window, step: float):
-        lo, hi = window.lo[0], window.hi[0]
-        n = max(2, int(np.ceil((hi - lo) / step)) + 1)
-        xs = np.linspace(lo, hi, n)
-        return np.column_stack([xs, self.graph_value(xs)])
-
 
 @dataclass(frozen=True)
 class Segment(Descriptor):
@@ -141,6 +135,10 @@ class Segment(Descriptor):
 
     lipschitz = 0.0
 
+    def __post_init__(self):
+        if not self.a < self.b:
+            raise ValueError(f"segment needs a < b, got a={self.a!r}, b={self.b!r}")
+
     def graph_value(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -149,15 +147,14 @@ class Segment(Descriptor):
         # [a,b], so the weights sum to the exact length
         lo = max(self.a, window.lo[0])
         hi = min(self.b, window.hi[0])
-        n = int(round((hi - lo) / resolution))
+        n = max(0, int(round((hi - lo) / resolution)))
         xs = lo + (np.arange(n) + 0.5) * resolution
         pts = np.column_stack([xs, np.zeros_like(xs)])
         return pts, np.full(n, resolution), xs
 
     def polyline(self, window: Window, step: float):
-        n = max(2, int(np.ceil((self.b - self.a) / step)) + 1)
-        xs = np.linspace(self.a, self.b, n)
-        return np.column_stack([xs, np.zeros_like(xs)])
+        """The whole segment's polyline, over [a, b]."""
+        return super().polyline(Window((self.a, window.lo[1]), (self.b, window.hi[1])), step)
 
     def diameter(self, window: Window) -> float:
         return float(self.b - self.a)
@@ -281,6 +278,11 @@ def build_boundary(
             f"Lipschitz constant {descriptor.lipschitz} exceeds budget {lip_budget}"
         )
     pts, w, params = descriptor.sample(window, resolution)
+    if len(pts) == 0:
+        raise ValueError(
+            f"{type(descriptor).__name__} boundary has no samples in the window "
+            f"lo={list(window.lo)} hi={list(window.hi)}"
+        )
     if np.any(w <= 0):
         raise ValueError("quadrature weights must be positive")
     return BoundarySet(
@@ -299,7 +301,7 @@ def build_boundary(
 
 
 # elements per temporary of every chunked array pass: (center, point) pairs
-# in `ball_sums`, (box, target) pairs in `box_distance_many`, (box,
+# in `ball_sums` and `balls`, (box, target) pairs in `nearest`, (box,
 # grid point) pairs in `FunctionalSuite.owners` (the fat-grid pass) and
 # `FunctionalSuite.grad_integrals`, (box, cube) pairs in
 # `FunctionalSuite.anc_scatter`, neighbour entries of whole cubes in
@@ -436,21 +438,6 @@ def paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def by_x(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of `points` in stable x order, and the points in that order:
-    the index every x-window search below reads."""
-    order = np.argsort(points[:, 0], kind="stable")
-    return order, points[order]
-
-
-def _x_window(xs: np.ndarray, x, r):
-    """The positions [start, stop) of the sorted `xs` within r of x, widened
-    by the relative slack, so that a point left out is more than r away
-    from x even after the rounding of the window's edges."""
-    reach = r + _WINDOW_SLACK * (r + np.abs(x))
-    return np.searchsorted(xs, x - reach, side="left"), np.searchsorted(xs, x + reach, side="right")
-
-
 def window_blocks(start: np.ndarray, count: np.ndarray):
     """Blocks of consecutive windows T[start[i]:start[i] + count[i]] holding
     at most CHUNK (row, target) pairs together (`row_spans`): per block its
@@ -461,53 +448,90 @@ def window_blocks(start: np.ndarray, count: np.ndarray):
         yield i, j, np.repeat(np.arange(i, j), c), ranges(start[i:j], c), np.cumsum(c) - c
 
 
-def nearest_in_window(P: np.ndarray, T: np.ndarray, r, skip=None) -> np.ndarray:
-    """Per point P_i, the least |T_j - P_i| over the targets T (sorted by x)
-    that `skip(i, j)` does not mark, or inf if there is none.
+def nearest(los: np.ndarray, his: np.ndarray, targets: np.ndarray, r=None, skip=None):
+    """Per box [los[i], his[i]] (a point P is the box [P, P]), the least
+    clip-and-norm distance |t - clip(t, los[i], his[i])| to the targets
+    t = targets[j] that `skip(i, j)` does not mark, and the index j of the
+    first such target in x order at that distance: (dist, idx), with inf
+    and -1 where no target is left.
 
-    Exact: the targets scanned for P_i are those within r_i of it in x
-    (widened by the slack).  If the least distance found is at most r_i,
-    any other target is more than r_i away in x alone, so it cannot be
-    nearer; otherwise r_i doubles and the point is scanned again, until the
-    window holds every target.  Each pair distance is the same arithmetic as
-    a full scan's, and a min does not depend on scan order, so the result
-    is bit-identical to the all-pairs min.
+    Exact: the targets are sorted by x here, and box i scans those within
+    r_i of its x-range (widened by the slack).  A target within r_i of the
+    box lies at least the box's y-gap to the targets' y-range away in y,
+    so the window's reach is narrowed to sqrt(r_i^2 - gap^2), with r_i
+    widened by the slack before gap^2 is taken, so the cancellation of a
+    target exactly at r_i cannot drop it.  If the least distance found is
+    at most r_i, any target left out is farther, so it cannot be nearer;
+    otherwise r_i doubles and the box is scanned again, until the window
+    holds every target.  r defaults to the distance of the nearer of the
+    two targets beside the box's lower x, which a window of that reach
+    holds.  Each pair distance is the same arithmetic as a full scan's,
+    and a min does not depend on scan order, so the result is
+    bit-identical to the all-pairs min.
     """
-    out = np.full(len(P), np.inf)
-    todo = np.arange(len(P))
-    r = np.broadcast_to(np.asarray(r, dtype=float), (len(P),))
+    # rows are gathered by np.take: for a 2-D array it is several times
+    # faster than fancy indexing (numpy 2.4), with the same values
+    order = np.argsort(targets[:, 0], kind="stable")
+    T = np.take(targets, order, axis=0)
+    xs, n = T[:, 0].copy(), len(T)
+    gap = np.maximum(np.maximum(T[:, 1].min() - his[:, 1], los[:, 1] - T[:, 1].max()), 0.0)
+    if r is None:
+        k = np.searchsorted(xs, los[:, 0])
+        r = np.inf
+        for t in np.take(T, [np.maximum(k - 1, 0), np.minimum(k, n - 1)], axis=0):
+            r = np.minimum(r, paired_distances(t, np.minimum(np.maximum(t, los), his)))
+    r = np.broadcast_to(np.asarray(r, dtype=float), (len(los),))
+    dist, pos = np.full(len(los), np.inf), np.zeros(len(los), dtype=np.intp)
+    todo, lo, hi = np.arange(len(los)), los, his
     while len(todo):
-        p = P[todo]
-        start, stop = _x_window(T[:, 0], p[:, 0], r)
+        reach = r + _WINDOW_SLACK * (r + np.abs(lo[:, 0]) + np.abs(hi[:, 0]))
+        reach = np.sqrt(np.maximum(reach * reach - gap * gap, 0.0))
+        start = np.searchsorted(xs, lo[:, 0] - reach, side="left")
+        stop = np.searchsorted(xs, hi[:, 0] + reach, side="right")
         count = stop - start
-        best = np.full(len(todo), np.inf)
-        for i, j, row, idx, offsets in window_blocks(start, count):
-            d = paired_distances(T[idx], p[row])
+        best, first = np.full(len(todo), np.inf), np.zeros(len(todo), dtype=np.intp)
+        for i, j, row, at, offsets in window_blocks(start, count):
+            t, c = np.take(T, at, axis=0), np.take(lo, row, axis=0)
+            # the clip to the box as a maximum and a minimum, in place:
+            # np.clip's values at about half its cost
+            np.maximum(t, c, out=c)
+            d = paired_distances(t, np.minimum(c, np.take(hi, row, axis=0), out=c))
+            # free the pair blocks before the next ones are gathered
+            del t, c
             if skip is not None:
-                d[skip(todo[row], idx)] = np.inf
+                d[skip(todo[row], order[at])] = np.inf
             live = count[i:j] > 0
-            if live.any():
-                best[i:j][live] = np.minimum.reduceat(d, offsets[live])
-        done = (best <= r) | ((start == 0) & (stop == len(T)))
-        out[todo[done]] = best[done]
-        todo, r = todo[~done], np.where(r[~done] > 0, 2 * r[~done], np.inf)
-    return out
+            best[i:j][live] = np.minimum.reduceat(d, offsets[live])
+            # the first position of each window at its row's minimum
+            hit = np.flatnonzero(d == np.take(best, row))
+            head = hit[np.flatnonzero(np.diff(row[hit], prepend=-1))]
+            first[row[head]] = at[head]
+        done = (best <= r) | ((start == 0) & (stop == n))
+        dist[todo[done]], pos[todo[done]] = best[done], first[done]
+        todo, lo, hi, gap, r = todo[~done], lo[~done], hi[~done], gap[~done], r[~done]
+        r = np.where(r > 0, 2 * r, np.inf)
+    return dist, np.where(dist < np.inf, order[pos], -1)
 
 
-def balls(order: np.ndarray, T: np.ndarray, centers: np.ndarray, r: np.ndarray):
-    """The closed balls B(centers[i], r[i]) over the points T sorted by x,
-    whose ids are `order` (see `by_x`), as a CSR: ball i holds the points
-    ids[ptr[i]:ptr[i + 1]], ascending, at distances d[ptr[i]:ptr[i + 1]].
+def balls(points: np.ndarray, centers: np.ndarray, r: np.ndarray):
+    """The closed balls B(centers[i], r[i]) over `points`, as a CSR: ball i
+    holds the points ids[ptr[i]:ptr[i + 1]], ascending, at distances
+    d[ptr[i]:ptr[i + 1]].
 
-    Only each center's x-window of half-width r[i] is scanned: a point
-    outside it is more than r[i] away in x alone.  Each distance is the
-    same arithmetic as a full scan's row, so every ball is the full row
+    The points are sorted by x here, and only each center's x-window of
+    half-width r[i] (widened by the slack) is scanned: a point outside it
+    is more than r[i] away in x alone.  Each distance is the same
+    arithmetic as a full scan's row, so every ball is the full row
     filtered by d <= r[i], in index order.
     """
-    start, stop = _x_window(T[:, 0], centers[:, 0], r)
+    order = np.argsort(points[:, 0], kind="stable")
+    T = np.take(points, order, axis=0)
+    reach = r + _WINDOW_SLACK * (r + np.abs(centers[:, 0]))
+    start = np.searchsorted(T[:, 0], centers[:, 0] - reach, side="left")
+    stop = np.searchsorted(T[:, 0], centers[:, 0] + reach, side="right")
     ids, d, rows = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
     for _, _, row, idx, _ in window_blocks(start, stop - start):
-        dist = paired_distances(T[idx], centers[row])
+        dist = paired_distances(np.take(T, idx, axis=0), np.take(centers, row, axis=0))
         keep = np.flatnonzero(dist <= r[row])
         ids.append(order[idx[keep]])
         d.append(dist[keep])
@@ -517,21 +541,6 @@ def balls(order: np.ndarray, T: np.ndarray, centers: np.ndarray, r: np.ndarray):
     ptr = np.zeros(len(centers) + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=len(centers)), out=ptr[1:])
     return ptr, ids[s], d[s]
-
-
-def dist_to_cloud(P: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-    """dist(P_i, cloud) per point, by the exact x-window search.
-
-    With the cloud sorted by x, the nearer of the two targets beside P_i's
-    x bounds dist(P_i, cloud) by r_i, and every target as near lies within
-    r_i of P_i in x, so `nearest_in_window` finishes in one window per
-    point, bit-identical to the all-pairs min.
-    """
-    T = by_x(cloud)[1]
-    k = np.searchsorted(T[:, 0], P[:, 0])
-    left = paired_distances(T[np.maximum(k - 1, 0)], P)
-    r = np.minimum(left, paired_distances(T[np.minimum(k, len(T) - 1)], P))
-    return nearest_in_window(P, T, r)
 
 
 def box_distance_many(
@@ -547,16 +556,10 @@ def box_distance_many(
     step with sides a multiple of it (every Whitney box of a shipped config),
     and overestimates the distance of a box that falls between two vertices.
 
-    Otherwise the targets are the polyline vertices or cloud points, sorted
-    by x here.  `bound`, if given, holds for each box an upper bound on its
-    distance.  A target within the bound of the box lies at least `gap`
-    away in y, the gap between the box and the targets' y-range, so within
-    sqrt(bound^2 - gap^2) of the box's x-range.  The bound is widened by a
-    relative slack before gap^2 is subtracted, so the cancellation of a
-    target exactly at the bound cannot drop it.  Only the targets in that
-    window are scanned; the nearest target is among them, and each pair
-    distance is the same clip-and-norm as a full scan, so the result is
-    bit-identical to one.
+    Otherwise the targets are the polyline vertices or cloud points, and
+    the distance and nearest target are those of `nearest`, whose search
+    starts from `bound`, if given: for each box an upper bound on its
+    distance.
     """
     desc = E.descriptor
     if isinstance(desc, (Hyperplane, Segment)):
@@ -568,26 +571,8 @@ def box_distance_many(
     targets = E.polyline()
     if targets is None:
         targets = E.points
-    targets = targets[np.argsort(targets[:, 0], kind="stable")]
-    # without a bound the window is the whole line: every target is scanned
-    bound = np.full(len(los), np.inf) if bound is None else np.asarray(bound)
-    reach = bound + _WINDOW_SLACK * (bound + np.abs(los[:, 0]) + np.abs(his[:, 0]))
-    gap = np.maximum(
-        np.maximum(targets[:, 1].min() - his[:, 1], los[:, 1] - targets[:, 1].max()), 0.0
-    )
-    reach = np.sqrt(np.maximum(reach * reach - gap * gap, 0.0))
-    start = np.searchsorted(targets[:, 0], los[:, 0] - reach, side="left")
-    stop = np.searchsorted(targets[:, 0], his[:, 0] + reach, side="right")
-    out = np.empty(len(los))
-    near = np.empty((len(los), 2))
-    for i, j, box, idx, offsets in window_blocks(start, stop - start):
-        t = targets[idx]
-        d = paired_distances(t, np.clip(t, los[box], his[box]))
-        out[i:j] = np.minimum.reduceat(d, offsets)
-        # the first target of each window at its box's minimum
-        hit = np.flatnonzero(d == out[box])
-        near[i:j] = t[hit[np.searchsorted(box[hit], np.arange(i, j))]]
-    return out, near
+    d, idx = nearest(los, his, targets, bound)
+    return d, targets[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +620,6 @@ def check_adr(E: BoundarySet, budget: float) -> ADRReport:
     """
     if budget < 1:
         raise ValueError("ADR budget must be >= 1")
-    if E.n_samples == 0:
-        raise ValueError("empty sample cloud")
     stride = max(1, E.n_samples // _ADR_CENTERS)
     centers = E.points[::stride]
     r_min = 8 * E.resolution

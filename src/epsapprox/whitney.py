@@ -22,11 +22,10 @@ from .geometry import (
     Window,
     balls,
     box_distance_many,
-    by_x,
     csr_rows,
     descriptor_from_json,
-    dist_to_cloud,
     distinct,
+    nearest,
     paired_distances,
     ranges,
     row_spans,
@@ -367,28 +366,25 @@ def _property3_sup(E, S, corona, reject: bool = False) -> float:
     cloud, which is eta l(Q) at a finest cube of side 2 * resolution with
     eta = 1/4.
 
-    The samples and graph points within K l(Q) of z_Q are taken from
-    x-windows of half-width K l(Q) (`balls`: a point outside is farther in
-    x alone) and put back in index order, since `_sup_dist` strides them;
-    both one-sided sups use the exact window search of `dist_to_cloud`.  So
-    the sup, and the first violating cube, are those of full scans.
+    The samples and graph points within K l(Q) of z_Q are the `balls` of
+    radius K l(Q), in index order, since `_sup_dist` strides them; both
+    one-sided sups take the exact distances of `nearest`.  So the sup, and
+    the first violating cube, are those of full scans.
     """
     worst = 0.0
-    by_sample = by_x(E.points)
     for i, graph in enumerate(corona.graph):
         pl = graph.polyline(E.window, E.resolution / 2)
         if pl is None:
             pl = E.points
-        by_graph = by_x(pl)
         cubes = np.flatnonzero(corona.regime == i)
         if not reject:
             cubes = cubes[:: max(1, len(cubes) // 64)]
         side = S.side[cubes]
         r = corona.K * side
-        ptr, near, _ = balls(*by_sample, S.z[cubes], r)
-        a = _sup_dist(E.points[near], by_graph[1], ptr)
-        ptr, on_ball, _ = balls(*by_graph, S.z[cubes], r)
-        b = _sup_dist(pl[on_ball], by_sample[1], ptr)
+        ptr, near, _ = balls(E.points, S.z[cubes], r)
+        a = _sup_dist(E.points[near], pl, ptr)
+        ptr, on_ball, _ = balls(pl, S.z[cubes], r)
+        b = _sup_dist(pl[on_ball], E.points, ptr)
         val = (a + b) / (corona.eta * side)
         worst = max(worst, float(val.max(initial=0.0)))
         bad = np.flatnonzero(val >= 1.0)
@@ -407,14 +403,15 @@ def _sup_dist(pts: np.ndarray, targets: np.ndarray, ptr=None):
 
     Without `ptr` over all of `pts`, as a float; with it, per row
     pts[ptr[k]:ptr[k + 1]] of the CSR, strided on its own (0.0 for an
-    empty row), as an array, with one `dist_to_cloud` for all rows.
+    empty row), as an array, with one `nearest` search for all rows.
     """
     one = ptr is None
     count = np.diff([0, len(pts)] if one else ptr)
     row = np.repeat(np.arange(len(count)), count)
     at = np.arange(len(pts)) - np.repeat(np.cumsum(count) - count, count)
     pick = np.flatnonzero(at % np.maximum(1, count // 64)[row] == 0)
-    near = dist_to_cloud(pts[pick], targets)
+    p = pts[pick]
+    near = nearest(p, p, targets)[0]
     out = np.zeros(len(count))
     live = count > 0
     n_pick = np.bincount(row[pick], minlength=len(count))[live]

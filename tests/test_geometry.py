@@ -15,11 +15,10 @@ from epsapprox.geometry import (
     Window,
     box_distance_many,
     build_boundary,
-    by_x,
     check_adr,
-    dist_to_cloud,
+    descriptor_from_json,
     distinct,
-    nearest_in_window,
+    nearest,
     pair_distances,
 )
 
@@ -87,6 +86,21 @@ class TestBuildBoundary:
     def test_lipschitz_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             build_boundary(LipschitzGraph("linear", 0.9), 0.01, W2, lip_budget=0.5)
+
+    @pytest.mark.parametrize(
+        "boundary, match",
+        [
+            ({"type": "segment", "params": {"a": 0.5, "b": -0.5}}, "segment needs a < b"),
+            ({"type": "segment", "params": {"a": 5.0, "b": 6.0}}, "Segment boundary has no"),
+            ({"type": "point_list", "params": {"points": [], "weights": []}}, "PointList bound"),
+        ],
+        ids=["reversed_segment", "segment_outside", "empty_point_list"],
+    )
+    def test_empty_boundary_named(self, boundary, match):
+        # segment_pole's window; each input used to die in the grid stage
+        # with a bare numpy message
+        with pytest.raises(ValueError, match=match):
+            build_boundary(descriptor_from_json(boundary), 2.0**-9, Window((-1, -1), (1, 1)))
 
 
 def point_distance(P, E):
@@ -310,21 +324,27 @@ def test_adr_sweep_matches_full_rows(case, budget, chunk, line, kink, monkeypatc
 # equal to the distance, and many targets share one x
 _coord = st.integers(-6, 6).map(lambda v: v / 2)
 _points = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30)
+# boxes (x, y, width, height), points (width = height = 0) among them
+_side = st.integers(0, 4).map(lambda v: v / 2)
+_boxes = st.lists(st.tuples(_coord, _coord, _side, _side), min_size=1, max_size=30)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     cloud=_points,
-    probes=_points,
+    boxes=_boxes,
     radius=st.sampled_from(["tie", "half", "zero", "one"]),
     modulus=st.sampled_from([0, 2, 3]),
     chunk=st.sampled_from([1, 7, 1 << 16]),
 )
-def test_window_search_matches_all_pairs_min(cloud, probes, radius, modulus, chunk):
-    cloud, P = np.array(cloud, dtype=float), np.array(probes, dtype=float)
-    d = pair_distances(P, cloud)
+def test_window_search_matches_all_pairs_min(cloud, boxes, radius, modulus, chunk):
+    cloud, boxes = np.array(cloud, dtype=float), np.array(boxes, dtype=float)
+    lo, hi = boxes[:, :2], boxes[:, :2] + boxes[:, 2:]
+    # full rows of the clip-and-norm distance
+    full = np.linalg.norm(cloud[None] - np.clip(cloud[None], lo[:, None], hi[:, None]), axis=2)
+    d = full.copy()
     if modulus:
-        d[(np.arange(len(P))[:, None] + np.arange(len(cloud))) % modulus == 0] = np.inf
+        d[(np.arange(len(lo))[:, None] + np.arange(len(cloud))) % modulus == 0] = np.inf
     want = d.min(axis=1)
     r = {
         "tie": np.where(np.isfinite(want), want, 1.0),
@@ -332,32 +352,53 @@ def test_window_search_matches_all_pairs_min(cloud, probes, radius, modulus, chu
         "zero": 0.0,
         "one": 1.0,
     }[radius]
-    order, T = by_x(cloud)
-    skip = (lambda i, j: (i + order[j]) % modulus == 0) if modulus else None
+    skip = (lambda i, j: (i + j) % modulus == 0) if modulus else None
     old = geometry.CHUNK
     geometry.CHUNK = chunk
     try:
-        got = nearest_in_window(P, T, r, skip)
-        near = dist_to_cloud(P, cloud)
+        got = nearest(lo, hi, cloud, r, skip)
+        bracket = nearest(lo, hi, cloud)
     finally:
         geometry.CHUNK = old
-    assert got.tolist() == want.tolist()
-    assert near.tolist() == pair_distances(P, cloud).min(axis=1).tolist()
+    # the first target in x order at the least distance, -1 where none is left
+    rank = np.empty(len(cloud), dtype=np.intp)
+    rank[np.argsort(cloud[:, 0], kind="stable")] = np.arange(len(cloud))
+    for (dist, idx), rows in ((got, d), (bracket, full)):
+        assert dist.tolist() == rows.min(axis=1).tolist()
+        tie = np.where(rows == dist[:, None], rank, len(cloud)).argmin(axis=1)
+        assert idx.tolist() == np.where(np.isinf(dist), -1, tie).tolist()
 
 
-@pytest.mark.parametrize("chunk", [None, 50])
-def test_balls_match_full_rows(chunk, monkeypatch):
-    # radii equal to a point's distance, on one horizontal line at x offsets
-    # that do not round exactly: the window edge must not drop the point
+@pytest.mark.parametrize(
+    "shape, chunk",
+    [
+        # the horizontal line keeps its plain id
+        pytest.param(shape, chunk, id=("" if shape == "line" else f"{shape}-") + str(chunk))
+        for shape in ("line", "vertical", "cantor")
+        for chunk in (None, 50)
+    ],
+)
+def test_balls_match_full_rows(shape, chunk, monkeypatch):
+    # radii equal to a point's distance at offsets that do not round
+    # exactly (on the line, the window edge must not drop the point); a
+    # vertical line puts every point in every window, and the Cantor set
+    # is no graph
     if chunk is not None:
         monkeypatch.setattr(geometry, "CHUNK", chunk)
     rng = np.random.default_rng(4)
-    pts = np.column_stack([0.1 + rng.uniform(-3.0, 3.0, 300), np.zeros(300)])
-    centers = np.column_stack([0.1 + rng.uniform(-3.0, 3.0, 1000), np.zeros(1000)])
+    if shape == "cantor":
+        pts = CantorSet(level=5).corners()
+        centers = rng.uniform(0.0, 1.0, (1000, 2))
+    else:
+        line = np.column_stack([0.1 + rng.uniform(-3.0, 3.0, 1300), np.zeros(1300)])
+        if shape == "vertical":
+            line = line[:, ::-1] + [0.1, 0.0]
+        pts, centers = line[:300], line[300:]
+    n = len(pts)
     rows = np.linalg.norm(pts[None] - centers[:, None], axis=2)
-    r = rows[np.arange(1000), rng.integers(0, 300, 1000)]
+    r = rows[np.arange(1000), rng.integers(0, n, 1000)]
     r[::4] = rng.uniform(0.0, 2.0, 250)
-    ptr, ids, d = geometry.balls(*by_x(pts), centers, r)
+    ptr, ids, d = geometry.balls(pts, centers, r)
     for k in range(1000):
         inside = rows[k] <= r[k]
         assert ids[ptr[k] : ptr[k + 1]].tolist() == np.flatnonzero(inside).tolist()
