@@ -255,6 +255,6 @@ def carleson_embedding_check(
         chain[row[row >= 0]] = True
         md = dyadic_maximal(S, f, np.flatnonzero(chain))
     m0 = S.members(q0)
-    rhs = lam * float(np.dot(md[m0], w[m0]))
+    rhs = lam * float((md[m0] * w[m0]).sum())
     holds = lhs <= rhs * (1 + 1e-12) + 1e-15
     return lhs, rhs, holds

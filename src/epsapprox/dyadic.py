@@ -27,7 +27,9 @@ from .geometry import (
     Window,
     csr_rows,
     nearest,
+    pair_distances,
     paired_distances,
+    row_blocks,
     row_spans,
 )
 
@@ -209,39 +211,36 @@ def _graph_forest(E: BoundarySet, k_min, k_max, scale) -> list:
 def _net_forest(E: BoundarySet, k_min, k_max, scale) -> list:
     """Greedy maximal-separated nets, nested across generations.
 
-    Per generation, coarsest first: (members, centre sample) per nonempty
-    cell of a net centre."""
+    Per generation, coarsest first: (members, centre sample) per cell of a
+    net centre.  A sample joins the net when it lies at least r from every
+    centre so far (one `paired_distances` row per sample), and each sample
+    goes to the nearest centre in its parent's cell, the least on a tie
+    (`pair_distances` blocks per parent cell).  A centre lies r or more from
+    every other, so it is its own nearest and no cell is empty."""
     pts = E.points
     n = len(pts)
-    centers_prev: list = []
-    gens = []
-    assign_prev = None
+    net, ids = np.empty((n, 2)), np.empty(n, dtype=np.intp)
+    m, cell, gens = 0, np.zeros(n, dtype=np.intp), []  # cell: the parent centre
     for k in range(k_min, k_max + 1):
         r = 2.0 ** (-k) * scale
-        centers = list(centers_prev)
         for i in range(n):
-            p = pts[i]
-            if all(np.linalg.norm(p - pts[c]) >= r for c in centers):
-                centers.append(i)
-        centers.sort()
-        # assign samples to nearest center, restricted to the parent's cell
-        assign = np.empty(n, dtype=int)
-        if assign_prev is None:
-            for i in range(n):
-                d = [np.linalg.norm(pts[i] - pts[c]) for c in centers]
-                assign[i] = centers[int(np.argmin(d))]
-        else:
-            cell_centers: dict = {}
-            for c in centers:
-                cell_centers.setdefault(int(assign_prev[c]), []).append(c)
-            for i in range(n):
-                cands = cell_centers[int(assign_prev[i])]
-                d = [np.linalg.norm(pts[i] - pts[c]) for c in cands]
-                assign[i] = cands[int(np.argmin(d))]
-        cells = [(np.where(assign == c)[0], c) for c in centers]
-        gens.append([cell for cell in cells if len(cell[0])])
-        centers_prev = centers
-        assign_prev = assign
+            if (paired_distances(net[:m], pts[i : i + 1]) >= r).all():
+                net[m], ids[m], m = pts[i], i, m + 1
+        centers = np.sort(ids[:m])
+        # the samples and the candidate centres of each parent cell, ascending
+        samples = np.argsort(cell, kind="stable")
+        cands = centers[np.argsort(cell[centers], kind="stable")]
+        s_ptr, c_ptr = (np.searchsorted(cell[a], np.arange(n + 1)) for a in (samples, cands))
+        assign = np.empty(n, dtype=np.intp)
+        for c in np.flatnonzero(np.diff(s_ptr)).tolist():
+            own, C = samples[s_ptr[c] : s_ptr[c + 1]], cands[c_ptr[c] : c_ptr[c + 1]]
+            for rows in row_blocks(len(own), len(C)):
+                d = pair_distances(np.take(pts, own[rows], axis=0), np.take(pts, C, axis=0))
+                assign[own[rows]] = C[np.argmin(d, axis=1)]
+        members = np.argsort(assign, kind="stable")
+        cut = np.searchsorted(assign[members], centers[1:])
+        gens.append(list(zip(np.split(members, cut), centers.tolist())))
+        cell = assign
     return gens
 
 
@@ -351,7 +350,7 @@ def _cube_reach(E: BoundarySet, z, side, gen, member_ptr, member_sample, tree) -
     count = np.diff(member_ptr)[q]
     far = np.empty(len(q))
     for lo, hi in row_spans(count):
-        members = pts[member_sample[csr_rows(member_ptr, q[lo:hi])]]
+        members = np.take(pts, member_sample[csr_rows(member_ptr, q[lo:hi])], axis=0)
         d = paired_distances(members, np.repeat(z[q[lo:hi]], count[lo:hi], axis=0))
         far[lo:hi] = np.maximum.reduceat(d, np.cumsum(count[lo:hi]) - count[lo:hi])
     zq, leaf, anc_at, g = z[q], tree["sample_leaf"], tree["anc_at"], gen[q]
@@ -373,10 +372,7 @@ def _inclusion_constants(E: BoundarySet, z, side, gen, member_ptr, member_sample
     c1 = float(np.min(outside / side[q]))
     p = tree["rparent"][q]
     kid, p = q[p >= 0], p[p >= 0]
-    dz = z[kid] - z[p]
-    # np.linalg.norm of one 2-vector is the sqrt of its dot product (a BLAS
-    # dot); matmul of each stacked row and column vector takes the same dot
-    drift = np.sqrt(np.matmul(dz[:, None, :], dz[:, :, None])[:, 0, 0])
+    drift = paired_distances(z[kid], z[p])
     C_nest = float(np.max(drift / (side[p] - side[kid]), initial=0.0))
     C1 = max(C_member, C_nest, 0.5)
     c1 = min(c1, C1) if np.isfinite(c1) else C1

@@ -8,7 +8,7 @@ points of a box's grid that one core box holds).  A piecewise-constant phi
 is one value v on a segment and fl(a - v) is monotone in a, so the segment's
 sup of |u - phi| is read exactly off the two extrema.  All sups are grid
 sups, hence lower bounds; nothing bounds the gap from above yet (ROADMAP
-item 4).  Inequalities consuming these sups are either tested with both
+item 6).  Inequalities consuming these sups are either tested with both
 sides on the same grids or at two resolutions.  E is a curve in the plane
 (n = 1), so the square-function weight delta^{1-n} is 1 and l(Q)^n = l(Q).
 """
@@ -127,7 +127,7 @@ class FunctionalSuite:
         if ids is None:
             ids = self.W.size_groups()[size]
         off = square_grid(self._fat_axis()) * (self.W.unit * size)
-        return ids, _corner_plus(self.W.lo[ids], off, out)
+        return ids, _corner_plus(np.take(self.W.lo, ids, axis=0), off, out)
 
     def _fat_axis(self) -> np.ndarray:
         """The fat grid's coordinates along one side, in units of the side."""
@@ -221,7 +221,7 @@ class FunctionalSuite:
                 vol = (side / m) ** 2
                 for rows in row_blocks(len(group), m * m):
                     ids = group[rows]
-                    pts = _corner_plus(self.W.lo[ids], mid * side, pts_buf)
+                    pts = _corner_plus(np.take(self.W.lo, ids, axis=0), mid * side, pts_buf)
                     gr = paired_distances(self.u.grad(pts.reshape(-1, 2)), np.zeros((1, 2)))
                     gr = gr.reshape(len(ids), -1)
                     g1[ids] = gr.sum(axis=1) * vol

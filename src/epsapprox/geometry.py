@@ -301,8 +301,9 @@ def build_boundary(
 
 
 # elements per temporary of every chunked array pass: (center, point) pairs
-# in `ball_sums` and `balls`, (box, target) pairs in `nearest`, (box,
-# grid point) pairs in `FunctionalSuite.owners` (the fat-grid pass) and
+# in `ball_sums` and `balls`, (box, target) pairs in `nearest`, (sample,
+# centre) pairs in `dyadic._net_forest`, (box, grid point) pairs in
+# `FunctionalSuite.owners` (the fat-grid pass) and
 # `FunctionalSuite.grad_integrals`, (box, cube) pairs in
 # `FunctionalSuite.anc_scatter`, neighbour entries of whole cubes in
 # `whitney._component_labels`, and members of whole components in the
@@ -438,7 +439,7 @@ def paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def window_blocks(start: np.ndarray, count: np.ndarray):
+def _window_blocks(start: np.ndarray, count: np.ndarray):
     """Blocks of consecutive windows T[start[i]:start[i] + count[i]] holding
     at most CHUNK (row, target) pairs together (`row_spans`): per block its
     rows i:j, the row and target position of each pair, and each row's
@@ -490,7 +491,7 @@ def nearest(los: np.ndarray, his: np.ndarray, targets: np.ndarray, r=None, skip=
         stop = np.searchsorted(xs, hi[:, 0] + reach, side="right")
         count = stop - start
         best, first = np.full(len(todo), np.inf), np.zeros(len(todo), dtype=np.intp)
-        for i, j, row, at, offsets in window_blocks(start, count):
+        for i, j, row, at, offsets in _window_blocks(start, count):
             t, c = np.take(T, at, axis=0), np.take(lo, row, axis=0)
             # the clip to the box as a maximum and a minimum, in place:
             # np.clip's values at about half its cost
@@ -530,7 +531,7 @@ def balls(points: np.ndarray, centers: np.ndarray, r: np.ndarray):
     start = np.searchsorted(T[:, 0], centers[:, 0] - reach, side="left")
     stop = np.searchsorted(T[:, 0], centers[:, 0] + reach, side="right")
     ids, d, rows = [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
-    for _, _, row, idx, _ in window_blocks(start, stop - start):
+    for _, _, row, idx, _ in _window_blocks(start, stop - start):
         dist = paired_distances(np.take(T, idx, axis=0), np.take(centers, row, axis=0))
         keep = np.flatnonzero(dist <= r[row])
         ids.append(order[idx[keep]])

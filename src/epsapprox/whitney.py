@@ -29,7 +29,6 @@ from .geometry import (
     paired_distances,
     ranges,
     row_spans,
-    window_blocks,
 )
 
 # packing bound of the corona's bad cubes and regime tops: checked when the
@@ -398,15 +397,11 @@ def _property3_sup(E, S, corona, reject: bool = False) -> float:
     return worst
 
 
-def _sup_dist(pts: np.ndarray, targets: np.ndarray, ptr=None):
-    """max over about 64 strided points of their distance to the targets.
-
-    Without `ptr` over all of `pts`, as a float; with it, per row
-    pts[ptr[k]:ptr[k + 1]] of the CSR, strided on its own (0.0 for an
-    empty row), as an array, with one `nearest` search for all rows.
-    """
-    one = ptr is None
-    count = np.diff([0, len(pts)] if one else ptr)
+def _sup_dist(pts: np.ndarray, targets: np.ndarray, ptr):
+    """Per row pts[ptr[k]:ptr[k + 1]] of the CSR, the max over about 64 of
+    its points, strided on its own, of their distance to the targets (0.0
+    for an empty row), with one `nearest` search for all rows."""
+    count = np.diff(ptr)
     row = np.repeat(np.arange(len(count)), count)
     at = np.arange(len(pts)) - np.repeat(np.cumsum(count) - count, count)
     pick = np.flatnonzero(at % np.maximum(1, count // 64)[row] == 0)
@@ -417,7 +412,7 @@ def _sup_dist(pts: np.ndarray, targets: np.ndarray, ptr=None):
     n_pick = np.bincount(row[pick], minlength=len(count))[live]
     if live.any():
         out[live] = np.maximum.reduceat(near, np.cumsum(n_pick) - n_pick)
-    return float(out[0]) if one else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -606,34 +601,35 @@ def build_regions(
 def _memberships(S: CubeSystem, W: WhitneyComplex, params: RegionParams):
     """(cubes, boxes), int32 in (cube, box) order: the pairs of the
     membership rule, found for all relevant cubes one box size at a time.
-    The boxes of a size group sorted by lo-x are cut to each cube's
-    x-window, then the distance test runs on the pairs."""
+    A box within C_d l(Q) of the sample bbox of Q has its centre within
+    that reach plus both half-diagonals of the bbox's centre, so the
+    candidates are the `balls` of that radius (widened by 1e-9) over the
+    group's box centres; the exact gap test then runs on them."""
     rel = np.flatnonzero(S.relevant)
     count = S.member_ptr[rel + 1] - S.member_ptr[rel]
     cut = np.cumsum(count) - count
-    pts = S.E.points[S.member_sample[ranges(S.member_ptr[rel], count)]]
+    pts = np.take(S.E.points, S.member_sample[ranges(S.member_ptr[rel], count)], axis=0)
     # sample bounding box of each cube
     qlo = np.minimum.reduceat(pts, cut, axis=0)
     qhi = np.maximum.reduceat(pts, cut, axis=0)
+    mid, half = (qlo + qhi) / 2.0, paired_distances(qhi, qlo) / 2.0
     cside = S.side[rel]
     reach = params.C_d * cside * (1 + 1e-9)
     pairs = [rel[:0]]
     for size, ids in W.size_groups().items():
-        ids = ids[np.argsort(W.lo[ids, 0], kind="stable")]
-        lox = W.lo[ids, 0]
         side = size * W.unit
         ratio = side / cside
         sel = np.flatnonzero(
             (ratio >= params.c_w * (1 - 1e-9)) & (ratio <= params.C_w * (1 + 1e-9))
         )
-        a = np.searchsorted(lox, qlo[sel, 0] - reach[sel] - side)
-        b = np.searchsorted(lox, qhi[sel, 0] + reach[sel], side="right")
-        for _, _, row, at, _ in window_blocks(a, np.maximum(b - a, 0)):
-            k, cand = sel[row], ids[at]
-            # distance from box to the sample bbox of Q
-            gap = np.maximum(qlo[k] - W.hi[cand], 0.0) + np.maximum(W.lo[cand] - qhi[k], 0.0)
-            keep = paired_distances(gap, np.zeros((1, 2))) <= reach[k]
-            pairs.append(rel[k[keep]] * W.n_boxes + cand[keep])
+        r = (reach[sel] + side * np.sqrt(0.5) + half[sel]) * (1 + 1e-9)
+        ptr, at, _ = balls((W.lo[ids] + W.hi[ids]) / 2.0, mid[sel], r)
+        k, cand = np.repeat(sel, np.diff(ptr)), ids[at]
+        # distance from box to the sample bbox of Q
+        gap = np.maximum(np.take(qlo, k, axis=0) - np.take(W.hi, cand, axis=0), 0.0)
+        gap += np.maximum(np.take(W.lo, cand, axis=0) - np.take(qhi, k, axis=0), 0.0)
+        keep = paired_distances(gap, np.zeros((1, 2))) <= reach[k]
+        pairs.append(rel[k[keep]] * W.n_boxes + cand[keep])
     pairs = np.concatenate(pairs)
     pairs.sort()
     cubes = (pairs // W.n_boxes).astype(np.int32)

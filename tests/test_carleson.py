@@ -1,7 +1,11 @@
 """Packing constants, sparse witnesses, maximal operators, embedding."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from epsapprox.geometry import Hyperplane, PointList, Segment, Window, build_bou
 from epsapprox.harmonic import PoissonIndicator
 
 from conftest import param_range
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -504,6 +510,25 @@ class TestEmbedding:
         for q0 in (S.roots[0], coll[5]):
             got = carleson_embedding_check(S, f, coll, q0, md=m_point)
             assert got == carleson_embedding_check(S, f, coll, q0)
+
+    def test_result_does_not_depend_on_blas_threads(self):
+        # 32 768 samples: a BLAS dot of that length splits across threads and
+        # adds the partial sums in another order; at 1 and 2 threads its rhs
+        # read 64372.688083961264 and ...27
+        script = (
+            "import numpy as np; from epsapprox.carleson import carleson_embedding_check; "
+            "from epsapprox.dyadic import synthetic_system; S = synthetic_system(15); "
+            "f = np.random.default_rng(0).random(S.E.n_samples); "
+            "print(repr(carleson_embedding_check(S, f, S.relevant_ids()[::7], S.roots[0])))"
+        )
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            out.append(run.stdout.strip())
+        assert out[0] == out[1]
 
     def test_negative_f_rejected(self, line_system):
         with pytest.raises(ValueError):

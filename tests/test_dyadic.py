@@ -1,5 +1,6 @@
 """Dyadic cube systems: nesting, partition, inclusions, navigation."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from epsapprox.geometry import (
     Segment,
     Window,
     build_boundary,
+    paired_distances,
 )
 
 from conftest import param_range
@@ -209,8 +211,14 @@ def _reach_loop(S):
     return far, outside
 
 
+def _row_norm(a, b) -> float:
+    """|a - b| by the package's row-norm arithmetic, sqrt(dx*dx + dy*dy)."""
+    dx, dy = (np.asarray(a) - np.asarray(b)).tolist()
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def _inclusion_loop(S):
-    """Reference (c1, C1): the per-cube loop, drift by np.linalg.norm."""
+    """Reference (c1, C1): the per-cube loop, drift by the row norm."""
     far, outside = _reach_loop(S)
     C_member, C_nest, c1 = 0.0, 0.0, np.inf
     for q, f, o in zip(S.relevant_ids(), far, outside):
@@ -219,7 +227,7 @@ def _inclusion_loop(S):
         c1 = min(c1, o / l)
         p = S.rparent[q]
         if p >= 0:
-            drift = float(np.linalg.norm(S.z[q] - S.z[p]))
+            drift = _row_norm(S.z[q], S.z[p])
             C_nest = max(C_nest, drift / (float(S.side[p]) - l))
     C1 = max(C_member, C_nest, 0.5)
     return (min(c1, C1) if np.isfinite(c1) else C1), C1
@@ -275,14 +283,75 @@ class TestInclusionConstants:
         assert _reach_loop(S)[1] == [np.inf]
         assert S.c1 == S.C1 == _inclusion_loop(S)[1]
 
-    def test_drift_is_the_norm_of_each_vector(self):
-        # the centre drift is taken by a stacked matmul and must keep the bits
-        # of np.linalg.norm on each 2-vector (a BLAS dot, which may fuse the
-        # multiply-add where squaring and adding elementwise would not)
-        rng = np.random.default_rng(0)
-        dz = rng.standard_normal((5000, 2)) * rng.uniform(0.0, 8.0, (5000, 1))
-        ref = [float(np.linalg.norm(v)) for v in dz]
-        assert np.sqrt(np.matmul(dz[:, None, :], dz[:, :, None])[:, 0, 0]).tolist() == ref
+    def test_drift_is_the_row_norm_of_each_centre_pair(self):
+        # on the Cantor cloud the parent-child centre drift sets C1, which
+        # is then the largest drift ratio of `paired_distances` rows
+        S = REACH_SYSTEMS["cantor"]()
+        q = np.flatnonzero(S.relevant & (S.rparent >= 0))
+        p = S.rparent[q]
+        ratio = paired_distances(S.z[q], S.z[p]) / (S.side[p] - S.side[q])
+        far = np.array(_reach_loop(S)[0]) / S.side[S.relevant]
+        assert far.max() < ratio.max() == S.C1
+
+
+def _net_forest_loop(E, k_min, k_max, scale) -> list:
+    """Reference: the greedy net and the nearest-centre assignment as
+    per-pair loops, every distance by the row norm; per generation
+    (members, centre) lists."""
+    pts = E.points
+    n = len(pts)
+    centers, assign, gens = [], None, []
+    for k in range(k_min, k_max + 1):
+        r = 2.0 ** (-k) * scale
+        for i in range(n):
+            if all(_row_norm(pts[i], pts[c]) >= r for c in centers):
+                centers.append(i)
+        centers.sort()
+        nearest = []
+        for i in range(n):
+            cands = [c for c in centers if assign is None or assign[c] == assign[i]]
+            d = [_row_norm(pts[i], pts[c]) for c in cands]
+            nearest.append(cands[d.index(min(d))])
+        assign = nearest
+        cells = [([i for i in range(n) if assign[i] == c], c) for c in centers]
+        gens.append([cell for cell in cells if cell[0]])
+    return gens
+
+
+def _random_cloud(n: int, seed: int):
+    pts = np.random.default_rng(seed).random((n, 2))
+    return build_boundary(
+        PointList(points=tuple(map(tuple, pts)), weights=tuple([1.0 / n] * n)),
+        resolution=1 / 256,
+        window=Window((0.0, 0.0), (1.0, 1.0)),
+    )
+
+
+NET_CLOUDS = {
+    **{
+        f"cantor{level}": (
+            lambda level=level: build_boundary(CantorSet(level), 1 / 64, Window((0, 0), (1, 1))),
+            (-1, 2 * level, np.sqrt(2.0)),
+        )
+        for level in (2, 3, 4)
+    },
+    "stacked_x": (_stacked_columns, (0, 4, 1.0)),
+    "random300": (lambda: _random_cloud(300, 7), (-1, 5, 1.0)),
+}
+
+
+class TestNetForest:
+    @pytest.mark.parametrize("name", sorted(NET_CLOUDS))
+    def test_matches_per_pair_loop(self, name, monkeypatch):
+        make, (k_min, k_max, scale) = NET_CLOUDS[name]
+        E = make()
+        want = _net_forest_loop(E, k_min, k_max, scale)
+        assert len(want[-1]) > len(want[0])
+        for chunk in (None, 7):
+            if chunk is not None:
+                monkeypatch.setattr(geometry, "CHUNK", chunk)
+            got = dyadic._net_forest(E, k_min, k_max, scale)
+            assert [[(m.tolist(), c) for m, c in gen] for gen in got] == want
 
 
 def _reach_args(S):

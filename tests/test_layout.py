@@ -203,6 +203,10 @@ NUMPY2_NAMES = {
 }
 
 
+def _is_np(node) -> bool:
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
 def _numpy2_uses(source: str) -> list:
     """(line, name) of every np.<name> or np.linalg.<name> in NUMPY2_NAMES."""
     found = []
@@ -210,14 +214,9 @@ def _numpy2_uses(source: str) -> list:
         if not isinstance(n, ast.Attribute):
             continue
         base = n.value
-        if isinstance(base, ast.Name) and base.id in ("np", "numpy"):
+        if _is_np(base):
             name = n.attr
-        elif (
-            isinstance(base, ast.Attribute)
-            and base.attr == "linalg"
-            and isinstance(base.value, ast.Name)
-            and base.value.id in ("np", "numpy")
-        ):
+        elif isinstance(base, ast.Attribute) and base.attr == "linalg" and _is_np(base.value):
             name = f"linalg.{n.attr}"
         else:
             continue
@@ -239,3 +238,52 @@ def test_src_runs_on_the_declared_numpy_floor():
         for line, name in _numpy2_uses(path.read_text())
     ]
     assert not found, "numpy names missing below numpy 2: " + ", ".join(found)
+
+
+# numpy names that hand their sums to BLAS, which may split a sum across
+# threads and add the parts in another order
+BLAS_NAMES = {"dot", "inner", "vdot", "matmul", "tensordot", "linalg"}
+
+
+def _blas_uses(source: str) -> list:
+    """(line, what) of every BLAS-backed numpy call: np.dot, np.inner,
+    np.vdot, np.matmul, np.tensordot, anything under np.linalg, a `.dot(`
+    method call, the `@` operator, and np.einsum with `optimize`, which may
+    hand a contraction to tensordot.  The one exception is np.einsum
+    without `optimize`, which runs numpy's own loops
+    (`FundamentalPole.grad`'s row dot)."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult):
+            found.append((n.lineno, "@"))
+        elif isinstance(n, ast.Attribute) and _is_np(n.value) and n.attr in BLAS_NAMES:
+            found.append((n.lineno, f"np.{n.attr}"))
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("numpy"):
+            names = {a.name for a in n.names} if n.module == "numpy" else set(n.module.split("."))
+            found += [(n.lineno, f"from {n.module}: {b}") for b in sorted(names & BLAS_NAMES)]
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            if n.func.attr == "dot" and not _is_np(n.func.value):
+                found.append((n.lineno, ".dot("))
+            elif n.func.attr == "einsum" and any(k.arg == "optimize" for k in n.keywords):
+                found.append((n.lineno, "np.einsum(optimize=)"))
+    return found
+
+
+def test_src_makes_no_blas_call():
+    """A BLAS sum's order may follow the thread count, so a result would
+    depend on the machine: no src/ module may call one."""
+    probe = (
+        "np.dot(a, b); a.dot(b); c = a @ b; c @= a; np.linalg.norm(a); np.inner(a, b)\n"
+        "np.einsum('ij,ij->i', a, b, optimize=True); np.einsum('ij,ij->i', a, b)\n"
+        "from numpy.linalg import norm; from numpy import vdot, sqrt"
+    )
+    assert sorted(_blas_uses(probe)) == [
+        (1, ".dot("), (1, "@"), (1, "@"), (1, "np.dot"), (1, "np.inner"), (1, "np.linalg"),
+        (2, "np.einsum(optimize=)"), (3, "from numpy.linalg: linalg"), (3, "from numpy: vdot"),
+    ]
+    found = [
+        f"{path.name}:{line} {what}"
+        for path in SRC
+        for line, what in sorted(_blas_uses(path.read_text()))
+    ]
+    assert not found, "BLAS-backed calls in src/: " + ", ".join(found)
