@@ -356,10 +356,12 @@ def verify_approximation(
     (ii) dyadic Carleson: C_dyadic(grad phi) <= C2 * eps^{-2} *
         M(M_dyadic(N_*^{alpha0} u));
     (iii) L^p roll-ups of both against ||N_* u||_p.
-    The caller supplies the functionals it shares across the eps grid: `cd`
-    is `FS.carleson_dyadic(A.tv_box)` and `mm` is M(M_dyadic(N_*^{alpha0}
-    u)), per sample, and `cball` is `FS.carleson_ball(A.tv_box, ids)` at
-    every BALL_STRIDE-th certified sample.
+    The caller supplies the functionals it shares across the eps grid, each
+    this eps's row of one stacked call: `cd` is C_dyadic of `A.tv_box` (a
+    row of `FS.carleson_dyadic` over the grid's TV measures) and `mm` is
+    M(M_dyadic(N_*^{alpha0} u)), per sample, and `cball` is C of
+    `A.tv_box` (a row of `FS.carleson_ball`) at every BALL_STRIDE-th
+    certified sample.
     Smallest passing constants are reported; `pass` keys compare C1 to its
     budget (C2 and the L^p constants are reported for cross-eps stability).
     """

@@ -182,21 +182,13 @@ def dyadic_maximal(S: CubeSystem, f: np.ndarray, cubes=None) -> np.ndarray:
     return S.down_max(avg, -np.inf)[S.sample_leaf]
 
 
-def default_radii(S: CubeSystem) -> np.ndarray:
-    """Log radius grid aligned with C1*l(Q) over the generation range, plus
-    8 log-spaced radii from half the finest to twice the coarsest."""
-    rs = [S.C1 * 2.0 ** (-k) * S.scale for k in range(S.k_min, S.k_max + 1)]
-    lo, hi = min(rs), max(rs)
-    grid = np.geomspace(lo / 2, hi * 2, 8)
-    return distinct(np.concatenate([rs, grid]))
-
-
 def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     """Hardy-Littlewood maximal function over a radius/center grid.
 
-    Every sample is a center and `default_radii` are the radii.  A lower
-    bound of the true M f; the grid includes the surface-ball radii C1*l(Q)
-    so cube averages are always dominated up to the ball/cube mass ratio.
+    Every sample is a center and the radii are `S.radius_grid` up to twice
+    the coarsest C1*l(Q), with 8 log-spaced ones.  A lower bound of the
+    true M f; the grid includes the surface-ball radii C1*l(Q) so cube
+    averages are always dominated up to the ball/cube mass ratio.
 
     `f` is one function per sample or a (k, n_samples) stack of them; the
     result has the same shape, and each row is what that row alone gives.
@@ -207,7 +199,7 @@ def hl_maximal(S: CubeSystem, f: np.ndarray) -> np.ndarray:
     """
     E = S.E
     f = np.abs(np.asarray(f, dtype=float))
-    radii = default_radii(S)
+    radii = S.radius_grid(2 * S.C1 * 2.0 ** (-S.k_min) * S.scale, 8)
     pts, w = E.points, E.weights
     # row 0 weighs the balls, rows 1.. weigh f over them
     stack = np.vstack([w, f * w])

@@ -26,6 +26,7 @@ from .geometry import (
     PointList,
     Window,
     csr_rows,
+    distinct,
     nearest,
     pair_distances,
     paired_distances,
@@ -125,6 +126,13 @@ class CubeSystem:
         out = np.bincount(cube, weights=f[m] * self.E.weights[m], minlength=self.n_cubes)
         out[ids] /= self.measure[ids]
         return out
+
+    def radius_grid(self, top: float, n: int) -> np.ndarray:
+        """The surface-ball radii C1*l(Q) over the generation range, plus n
+        log-spaced radii from half the finest of them to `top`; ascending
+        and distinct."""
+        rs = [self.C1 * 2.0 ** (-k) * self.scale for k in range(self.k_min, self.k_max + 1)]
+        return distinct(np.concatenate([rs, np.geomspace(min(rs) / 2, top, n)]))
 
     def down_max(self, own: np.ndarray, start: float) -> np.ndarray:
         """Per cube: the max of `start` and of the per-cube `own` over the

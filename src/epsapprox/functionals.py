@@ -104,18 +104,12 @@ class FunctionalSuite:
         self.tau = RC.params.tau
         self._extrema = None
         self._segments = None
-        self._pairs = None
         self._nstar_cache: dict = {}
         self._numbers_cache: dict = {}
         self._apertures: dict = {}
         self.far_ball_factor = far_ball_factor
         self._grad_int = None
         self._grad2_int = None
-
-    def __getstate__(self):
-        # the (box, cube) pairs are rebuilt from the regions in a fraction of
-        # a second, so a pickled suite (a cached `approximate` stage) drops them
-        return self.__dict__ | {"_pairs": None}
 
     # -- grids --------------------------------------------------------------
 
@@ -356,98 +350,74 @@ class FunctionalSuite:
 
     # -- Carleson functionals ---------------------------------------------------
 
-    def _anc_pairs(self):
-        """(box ids, cube ids), int32: every (b, Q) with box b inside T_Q.
-
-        T_Q holds b iff Q is an ancestor of one of b's owners.  The pairs
-        come one generation of Q after another and, within one, in
-        ascending box id, so each cube's boxes ascend.  The owner entries
-        are read in blocks of whole boxes, twice: the first pass counts each
-        (generation, block) part, the second writes it at its place in the
-        preallocated arrays.  A pair's key is (b << bits) | Q; a block's keys
-        come box by box, so a stable sort (runs of one box's owners) puts
-        them in order.
-        """
-        if self._pairs is None:
-            indptr, owner = self.RC.owner_ptr, self.RC.owner_cube
-            # per generation, each cube's ancestor there (-1 for none)
-            anc = np.ascontiguousarray(self.S.anc_at.T)
-            bits = int(self.S.n_cubes).bit_length()
-            count = np.diff(indptr)
-            spans = row_spans(count)
-
-            def parts():
-                """(generation, block, sorted keys, first-of-a-run mask)."""
-                for j, (lo, hi) in enumerate(spans):
-                    box = np.repeat(np.arange(lo, hi, dtype=np.int64) << bits, count[lo:hi])
-                    own = owner[indptr[lo] : indptr[hi]].astype(np.intp)
-                    for g, a in enumerate(np.take(anc, own, axis=1)):
-                        key = np.sort((box + a)[a >= 0], kind="stable")
-                        head = np.ones(len(key), dtype=bool)
-                        np.not_equal(key[1:], key[:-1], out=head[1:])
-                        yield g, j, key, head
-
-            size = np.zeros((len(anc), len(spans)), dtype=np.int64)
-            for g, j, _, head in parts():
-                size[g, j] = np.count_nonzero(head)
-            start = (np.cumsum(size) - size.ravel()).reshape(size.shape)
-            boxes, cubes = (np.empty(size.sum(), dtype=np.int32) for _ in range(2))
-            for g, j, key, head in parts():
-                # one pair per distinct (b, Q)
-                key = key[head]
-                at = slice(start[g, j], start[g, j] + len(key))
-                np.right_shift(key, bits, out=boxes[at])
-                np.bitwise_and(key, (1 << bits) - 1, out=cubes[at])
-            self._pairs = (boxes, cubes)
-        return self._pairs
-
     def anc_scatter(self, mass: np.ndarray) -> np.ndarray:
         """Per cube Q: total mass of boxes inside T_Q (0 off the tree).
 
-        `bincount` adds in pair order, so each sum takes its boxes in
-        ascending box id.  The pairs run in blocks of CHUNK: a block's
-        `bincount` over the id range [a, b) of its cubes starts each sum
-        from the sum so far (0 + s is s), so the blocks move no bit.
+        `mass` is one box measure or a (k, n_boxes) stack of them, and the
+        result has the same leading shape.  T_Q holds box b iff Q is an
+        ancestor of one of b's owners.  The owner entries are read once, in
+        blocks of whole boxes of at most CHUNK entries, one generation of Q
+        at a time: a pair's key is (b << bits) | Q, a block's keys come box
+        by box, so a stable sort (runs of one box's owners) puts them in
+        order, and the first key of each run is one distinct (b, Q).  Per
+        row, one `bincount` over the cube range [a, b) of those pairs
+        starts each sum from the sum so far (0 + s is s) and adds in key
+        order, so each cube takes its boxes in ascending box id from 0.0.
+        No pair outlives its block.
         """
-        boxes, cubes = self._anc_pairs()
-        out = np.zeros(self.S.n_cubes)
-        for rows in row_blocks(len(cubes), 1):
-            c = cubes[rows]
-            a, b = int(c.min()), int(c.max()) + 1
-            out[a:b] = np.bincount(
-                np.concatenate([np.arange(b - a), c - a]),
-                weights=np.concatenate([out[a:b], mass[boxes[rows]]]),
-            )
-        return out
+        stack = np.atleast_2d(mass)
+        indptr, owner = self.RC.owner_ptr, self.RC.owner_cube
+        # per generation, each cube's ancestor there (-1 for none)
+        anc = np.ascontiguousarray(self.S.anc_at.T)
+        bits = int(self.S.n_cubes).bit_length()
+        count = np.diff(indptr)
+        out = np.zeros((len(stack), self.S.n_cubes))
+        for lo, hi in row_spans(count):
+            box = np.repeat(np.arange(lo, hi, dtype=np.int64) << bits, count[lo:hi])
+            own = owner[indptr[lo] : indptr[hi]].astype(np.intp)
+            for up in np.take(anc, own, axis=1):
+                key = np.sort((box + up)[up >= 0], kind="stable")
+                if not len(key):
+                    continue
+                head = np.ones(len(key), dtype=bool)
+                np.not_equal(key[1:], key[:-1], out=head[1:])
+                key = key[head]
+                cube = key & ((1 << bits) - 1)
+                a, b = int(cube.min()), int(cube.max()) + 1
+                at = np.concatenate([np.arange(b - a), cube - a])
+                for row, m in zip(out, stack):
+                    row[a:b] = np.bincount(at, weights=np.concatenate([row[a:b], m[key >> bits]]))
+        return out.reshape(np.shape(mass)[:-1] + (-1,))
 
     def carleson_dyadic(self, mass: np.ndarray) -> np.ndarray:
         """C_dyadic: per sample, sup over containing cubes of T_Q-mass/l(Q).
 
-        For bounded boundaries the sup also runs over the ball tower
-        B(z0, 2^k diam E), k = Lambda_0 .. Lambda_0+4, with Lambda_0 chosen
-        so the first ball contains T_{root}.
+        `mass` is one box measure or a (k, n_boxes) stack of them; the
+        result is one value per sample, per row, each what that row alone
+        gives.  For bounded boundaries the sup also runs over the ball
+        tower B(z0, 2^k diam E), k = Lambda_0 .. Lambda_0+4, with Lambda_0
+        chosen so the first ball contains T_{root}.
         """
-        per_cube = self.anc_scatter(mass) / self.S.side
-        out = self.S.down_max(per_cube, 0.0)[self.S.sample_leaf]
+        stack = np.atleast_2d(mass)
+        per_cube = self.anc_scatter(stack) / self.S.side
+        out = np.stack([self.S.down_max(row, 0.0)[self.S.sample_leaf] for row in per_cube])
         if self.E.bounded:
-            out = np.maximum(out, self._tower_sup(mass))
-        return out
+            out = np.maximum(out, self._tower_sup(stack)[:, None])
+        return out.reshape(np.shape(mass)[:-1] + (-1,))
 
-    def _tower_sup(self, mass: np.ndarray) -> float:
+    def _tower_sup(self, stack: np.ndarray) -> np.ndarray:
+        """Per row of a (k, n_boxes) stack: the ball tower's sup of mass/R."""
         z0 = self.E.points[0]
         lo, hi = self.W.lo, self.W.hi
         far = np.maximum(paired_distances(lo, z0[None, :]), paired_distances(hi, z0[None, :]))
         t_root = far[self.RC.carleson_box(self.S.roots[0])].max(initial=0.0)
         d = self.E.diameter
         lam0 = max(0, int(np.ceil(np.log2(max(t_root, d) / d))))
-        mids = (lo + hi) / 2
-        dist_mid = paired_distances(mids, z0[None, :])
-        best = 0.0
-        for k in range(lam0, lam0 + 5):
-            R = 2.0**k * d
-            m = float(mass[dist_mid <= R].sum())
-            best = max(best, m / R)
-        return best
+        dist_mid = paired_distances((lo + hi) / 2, z0[None, :])
+        tower = [(2.0**k * d, dist_mid <= 2.0**k * d) for k in range(lam0, lam0 + 5)]
+        return np.array(
+            [max(0.0, *(float(m[inside].sum()) / R for R, inside in tower)) for m in stack]
+        )
 
     def carleson_ball(self, mass: np.ndarray, sample_ids: np.ndarray) -> np.ndarray:
         """C: per listed sample, sup over r of r^{-1} * mass(B(x,r) \\ E).
@@ -463,21 +433,12 @@ class FunctionalSuite:
         mids = (self.W.lo + self.W.hi) / 2
         stack = np.atleast_2d(mass)
         live = np.flatnonzero(stack.any(axis=0))
-        radii = self._ball_radii()
+        radii = self.S.radius_grid(2 * self.W.window.span, 12)
         out = np.empty((len(stack), len(sample_ids)))
         pts = self.E.points[np.asarray(sample_ids, dtype=int)]
         for rows, _, sums in ball_sums(pts, mids[live], radii, stack[:, live]):
             out[:, rows] = np.max(sums / radii, axis=-1)
         return out.reshape(np.shape(mass)[:-1] + (len(sample_ids),))
-
-    def _ball_radii(self) -> np.ndarray:
-        rs = [
-            self.S.C1 * 2.0 ** (-k) * self.S.scale
-            for k in range(self.S.k_min, self.S.k_max + 1)
-        ]
-        span = self.W.window.span
-        extra = np.geomspace(min(rs) / 2, 2 * span, 12)
-        return distinct(np.concatenate([rs, extra]))
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,7 @@ def build_boundary(
 # in `ball_sums` and `balls`, (box, target) pairs in `nearest`, (sample,
 # centre) pairs in `dyadic._net_forest`, (box, grid point) pairs in
 # `FunctionalSuite.owners` (the fat-grid pass) and
-# `FunctionalSuite.grad_integrals`, (box, cube) pairs in
+# `FunctionalSuite.grad_integrals`, owner entries of whole boxes in
 # `FunctionalSuite.anc_scatter`, neighbour entries of whole cubes in
 # `whitney._component_labels`, and members of whole components in the
 # region signs and X boxes of `whitney.build_regions`

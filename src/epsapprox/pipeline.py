@@ -328,9 +328,10 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     )
     report["embedding"] = {"lhs": lhs, "rhs": rhs, "holds": bool(holds)}
 
-    # the maximal and ball functionals of every eps, each in one call: M of
-    # M_dyadic(N_*^{alpha0} u) per distinct alpha0, and C of every TV
-    # measure at the union of the L^p roll-up and level-set samples
+    # the maximal and Carleson functionals of every eps, each in one call: M
+    # of M_dyadic(N_*^{alpha0} u) per distinct alpha0, C_dyadic of every TV
+    # measure, and C of every TV measure at the union of the L^p roll-up and
+    # level-set samples
     runs = [approx["per_eps"][eps] for eps in cfg.eps_grid]
     alpha0s = [find_alpha0(FS, st["gf"]) for st in runs]
     alphas = sorted(set(alpha0s))
@@ -339,7 +340,10 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     lp_at = np.arange(0, len(cert_ids), BALL_STRIDE)
     lev_at = np.arange(0, len(cert_ids), max(1, len(cert_ids) // 256))
     ball_at = distinct(np.concatenate([lp_at, lev_at]))
-    cb = FS.carleson_ball(np.stack([st["A"].tv_box for st in runs]), cert_ids[ball_at])
+    tv = np.stack([st["A"].tv_box for st in runs])
+    cds = FS.carleson_dyadic(tv)
+    report.cd = cds[0]
+    cb = FS.carleson_ball(tv, cert_ids[ball_at])
 
     report["eps"] = {}
     for k, (eps, st, alpha0) in enumerate(zip(cfg.eps_grid, runs, alpha0s)):
@@ -351,9 +355,7 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
         rg = verify_eps_packing(
             S, np.flatnonzero(gf.member), eps, budget=cfg.budgets.eps_packing
         )
-        cd = FS.carleson_dyadic(A.tv_box)
-        if k == 0:
-            report.cd = cd
+        cd = cds[k]
         ver = verify_approximation(
             FS,
             A,

@@ -253,9 +253,11 @@ def corona_provider(
 ) -> CoronaDecomposition:
     """Good/bad cube partition into coherent regimes with Lipschitz graphs.
 
-    trivial_graph: E itself is the graph of every regime; all cubes good.
+    trivial_graph: E itself is the graph of every regime; all cubes good;
+    `property3_sup` is read on a stride of each regime's cubes.
     annotated: decomposition read from JSON and validated against coherency,
-    the packing budget, and the two-sided graph-approximation property.
+    the packing budget, and the two-sided graph-approximation property,
+    whose full sup is `property3_sup`.
     """
     if mode == "trivial_graph":
         lip = E.descriptor.lipschitz
@@ -276,6 +278,7 @@ def corona_provider(
             K=K,
             demoted=np.zeros(S.n_cubes, dtype=bool),
         )
+        corona.property3_sup = _property3_sup(E, S, corona)
     elif mode == "annotated":
         with open(path) as fh:
             spec = json.load(fh)
@@ -289,7 +292,6 @@ def corona_provider(
             f"corona packing {corona.packing_measured:.6g} exceeds budget "
             f"{CORONA_PACKING_BUDGET:g} by {corona.packing_measured - CORONA_PACKING_BUDGET:.3g}"
         )
-    corona.property3_sup = _property3_sup(E, S, corona)
     return corona
 
 

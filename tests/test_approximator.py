@@ -537,17 +537,12 @@ class TestVerification:
 
     def test_ball_sums_once_per_verify_stage(self, monkeypatch):
         # quick_t has two distinct alpha0 over three eps: one maximal call
-        # with two rows, one ball call with three
+        # with two rows, one ball call and one dyadic Carleson call with three
         cfg = RunConfig.load(CONFIGS / "quick_t.json")
         state = pipeline.run(cfg, until="approximate")
-        calls = {"hl": [], "ball": [], "dyadic": 0}
+        calls = {"hl": [], "ball": [], "dyadic": []}
         hl, ball = pipeline.hl_maximal, FunctionalSuite.carleson_ball
         dyadic = FunctionalSuite.carleson_dyadic
-
-        def count_dyadic(self, mass):
-            calls["dyadic"] += 1
-            return dyadic(self, mass)
-
         monkeypatch.setattr(
             pipeline, "hl_maximal", lambda S, f: calls["hl"].append(f.shape) or hl(S, f)
         )
@@ -556,13 +551,17 @@ class TestVerification:
             "carleson_ball",
             lambda self, m, ids: calls["ball"].append(m.shape) or ball(self, m, ids),
         )
-        monkeypatch.setattr(FunctionalSuite, "carleson_dyadic", count_dyadic)
+        monkeypatch.setattr(
+            FunctionalSuite,
+            "carleson_dyadic",
+            lambda self, m: calls["dyadic"].append(m.shape) or dyadic(self, m),
+        )
         pipeline.stage_verify(cfg, state["grid"], state["regions"], state["approximate"])
         n = state["grid"]["E"].n_samples
         n_boxes = state["regions"]["RC"].W.n_boxes
         assert calls["hl"] == [(2, n)]
         assert calls["ball"] == [(3, n_boxes)]
-        assert calls["dyadic"] == 3
+        assert calls["dyadic"] == [(3, n_boxes)]
 
 
 def _assemble_jumps_loop(FS, A):

@@ -17,7 +17,6 @@ from epsapprox.carleson import (
     InfeasibleCut,
     SparseWitness,
     carleson_embedding_check,
-    default_radii,
     dyadic_maximal,
     hl_maximal,
     packing_constant,
@@ -393,7 +392,7 @@ def _hl_loop(S, f):
     the bins summed in radius order."""
     E = S.E
     f = np.abs(np.asarray(f, dtype=float))
-    radii = default_radii(S)
+    radii = S.radius_grid(2 * S.C1 * 2.0 ** (-S.k_min) * S.scale, 8)
     pts, w = E.points, E.weights
     fw = f * w
     out = np.zeros(E.n_samples)

@@ -197,15 +197,17 @@ class TestSubcommands:
 
     def test_write_reuses_the_verify_carleson_dyadic(self, tmp_path, monkeypatch):
         # functionals.csv lists the first eps's C_dyadic, which the verify
-        # stage has computed: one call per eps in the whole run
+        # stage has computed: one call over the eps stack in the whole run
         cfg = RunConfig.load(small_config(tmp_path))
         calls = []
         dyadic = FunctionalSuite.carleson_dyadic
         monkeypatch.setattr(
-            FunctionalSuite, "carleson_dyadic", lambda self, m: calls.append(1) or dyadic(self, m)
+            FunctionalSuite,
+            "carleson_dyadic",
+            lambda self, m: calls.append(m.shape) or dyadic(self, m),
         )
         pipeline.run(cfg)
-        assert len(calls) == len(cfg.eps_grid)
+        assert len(calls) == 1 and calls[0][0] == len(cfg.eps_grid)
 
     def test_cold_owners_reach_fat_points(self, tmp_path, monkeypatch):
         # positive control of the warm-run guard below: patching

@@ -158,6 +158,20 @@ class TestNavigation:
             assert b < a  # strictly decreasing: no set-equal copies survive
 
 
+@pytest.mark.parametrize("system", ["line_system", "cantor_system", "graph_system"])
+def test_radius_grid_keeps_both_grids(system, request):
+    # the maximal grid (8 radii up to twice the coarsest C1 l(Q)) and the
+    # ball-Carleson grid (12 radii up to twice a span), written out
+    S = request.getfixturevalue(system)
+    rs = [S.C1 * 2.0 ** (-k) * S.scale for k in range(S.k_min, S.k_max + 1)]
+    for top, n, extra in (
+        (2 * S.C1 * 2.0 ** (-S.k_min) * S.scale, 8, np.geomspace(min(rs) / 2, max(rs) * 2, 8)),
+        (2 * 8.0, 12, np.geomspace(min(rs) / 2, 2 * 8.0, 12)),
+    ):
+        want = np.unique(np.concatenate([rs, extra]))
+        assert S.radius_grid(top, n).tolist() == want.tolist()
+
+
 class TestSurfaceBall:
     def test_kappa_one_contains_cube(self, line_system):
         S = line_system

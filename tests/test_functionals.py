@@ -228,7 +228,8 @@ def test_build_regions_transient_memory_bounded(fine_line):
 def test_blocked_passes_do_not_depend_on_chunk(fixture, u, request, monkeypatch):
     # the fat-grid and gradient passes run in blocks of CHUNK (box, point)
     # pairs and every reduction is per box; the T_Q sums run in blocks of
-    # CHUNK (box, cube) pairs, each sum carried from block to block
+    # whole boxes of at most CHUNK owner entries, each sum carried from
+    # block to block
     rc = request.getfixturevalue(fixture)
     mass = np.random.default_rng(5).random(rc.W.n_boxes)
 
@@ -519,7 +520,7 @@ def _carleson_dyadic_loop(fs, mass):
             best = max(best, per_cube[q] / fs.S.side[q])
         out[i] = best
     if fs.E.bounded:
-        out = np.maximum(out, fs._tower_sup(mass))
+        out = np.maximum(out, fs._tower_sup(mass[None])[0])
     return out
 
 
@@ -540,6 +541,50 @@ def test_carleson_dyadic_matches_dict_scatter(fixture, request):
     assert len(np.unique(cd)) > 1  # the chains, not one tower sup, decide
 
 
+@pytest.mark.parametrize("chunk", [1, 200])
+@pytest.mark.parametrize("fixture", ["line_rc", "segment_rc"])
+def test_carleson_dyadic_stack_matches_single_rows(fixture, chunk, request, monkeypatch):
+    # the (box, cube) pairs are built block by block for all rows at once;
+    # each row's sums keep their order, so each row is its own 1-D call
+    monkeypatch.setattr(geometry, "CHUNK", chunk)
+    fs = FunctionalSuite(request.getfixturevalue(fixture), Constant(0.0))
+    rng = np.random.default_rng(17)
+    n = fs.W.n_boxes
+    masses = rng.random((3, n)) * (rng.random((3, n)) < 0.5)
+    masses[1, ::2] = 0.0
+    stacked = fs.carleson_dyadic(masses)
+    assert stacked.shape == (3, fs.E.n_samples)
+    for mass, row in zip(masses, stacked):
+        assert np.array_equal(row, fs.carleson_dyadic(mass))
+    assert np.array_equal(stacked[0], _carleson_dyadic_loop(fs, masses[0]))
+    assert np.array_equal(
+        fs.anc_scatter(masses), np.stack([fs.anc_scatter(m) for m in masses])
+    )
+    if fs.E.bounded:
+        tower = fs._tower_sup(masses)
+        assert tower.shape == (3,) and len(set(tower.tolist())) == 3
+        assert tower.tolist() == [fs._tower_sup(m[None])[0] for m in masses]
+
+
+def test_carleson_dyadic_transient_memory_bounded(fine_line):
+    # 16 376 boxes, 251 908 owner entries, three rows: the stored pair table
+    # (4.1 MiB kept in the suite) peaked at 11.7 MiB over three 1-D calls;
+    # building the pairs block by block peaks at 8.8 MiB and keeps nothing
+    fs = FunctionalSuite(build_regions(*fine_line, PARAMS), Coordinate(1))
+    masses = np.random.default_rng(3).random((3, fs.W.n_boxes))
+    state = {k: id(v) for k, v in vars(fs).items()}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cd = fs.carleson_dyadic(masses)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 10 * 2**20
+    assert kept - before < cd.nbytes + 16 * 2**10
+    assert {k: id(v) for k, v in vars(fs).items()} == state
+
+
 def _carleson_ball_loop(fs, mass, sample_ids):
     """Reference: one full distance row per sample; the masses binned by
     the first radius above their distance (in box order) and the bins
@@ -547,7 +592,7 @@ def _carleson_ball_loop(fs, mass, sample_ids):
     lo, hi = fs.W.lo, fs.W.hi
     live = np.nonzero(mass)[0]
     pos, m = ((lo + hi) / 2)[live], mass[live]
-    radii = fs._ball_radii()
+    radii = fs.S.radius_grid(2 * fs.W.window.span, 12)
     out = np.zeros(len(sample_ids))
     for j, i in enumerate(sample_ids):
         d = np.linalg.norm(pos - fs.E.points[i], axis=1)

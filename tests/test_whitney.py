@@ -398,6 +398,23 @@ class TestCoronaProvider:
         lam = packing_constant(S, corona.top)
         assert lam == pytest.approx(2.0)  # root + its children partition
 
+    def test_annotated_reports_its_full_property3_pass(self, line_setup, tmp_path, monkeypatch):
+        # the validating pass is exhaustive; no strided pass follows it
+        E, S, W = line_setup
+        spec = {"bad": [], "regimes": [{"cubes": S.relevant_ids()}]}
+        f = tmp_path / "corona.json"
+        f.write_text(json.dumps(spec))
+        calls = []
+        sup = whitney._property3_sup
+        monkeypatch.setattr(
+            whitney,
+            "_property3_sup",
+            lambda *a, **k: calls.append(k.get("reject", False)) or sup(*a, **k),
+        )
+        corona = corona_provider(E, S, "annotated", eta=0.25, path=f)
+        assert calls == [True]
+        assert corona.property3_sup == _property3_loop(E, S, corona, reject=True)
+
     def test_annotated_incoherent_rejected(self, line_setup, tmp_path):
         E, S, W = line_setup
         root = S.roots[0]
