@@ -237,12 +237,22 @@ def deviation_sups(FS: FunctionalSuite, A: Approximant) -> np.ndarray:
     fl(a - v) is monotone in a, so the segment's sup of |u - v| is the
     larger of |max u - v| and |min u - v|, bit for bit.  Segments whose
     owner's rule is u or lies outside the domain, and empty ones, add 0.
+    The segments are taken in row spans of whole boxes of at most CHUNK
+    segments, so no per-segment array spans the whole grid.
     """
     ptr, owner, seg_max, seg_min = FS.owners()
-    v = np.append(A.cells["value"], np.nan)[A.cell[owner]]
-    dev = np.maximum(np.abs(seg_max - v), np.abs(seg_min - v))
-    dev[np.isnan(v) | (seg_max < seg_min)] = 0.0
-    return np.maximum.reduceat(dev, ptr[:-1])
+    value = np.append(A.cells["value"], np.nan)
+    out = np.empty(len(ptr) - 1)
+    # blocks of whole boxes; every box has its self segment, so no block
+    # ends on an empty box
+    for lo, hi in row_spans(np.diff(ptr)):
+        seg = slice(ptr[lo], ptr[hi])
+        mx, mn = seg_max[seg], seg_min[seg]
+        v = value[A.cell[owner[seg]]]
+        dev = np.maximum(np.abs(mx - v), np.abs(mn - v))
+        dev[np.isnan(v) | (mx < mn)] = 0.0
+        out[lo:hi] = np.maximum.reduceat(dev, ptr[lo:hi] - ptr[lo])
+    return out
 
 
 def nontangential_deviation(
@@ -337,6 +347,20 @@ def _owner_ratios(S, own: np.ndarray, anc: np.ndarray, side: np.ndarray) -> np.n
 BALL_STRIDE = 8
 
 
+def lp_samples(certified: np.ndarray) -> np.ndarray:
+    """Ids of the samples of the L^p roll-up: every BALL_STRIDE-th
+    certified sample."""
+    return np.flatnonzero(certified)[::BALL_STRIDE]
+
+
+def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """Largest finite num / den, 0.0 if there is none."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = num / den
+    r = r[np.isfinite(r)]
+    return float(r.max()) if len(r) else 0.0
+
+
 def verify_approximation(
     FS: FunctionalSuite,
     A: Approximant,
@@ -360,8 +384,8 @@ def verify_approximation(
     this eps's row of one stacked call: `cd` is C_dyadic of `A.tv_box` (a
     row of `FS.carleson_dyadic` over the grid's TV measures) and `mm` is
     M(M_dyadic(N_*^{alpha0} u)), per sample, and `cball` is C of
-    `A.tv_box` (a row of `FS.carleson_ball`) at every BALL_STRIDE-th
-    certified sample.
+    `A.tv_box` (a row of `FS.carleson_ball`) at the samples
+    `lp_samples(certified)`.
     Smallest passing constants are reported; `pass` keys compare C1 to its
     budget (C2 and the L^p constants are reported for cross-eps stability).
     """
@@ -370,10 +394,7 @@ def verify_approximation(
     _, m_point = FS.cube_numbers(None)
     dev = deviation_sups(FS, A)
     ndev = nontangential_deviation(FS, dev)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = ndev[cert] / (eps * m_point[cert])
-    ratio = ratio[np.isfinite(ratio)]
-    c1 = float(ratio.max()) if len(ratio) else 0.0
+    c1 = _max_ratio(ndev[cert], eps * m_point[cert])
     # constant-free local form on T_{q0}
     t0 = np.zeros(FS.W.n_boxes, dtype=bool)
     if A.q0 is not None:
@@ -382,19 +403,13 @@ def verify_approximation(
     in_q0 = np.zeros(FS.E.n_samples, dtype=bool)
     in_q0[S.members(A.q0)] = True
     sel = cert & in_q0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lr = ndev_local[sel] / (eps * m_point[sel])
-    lr = lr[np.isfinite(lr)]
-    c_local = float(lr.max()) if len(lr) else 0.0
+    c_local = _max_ratio(ndev_local[sel], eps * m_point[sel])
 
     # (ii) dyadic Carleson functional of the TV measure
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = cd[cert] * eps**2 / mm[cert]
-    r2 = r2[np.isfinite(r2)]
-    c2 = float(r2.max()) if len(r2) else 0.0
+    c2 = _max_ratio(cd[cert] * eps**2, mm[cert])
 
     # (iii) L^p roll-ups
-    ids = np.nonzero(cert)[0][::BALL_STRIDE]
+    ids = lp_samples(cert)
     ns = FS.n_star(None)
     lp = {}
     for p in p_grid:

@@ -39,13 +39,6 @@ def _parser():
     return p
 
 
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig.load(args.config)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
-
-
 # subcommands that compute one stage from its cached upstream stages;
 # `run` and `verify` load or compute every stage
 STAGED = {"build-grid": "grid", "decompose": "regions", "approximate": "approximate"}
@@ -65,7 +58,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     cache = args.cache_dir
     try:
-        cfg = _load_config(args)
+        cfg = RunConfig.load(args.config)
         if args.command in STAGED:
             if not cache:
                 raise RuntimeError(f"{args.command} requires --cache-dir")
@@ -76,7 +69,7 @@ def main(argv=None) -> int:
             print(_stage_line(stage, outputs[stage], cfg))
             return 0
         if args.command == "report":
-            out = Path(cfg.out_dir)
+            out = Path(args.out or cfg.out_dir)
             summary = json.loads((out / "acceptance.json").read_text())
             if args.format == "json":
                 print(json.dumps(summary, indent=1, sort_keys=True))
@@ -85,7 +78,7 @@ def main(argv=None) -> int:
                 for name, ok in summary["hard_checks"]:
                     print(f"{name},{int(ok)}")
             return 0 if summary["pass"] else 1
-        summary = pipeline.run(cfg, cache_dir=cache)["write"]
+        summary = pipeline.run(cfg, out_dir=args.out, cache_dir=cache)["write"]
     except (RuntimeError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .approximator import (
-    BALL_STRIDE,
     build_global_approximant,
     find_alpha0,
+    lp_samples,
     verify_approximation,
 )
 from .carleson import carleson_embedding_check, hl_maximal
@@ -273,10 +273,10 @@ def stage_approximate(cfg: RunConfig, grid, regions):
     # quadratures, the cube numbers), so a cached artifact carries them
     FS.owners()
     FS.grad_integrals()
-    numbers, m_point = FS.cube_numbers(None)
+    numbers, _ = FS.cube_numbers(None)
     for a in cfg.alpha_grid:
         FS.cube_numbers(a)
-    state = {"FS": FS, "numbers": numbers, "m_point": m_point, "per_eps": {}}
+    state = {"FS": FS, "per_eps": {}}
     for eps in cfg.eps_grid:
         labels = oscillation_cubes(FS, eps, numbers)
         gf = generation_cubes(RC, eps, numbers, u)
@@ -294,10 +294,15 @@ class Report(dict):
 
 
 def stage_verify(cfg: RunConfig, grid, regions, approx):
+    """The report of one run.  Each hard check is appended where its value
+    is measured, so `hard_checks` lists them in measurement order: adr,
+    corona, principal, embedding, the four checks of each eps, the eps^-2
+    ratios, C2 growth and the apertures."""
     E, S = grid["E"], grid["S"]
     RC = regions["RC"]
     FS = approx["FS"]
-    numbers = approx["numbers"]
+    budgets = cfg.budgets
+    numbers, m_point = FS.cube_numbers(None)
     cert = certified_mask(cfg, E)
     cfg_echo = cfg.to_json()
     del cfg_echo["out_dir"]  # where a report is written is not part of it
@@ -316,17 +321,22 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
         "corona": RC.corona.to_json(S),
         "regions": RC.stats | {"n_demoted": int(RC.corona.demoted.sum())},
     })
-    chain = initial_chain(S)
-    fam = principal_cubes(S, numbers, chain)
-    report["principal"] = verify_principal_packing(
-        S, fam, numbers, budget_factor=cfg.budgets.principal_packing_factor
+    fam = principal_cubes(S, numbers, initial_chain(S))
+    principal = report["principal"] = verify_principal_packing(
+        S, fam, numbers, budget_factor=budgets.principal_packing_factor
     )
     # discrete embedding self-check: f = N_* u against the principal family;
     # M_dyadic(N_* u) is the pointwise cube number
     lhs, rhs, holds = carleson_embedding_check(
-        S, FS.n_star(None), np.flatnonzero(fam.member), S.roots[0], md=approx["m_point"]
+        S, FS.n_star(None), np.flatnonzero(fam.member), S.roots[0], md=m_point
     )
     report["embedding"] = {"lhs": lhs, "rhs": rhs, "holds": bool(holds)}
+    hard = [
+        ("adr", grid["adr"].passed),
+        ("corona_packing", RC.corona.packing_measured <= CORONA_PACKING_BUDGET),
+        ("principal_packing", principal["pass"]),
+        ("embedding", bool(holds)),
+    ]
 
     # the maximal and Carleson functionals of every eps, each in one call: M
     # of M_dyadic(N_*^{alpha0} u) per distinct alpha0, C_dyadic of every TV
@@ -337,114 +347,78 @@ def stage_verify(cfg: RunConfig, grid, regions, approx):
     alphas = sorted(set(alpha0s))
     mm = hl_maximal(S, np.stack([FS.cube_numbers(a)[1] for a in alphas]))
     cert_ids = np.flatnonzero(cert)
-    lp_at = np.arange(0, len(cert_ids), BALL_STRIDE)
-    lev_at = np.arange(0, len(cert_ids), max(1, len(cert_ids) // 256))
-    ball_at = distinct(np.concatenate([lp_at, lev_at]))
+    lp_ids = lp_samples(cert)
+    lev_ids = cert_ids[:: max(1, len(cert_ids) // 256)]
+    ball_ids = distinct(np.concatenate([lp_ids, lev_ids]))
     tv = np.stack([st["A"].tv_box for st in runs])
     cds = FS.carleson_dyadic(tv)
     report.cd = cds[0]
-    cb = FS.carleson_ball(tv, cert_ids[ball_at])
+    cb = FS.carleson_ball(tv, ball_ids)
 
-    report["eps"] = {}
+    per_eps = report["eps"] = {}
+    packing = {"R_union_B": [], "Gstar": []}
+    c2s = []
     for k, (eps, st, alpha0) in enumerate(zip(cfg.eps_grid, runs, alpha0s)):
         labels, gf, A = st["labels"], st["gf"], st["A"]
-        rub = verify_eps_packing(
-            S, np.flatnonzero(labels.member | RC.corona.bad(S)), eps,
-            budget=cfg.budgets.eps_packing,
-        )
-        rg = verify_eps_packing(
-            S, np.flatnonzero(gf.member), eps, budget=cfg.budgets.eps_packing
-        )
-        cd = cds[k]
-        ver = verify_approximation(
+        d = per_eps[f"{eps}"] = {"alpha0": alpha0}
+        members = {"R_union_B": labels.member | RC.corona.bad(S), "Gstar": gf.member}
+        for name, member in members.items():
+            r = d[f"packing_{name}"] = verify_eps_packing(
+                S, np.flatnonzero(member), eps, budget=budgets.eps_packing
+            )
+            packing[name].append(r)
+            hard.append((f"packing_{name}_{eps}", r["pass"]))
+        ver = d["verify"] = verify_approximation(
             FS,
             A,
             eps,
             alpha0,
             cert,
-            cd,
+            cds[k],
             mm[alphas.index(alpha0)],
-            cb[k, np.searchsorted(ball_at, lp_at)],
+            cb[k, np.searchsorted(ball_ids, lp_ids)],
             p_grid=cfg.p_grid,
-            c1_budget=cfg.budgets.pointwise_c1,
+            c1_budget=budgets.pointwise_c1,
         )
-        ids = cert_ids[lev_at]
-        lev = compare_levelsets(
-            cb[k, np.searchsorted(ball_at, lev_at)],
-            cd[ids],
-            E.weights[ids],
+        hard.append((f"pointwise_C1_{eps}", ver["C1_pass"]))
+        lev = d["levelsets"] = compare_levelsets(
+            cb[k, np.searchsorted(ball_ids, lev_ids)],
+            cds[k][lev_ids],
+            E.weights[lev_ids],
             p_grid=cfg.p_grid,
-            a1_budget=cfg.budgets.levelset_a1,
-            a2_budget=cfg.budgets.levelset_a2,
+            a1_budget=budgets.levelset_a1,
+            a2_budget=budgets.levelset_a2,
         )
-        report["eps"][f"{eps}"] = {
-            "alpha0": alpha0,
-            "packing_R_union_B": rub,
-            "packing_Gstar": rg,
-            "verify": ver,
-            "levelsets": lev,
-        }
+        hard.append((f"levelsets_{eps}", lev["pass"]))
+        if ver["C2"] > 0:
+            c2s.append((eps, ver["C2"]))
 
-    report["eps_scaling"] = {
-        "R_union_B": eps_scaling_chart(
-            [report["eps"][f"{e}"]["packing_R_union_B"] for e in cfg.eps_grid]
-        ),
-        "Gstar": eps_scaling_chart(
-            [report["eps"][f"{e}"]["packing_Gstar"] for e in cfg.eps_grid]
-        ),
-    }
-    report["apertures"] = {
-        f"{a}": {
-            f"{p}": compare_apertures(FS, a, p, certified=cert)
-            for p in cfg.p_grid
-        }
-        for a in cfg.alpha_grid
-    }
-
-    hard = [
-        ("adr", grid["adr"].passed),
-        ("corona_packing", RC.corona.packing_measured <= CORONA_PACKING_BUDGET),
-        ("principal_packing", report["principal"]["pass"]),
-        ("embedding", bool(holds)),
-    ]
-    c2s = []
-    for e in cfg.eps_grid:
-        d = report["eps"][f"{e}"]
-        hard.append((f"packing_R_union_B_{e}", d["packing_R_union_B"]["pass"]))
-        hard.append((f"packing_Gstar_{e}", d["packing_Gstar"]["pass"]))
-        hard.append((f"pointwise_C1_{e}", d["verify"]["C1_pass"]))
-        hard.append((f"levelsets_{e}", d["levelsets"]["pass"]))
-        if d["verify"]["C2"] > 0:
-            c2s.append((e, d["verify"]["C2"]))
+    report["eps_scaling"] = {name: eps_scaling_chart(rs) for name, rs in packing.items()}
     # the eps^-2 packing law across the grid: Lambda(eps_min)/Lambda(eps_max)
     # <= (eps_max/eps_min)^2 * slack; skipped when there is no ratio to take
     e_min, e_max = min(cfg.eps_grid), max(cfg.eps_grid)
-    for fam in ("R_union_B", "Gstar"):
-        lam_min = report["eps"][f"{e_min}"][f"packing_{fam}"]["Lambda"]
-        lam_max = report["eps"][f"{e_max}"][f"packing_{fam}"]["Lambda"]
+    i_min, i_max = cfg.eps_grid.index(e_min), cfg.eps_grid.index(e_max)
+    for name, rs in packing.items():
+        lam_min, lam_max = rs[i_min]["Lambda"], rs[i_max]["Lambda"]
         if e_min < e_max and lam_max > 0:
-            ratio = lam_min / lam_max
-            report[f"eps_ratio_{fam}"] = ratio
-            bound = (e_max / e_min) ** 2 * cfg.budgets.eps_ratio_slack
-            hard.append((f"eps_ratio_{fam}", ratio <= bound))
+            ratio = report[f"eps_ratio_{name}"] = lam_min / lam_max
+            bound = (e_max / e_min) ** 2 * budgets.eps_ratio_slack
+            hard.append((f"eps_ratio_{name}", ratio <= bound))
     if len(c2s) >= 2:
         # growth-direction stability: no super-eps^{-2} growth of the lhs.
         # (the smallest passing C2 may honestly DECAY when the eps^{-2}
         # packing law is not saturated; only growth falsifies the bound)
-        growth = max(
-            cb / ca
-            for (eb, cb) in c2s
-            for (ea, ca) in c2s
-            if eb < ea
+        growth = report["C2_growth"] = max(
+            c_b / c_a for (e_b, c_b) in c2s for (e_a, c_a) in c2s if e_b < e_a
         )
-        report["C2_growth"] = growth
-        hard.append(
-            ("C2_growth", growth <= cfg.budgets.carleson_c2_stability)
-        )
+        hard.append(("C2_growth", growth <= budgets.carleson_c2_stability))
+
+    apertures = report["apertures"] = {}
     for a in cfg.alpha_grid:
+        row = apertures[f"{a}"] = {}
         for p in cfg.p_grid:
-            r = report["apertures"][f"{a}"][f"{p}"]
-            hard.append((f"aperture_{a}_p{p}", 1.0 <= r <= cfg.budgets.aperture_k4))
+            r = row[f"{p}"] = compare_apertures(FS, a, p, certified=cert)
+            hard.append((f"aperture_{a}_p{p}", 1.0 <= r <= budgets.aperture_k4))
     report["hard_checks"] = [[name, bool(ok)] for name, ok in hard]
     report["pass"] = all(ok for _, ok in hard)
     return report

@@ -1,19 +1,20 @@
 """Approximant construction: cells, values, evaluation, TV, certification."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epsapprox import approximator, pipeline
+from epsapprox import approximator, geometry, pipeline
 from epsapprox.approximator import (
-    BALL_STRIDE,
     Approximant,
     assemble_approximant,
     build_global_approximant,
     build_partition,
     deviation_sups,
     find_alpha0,
+    lp_samples,
     nontangential_deviation,
     order_good_cubes,
     verify_approximation,
@@ -469,7 +470,7 @@ def verify(fs, A, eps, alpha0, cert, **kw):
         cert,
         fs.carleson_dyadic(A.tv_box),
         hl_maximal(fs.S, fs.cube_numbers(alpha0)[1]),
-        fs.carleson_ball(A.tv_box, np.flatnonzero(cert)[::BALL_STRIDE]),
+        fs.carleson_ball(A.tv_box, lp_samples(cert)),
         **kw,
     )
 
@@ -763,7 +764,7 @@ def _deviation_loop(fs, A):
 
 
 @pytest.mark.parametrize("mode", ["unbounded", "bounded"])
-def test_deviation_sups_match_pointwise_loop(mode, request, state_t):
+def test_deviation_sups_match_pointwise_loop(mode, request, state_t, monkeypatch):
     if mode == "bounded":
         fs, A = request.getfixturevalue("bounded_pole")
     else:
@@ -772,6 +773,22 @@ def test_deviation_sups_match_pointwise_loop(mode, request, state_t):
     dev = deviation_sups(fs, A)
     assert dev.max() > 0.0
     assert np.array_equal(dev, _deviation_loop(fs, A))
+    # the owner segments (about ten per box here) are taken in blocks of
+    # whole boxes of at most CHUNK segments: the same bits, and no array
+    # spans every segment
+    n_segments = len(fs.owners()[1])
+    assert n_segments > 4 * len(dev)
+    for chunk in (1, 64):
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = deviation_sups(fs, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, dev)
+        assert peak - before < 8 * n_segments
 
 
 def _ndev_loop(fs, dev, restrict_to=None):

@@ -277,6 +277,18 @@ class TestSubcommands:
         csv_checks = {name: bool(int(ok)) for name, ok in (l.split(",") for l in lines)}
         assert csv_checks == {n: ok for n, ok in summary["hard_checks"]}
 
+    def test_report_reads_out(self, tmp_path, capsys):
+        # `--out` moves where run writes and report reads; the config's
+        # out_dir is never written
+        cfgp = small_config(tmp_path)
+        elsewhere = str(tmp_path / "elsewhere")
+        assert main(["run", "--config", str(cfgp), "--out", elsewhere]) == 0
+        assert not (tmp_path / "out").exists()
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfgp), "--out", elsewhere]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        assert main(["report", "--config", str(cfgp)]) == 2
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
